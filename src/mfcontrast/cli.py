@@ -55,6 +55,8 @@ def _append_manifest_end(out_dir: Path, **extra):
 def _load_experiment(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
+    elif getattr(args, "preset", None) == "full":
+        cfg = full_scale_config()
     else:
         cfg = desk_config()
     train_cfg = cfg.train
@@ -231,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="experiment config JSON (default: desk preset)")
         p.add_argument("--preset", choices=("desk", "full"), default=None,
-                       help="start from a named preset instead of the default")
+                       help="start from a named preset instead of the desk "
+                            "default; --config takes precedence")
         p.add_argument("--synthetic", action="store_true",
                        help="use the built-in synthetic corpus")
         p.add_argument("--data", help="corpus manifest file or directory")
@@ -271,15 +274,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    if getattr(args, "preset", None) == "full" and not getattr(args, "config", None):
-        args.config = None
-        base = full_scale_config()
-    else:
-        base = None
     try:
         if args.command == "train":
-            if base is not None:
-                args.__dict__["_preset_config"] = base
             return cmd_train(args, argv)
         if args.command == "eval":
             return cmd_eval(args)

@@ -9,6 +9,7 @@ diffed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,7 @@ def _frontend_fwd(x, params):
         x, params["encoder.frontend.w"], params["encoder.frontend.b"],
         stride=FRONTEND_STRIDE)
     y, c_act = nn.silu_fwd(y)
-    y = y + nn.sinusoidal_positions(y.shape[1], y.shape[2])
+    y = y + nn.sinusoidal_positions(y.shape[1], y.shape[2], y.dtype)
     return y, (c_conv, c_act)
 
 
@@ -199,7 +200,8 @@ def _mhsa_fwd(x, params, pre, num_heads, drop, mode, rng):
     qh = q.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
     kh = k.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
-    scale = 1.0 / np.sqrt(dh)
+    # a Python float: an np.float64 scale would promote float32 scores
+    scale = 1.0 / math.sqrt(dh)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
     attn, c_sm = nn.softmax_fwd(scores, axis=-1)
     attn_d, c_dp = nn.dropout_fwd(attn, drop, mode, rng)
@@ -230,7 +232,7 @@ def _mhsa_bwd(dy, cache, pre, grads):
     dq = dqh.transpose(0, 2, 1, 3).reshape(bsz, t, d)
     dk = dkh.transpose(0, 2, 1, 3).reshape(bsz, t, d)
     dv = dvh.transpose(0, 2, 1, 3).reshape(bsz, t, d)
-    dh_total = np.zeros((bsz, t, d))
+    dh_total = np.zeros((bsz, t, d), dtype=dy.dtype)
     for dpart, c_lin, wname in ((dq, c_q, "wq"), (dk, c_k, "wk"), (dv, c_v, "wv")):
         dx_part, dw, db = nn.linear_bwd(dpart, c_lin)
         accumulate(grads, f"{pre}.{wname}", dw)

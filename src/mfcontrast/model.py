@@ -1,12 +1,19 @@
 """Full speaker model: encoder, per-block heads, aggregation path, and the
 classifier weights, with checkpoint save/load.
 
-Parameters are one flat ``{name: float64 array}`` dict (see
+Parameters are one flat ``{name: array}`` dict (see
 ``encoder.init_encoder_params`` and ``heads.init_head_params`` for the
 naming scheme; the classifier lives at ``classifier.w``). Batch-norm
 running statistics live in ``state`` and are updated by train-mode
 forwards, which makes training single-writer; eval-mode forwards are
 read-only and safe to run concurrently.
+
+Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
+(float32), and so are every activation, cache and parameter gradient.
+``forward`` casts its features to the parameters' dtype and returns the
+tap and speaker embeddings as float64, so the losses and metrics work in
+float64; ``backward`` casts the upstream gradients back. Casting
+``params`` and ``state`` to float64 runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -23,12 +30,18 @@ from .heads import (HeadConfig, _heads_bwd, _heads_fwd, _mfa_bwd, _mfa_fwd,
                     init_head_params)
 
 CHECKPOINT_FORMAT = "mfcontrast-checkpoint-v1"
+# dtype of parameters, state, activations and parameter gradients
+COMPUTE_DTYPE = np.float32
+
+
+def _as_compute(arrays: dict) -> dict:
+    return {k: np.asarray(v, dtype=COMPUTE_DTYPE) for k, v in arrays.items()}
 
 
 @dataclass
 class ModelOutput:
-    """Raw per-block tap embeddings, raw speaker embedding, and the caches
-    needed to backpropagate into the parameters."""
+    """Raw per-block tap embeddings and raw speaker embedding (float64),
+    and the caches needed to backpropagate into the parameters."""
 
     tap_embeddings: list
     speaker_embedding: np.ndarray
@@ -48,19 +61,25 @@ class SpeakerModel:
         rng = np.random.default_rng([seed, 0xC0DE])
         enc_params, enc_state = init_encoder_params(enc_cfg, rng)
         head_params, head_state = init_head_params(enc_cfg, head_cfg, rng)
-        self.params = {**enc_params, **head_params}
-        self.params["classifier.w"] = rng.standard_normal(
+        params = {**enc_params, **head_params}
+        params["classifier.w"] = rng.standard_normal(
             (num_speakers, head_cfg.embed_dim)) / np.sqrt(head_cfg.embed_dim)
-        self.state = {**enc_state, **head_state}
+        self.params = _as_compute(params)
+        self.state = _as_compute({**enc_state, **head_state})
 
     @property
     def classifier_weights(self):
         return self.params["classifier.w"]
 
+    @property
+    def dtype(self):
+        """Compute dtype: that of the parameter arrays."""
+        return self.params["classifier.w"].dtype
+
     def forward(self, feats, mode="eval", rng=None) -> ModelOutput:
         """feats: (B, T, F) or (T, F). Train mode updates batch-norm state
         and draws dropout masks from ``rng``."""
-        feats = np.asarray(feats, dtype=np.float64)
+        feats = np.asarray(feats, dtype=self.dtype)
         if feats.ndim == 2:
             feats = feats[None]
         if mode == "train" and self.enc_cfg.dropout > 0.0 and rng is None:
@@ -73,15 +92,18 @@ class SpeakerModel:
             taps, self.params, state2, self.head_cfg, mode)
         if mode == "train":
             self.state = state3
-        return ModelOutput(tap_embs, spk_emb, (enc_cache, head_caches, mfa_cache))
+        return ModelOutput([e.astype(np.float64) for e in tap_embs],
+                           spk_emb.astype(np.float64),
+                           (enc_cache, head_caches, mfa_cache))
 
     def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding):
         """Gradients of a scalar objective w.r.t. every parameter, given its
         gradients w.r.t. the raw tap embeddings and speaker embedding."""
         enc_cache, head_caches, mfa_cache = out.cache
         grads: dict[str, np.ndarray] = {}
-        d_taps = _heads_bwd(d_tap_embeddings, head_caches, grads)
-        d_taps_mfa = _mfa_bwd(np.asarray(d_speaker_embedding, dtype=np.float64),
+        d_taps = _heads_bwd([np.asarray(d, dtype=self.dtype) for d in d_tap_embeddings],
+                            head_caches, grads)
+        d_taps_mfa = _mfa_bwd(np.asarray(d_speaker_embedding, dtype=self.dtype),
                               mfa_cache, grads)
         d_taps = [a + b for a, b in zip(d_taps, d_taps_mfa)]
         _encoder_bwd(d_taps, enc_cache, self.enc_cfg, grads)
@@ -92,7 +114,7 @@ class SpeakerModel:
 
     def embed_utterance(self, feats) -> np.ndarray:
         """Eval-mode speaker embedding of one (T, F) feature matrix."""
-        out = self.forward(np.asarray(feats, dtype=np.float64)[None], mode="eval")
+        out = self.forward(np.asarray(feats)[None], mode="eval")
         return out.speaker_embedding[0]
 
     # -- checkpointing -----------------------------------------------------
@@ -117,10 +139,10 @@ class SpeakerModel:
             meta = json.loads(bytes(archive["meta"]))
             if meta.get("format") != CHECKPOINT_FORMAT:
                 raise ValueError(f"{path} is not a recognized checkpoint")
-            params = {k[len("param/"):]: archive[k] for k in archive.files
-                      if k.startswith("param/")}
-            state = {k[len("state/"):]: archive[k] for k in archive.files
-                     if k.startswith("state/")}
+            params = _as_compute({k[len("param/"):]: archive[k] for k in archive.files
+                                  if k.startswith("param/")})
+            state = _as_compute({k[len("state/"):]: archive[k] for k in archive.files
+                                 if k.startswith("state/")})
         model = cls.__new__(cls)
         model.enc_cfg = EncoderConfig(**meta["encoder"])
         model.head_cfg = HeadConfig(**meta["head"])

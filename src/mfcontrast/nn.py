@@ -2,7 +2,9 @@
 
 Every ``*_fwd`` returns ``(output, cache)`` and the matching ``*_bwd`` takes
 ``(upstream_gradient, cache)`` and returns gradients for the inputs in the
-same order. All arrays are float64; batch axes lead, channels are last.
+same order. Every op computes in its inputs' floating dtype and returns
+outputs, caches and gradients in that dtype; constants enter as Python
+scalars so they never promote it. Batch axes lead, channels are last.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def glu_bwd(dy, cache):
 def dropout_fwd(x, rate, mode, rng):
     if mode != "train" or rate <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.dtype)
     return x * mask, mask
 
 
@@ -273,14 +275,15 @@ def l2_normalize_bwd(dy, cache):
 # misc
 
 
-def sinusoidal_positions(t, d):
-    """Fixed absolute positional encoding, shape (t, d). d must be even."""
+def sinusoidal_positions(t, d, dtype):
+    """Fixed absolute positional encoding, shape (t, d). d must be even.
+    Angles are computed in float64 and stored as ``dtype``."""
     if d % 2 != 0:
         raise ShapeError("positional encoding needs an even model dimension")
     pos = np.arange(t, dtype=np.float64)[:, None]
     i = np.arange(d // 2, dtype=np.float64)[None, :]
     angle = pos / (10000.0 ** (2.0 * i / d))
-    pe = np.empty((t, d))
+    pe = np.empty((t, d), dtype=dtype)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
     return pe

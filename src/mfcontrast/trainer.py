@@ -121,7 +121,8 @@ def adam_step(params, grads, opt: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-
     correct1 = 1.0 - beta1 ** opt.t
     correct2 = 1.0 - beta2 ** opt.t
     for k in params:
-        g = grads[k]
+        # classifier.w's gradient comes back from the losses as float64
+        g = grads[k].astype(params[k].dtype, copy=False)
         opt.m[k] = beta1 * opt.m[k] + (1.0 - beta1) * g
         opt.v[k] = beta2 * opt.v[k] + (1.0 - beta2) * g * g
         params[k] = params[k] - lr * (opt.m[k] / correct1) / (np.sqrt(opt.v[k] / correct2) + eps)
