@@ -18,12 +18,13 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, config_to_dict,
                      desk_config, full_scale_config, load_config)
+from .losses import CONTRASTIVE_KINDS
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
 from .synthdata import generate_corpus, generate_trials, load_manifest
-from .trainer import NonFiniteLossError, evaluate, train, utterance_store
+from .trainer import (OBJECTIVES, NonFiniteLossError, evaluate, train,
+                      utterance_store)
 
-LOSS_CHOICES = ("am_softmax", "am_supcon", "mfcon", "combined")
 SWEEP_AXES = ("lambda", "lambda12", "contrastive_kind", "sharing")
 
 
@@ -83,10 +84,23 @@ def _load_experiment(args) -> ExperimentConfig:
 
 
 def _resolve_dataset(args, cfg: ExperimentConfig):
-    """Corpus and trials, either synthetic or from a manifest tree."""
+    """Training corpus, trials, and the store of the utterances the trials
+    name, either synthetic or from a manifest tree.
+
+    The synthetic corpus has twice the configured speakers: the even-index
+    ones train and the trials come only from the odd-index ones, so the
+    reported EER is on speakers the model never saw (synthdata stratifies
+    F0 by speaker index, so both halves span the whole F0 range). A
+    manifest corpus is both trained on and scored.
+    """
     if args.synthetic:
-        synth = replace(cfg.synth, seed=cfg.train.seed)
-        corpus = generate_corpus(synth)
+        synth = replace(cfg.synth, seed=cfg.train.seed,
+                        n_speakers=2 * cfg.synth.n_speakers)
+        both = generate_corpus(synth)
+        speakers = sorted({w.speaker_id for w in both})
+        held_out = set(speakers[1::2])
+        corpus = [w for w in both if w.speaker_id not in held_out]
+        scored = [w for w in both if w.speaker_id in held_out]
     else:
         if not args.data:
             raise ConfigError("either --synthetic or --data is required")
@@ -98,20 +112,24 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
             corpus = load_manifest(manifest)
         except (OSError, ValueError) as err:
             raise DataError(f"could not load {manifest}: {err}") from err
-    trials = generate_trials(corpus, cfg.trials.n_target,
-                             cfg.trials.n_nontarget, cfg.trials.seed)
-    return corpus, trials
+        scored = corpus
+    try:
+        trials = generate_trials(scored, cfg.trials.n_target,
+                                 cfg.trials.n_nontarget, cfg.trials.seed)
+    except ValueError as err:
+        raise ConfigError(f"trials: {err}") from err
+    return corpus, trials, utterance_store(scored)
 
 
 def cmd_train(args, argv) -> int:
     cfg = _load_experiment(args)
-    corpus, trials = _resolve_dataset(args, cfg)
+    corpus, trials, store = _resolve_dataset(args, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest_start(out_dir, cfg, argv)
     try:
-        result = train(corpus, cfg.encoder, cfg.head, cfg.train,
-                       out_dir=out_dir, trials=trials)
+        result = train(corpus, cfg.encoder, cfg.head, cfg.train, out_dir=out_dir,
+                       trials=trials, store=store)
     except NonFiniteLossError:
         _append_manifest_end(out_dir, status="numerical-failure")
         raise
@@ -158,8 +176,7 @@ def _parse_sweep_values(axis, raw_values):
             out.append((float(a), float(b) if b else float(a)))
         return out
     if axis == "contrastive_kind":
-        allowed = ("triplet", "npair", "ntxent", "supcon")
-        bad = [v for v in values if v not in allowed]
+        bad = [v for v in values if v not in CONTRASTIVE_KINDS]
         if bad:
             raise ConfigError(f"unknown contrastive kinds: {bad}")
         return values
@@ -206,10 +223,10 @@ def cmd_sweep(args, argv) -> int:
         variant = _sweep_variant(cfg, args.axis, value)
         run_dir = out_dir / f"{args.axis}_{tag.replace(':', '_')}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        corpus, trials = _resolve_dataset(args, variant)
+        corpus, trials, store = _resolve_dataset(args, variant)
         _write_manifest_start(run_dir, variant, argv)
         result = train(corpus, variant.encoder, variant.head, variant.train,
-                       out_dir=run_dir, trials=trials)
+                       out_dir=run_dir, trials=trials, store=store)
         ev = result.eval_result
         _append_manifest_end(run_dir, status="ok", eer=ev.eer, mindcf=ev.mindcf)
         rows.append((tag, ev.eer, ev.mindcf))
@@ -243,13 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model and report EER/minDCF")
     add_common(t)
-    t.add_argument("--loss", choices=LOSS_CHOICES, default=None)
+    t.add_argument("--loss", choices=tuple(OBJECTIVES), default=None,
+                   help="objective preset: margin softmax on the speaker "
+                        "embedding, plus the contrastive terms the preset "
+                        "weighs with --lambda/--lambda1/--lambda2")
     t.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                   help="per-block contrastive coefficient")
-    t.add_argument("--lambda1", type=float, default=None)
-    t.add_argument("--lambda2", type=float, default=None)
+                   help="per-block contrastive weight; read by --loss mfcon")
+    t.add_argument("--lambda1", type=float, default=None,
+                   help="per-block SupCon weight; read by --loss combined")
+    t.add_argument("--lambda2", type=float, default=None,
+                   help="speaker-embedding SupCon weight; read by --loss "
+                        "am_supcon and combined")
     t.add_argument("--contrastive-kind", dest="contrastive_kind",
-                   choices=("supcon", "ntxent", "triplet", "npair"), default=None)
+                   choices=CONTRASTIVE_KINDS, default=None,
+                   help="per-block contrastive loss of --loss mfcon")
     t.add_argument("--out", required=True, help="output directory")
 
     e = sub.add_parser("eval", help="score trials with a trained checkpoint")

@@ -58,7 +58,9 @@ def full_scale_config() -> ExperimentConfig:
     """Six-block preset with the published training hyperparameters.
     Sized for real corpora; untested at that scale."""
     return ExperimentConfig(
-        encoder=EncoderConfig.full_scale(),
+        encoder=EncoderConfig(num_blocks=6, model_dim=256, num_heads=4,
+                              ff_expansion=4, conv_kernel=15, dropout=0.1,
+                              input_dim=80),
         head=HeadConfig(embed_dim=192, attention_hidden=128),
         train=TrainConfig(batch_size=100, lr=1e-3, lr_halve_every=5,
                           epochs=30, crop_duration=3.0, objective="mfcon",

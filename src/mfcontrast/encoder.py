@@ -1,6 +1,13 @@
 """Conformer-style encoder with a stride-2 subsampling frontend that exposes
 the output feature map of every block.
 
+``_encoder_fwd`` takes a (B, T, F) feature batch and returns the list of
+per-block maps ("taps"), each (B, T', model_dim) with T' = (T - 1) // 2 + 1,
+shallow to deep; tap k is exactly the input of block k+1. Its pieces
+(``_frontend_fwd``, ``_block_fwd`` and the block's sub-modules) work on the
+same batch layout, and each ``*_fwd`` returns a cache that the matching
+``*_bwd`` consumes.
+
 Parameters live in a flat ``{name: array}`` dict under the ``encoder.``
 prefix; batch-norm running statistics live in a separate state dict. Naming
 is stable (see ``init_encoder_params``) so checkpoints can be inspected and
@@ -29,7 +36,6 @@ class EncoderConfig:
     num_heads: int = 4
     ff_expansion: int = 4
     conv_kernel: int = 15
-    subsample_factor: str = "1/2"
     dropout: float = 0.1
     input_dim: int = 80
 
@@ -42,41 +48,8 @@ class EncoderConfig:
             raise ValueError("model_dim must be even (positional encoding)")
         if self.conv_kernel % 2 != 1:
             raise ValueError("conv_kernel must be odd")
-        if self.subsample_factor != "1/2":
-            raise ValueError("only the stride-2 frontend (subsample_factor='1/2') is supported")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-
-    @classmethod
-    def full_scale(cls):
-        """Six-block preset sized for real corpora. Untested at scale."""
-        return cls(num_blocks=6, model_dim=256, num_heads=4, ff_expansion=4,
-                   conv_kernel=15, dropout=0.1, input_dim=80)
-
-
-@dataclass
-class TapSet:
-    """Ordered per-block feature maps, shallow to deep.
-
-    Each map is (T', model_dim) for a single utterance or (B, T', model_dim)
-    for a batch; all maps share one shape.
-    """
-
-    maps: list
-
-    def __post_init__(self):
-        if not self.maps:
-            raise ValueError("TapSet needs at least one feature map")
-        shape = self.maps[0].shape
-        for m in self.maps:
-            if m.shape != shape:
-                raise ShapeError("all taps must share one shape")
-
-    def __len__(self):
-        return len(self.maps)
-
-    def __getitem__(self, i):
-        return self.maps[i]
 
 
 def subsampled_length(t: int) -> int:
@@ -342,49 +315,3 @@ def _encoder_bwd(d_taps, cache, cfg, grads):
         if i > 0:
             d = d + d_taps[i - 1]
     return _frontend_bwd(d, c_fr, grads)
-
-
-# ---------------------------------------------------------------------------
-# public single-sequence operations
-
-
-def subsample_frontend(x, params, cfg: EncoderConfig):
-    """Stride-2 convolutional frontend on one (T, F) feature matrix.
-
-    Returns a (T', model_dim) matrix with T' = (T - 1) // 2 + 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ShapeError(f"expected (T, {cfg.input_dim}), got {x.shape}")
-    if x.shape[0] < 4:
-        raise LengthError("frontend needs at least 4 frames")
-    y, _ = _frontend_fwd(x[None], params)
-    return y[0]
-
-
-def conformer_block(h, params, cfg: EncoderConfig, block: int = 0,
-                    state=None, mode="eval", rng=None):
-    """Apply one configured block to a (T', model_dim) map."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != cfg.model_dim:
-        raise ShapeError(f"expected (T', {cfg.model_dim}), got {h.shape}")
-    if state is None:
-        state = {f"encoder.block{block}.conv.bn.running_mean": np.zeros(cfg.model_dim),
-                 f"encoder.block{block}.conv.bn.running_var": np.ones(cfg.model_dim)}
-    out, _, _ = _block_fwd(h[None], params, f"encoder.block{block}", cfg, state, mode, rng)
-    return out[0]
-
-
-def encode_with_taps(x, params, state, cfg: EncoderConfig, mode="eval", rng=None) -> TapSet:
-    """Run the full encoder and return every block's output feature map.
-
-    Tap k is exactly the input fed to block k+1. Accepts (T, F) or (B, T, F).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    taps, _, _ = _encoder_fwd(x, params, state, cfg, mode=mode, rng=rng)
-    if single:
-        taps = [t[0] for t in taps]
-    return TapSet(taps)

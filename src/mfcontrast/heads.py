@@ -1,10 +1,12 @@
 """Embedding heads on top of the encoder taps.
 
-Each block's feature map goes through layer norm, attentive statistics
-pooling, batch norm, and a linear projection to produce a per-block
-embedding. The speaker embedding follows the aggregation path instead:
-layer-normalized taps are concatenated along channels before one shared
-pooling/projection stack.
+``_heads_fwd`` maps each block's (B, T', C) feature map through layer norm,
+attentive statistics pooling, batch norm, and a linear projection to a raw
+(B, D) per-block embedding. ``_mfa_fwd`` is the aggregation path that gives
+the speaker embedding: layer-normalized taps are concatenated along
+channels before one pooling/projection stack. Both return raw embeddings;
+the losses and scoring unit-normalize at their own boundary. Each
+``*_fwd`` returns a cache that the matching ``*_bwd`` consumes.
 
 ``share_pooling`` makes all blocks use one {ln, attn} parameter set;
 ``share_projection`` does the same for {bn, proj}. The two flags are
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .encoder import EncoderConfig, TapSet
-from .nn import ShapeError, accumulate
+from .encoder import EncoderConfig
+from .nn import accumulate
 
 STD_EPS = 1e-8
 
@@ -36,27 +38,6 @@ class HeadConfig:
             raise ValueError("embed_dim must be >= 1")
         if self.attention_hidden < 1:
             raise ValueError("attention_hidden must be >= 1")
-
-
-@dataclass
-class EmbeddingBatch:
-    """N x D embeddings with aligned speaker labels and augmentation flags."""
-
-    vectors: np.ndarray
-    labels: np.ndarray
-    is_augmented: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.vectors.ndim != 2:
-            raise ShapeError("vectors must be an N x D matrix")
-        if self.labels.shape[0] != self.vectors.shape[0]:
-            raise ShapeError("labels must align with vector rows")
-        if self.is_augmented is None:
-            self.is_augmented = np.zeros(self.vectors.shape[0], dtype=bool)
-        else:
-            self.is_augmented = np.asarray(self.is_augmented, dtype=bool)
 
 
 def _pool_prefix(i, cfg: HeadConfig) -> str:
@@ -223,62 +204,3 @@ def _mfa_bwd(demb, cache, grads):
         d_taps.append(dpart)
         offset += width
     return d_taps
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def attentive_stats_pool(h, attn_w, attn_b, attn_v, eps=STD_EPS):
-    """Attention-weighted mean and std of one (T', C) map, as a 2C vector."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2:
-        raise ShapeError("expected a (T', C) matrix")
-    out, _ = nn.attentive_stats_fwd(h[None], attn_w, attn_b, attn_v, eps=eps)
-    return out[0]
-
-
-def head_forward(tap, params, state, block: int, cfg: HeadConfig, mode="eval"):
-    """One block's head applied to a single (T', C) tap, as a D vector."""
-    tap = np.asarray(tap, dtype=np.float64)
-    if tap.ndim != 2:
-        raise ShapeError("expected a (T', C) feature map")
-    emb, _, _ = _head_fwd(tap[None], params, state, block, cfg, mode)
-    return emb[0]
-
-
-def feature_map_embeddings(taps, params, state, cfg: HeadConfig, mode="eval",
-                           labels=None, is_augmented=None):
-    """Per-block embeddings for every tap, rows L2-normalized.
-
-    Returns one EmbeddingBatch per block. Accepts a TapSet (or plain list)
-    of (B, T', C) or (T', C) maps.
-    """
-    maps = taps.maps if isinstance(taps, TapSet) else list(taps)
-    single = maps[0].ndim == 2
-    if single:
-        maps = [m[None] for m in maps]
-    n = maps[0].shape[0]
-    if labels is None:
-        labels = np.zeros(n, dtype=int)
-    embs, _, _ = _heads_fwd(maps, params, state, cfg, mode)
-    out = []
-    for emb in embs:
-        unit, _ = nn.l2_normalize_fwd(emb)
-        out.append(EmbeddingBatch(unit, labels, is_augmented))
-    return out
-
-
-def speaker_embedding(taps, params, state, cfg: HeadConfig, mode="eval"):
-    """Aggregated speaker embedding: concat LN'd taps, pool, BN, project.
-
-    Returns the raw (unnormalized) embedding; scoring and the contrastive
-    losses normalize at their own boundary. Accepts (T', C) or (B, T', C)
-    taps.
-    """
-    maps = taps.maps if isinstance(taps, TapSet) else list(taps)
-    single = maps[0].ndim == 2
-    if single:
-        maps = [m[None] for m in maps]
-    emb, _, _ = _mfa_fwd(maps, params, state, cfg, mode)
-    return emb[0] if single else emb

@@ -1,25 +1,30 @@
 """Training objectives with analytic gradients.
 
-Implements additive-margin softmax over cosine logits, supervised
-contrastive loss, NT-Xent, batch-all triplet, N-pair, the multi-scale
-feature contrastive composite (margin softmax on the speaker embedding plus
-a weighted mean of per-block contrastive terms), and the combined objective
-that adds a contrastive term on the speaker embedding itself.
+Implements additive-margin softmax over cosine logits (AMS), supervised
+contrastive loss (SupCon), NT-Xent, batch-all triplet and N-pair, and the
+one training objective built from them:
+
+    AMS(spk) + lam_tap * mean_b C_kind(tap_b) + lam_spk * SupCon(spk)
+
+where ``spk`` is the aggregated speaker embedding, ``tap_b`` the embedding
+of block b's feature map and C_kind the contrastive loss named by
+``LossConfig.contrastive_kind``. The named presets (the paper's multi-scale
+feature contrastive objective and its variants) are rows of
+``trainer.OBJECTIVES`` that pick the two weights and the kind.
 
 Every function returns the scalar loss together with gradients for its
 array inputs, computed in closed form. Pure contrastive losses expect
-unit-norm rows; the composite losses take raw embeddings and normalize
-inside, backpropagating through the normalization.
+unit-norm rows; ``objective`` takes raw embeddings and normalizes inside,
+backpropagating through the normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .heads import EmbeddingBatch
 
 COS_CLAMP = 1e-7
 
@@ -31,11 +36,10 @@ CONTRASTIVE_KINDS = ("supcon", "ntxent", "triplet", "npair")
 class LossConfig:
     """Scalar hyperparameters for all objectives.
 
-    ``lam`` weighs the per-block contrastive mean in the multi-scale
-    composite; ``lam1``/``lam2`` weigh the per-block and speaker-embedding
-    contrastive terms in the combined objective. ``margin_style`` selects
-    where the additive margin enters: on the cosine (default) or on the
-    angle.
+    ``lam``, ``lam1`` and ``lam2`` are the contrastive weights that the
+    presets in ``trainer.OBJECTIVES`` hand to ``objective``; that table says
+    which preset reads which. ``margin_style`` selects where the additive
+    margin enters: on the cosine (default) or on the angle.
     """
 
     margin: float = 0.2
@@ -64,14 +68,6 @@ class LossConfig:
             raise ValueError(f"contrastive_kind must be one of {CONTRASTIVE_KINDS}")
 
 
-def _unpack(z, labels):
-    if isinstance(z, EmbeddingBatch):
-        return z.vectors, z.labels, z.is_augmented
-    if labels is None:
-        raise ValueError("labels are required when passing a plain array")
-    return np.asarray(z, dtype=np.float64), np.asarray(labels), None
-
-
 # ---------------------------------------------------------------------------
 # additive-margin softmax
 
@@ -85,7 +81,7 @@ def am_softmax(z, labels, weights, cfg: LossConfig):
     Embeddings and class weights are normalized internally, so raw inputs
     are fine. Returns (loss, dz, dweights).
     """
-    z, labels, _ = _unpack(z, labels)
+    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     w = np.asarray(weights, dtype=np.float64)
     n, k = z.shape[0], w.shape[0]
     labels = np.asarray(labels, dtype=int)
@@ -141,7 +137,7 @@ def _masked_row_softmax(s):
     return e / total, (m + np.log(total))[:, 0]
 
 
-def supcon(z, labels=None, cfg: LossConfig | None = None):
+def supcon(z, labels, cfg: LossConfig | None = None):
     """Supervised contrastive loss over unit-norm rows.
 
     Sums over anchors i the mean over positives p (same label, different
@@ -150,7 +146,7 @@ def supcon(z, labels=None, cfg: LossConfig | None = None):
     (loss, dz, num_skipped_anchors).
     """
     cfg = cfg or LossConfig()
-    z, labels, _ = _unpack(z, labels)
+    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     n = z.shape[0]
     if n < 2:
         raise ValueError("supcon needs at least two rows")
@@ -188,7 +184,7 @@ def ntxent(z, pair_index, cfg: LossConfig | None = None):
     all rows. Returns (loss, dz).
     """
     cfg = cfg or LossConfig()
-    z = z.vectors if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     pair = np.asarray(pair_index, dtype=int)
     n = z.shape[0]
     idx = np.arange(n)
@@ -204,7 +200,7 @@ def ntxent(z, pair_index, cfg: LossConfig | None = None):
     return loss, dz
 
 
-def triplet(z, labels=None, cfg: LossConfig | None = None):
+def triplet(z, labels, cfg: LossConfig | None = None):
     """Batch-all triplet loss with squared Euclidean distances.
 
     Mines every (anchor, positive, negative) triple the labels admit,
@@ -212,7 +208,7 @@ def triplet(z, labels=None, cfg: LossConfig | None = None):
     (nonzero) ones. Returns (loss, dz).
     """
     cfg = cfg or LossConfig()
-    z, labels, _ = _unpack(z, labels)
+    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     n = z.shape[0]
     sq = (z ** 2).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
@@ -255,7 +251,7 @@ def npair(z, labels, anchors, positives, cfg: LossConfig | None = None):
     the sum over all anchors' positives; raw inner products, no
     temperature. Errors if two anchors share a class. Returns (loss, dz).
     """
-    z, labels, _ = _unpack(z, labels)
+    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     anchors = np.asarray(anchors, dtype=int)
     positives = np.asarray(positives, dtype=int)
     m = anchors.size
@@ -330,92 +326,40 @@ def _contrastive(unit, labels, cfg: LossConfig, is_augmented):
 
 
 # ---------------------------------------------------------------------------
-# composite objectives
+# the objective
 
 
-def mfcon(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
-          is_augmented=None):
-    """Margin softmax on the speaker embedding plus ``lam`` times the mean
-    of per-block contrastive losses on the tap embeddings.
+def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
+              lam_tap, lam_spk, is_augmented):
+    """Margin softmax on the speaker embedding, plus ``lam_tap`` times the
+    mean over blocks of the ``cfg.contrastive_kind`` loss on each tap
+    embedding, plus ``lam_spk`` times the supervised contrastive loss on the
+    speaker embedding.
 
-    Tap embeddings come in raw; they are unit-normalized here and the
-    returned gradients include the normalization. Returns
-    (total, breakdown, d_tap_embeddings, d_speaker_emb, d_weights).
+    Embeddings come in raw; the contrastive terms unit-normalize them and
+    the returned gradients include the normalization. A zero weight skips
+    its term. Returns (total, breakdown, d_tap_embeddings, d_speaker_emb,
+    d_weights); the breakdown has the same keys whatever the weights.
     """
     if not tap_embeddings:
         raise ValueError("need at least one tap embedding batch")
     ams, d_spk, d_w = am_softmax(speaker_emb, labels, weights, cfg)
     num_blocks = len(tap_embeddings)
-    per_block = []
-    d_taps = []
-    if cfg.lam != 0.0:
-        scale = cfg.lam / num_blocks
-        for raw in tap_embeddings:
+    per_block = [0.0] * num_blocks
+    d_taps = [np.zeros_like(np.asarray(t, dtype=np.float64)) for t in tap_embeddings]
+    if lam_tap != 0.0:
+        scale = lam_tap / num_blocks
+        for b, raw in enumerate(tap_embeddings):
             unit, c_norm = nn.l2_normalize_fwd(np.asarray(raw, dtype=np.float64))
-            value, dunit = _contrastive(unit, labels, cfg, is_augmented)
-            per_block.append(value)
-            d_taps.append(scale * nn.l2_normalize_bwd(dunit, c_norm))
-        total = ams + cfg.lam * (sum(per_block) / num_blocks)
-    else:
-        per_block = [0.0] * num_blocks
-        d_taps = [np.zeros_like(np.asarray(t, dtype=np.float64)) for t in tap_embeddings]
-        total = ams
-    breakdown = {"total": total, "ams": ams, "contrastive": per_block,
-                 "lambda": cfg.lam}
-    return total, breakdown, d_taps, d_spk, d_w
-
-
-def combined(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
-             is_augmented=None):
-    """Margin softmax plus ``lam1`` times the per-block supervised
-    contrastive mean plus ``lam2`` times the supervised contrastive loss on
-    the (unit-normalized) speaker embedding.
-
-    Returns (total, breakdown, d_tap_embeddings, d_speaker_emb, d_weights).
-    """
-    if not tap_embeddings:
-        raise ValueError("need at least one tap embedding batch")
-    supcon_cfg = replace(cfg, contrastive_kind="supcon")
-    ams, d_spk, d_w = am_softmax(speaker_emb, labels, weights, cfg)
-    num_blocks = len(tap_embeddings)
-    per_block = []
-    d_taps = []
-    if cfg.lam1 != 0.0:
-        scale = cfg.lam1 / num_blocks
-        for raw in tap_embeddings:
-            unit, c_norm = nn.l2_normalize_fwd(np.asarray(raw, dtype=np.float64))
-            value, dunit, _ = supcon(unit, labels, supcon_cfg)
-            per_block.append(value)
-            d_taps.append(scale * nn.l2_normalize_bwd(dunit, c_norm))
-        tap_term = cfg.lam1 * (sum(per_block) / num_blocks)
-    else:
-        per_block = [0.0] * num_blocks
-        d_taps = [np.zeros_like(np.asarray(t, dtype=np.float64)) for t in tap_embeddings]
-        tap_term = 0.0
+            per_block[b], dunit = _contrastive(unit, labels, cfg, is_augmented)
+            d_taps[b] = scale * nn.l2_normalize_bwd(dunit, c_norm)
     spk_value = 0.0
-    if cfg.lam2 != 0.0:
+    if lam_spk != 0.0:
         unit, c_norm = nn.l2_normalize_fwd(np.asarray(speaker_emb, dtype=np.float64))
-        spk_value, dunit, _ = supcon(unit, labels, supcon_cfg)
-        d_spk = d_spk + cfg.lam2 * nn.l2_normalize_bwd(dunit, c_norm)
-    total = ams + tap_term + cfg.lam2 * spk_value
+        spk_value, dunit, _ = supcon(unit, labels, cfg)
+        d_spk = d_spk + lam_spk * nn.l2_normalize_bwd(dunit, c_norm)
+    total = ams + lam_tap * (sum(per_block) / num_blocks) + lam_spk * spk_value
     breakdown = {"total": total, "ams": ams, "contrastive": per_block,
-                 "speaker_contrastive": spk_value, "lambda1": cfg.lam1,
-                 "lambda2": cfg.lam2}
+                 "speaker_contrastive": spk_value, "lambda_tap": lam_tap,
+                 "lambda_spk": lam_spk}
     return total, breakdown, d_taps, d_spk, d_w
-
-
-def am_supcon(speaker_emb, labels, weights, cfg: LossConfig):
-    """Margin softmax plus ``lam2`` times supervised contrastive loss, both
-    on the speaker embedding. Returns (total, breakdown, d_spk, d_weights).
-    """
-    supcon_cfg = replace(cfg, contrastive_kind="supcon")
-    ams, d_spk, d_w = am_softmax(speaker_emb, labels, weights, cfg)
-    spk_value = 0.0
-    if cfg.lam2 != 0.0:
-        unit, c_norm = nn.l2_normalize_fwd(np.asarray(speaker_emb, dtype=np.float64))
-        spk_value, dunit, _ = supcon(unit, labels, supcon_cfg)
-        d_spk = d_spk + cfg.lam2 * nn.l2_normalize_bwd(dunit, c_norm)
-    total = ams + cfg.lam2 * spk_value
-    breakdown = {"total": total, "ams": ams, "speaker_contrastive": spk_value,
-                 "lambda2": cfg.lam2}
-    return total, breakdown, d_spk, d_w

@@ -135,18 +135,35 @@ class SpeakerModel:
 
     @classmethod
     def load(cls, path) -> "SpeakerModel":
+        """Model from a ``save`` archive. Raises ValueError naming ``path``
+        when the archive is not a checkpoint, when its stored configuration
+        does not build a model, or when its arrays differ in name or shape
+        from those of a model of that configuration."""
         with np.load(path) as archive:
-            meta = json.loads(bytes(archive["meta"]))
+            meta = json.loads(bytes(archive["meta"])) if "meta" in archive.files else {}
             if meta.get("format") != CHECKPOINT_FORMAT:
                 raise ValueError(f"{path} is not a recognized checkpoint")
             params = _as_compute({k[len("param/"):]: archive[k] for k in archive.files
                                   if k.startswith("param/")})
             state = _as_compute({k[len("state/"):]: archive[k] for k in archive.files
                                  if k.startswith("state/")})
-        model = cls.__new__(cls)
-        model.enc_cfg = EncoderConfig(**meta["encoder"])
-        model.head_cfg = HeadConfig(**meta["head"])
-        model.num_speakers = meta["num_speakers"]
+        try:
+            encoder = dict(meta["encoder"])
+            # archives from before the stride-2 frontend became fixed name it
+            if encoder.get("subsample_factor") == "1/2":
+                del encoder["subsample_factor"]
+            model = cls(EncoderConfig(**encoder), HeadConfig(**meta["head"]),
+                        meta["num_speakers"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}: stored configuration does not build a "
+                             f"model: {err}") from err
+        for kind, stored, fresh in (("parameter", params, model.params),
+                                    ("state", state, model.state)):
+            wrong = sorted(k for k in stored.keys() | fresh.keys() if k not in stored
+                           or k not in fresh or stored[k].shape != fresh[k].shape)
+            if wrong:
+                raise ValueError(f"{path}: {kind} arrays differ in name or shape "
+                                 f"from those of its configuration: {wrong}")
         model.params = params
         model.state = state
         return model

@@ -29,7 +29,6 @@ class SynthSpec:
     duration: float = 3.0
     sample_rate: int = 16000
     seed: int = 0
-    speaker_model: str = "harmonic"
 
     def __post_init__(self):
         if self.n_speakers < 2:
@@ -38,8 +37,6 @@ class SynthSpec:
             raise ValueError("need at least 2 utterances per speaker")
         if self.duration <= 0 or self.sample_rate <= 0:
             raise ValueError("duration and sample_rate must be positive")
-        if self.speaker_model != "harmonic":
-            raise ValueError(f"unknown speaker model: {self.speaker_model!r}")
 
 
 def _speaker_latent(spec: SynthSpec, speaker: int):

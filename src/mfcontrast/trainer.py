@@ -25,7 +25,14 @@ from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
                       compute_mindcf, score_trials)
 from .model import SpeakerModel
 
-OBJECTIVES = ("am_softmax", "am_supcon", "mfcon", "combined")
+# Named presets of losses.objective: name -> the (lam_tap, contrastive kind,
+# lam_spk) each one reads from a LossConfig. combined always uses SupCon.
+OBJECTIVES = {
+    "am_softmax": lambda lc: (0.0, lc.contrastive_kind, 0.0),
+    "mfcon": lambda lc: (lc.lam, lc.contrastive_kind, 0.0),
+    "am_supcon": lambda lc: (0.0, lc.contrastive_kind, lc.lam2),
+    "combined": lambda lc: (lc.lam1, "supcon", lc.lam2),
+}
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -38,6 +45,20 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainConfig:
+    """Optimizer, schedule, batch and feature settings, and the objective.
+
+    ``objective`` names a row of ``OBJECTIVES``; every row is
+    ``losses.objective`` with its weights read from ``loss``:
+
+    - ``am_softmax``: margin softmax alone;
+    - ``mfcon``: plus ``loss.lam`` times the per-block
+      ``loss.contrastive_kind`` mean (the paper's objective);
+    - ``am_supcon``: plus ``loss.lam2`` times SupCon on the speaker
+      embedding;
+    - ``combined``: plus ``loss.lam1`` times the per-block SupCon mean and
+      ``loss.lam2`` times SupCon on the speaker embedding.
+    """
+
     batch_size: int = 100
     lr: float = 1e-3
     lr_halve_every: int = 5
@@ -63,7 +84,7 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
+            raise ValueError(f"objective must be one of {tuple(OBJECTIVES)}")
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -135,18 +156,10 @@ def adam_step(params, grads, opt: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-
 def compute_objective(out, labels, is_augmented, weights, cfg: TrainConfig):
     """Configured loss on a model forward. Returns
     (total, breakdown, d_tap_embeddings, d_speaker_embedding, d_weights)."""
-    lc = cfg.loss
-    if cfg.objective == "am_softmax":
-        lc = replace(lc, lam=0.0)
-        return losses.mfcon(out.tap_embeddings, out.speaker_embedding,
-                            labels, weights, lc, is_augmented)
-    if cfg.objective == "mfcon":
-        return losses.mfcon(out.tap_embeddings, out.speaker_embedding,
-                            labels, weights, lc, is_augmented)
-    if cfg.objective == "am_supcon":
-        lc = replace(lc, lam1=0.0)
-    return losses.combined(out.tap_embeddings, out.speaker_embedding,
-                           labels, weights, lc, is_augmented)
+    lam_tap, kind, lam_spk = OBJECTIVES[cfg.objective](cfg.loss)
+    return losses.objective(out.tap_embeddings, out.speaker_embedding, labels,
+                            weights, replace(cfg.loss, contrastive_kind=kind),
+                            lam_tap, lam_spk, is_augmented)
 
 
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,

@@ -1,8 +1,15 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from mfcontrast import __version__, cli
 from mfcontrast.config import TrialSpec, desk_config, save_config
+from mfcontrast.encoder import EncoderConfig
+from mfcontrast.heads import HeadConfig
+from mfcontrast.metrics import load_trials
+from mfcontrast.model import SpeakerModel
 
 
 def small_config(path):
@@ -24,13 +31,76 @@ def test_unknown_flag_is_a_usage_error(tmp_path):
     assert cli.main(["train", "--synthetic", "--out", str(tmp_path), "--no-such-flag"]) == 2
 
 
-def test_synthetic_train_writes_checkpoint(tmp_path, capsys):
+def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):
+    runs, cli_train = [], cli.train
+
+    def keep_result(*args, **kwargs):
+        runs.append(cli_train(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "train", keep_result)
     out = tmp_path / "run"
     argv = ["train", "--synthetic", "--config", str(small_config(tmp_path / "cfg.json")),
             "--out", str(out)]
     assert cli.main(argv) == 0
     assert (out / "checkpoint.npz").is_file()
     assert "EER" in capsys.readouterr().out
+    # the configured 4 speakers train; the trials use 4 others
+    trained = set(runs[0].label_map)
+    scored = {utt.split("_utt")[0] for t in load_trials(out / "trials.txt")
+              for utt in (t.enroll_utt, t.test_utt)}
+    assert len(trained) == 4 and len(scored) == 4
+    assert not trained & scored
+
+
+def test_oversize_trial_spec_is_a_config_error(tmp_path, capsys):
+    cfg = desk_config()
+    cfg = replace(cfg, synth=replace(cfg.synth, n_speakers=3, utts_per_speaker=3))
+    save_config(cfg, tmp_path / "cfg.json")
+    argv = ["train", "--synthetic", "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+def saved_checkpoint(path):
+    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8, num_heads=2,
+                                       ff_expansion=2, conv_kernel=3, input_dim=8),
+                         HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
+    model.save(path)
+    with np.load(path) as archive:
+        return {k: archive[k] for k in archive.files}
+
+
+def eval_exit_code(path, tmp_path, capsys):
+    code = cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
+                     str(tmp_path / "manifest.txt")])
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err
+    return code
+
+
+def test_eval_rejects_checkpoint_whose_config_does_not_build(tmp_path, capsys):
+    path = tmp_path / "checkpoint.npz"
+    arrays = saved_checkpoint(path)
+    meta = json.loads(bytes(arrays["meta"]))
+    meta["encoder"]["no_such_knob"] = 1
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    assert eval_exit_code(path, tmp_path, capsys) == 3
+
+
+def test_eval_rejects_checkpoint_arrays_unlike_its_config(tmp_path, capsys):
+    path = tmp_path / "checkpoint.npz"
+    arrays = saved_checkpoint(path)
+    renamed = dict(arrays)
+    renamed["param/encoder.frontend.w_old"] = renamed.pop("param/encoder.frontend.w")
+    np.savez(path, **renamed)
+    assert eval_exit_code(path, tmp_path, capsys) == 3
+    reshaped = dict(arrays)
+    reshaped["param/classifier.w"] = np.zeros((3, 4), dtype=np.float32)
+    np.savez(path, **reshaped)
+    assert eval_exit_code(path, tmp_path, capsys) == 3
 
 
 def test_preset_full_resolves_without_training(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mfcontrast.encoder import (EncoderConfig, TapSet, conformer_block,
-                                encode_with_taps, init_encoder_params,
-                                subsample_frontend, subsampled_length,
-                                _block_fwd, _encoder_bwd, _encoder_fwd)
+from mfcontrast.encoder import (EncoderConfig, init_encoder_params,
+                                subsampled_length, _block_fwd, _encoder_bwd,
+                                _encoder_fwd, _frontend_fwd)
 from mfcontrast.features import LengthError
+from mfcontrast.heads import HeadConfig, _mfa_fwd, init_head_params
 from mfcontrast.nn import ShapeError
 
 from oracles import rel_error
@@ -20,6 +20,22 @@ def toy_setup(seed=0):
     return params, state, rng
 
 
+def frontend(x, params):
+    """The frontend on one (T, F) matrix, as a batch of one."""
+    return _frontend_fwd(x[None], params)[0][0]
+
+
+def block(h, params, state, i=0, cfg=TOY):
+    """Eval-mode block ``i`` on one (T', model_dim) map, as a batch of one."""
+    return _block_fwd(h[None], params, f"encoder.block{i}", cfg, state, "eval", None)[0][0]
+
+
+def encode(x, params, state, cfg=TOY):
+    """Every block's eval-mode map for one (T, F) matrix."""
+    taps, _, _ = _encoder_fwd(x[None], params, state, cfg)
+    return [t[0] for t in taps]
+
+
 class TestSubsampleFrontend:
     def test_half_rate_arithmetic(self):
         assert subsampled_length(298) == 149
@@ -28,50 +44,51 @@ class TestSubsampleFrontend:
     def test_shapes(self):
         params, state, rng = toy_setup()
         x = rng.standard_normal((298, 8))
-        out = subsample_frontend(x, params, TOY)
+        out = frontend(x, params)
         assert out.shape == (149, 16)
 
     def test_minimal_input(self):
         params, state, rng = toy_setup()
-        out = subsample_frontend(rng.standard_normal((4, 8)), params, TOY)
+        out = frontend(rng.standard_normal((4, 8)), params)
         assert out.shape == (2, 16)
 
     def test_doubling_frames_doubles_output(self):
         params, state, rng = toy_setup()
         for t in (11, 24, 37):
-            a = subsample_frontend(rng.standard_normal((t, 8)), params, TOY).shape[0]
-            b = subsample_frontend(rng.standard_normal((2 * t, 8)), params, TOY).shape[0]
+            a = frontend(rng.standard_normal((t, 8)), params).shape[0]
+            b = frontend(rng.standard_normal((2 * t, 8)), params).shape[0]
             assert abs(b - 2 * a) <= 1
 
     def test_too_short_raises(self):
         params, state, rng = toy_setup()
         with pytest.raises(LengthError):
-            subsample_frontend(rng.standard_normal((3, 8)), params, TOY)
+            _encoder_fwd(rng.standard_normal((1, 3, 8)), params, state, TOY)
 
     def test_wrong_width_raises(self):
         params, state, rng = toy_setup()
         with pytest.raises(ShapeError):
-            subsample_frontend(rng.standard_normal((10, 9)), params, TOY)
+            _encoder_fwd(rng.standard_normal((1, 10, 9)), params, state, TOY)
 
 
 class TestConformerBlock:
     def test_output_shape_equals_input_shape(self):
         params, state, rng = toy_setup()
         h = rng.standard_normal((12, 16))
-        out = conformer_block(h, params, TOY, block=0, state=state)
+        out = block(h, params, state)
         assert out.shape == h.shape
 
     def test_eval_determinism(self):
         params, state, rng = toy_setup()
         h = rng.standard_normal((12, 16))
-        a = conformer_block(h, params, TOY, block=0, state=state)
-        b = conformer_block(h, params, TOY, block=0, state=state)
+        a = block(h, params, state)
+        b = block(h, params, state)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_raises(self):
+        # the block's first layer norm cannot broadcast an 8-wide map
         params, state, rng = toy_setup()
-        with pytest.raises(ShapeError):
-            conformer_block(rng.standard_normal((12, 8)), params, TOY)
+        with pytest.raises(ValueError):
+            block(rng.standard_normal((12, 8)), params, state)
 
     def test_gradient_matches_finite_differences(self):
         # scalar readout of one block on a 4 x 8 toy map, input gradient
@@ -115,9 +132,9 @@ class TestEncodeWithTaps:
                             ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(1)
         params, state = init_encoder_params(cfg, rng)
-        taps = encode_with_taps(rng.standard_normal((20, 8)), params, state, cfg)
+        taps = encode(rng.standard_normal((20, 8)), params, state, cfg)
         assert len(taps) == 6
-        assert all(m.shape == (10, 16) for m in taps.maps)
+        assert all(m.shape == (10, 16) for m in taps)
 
     def test_single_block_equals_block_of_frontend(self):
         cfg = EncoderConfig(num_blocks=1, model_dim=16, num_heads=2,
@@ -125,27 +142,30 @@ class TestEncodeWithTaps:
         rng = np.random.default_rng(2)
         params, state = init_encoder_params(cfg, rng)
         x = rng.standard_normal((20, 8))
-        taps = encode_with_taps(x, params, state, cfg)
-        manual = conformer_block(subsample_frontend(x, params, cfg),
-                                 params, cfg, block=0, state=state)
+        taps = encode(x, params, state, cfg)
+        manual = block(frontend(x, params), params, state, cfg=cfg)
         np.testing.assert_array_equal(taps[0], manual)
 
     def test_taps_chain(self):
         params, state, rng = toy_setup()
         x = rng.standard_normal((20, 8))
-        taps = encode_with_taps(x, params, state, TOY)
-        redone = conformer_block(taps[0], params, TOY, block=1, state=state)
+        taps = encode(x, params, state)
+        redone = block(taps[0], params, state, i=1)
         np.testing.assert_array_equal(redone, taps[1])
 
     def test_all_taps_share_shape(self):
         params, state, rng = toy_setup()
-        taps = encode_with_taps(rng.standard_normal((30, 8)), params, state, TOY)
-        shapes = {m.shape for m in taps.maps}
+        taps = encode(rng.standard_normal((30, 8)), params, state)
+        shapes = {m.shape for m in taps}
         assert shapes == {(15, 16)}
 
     def test_tapset_rejects_mismatched_maps(self):
-        with pytest.raises(ShapeError):
-            TapSet([np.zeros((3, 4)), np.zeros((4, 4))])
+        # the aggregation path concatenates the taps, so they must share a shape
+        head = HeadConfig(embed_dim=4, attention_hidden=3)
+        params, state = init_head_params(TOY, head, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            _mfa_fwd([np.zeros((1, 3, 16)), np.zeros((1, 4, 16))], params, state,
+                     head, "eval")
 
     def test_train_mode_dropout_is_seeded(self):
         cfg = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2,

@@ -1,17 +1,35 @@
 import numpy as np
 import pytest
 
-from mfcontrast.encoder import EncoderConfig, init_encoder_params, encode_with_taps
-from mfcontrast.heads import (HeadConfig, attentive_stats_pool,
-                              feature_map_embeddings, head_forward,
-                              init_head_params, speaker_embedding,
-                              _head_fwd, _heads_fwd, _mfa_fwd)
-from mfcontrast.nn import attentive_stats_fwd
+from mfcontrast.encoder import EncoderConfig
+from mfcontrast.heads import (HeadConfig, init_head_params, _head_fwd,
+                              _heads_fwd, _mfa_fwd)
+from mfcontrast.nn import attentive_stats_fwd, l2_normalize_fwd
 
 from oracles import fd_gradient, plain_temporal_stats, rel_error
 
 ENC = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
                     conv_kernel=7, dropout=0.0, input_dim=8)
+
+
+def pool(h, w, b, v):
+    """Attentive statistics of one (T', C) map, as a batch of one."""
+    return attentive_stats_fwd(h[None], w, b, v)[0][0]
+
+
+def head(tap, params, state, i, cfg):
+    """Eval-mode head ``i`` on one (T', C) tap, as a batch of one."""
+    return _head_fwd(tap[None], params, state, i, cfg, "eval")[0][0]
+
+
+def mfa(taps, params, state, cfg):
+    """Eval-mode speaker embedding of one utterance's (T', C) taps."""
+    return _mfa_fwd([t[None] for t in taps], params, state, cfg, "eval")[0][0]
+
+
+def tap_embeddings(taps, params, state, cfg):
+    """Raw eval-mode per-block embeddings of a batch of (B, T', C) taps."""
+    return _heads_fwd(taps, params, state, cfg, "eval")[0]
 
 
 def setup_heads(head_cfg=None, seed=0):
@@ -29,7 +47,7 @@ class TestAttentiveStatsPool:
         w = rng.standard_normal((5, 4))
         b = rng.standard_normal(4)
         v = rng.standard_normal(4)
-        out = attentive_stats_pool(h, w, b, v)
+        out = pool(h, w, b, v)
         np.testing.assert_allclose(out[:5], row, atol=1e-12)
         np.testing.assert_allclose(out[5:], np.sqrt(1e-8), atol=1e-15)
 
@@ -40,7 +58,7 @@ class TestAttentiveStatsPool:
         w = np.zeros((5, 4))
         b = np.zeros(4)
         v = rng.standard_normal(4)
-        out = attentive_stats_pool(h, w, b, v)
+        out = pool(h, w, b, v)
         np.testing.assert_allclose(out, plain_temporal_stats(h), atol=1e-6)
 
     def test_single_frame(self):
@@ -49,7 +67,7 @@ class TestAttentiveStatsPool:
         w = rng.standard_normal((5, 3))
         b = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        out = attentive_stats_pool(h, w, b, v)
+        out = pool(h, w, b, v)
         np.testing.assert_allclose(out[:5], h[0], atol=1e-12)
         np.testing.assert_allclose(out[5:], np.sqrt(1e-8), atol=1e-15)
 
@@ -71,8 +89,8 @@ class TestAttentiveStatsPool:
         b = rng.standard_normal(4)
         v = rng.standard_normal(4)
         perm = rng.permutation(8)
-        a = attentive_stats_pool(h, w, b, v)
-        bb = attentive_stats_pool(h[perm], w, b, v)
+        a = pool(h, w, b, v)
+        bb = pool(h[perm], w, b, v)
         np.testing.assert_allclose(a, bb, atol=1e-12)
 
 
@@ -80,14 +98,14 @@ class TestHeadForward:
     def test_embed_dim_192(self):
         cfg, params, state, rng = setup_heads(HeadConfig(embed_dim=192, attention_hidden=6))
         tap = rng.standard_normal((10, 16))
-        emb = head_forward(tap, params, state, 0, cfg)
+        emb = head(tap, params, state, 0, cfg)
         assert emb.shape == (192,)
 
     def test_eval_determinism(self):
         cfg, params, state, rng = setup_heads()
         tap = rng.standard_normal((10, 16))
-        a = head_forward(tap, params, state, 0, cfg)
-        b = head_forward(tap, params, state, 0, cfg)
+        a = head(tap, params, state, 0, cfg)
+        b = head(tap, params, state, 0, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_matches_finite_differences(self):
@@ -129,22 +147,19 @@ class TestFeatureMapEmbeddings:
     def test_rows_unit_norm(self):
         cfg, params, state, rng = setup_heads()
         taps = [rng.standard_normal((4, 10, 16)) for _ in range(2)]
-        batches = feature_map_embeddings(taps, params, state, cfg,
-                                         labels=np.arange(4))
-        for b in batches:
-            np.testing.assert_allclose(np.linalg.norm(b.vectors, axis=1), 1.0,
+        for emb in tap_embeddings(taps, params, state, cfg):
+            unit, _ = l2_normalize_fwd(emb)
+            np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0,
                                        atol=1e-6)
 
     def test_share_projection_false_isolates_blocks(self):
         cfg, params, state, rng = setup_heads()
         taps = [rng.standard_normal((3, 10, 16)) for _ in range(2)]
-        before = feature_map_embeddings(taps, params, state, cfg,
-                                        labels=np.arange(3))
+        before = tap_embeddings(taps, params, state, cfg)
         params["head.0.proj.w"] = params["head.0.proj.w"] + 0.5
-        after = feature_map_embeddings(taps, params, state, cfg,
-                                       labels=np.arange(3))
-        assert not np.array_equal(before[0].vectors, after[0].vectors)
-        np.testing.assert_array_equal(before[1].vectors, after[1].vectors)
+        after = tap_embeddings(taps, params, state, cfg)
+        assert not np.array_equal(before[0], after[0])
+        np.testing.assert_array_equal(before[1], after[1])
 
     def test_shared_projection_couples_blocks(self):
         cfg = HeadConfig(embed_dim=12, attention_hidden=6,
@@ -154,13 +169,11 @@ class TestFeatureMapEmbeddings:
         assert any(n.startswith("head.shared.") for n in params)
         assert not any(n.startswith("head.0.") for n in params)
         taps = [rng.standard_normal((3, 10, 16)) for _ in range(2)]
-        before = feature_map_embeddings(taps, params, state, cfg,
-                                        labels=np.arange(3))
+        before = tap_embeddings(taps, params, state, cfg)
         params["head.shared.proj.w"] = params["head.shared.proj.w"] + 0.5
-        after = feature_map_embeddings(taps, params, state, cfg,
-                                       labels=np.arange(3))
+        after = tap_embeddings(taps, params, state, cfg)
         for i in range(2):
-            assert not np.array_equal(before[i].vectors, after[i].vectors)
+            assert not np.array_equal(before[i], after[i])
 
     def test_independent_sharing_flags(self):
         cfg = HeadConfig(embed_dim=12, attention_hidden=6,
@@ -184,7 +197,7 @@ class TestSpeakerEmbedding:
         assert params["mfa.bn.gamma"].shape == (768,)
         assert params["mfa.proj.w"].shape == (768, 192)
         taps = [rng.standard_normal((9, 64)) for _ in range(6)]
-        emb = speaker_embedding(taps, params, state, cfg)
+        emb = mfa(taps, params, state, cfg)
         assert emb.shape == (192,)
 
     def test_single_block_equals_head_with_mfa_parameters(self):
@@ -208,13 +221,13 @@ class TestSpeakerEmbedding:
         alias_state["head.0.bn.running_mean"] = state["mfa.bn.running_mean"]
         alias_state["head.0.bn.running_var"] = state["mfa.bn.running_var"]
         tap = rng.standard_normal((9, 16))
-        via_mfa = speaker_embedding([tap], params, state, cfg)
-        via_head = head_forward(tap, alias, alias_state, 0, cfg)
+        via_mfa = mfa([tap], params, state, cfg)
+        via_head = head(tap, alias, alias_state, 0, cfg)
         np.testing.assert_allclose(via_mfa, via_head, atol=1e-12)
 
     def test_eval_determinism(self):
         cfg, params, state, rng = setup_heads()
         taps = [rng.standard_normal((9, 16)) for _ in range(2)]
-        a = speaker_embedding(taps, params, state, cfg)
-        b = speaker_embedding(taps, params, state, cfg)
+        a = mfa(taps, params, state, cfg)
+        b = mfa(taps, params, state, cfg)
         np.testing.assert_array_equal(a, b)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mfcontrast import losses
-from mfcontrast.heads import EmbeddingBatch
-from mfcontrast.losses import (LossConfig, am_softmax, am_supcon,
-                               augmentation_pairs, combined, mfcon, npair,
-                               npair_pairs, ntxent, supcon, triplet)
+from mfcontrast import trainer
+from mfcontrast.losses import (LossConfig, am_softmax, augmentation_pairs,
+                               npair, npair_pairs, ntxent, objective, supcon,
+                               triplet)
+from mfcontrast.model import ModelOutput
+from mfcontrast.trainer import TrainConfig
 
 from oracles import (brute_force_supcon, brute_force_triplet, fd_gradient,
                      rel_error)
@@ -134,14 +137,6 @@ class TestSupCon:
         total, _, _ = supcon(z, labels, LossConfig())
         mean, _, _ = supcon(z, labels, LossConfig(supcon_mean_over_anchors=True))
         assert abs(total / 6.0 - mean) < 1e-12
-
-    def test_accepts_embedding_batch(self):
-        rng = np.random.default_rng(10)
-        z = unit_rows(rng.standard_normal((4, 4)))
-        batch = EmbeddingBatch(z, np.array([0, 0, 1, 1]))
-        a, _, _ = supcon(batch, cfg=LossConfig())
-        b, _, _ = supcon(z, np.array([0, 0, 1, 1]), LossConfig())
-        assert a == b
 
 
 def _every_anchor_has_positive(labels):
@@ -304,6 +299,13 @@ class TestInvariances:
         assert abs(a2 - b2) < 1e-8
 
 
+def preset(name, taps, spk, labels, w, cfg, flags):
+    """The named preset of trainer.OBJECTIVES on raw embeddings."""
+    out = ModelOutput(taps, spk, cache=None)
+    return trainer.compute_objective(out, labels, flags, w,
+                                     TrainConfig(objective=name, loss=cfg))
+
+
 class TestComposites:
     def setup_method(self):
         rng = np.random.default_rng(19)
@@ -314,55 +316,60 @@ class TestComposites:
         self.flags = np.array([False, False, False, True, True, True])
         self.w = rng.standard_normal((3, 8))
 
+    def objective(self, cfg, lam_tap, lam_spk, taps=None):
+        return objective(self.taps if taps is None else taps, self.spk,
+                         self.labels, self.w, cfg, lam_tap, lam_spk, self.flags)
+
+    def preset(self, name, cfg):
+        return preset(name, self.taps, self.spk, self.labels, self.w, cfg,
+                      self.flags)
+
     def test_zero_lambda_reduces_to_am_softmax(self):
-        cfg = LossConfig(lam=0.0)
-        total, bd, d_taps, d_spk, d_w = mfcon(self.taps, self.spk, self.labels,
-                                              self.w, cfg, self.flags)
+        cfg = LossConfig(lam=0.3, lam1=0.3, lam2=0.3)
         ams, dz, dw = am_softmax(self.spk, self.labels, self.w, cfg)
-        assert total == ams
-        np.testing.assert_array_equal(d_spk, dz)
-        np.testing.assert_array_equal(d_w, dw)
-        assert all(np.all(d == 0.0) for d in d_taps)
+        # am_softmax is the objective with both weights zero, whatever the config
+        for total, bd, d_taps, d_spk, d_w in (self.objective(cfg, 0.0, 0.0),
+                                              self.preset("am_softmax", cfg)):
+            assert total == ams
+            np.testing.assert_array_equal(d_spk, dz)
+            np.testing.assert_array_equal(d_w, dw)
+            assert all(np.all(d == 0.0) for d in d_taps)
 
     def test_single_block_composition(self):
-        cfg = LossConfig(lam=1.0, temperature=0.5)
-        total, bd, _, _, _ = mfcon(self.taps[:1], self.spk, self.labels,
-                                   self.w, cfg, self.flags)
+        cfg = LossConfig(temperature=0.5)
+        total, bd, _, _, _ = self.objective(cfg, 1.0, 0.0, taps=self.taps[:1])
         ams, _, _ = am_softmax(self.spk, self.labels, self.w, cfg)
         sc, _, _ = supcon(unit_rows(self.taps[0]), self.labels, cfg)
         assert abs(total - (ams + sc)) < 1e-12
 
     def test_breakdown_recombines_exactly(self):
         cfg = LossConfig(lam=0.01, temperature=0.07)
-        total, bd, _, _, _ = mfcon(self.taps, self.spk, self.labels,
-                                   self.w, cfg, self.flags)
-        recombined = bd["ams"] + bd["lambda"] * np.mean(bd["contrastive"])
+        total, bd, _, _, _ = self.preset("mfcon", cfg)
+        recombined = bd["ams"] + bd["lambda_tap"] * np.mean(bd["contrastive"])
         assert total == bd["total"]
         assert abs(total - recombined) < 1e-15
 
     def test_combined_reductions(self):
         cfg0 = LossConfig(lam1=0.0, lam2=0.0)
-        total, _, _, d_spk, d_w = combined(self.taps, self.spk, self.labels,
-                                           self.w, cfg0, self.flags)
+        total, _, _, d_spk, d_w = self.preset("combined", cfg0)
         ams, dz, dw = am_softmax(self.spk, self.labels, self.w, cfg0)
         assert total == ams
         np.testing.assert_array_equal(d_spk, dz)
         np.testing.assert_array_equal(d_w, dw)
 
+        # am_supcon is combined with lam1 = 0
         cfg1 = LossConfig(lam1=0.0, lam2=0.3, temperature=0.2)
-        t1, _, _, ds1, dw1 = combined(self.taps, self.spk, self.labels,
-                                      self.w, cfg1, self.flags)
-        t2, _, ds2, dw2 = am_supcon(self.spk, self.labels, self.w, cfg1)
+        t1, _, _, ds1, dw1 = self.preset("combined", cfg1)
+        t2, _, _, ds2, dw2 = self.preset("am_supcon", replace(cfg1, lam1=0.7))
         assert t1 == t2
         np.testing.assert_array_equal(ds1, ds2)
         np.testing.assert_array_equal(dw1, dw2)
 
+        # combined with lam2 = 0 is mfcon with lam = lam1
         cfgm = LossConfig(lam1=0.25, lam2=0.0, temperature=0.2)
-        t3, _, dt3, ds3, _ = combined(self.taps, self.spk, self.labels,
-                                      self.w, cfgm, self.flags)
+        t3, _, dt3, ds3, _ = self.preset("combined", cfgm)
         cfge = LossConfig(lam=0.25, temperature=0.2)
-        t4, _, dt4, ds4, _ = mfcon(self.taps, self.spk, self.labels,
-                                   self.w, cfge, self.flags)
+        t4, _, dt4, ds4, _ = self.preset("mfcon", cfge)
         assert abs(t3 - t4) < 1e-15
         for a, b in zip(dt3, dt4):
             np.testing.assert_array_equal(a, b)
@@ -370,32 +377,31 @@ class TestComposites:
 
     def test_combined_total_is_linear_in_components(self):
         cfg = LossConfig(lam1=0.03, lam2=0.03, temperature=0.07)
-        total, bd, _, _, _ = combined(self.taps, self.spk, self.labels,
-                                      self.w, cfg, self.flags)
-        expected = (bd["ams"] + bd["lambda1"] * np.mean(bd["contrastive"])
-                    + bd["lambda2"] * bd["speaker_contrastive"])
+        total, bd, _, _, _ = self.preset("combined", cfg)
+        expected = (bd["ams"] + bd["lambda_tap"] * np.mean(bd["contrastive"])
+                    + bd["lambda_spk"] * bd["speaker_contrastive"])
         assert abs(total - expected) < 1e-12
 
     def test_combined_gradient_linearity(self):
         # gradient of the weighted sum equals the weighted sum of gradients
-        cfg = LossConfig(lam1=0.4, lam2=0.6, temperature=0.3)
-        _, _, d_taps, d_spk, d_w = combined(self.taps, self.spk, self.labels,
-                                            self.w, cfg, self.flags)
-        _, _, _, d_spk_a, d_w_a = combined(self.taps, self.spk, self.labels,
-                                           self.w, LossConfig(lam1=0.0, lam2=0.0),
-                                           self.flags)
-        _, _, d_taps_b, d_spk_b, _ = combined(self.taps, self.spk, self.labels,
-                                              self.w, LossConfig(lam1=0.4, lam2=0.0,
-                                                                 temperature=0.3),
-                                              self.flags)
-        _, _, _, d_spk_c, _ = combined(self.taps, self.spk, self.labels,
-                                       self.w, LossConfig(lam1=0.0, lam2=0.6,
-                                                          temperature=0.3),
-                                       self.flags)
+        cfg = LossConfig(temperature=0.3)
+        _, _, d_taps, d_spk, d_w = self.objective(cfg, 0.4, 0.6)
+        _, _, _, d_spk_a, d_w_a = self.objective(cfg, 0.0, 0.0)
+        _, _, d_taps_b, d_spk_b, _ = self.objective(cfg, 0.4, 0.0)
+        _, _, _, d_spk_c, _ = self.objective(cfg, 0.0, 0.6)
         np.testing.assert_allclose(d_spk, d_spk_a + (d_spk_b - d_spk_a)
                                    + (d_spk_c - d_spk_a), atol=1e-6)
         for full, part in zip(d_taps, d_taps_b):
             np.testing.assert_allclose(full, part, atol=1e-12)
+
+    def test_combined_forces_supcon(self):
+        cfg = LossConfig(lam1=0.3, lam2=0.2, temperature=0.4)
+        ref = self.preset("combined", cfg)
+        for kind in ("ntxent", "triplet", "npair"):
+            got = self.preset("combined", replace(cfg, contrastive_kind=kind))
+            assert got[0] == ref[0]
+            for a, b in zip(got[2], ref[2]):
+                np.testing.assert_array_equal(a, b)
 
     def test_mfcon_defaults_match_best_sweep_row(self):
         assert LossConfig(lam=0.01).lam == 0.01
@@ -404,8 +410,7 @@ class TestComposites:
     def test_contrastive_kind_dispatch(self, kind):
         cfg = LossConfig(lam=0.1, temperature=0.4, contrastive_kind=kind,
                          triplet_margin=0.3)
-        total, bd, d_taps, _, _ = mfcon(self.taps, self.spk, self.labels,
-                                        self.w, cfg, self.flags)
+        total, bd, d_taps, _, _ = self.preset("mfcon", cfg)
         assert np.isfinite(total)
         assert len(bd["contrastive"]) == 3
         assert any(np.any(d != 0.0) for d in d_taps)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from mfcontrast import losses, model, trainer
+from mfcontrast import model, trainer
 from mfcontrast.config import desk_config
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
@@ -137,28 +139,33 @@ class TestCompositeObjectiveGradients:
         self.labels = np.array([0, 1, 2, 0, 1, 2])
         self.flags = np.array([False, False, False, True, True, True])
 
-    def check(self, objective, cfg, taps=None, tol=1e-7):
-        def f():
-            return objective(self.taps, self.spk, self.labels, self.w, cfg, self.flags)[0]
+    def check(self, name, loss_cfg, taps=None, tol=1e-7):
+        cfg = TrainConfig(objective=name, loss=loss_cfg)
 
-        _, _, d_taps, d_spk, d_w = objective(self.taps, self.spk, self.labels,
-                                             self.w, cfg, self.flags)
+        def objective():
+            out = model.ModelOutput(self.taps, self.spk, cache=None)
+            return trainer.compute_objective(out, self.labels, self.flags, self.w, cfg)
+
+        def f():
+            return objective()[0]
+
+        _, _, d_taps, d_spk, d_w = objective()
         for i in range(len(self.taps)) if taps is None else taps:
             assert rel_error(d_taps[i], fd_gradient(f, self.taps[i])) < tol, f"tap {i}"
         assert rel_error(d_spk, fd_gradient(f, self.spk)) < tol
         assert rel_error(d_w, fd_gradient(f, self.w)) < tol
 
     def test_mfcon(self):
-        self.check(losses.mfcon, LossConfig(lam=0.5, temperature=0.2))
+        self.check("mfcon", LossConfig(lam=0.5, temperature=0.2))
 
     def test_combined(self):
-        self.check(losses.combined, LossConfig(lam1=0.3, lam2=0.2, temperature=0.2))
+        self.check("combined", LossConfig(lam1=0.3, lam2=0.2, temperature=0.2))
 
     @pytest.mark.parametrize("kind", ["ntxent", "triplet", "npair"])
     def test_mfcon_other_contrastive_kinds(self, kind):
         cfg = LossConfig(lam=0.5, temperature=0.2, contrastive_kind=kind,
                          triplet_margin=0.4)
-        self.check(losses.mfcon, cfg, taps=[0], tol=1e-6)
+        self.check("mfcon", cfg, taps=[0], tol=1e-6)
 
 
 def desk_batch():
@@ -239,6 +246,16 @@ class TestComputeDtypePolicy:
         assert {e.dtype for e in out.tap_embeddings} == {np.dtype(np.float64)}
 
 
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to the JSON meta of the checkpoint archive at ``path``."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3)
@@ -257,8 +274,23 @@ class TestCheckpoint:
         utt = rng.standard_normal((30, 8))
         np.testing.assert_array_equal(loaded.embed_utterance(utt), m.embed_utterance(utt))
 
+    def test_loads_archive_that_names_the_subsample_factor(self, tmp_path):
+        # checkpoints from before the stride-2 frontend became fixed carry
+        # "subsample_factor": "1/2" in their encoder meta
+        m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3)
+        path = tmp_path / "checkpoint.npz"
+        m.save(path)
+        rewrite_meta(path, lambda meta: meta["encoder"].update(subsample_factor="1/2"))
+        loaded = SpeakerModel.load(path)
+        assert loaded.enc_cfg == m.enc_cfg
+        utt = np.random.default_rng(11).standard_normal((30, 8))
+        np.testing.assert_array_equal(loaded.embed_utterance(utt), m.embed_utterance(utt))
+
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, meta=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
+        with pytest.raises(ValueError):
+            SpeakerModel.load(path)
+        np.savez(path, weights=np.zeros(3))  # no meta at all
         with pytest.raises(ValueError):
             SpeakerModel.load(path)

@@ -52,8 +52,6 @@ class TestGenerateCorpus:
             SynthSpec(n_speakers=1)
         with pytest.raises(ValueError):
             SynthSpec(utts_per_speaker=1)
-        with pytest.raises(ValueError):
-            SynthSpec(speaker_model="noise")
 
 
 class TestGenerateTrials:
