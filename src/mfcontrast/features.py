@@ -7,6 +7,7 @@ whole module is safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import wave as _wavemod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,6 +123,18 @@ def mel_band_centers(n_mels: int, sample_rate: int,
     return pts[1:-1]
 
 
+@functools.lru_cache(maxsize=16)
+def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
+    """Hamming window of ``flen`` samples and the (n_mels, n_fft // 2 + 1)
+    mel filterbank, built once per configuration. Both are read-only, since
+    every caller shares them."""
+    window = np.hamming(flen)
+    fb = mel_filterbank(n_mels, n_fft, sample_rate)
+    window.flags.writeable = False
+    fb.flags.writeable = False
+    return window, fb
+
+
 def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
                   frame_shift: float = 0.010, log_floor: float = 1e-10) -> FeatureMatrix:
     """Log mel-filterbank features from a waveform.
@@ -141,13 +154,13 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
             f"waveform has {w.samples.size} samples, shorter than one "
             f"{flen}-sample frame")
     num_frames = (w.samples.size - flen) // fshift + 1
-    idx = np.arange(num_frames)[:, None] * fshift + np.arange(flen)[None, :]
-    frames = w.samples[idx] * np.hamming(flen)
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
+    window, fb = _frame_weights(n_mels, n_fft, sr, flen)
+    idx = np.arange(num_frames)[:, None] * fshift + np.arange(flen)[None, :]
+    frames = w.samples[idx] * window
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    fb = mel_filterbank(n_mels, n_fft, sr)
     mel_energy = power @ fb.T
     values = np.log(np.maximum(mel_energy, log_floor))
     return FeatureMatrix(values, frame_shift=frame_shift, speaker_id=w.speaker_id)

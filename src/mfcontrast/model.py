@@ -113,9 +113,15 @@ class SpeakerModel:
         return grads
 
     def embed_utterance(self, feats) -> np.ndarray:
-        """Eval-mode speaker embedding of one (T, F) feature matrix."""
-        out = self.forward(np.asarray(feats)[None], mode="eval")
-        return out.speaker_embedding[0]
+        """Eval-mode speaker embedding of one (T, F) feature matrix.
+
+        Runs only the encoder and the aggregation path: the per-tap heads do
+        not feed the speaker embedding, and eval mode leaves the state as it
+        is, so this equals ``forward(mode="eval").speaker_embedding[0]``."""
+        feats = np.asarray(feats, dtype=self.dtype)[None]
+        taps, _, _ = _encoder_fwd(feats, self.params, self.state, self.enc_cfg, mode="eval")
+        emb, _, _ = _mfa_fwd(taps, self.params, self.state, self.head_cfg, "eval")
+        return emb[0].astype(np.float64)
 
     # -- checkpointing -----------------------------------------------------
 

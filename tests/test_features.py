@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from mfcontrast import features
 from mfcontrast.features import (AugmentSampler, AugmentSpec, DegenerateInputError,
                                  LengthError, Waveform, add_noise, add_reverb,
                                  augment, extract_fbank, load_wav,
-                                 mel_band_centers, random_crop, save_wav,
+                                 mel_band_centers, mel_filterbank, random_crop, save_wav,
                                  synthetic_impulse_response)
 
 from oracles import dft_mel_energies, direct_convolution
@@ -60,6 +61,20 @@ class TestExtractFbank:
     def test_too_short_raises(self):
         with pytest.raises(LengthError):
             extract_fbank(Waveform(np.ones(100), 16000))
+
+    def test_cached_frame_weights_match_fresh_ones_and_reject_writes(self):
+        features._frame_weights.cache_clear()
+        w = sine(300.0, duration=0.5)
+        fresh = extract_fbank(w, n_mels=40).values  # builds the weights
+        cached = extract_fbank(w, n_mels=40).values
+        assert features._frame_weights.cache_info().hits >= 1
+        np.testing.assert_array_equal(cached, fresh)
+        window, fb = features._frame_weights(40, 512, 16000, 400)
+        np.testing.assert_array_equal(window, np.hamming(400))
+        np.testing.assert_array_equal(fb, mel_filterbank(40, 512, 16000))
+        for shared in (window, fb):
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
 
 
 class TestRandomCrop:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfcontrast import trainer
+from mfcontrast.config import desk_config, full_scale_config
 from mfcontrast.losses import (LossConfig, am_softmax, augmentation_pairs,
                                npair, npair_pairs, ntxent, objective, supcon,
                                triplet)
@@ -404,7 +405,11 @@ class TestComposites:
                 np.testing.assert_array_equal(a, b)
 
     def test_mfcon_defaults_match_best_sweep_row(self):
-        assert LossConfig(lam=0.01).lam == 0.01
+        # both presets train MFCon at the paper's best sweep row, lambda = 0.01
+        for preset in (desk_config, full_scale_config):
+            train = preset().train
+            assert train.objective == "mfcon"
+            assert train.loss.lam == 0.01
 
     @pytest.mark.parametrize("kind", ["supcon", "ntxent", "triplet", "npair"])
     def test_contrastive_kind_dispatch(self, kind):

@@ -256,6 +256,23 @@ def rewrite_meta(path, edit):
     np.savez(path, **arrays)
 
 
+class TestEmbedUtterance:
+    def test_equals_eval_forward_without_the_tap_heads(self, monkeypatch):
+        m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=5)
+        rng = np.random.default_rng(12)
+        m.forward(rng.standard_normal((4, 12, 8)), mode="train")  # move the BN state
+        utt = rng.standard_normal((30, 8))
+        expected = m.forward(utt, mode="eval").speaker_embedding[0]
+
+        def no_tap_heads(*args, **kwargs):
+            raise AssertionError("embed_utterance ran the per-tap heads")
+
+        monkeypatch.setattr(model, "_heads_fwd", no_tap_heads)
+        got = m.embed_utterance(utt)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mfcontrast import nn
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, plain_temporal_stats, rel_error
 
 
 def readout(fwd, shape, normal):
@@ -115,3 +118,49 @@ def test_dropout_mask_and_positions_follow_dtype():
     assert pe32.dtype == np.float32
     np.testing.assert_array_equal(
         pe32, nn.sinusoidal_positions(5, 8, np.float64).astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-15), (np.float32, 1e-6)])
+def test_sigmoid_matches_expit_without_warnings(dtype, tol):
+    x = np.linspace(-100.0, 100.0, 20001).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = nn.sigmoid(x)
+    assert s.dtype == dtype
+    np.testing.assert_allclose(s, expit(x.astype(np.float64)), rtol=0.0, atol=tol)
+    assert s.min() >= 0.0 and s.max() <= 1.0
+
+
+def test_linear_bwd_on_3d_input_equals_flattened_2d():
+    rng = np.random.default_rng(2)
+    x, w, b = rng.standard_normal((4, 7, 5)), rng.standard_normal((5, 3)), rng.standard_normal(3)
+    dy = rng.standard_normal((4, 7, 3))
+    dx, dw, db = nn.linear_bwd(dy, nn.linear_fwd(x, w, b)[1])
+    flat = nn.linear_bwd(dy.reshape(-1, 3), nn.linear_fwd(x.reshape(-1, 5), w, b)[1])
+    np.testing.assert_array_equal(dx, flat[0].reshape(x.shape))
+    np.testing.assert_array_equal(dw, flat[1])
+    np.testing.assert_array_equal(db, flat[2])
+
+
+def test_layer_norm_float32_variance_survives_a_large_mean():
+    # a one-pass E[x^2] - E[x]^2 variance loses every digit at this offset
+    x = (1e3 + np.random.default_rng(3).standard_normal((200, 64))).astype(np.float32)
+    y, _ = nn.layer_norm_fwd(x, np.ones(64, np.float32), np.zeros(64, np.float32))
+    assert y.dtype == np.float32
+    np.testing.assert_allclose(y.astype(np.float64).var(axis=-1), 1.0, atol=1e-3)
+
+
+def test_attentive_stats_batch_rows_match_plain_stats():
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((3, 9, 5)) * np.array([1.0, 3.0, 0.5])[:, None, None]
+    v = rng.standard_normal(4)
+    # zero score weights force uniform attention
+    out, _ = nn.attentive_stats_fwd(h, np.zeros((5, 4)), np.zeros(4), v)
+    for row, hb in zip(out, h):
+        np.testing.assert_allclose(row, plain_temporal_stats(hb), atol=1e-12)
+    # with real scores, each row is still pooled on its own
+    w, b = rng.standard_normal((5, 4)), rng.standard_normal(4)
+    out, _ = nn.attentive_stats_fwd(h, w, b, v)
+    for row, hb in zip(out, h):
+        np.testing.assert_allclose(row, nn.attentive_stats_fwd(hb[None], w, b, v)[0][0],
+                                   rtol=1e-12, atol=1e-12)
