@@ -153,13 +153,11 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
         raise LengthError(
             f"waveform has {w.samples.size} samples, shorter than one "
             f"{flen}-sample frame")
-    num_frames = (w.samples.size - flen) // fshift + 1
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
-    idx = np.arange(num_frames)[:, None] * fshift + np.arange(flen)[None, :]
-    frames = w.samples[idx] * window
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, flen)[::fshift] * window
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
     mel_energy = power @ fb.T
     values = np.log(np.maximum(mel_energy, log_floor))

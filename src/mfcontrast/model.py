@@ -19,7 +19,10 @@ float64; ``backward`` casts the upstream gradients back. Casting
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -126,8 +129,10 @@ class SpeakerModel:
     # -- checkpointing -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Single-archive checkpoint: named parameter and state arrays plus
-        the configuration as JSON."""
+        """Single-archive checkpoint at ``path``: named parameter and state
+        arrays plus the configuration as JSON. Written to a temporary file
+        beside ``path`` and then renamed over it, so ``path`` always holds
+        either the previous checkpoint or the complete new one."""
         meta = {
             "format": CHECKPOINT_FORMAT,
             "encoder": asdict(self.enc_cfg),
@@ -137,7 +142,15 @@ class SpeakerModel:
         arrays = {f"param/{k}": v for k, v in self.params.items()}
         arrays.update({f"state/{k}": v for k, v in self.state.items()})
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.savez(f, **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "SpeakerModel":

@@ -18,6 +18,8 @@ loop and cannot overflow.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -311,9 +313,11 @@ def l2_normalize_bwd(dy, cache):
 # misc
 
 
+@functools.lru_cache(maxsize=32)
 def sinusoidal_positions(t, d, dtype):
     """Fixed absolute positional encoding, shape (t, d). d must be even.
-    Angles are computed in float64 and stored as ``dtype``."""
+    Angles are computed in float64 and stored as ``dtype``. Built once per
+    ``(t, d, dtype)`` and read-only, since every caller shares it."""
     if d % 2 != 0:
         raise ShapeError("positional encoding needs an even model dimension")
     pos = np.arange(t, dtype=np.float64)[:, None]
@@ -322,6 +326,7 @@ def sinusoidal_positions(t, d, dtype):
     pe = np.empty((t, d), dtype=dtype)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 

@@ -77,6 +77,21 @@ class TestExtractFbank:
                 shared[0] = 1.0
 
 
+    @pytest.mark.parametrize("n, sr", [(400, 16000), (12_837, 8000), (64_000, 16000)])
+    def test_strided_framing_equals_the_index_matrix_gather(self, n, sr):
+        # reference: every frame gathered through an explicit index matrix
+        samples = 0.3 * np.random.default_rng(n).standard_normal(n)
+        flen, fshift, n_fft = sr // 40, sr // 100, 512 if sr == 16000 else 256
+        num_frames = (n - flen) // fshift + 1
+        idx = np.arange(num_frames)[:, None] * fshift + np.arange(flen)[None, :]
+        frames = samples[idx] * np.hamming(flen)
+        power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+        expected = np.log(np.maximum(power @ mel_filterbank(40, n_fft, sr).T, 1e-10))
+        got = extract_fbank(Waveform(samples, sr), n_mels=40).values
+        assert got.shape == (num_frames, 40)
+        assert np.array_equal(got, expected)
+
+
 class TestRandomCrop:
     def test_ten_second_input_gives_requested_length(self):
         w = sine(100.0, duration=10.0)

@@ -303,6 +303,21 @@ class TestCheckpoint:
         utt = np.random.default_rng(11).standard_normal((30, 8))
         np.testing.assert_array_equal(loaded.embed_utterance(utt), m.embed_utterance(utt))
 
+    def test_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.npz"
+        SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3).save(path)
+        before = path.read_bytes()
+
+        def fails_mid_write(file, **arrays):
+            file.write(b"PK\x03\x04 partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fails_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=4).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, meta=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))

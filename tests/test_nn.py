@@ -120,6 +120,18 @@ def test_dropout_mask_and_positions_follow_dtype():
         pe32, nn.sinusoidal_positions(5, 8, np.float64).astype(np.float32))
 
 
+def test_cached_positions_match_a_fresh_build_and_reject_writes():
+    nn.sinusoidal_positions.cache_clear()
+    first = nn.sinusoidal_positions(49, 64, np.dtype(np.float32))
+    cached = nn.sinusoidal_positions(49, 64, np.dtype(np.float32))
+    assert cached is first
+    assert nn.sinusoidal_positions.cache_info().hits == 1
+    np.testing.assert_array_equal(
+        cached, nn.sinusoidal_positions.__wrapped__(49, 64, np.dtype(np.float32)))
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-15), (np.float32, 1e-6)])
 def test_sigmoid_matches_expit_without_warnings(dtype, tol):
     x = np.linspace(-100.0, 100.0, 20001).astype(dtype)

@@ -1,7 +1,10 @@
+import ctypes
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mfcontrast import trainer
+from mfcontrast import config, trainer
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.losses import LossConfig
@@ -54,9 +57,31 @@ def test_every_record_has_the_same_breakdown_keys(histories):
     keys = {frozenset(h) for runs in histories.values() for h in runs[0]}
     assert keys == {frozenset({"step", "epoch", "lr", "objective", "total", "ams",
                                "contrastive", "speaker_contrastive", "lambda_tap",
-                               "lambda_spk"})}
+                               "lambda_spk", "step_s", "minor_faults"})}
 
 
 def test_unknown_objective_is_rejected():
     with pytest.raises(ValueError, match="objective"):
         TrainConfig(objective="supcon_only")
+
+
+def libc_has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
+def test_desk_steps_after_the_first_epoch_reuse_freed_memory():
+    # a desk step frees about 64 MiB of 1-4 MiB buffers; under glibc's default
+    # thresholds each later step faulted about 16k pages back in
+    desk = config.desk_config()
+    corpus = generate_corpus(replace(desk.synth, n_speakers=10, utts_per_speaker=10))
+    cfg = replace(desk.train, epochs=2)
+    assert (cfg.batch_size, cfg.crop_duration) == (50, 1.0)
+    history = trainer.train(corpus, desk.encoder, desk.head, cfg).history
+    later = [h["minor_faults"] for h in history if h["epoch"] > 0]
+    assert len(later) == 2
+    assert max(later) < 1000, later
