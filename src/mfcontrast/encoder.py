@@ -5,8 +5,11 @@ the output feature map of every block.
 per-block maps ("taps"), each (B, T', model_dim) with T' = (T - 1) // 2 + 1,
 shallow to deep; tap k is exactly the input of block k+1. Its pieces
 (``_frontend_fwd``, ``_block_fwd`` and the block's sub-modules) work on the
-same batch layout, and each ``*_fwd`` returns a cache that the matching
-``*_bwd`` consumes.
+same batch layout. Each ``*_fwd`` records its ops on an ``nn.Tape`` and
+returns that tape as its cache; the matching backward replays it, and a
+block's tape replays its sub-modules' tapes. Only the attention core
+(``_attention_fwd``/``_attention_bwd``) has a hand-written backward. An
+eval-mode forward records nothing.
 
 Parameters live in a flat ``{name: array}`` dict under the ``encoder.``
 prefix; batch-norm running statistics live in a separate state dict. Naming
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .features import LengthError
-from .nn import ShapeError, accumulate
+from .nn import ShapeError
 
 FRONTEND_KERNEL = 3
 FRONTEND_STRIDE = 2
@@ -114,22 +117,12 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator):
 # frontend
 
 
-def _frontend_fwd(x, params):
-    y, c_conv = nn.strided_conv1d_fwd(
-        x, params["encoder.frontend.w"], params["encoder.frontend.b"],
-        stride=FRONTEND_STRIDE)
-    y, c_act = nn.silu_fwd(y)
-    y = y + nn.sinusoidal_positions(y.shape[1], y.shape[2], y.dtype)
-    return y, (c_conv, c_act)
-
-
-def _frontend_bwd(dy, cache, grads):
-    c_conv, c_act = cache
-    dy = nn.silu_bwd(dy, c_act)
-    dx, dw, db = nn.strided_conv1d_bwd(dy, c_conv)
-    accumulate(grads, "encoder.frontend.w", dw)
-    accumulate(grads, "encoder.frontend.b", db)
-    return dx
+def _frontend_fwd(x, params, mode):
+    tape = nn.Tape(params, mode)
+    y = tape.op(nn.strided_conv1d_fwd, nn.strided_conv1d_bwd, x,
+                "encoder.frontend.w", "encoder.frontend.b", stride=FRONTEND_STRIDE)
+    y = tape.op(nn.silu_fwd, nn.silu_bwd, y)
+    return y + nn.sinusoidal_positions(y.shape[1], y.shape[2], y.dtype), tape
 
 
 # ---------------------------------------------------------------------------
@@ -137,150 +130,113 @@ def _frontend_bwd(dy, cache, grads):
 
 
 def _ffn_fwd(x, params, pre, drop, mode, rng):
-    h, c_ln = nn.layer_norm_fwd(x, params[f"{pre}.ln.gamma"], params[f"{pre}.ln.beta"])
-    h, c_l1 = nn.linear_fwd(h, params[f"{pre}.w1"], params[f"{pre}.b1"])
-    h, c_act = nn.silu_fwd(h)
-    h, c_d1 = nn.dropout_fwd(h, drop, mode, rng)
-    h, c_l2 = nn.linear_fwd(h, params[f"{pre}.w2"], params[f"{pre}.b2"])
-    h, c_d2 = nn.dropout_fwd(h, drop, mode, rng)
-    return h, (c_ln, c_l1, c_act, c_d1, c_l2, c_d2)
+    tape = nn.Tape(params, mode)
+    h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x, f"{pre}.ln.gamma", f"{pre}.ln.beta")
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.w1", f"{pre}.b1")
+    h = tape.op(nn.silu_fwd, nn.silu_bwd, h)
+    h = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=drop, mode=mode, rng=rng)
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.w2", f"{pre}.b2")
+    h = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=drop, mode=mode, rng=rng)
+    return h, tape
 
 
-def _ffn_bwd(dy, cache, pre, grads):
-    c_ln, c_l1, c_act, c_d1, c_l2, c_d2 = cache
-    dy = nn.dropout_bwd(dy, c_d2)
-    dy, dw2, db2 = nn.linear_bwd(dy, c_l2)
-    accumulate(grads, f"{pre}.w2", dw2)
-    accumulate(grads, f"{pre}.b2", db2)
-    dy = nn.dropout_bwd(dy, c_d1)
-    dy = nn.silu_bwd(dy, c_act)
-    dy, dw1, db1 = nn.linear_bwd(dy, c_l1)
-    accumulate(grads, f"{pre}.w1", dw1)
-    accumulate(grads, f"{pre}.b1", db1)
-    dy, dg, db = nn.layer_norm_bwd(dy, c_ln)
-    accumulate(grads, f"{pre}.ln.gamma", dg)
-    accumulate(grads, f"{pre}.ln.beta", db)
-    return dy
-
-
-def _mhsa_fwd(x, params, pre, num_heads, drop, mode, rng):
-    bsz, t, d = x.shape
+def _attention_fwd(h, wq, bq, wk, bk, wv, bv, num_heads, drop, mode, rng):
+    """Multi-head scaled dot-product self-attention of the (B, T, D) map h,
+    up to the output projection: (B, T, D) concatenated head contexts."""
+    bsz, t, d = h.shape
     dh = d // num_heads
-    h, c_ln = nn.layer_norm_fwd(x, params[f"{pre}.ln.gamma"], params[f"{pre}.ln.beta"])
-    q, c_q = nn.linear_fwd(h, params[f"{pre}.wq"], params[f"{pre}.bq"])
-    k, c_k = nn.linear_fwd(h, params[f"{pre}.wk"], params[f"{pre}.bk"])
-    v, c_v = nn.linear_fwd(h, params[f"{pre}.wv"], params[f"{pre}.bv"])
-    qh = q.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
-    kh = k.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
-    vh = v.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
+    q, c_q = nn.linear_fwd(h, wq, bq)
+    k, c_k = nn.linear_fwd(h, wk, bk)
+    v, c_v = nn.linear_fwd(h, wv, bv)
+    qh, kh, vh = (a.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3) for a in (q, k, v))
     # a Python float: an np.float64 scale would promote float32 scores
     scale = 1.0 / math.sqrt(dh)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    attn, c_sm = nn.softmax_fwd(scores, axis=-1)
+    attn, c_sm = nn.softmax_fwd((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
     attn_d, c_dp = nn.dropout_fwd(attn, drop, mode, rng)
     ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(bsz, t, d)
-    out, c_o = nn.linear_fwd(ctx, params[f"{pre}.wo"], params[f"{pre}.bo"])
-    out, c_d2 = nn.dropout_fwd(out, drop, mode, rng)
-    cache = (c_ln, c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, c_o, c_d2,
-             num_heads, scale)
-    return out, cache
+    return ctx, (c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, scale)
 
 
-def _mhsa_bwd(dy, cache, pre, grads):
-    (c_ln, c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, c_o, c_d2,
-     num_heads, scale) = cache
-    bsz, _, t, dh = qh.shape
+def _attention_bwd(dctx, cache):
+    """Gradients for h, wq, bq, wk, bk, wv, bv."""
+    c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, scale = cache
+    bsz, num_heads, t, dh = qh.shape
     d = num_heads * dh
-    dy = nn.dropout_bwd(dy, c_d2)
-    dctx, dwo, dbo = nn.linear_bwd(dy, c_o)
-    accumulate(grads, f"{pre}.wo", dwo)
-    accumulate(grads, f"{pre}.bo", dbo)
     dctx = dctx.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
-    dattn_d = dctx @ vh.transpose(0, 1, 3, 2)
+    dattn = nn.dropout_bwd(dctx @ vh.transpose(0, 1, 3, 2), c_dp)
     dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
-    dattn = nn.dropout_bwd(dattn_d, c_dp)
     dscores = nn.softmax_bwd(dattn, c_sm) * scale
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dq = dqh.transpose(0, 2, 1, 3).reshape(bsz, t, d)
-    dk = dkh.transpose(0, 2, 1, 3).reshape(bsz, t, d)
-    dv = dvh.transpose(0, 2, 1, 3).reshape(bsz, t, d)
-    dh_total = np.zeros((bsz, t, d), dtype=dy.dtype)
-    for dpart, c_lin, wname in ((dq, c_q, "wq"), (dk, c_k, "wk"), (dv, c_v, "wv")):
-        dx_part, dw, db = nn.linear_bwd(dpart, c_lin)
-        accumulate(grads, f"{pre}.{wname}", dw)
-        accumulate(grads, f"{pre}.{wname.replace('w', 'b')}", db)
+    dh_total = np.zeros((bsz, t, d), dtype=dctx.dtype)
+    param_grads = []
+    for dpart, c_lin in ((dqh, c_q), (dkh, c_k), (dvh, c_v)):
+        dx_part, dw, db = nn.linear_bwd(dpart.transpose(0, 2, 1, 3).reshape(bsz, t, d), c_lin)
         dh_total += dx_part
-    dx, dg, db = nn.layer_norm_bwd(dh_total, c_ln)
-    accumulate(grads, f"{pre}.ln.gamma", dg)
-    accumulate(grads, f"{pre}.ln.beta", db)
-    return dx
+        param_grads += [dw, db]
+    return (dh_total, *param_grads)
+
+
+def _mhsa_fwd(x, params, pre, num_heads, drop, mode, rng):
+    tape = nn.Tape(params, mode)
+    h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x, f"{pre}.ln.gamma", f"{pre}.ln.beta")
+    h = tape.op(_attention_fwd, _attention_bwd, h,
+                *(f"{pre}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
+                num_heads=num_heads, drop=drop, mode=mode, rng=rng)
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.wo", f"{pre}.bo")
+    h = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=drop, mode=mode, rng=rng)
+    return h, tape
 
 
 def _convmod_fwd(x, params, pre, state, drop, mode, rng):
-    h, c_ln = nn.layer_norm_fwd(x, params[f"{pre}.ln.gamma"], params[f"{pre}.ln.beta"])
-    h, c_pw1 = nn.linear_fwd(h, params[f"{pre}.pw1.w"], params[f"{pre}.pw1.b"])
-    h, c_glu = nn.glu_fwd(h)
-    h, c_dw = nn.depthwise_conv1d_fwd(h, params[f"{pre}.dw.w"], params[f"{pre}.dw.b"])
+    tape = nn.Tape(params, mode)
+    h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x, f"{pre}.ln.gamma", f"{pre}.ln.beta")
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.pw1.w", f"{pre}.pw1.b")
+    h = tape.op(nn.glu_fwd, nn.glu_bwd, h)
+    h = tape.op(nn.depthwise_conv1d_fwd, nn.depthwise_conv1d_bwd, h, f"{pre}.dw.w", f"{pre}.dw.b")
     h, c_bn, new_mean, new_var = nn.batch_norm_fwd(
         h, params[f"{pre}.bn.gamma"], params[f"{pre}.bn.beta"],
         state[f"{pre}.bn.running_mean"], state[f"{pre}.bn.running_var"], mode)
-    h, c_act = nn.silu_fwd(h)
-    h, c_pw2 = nn.linear_fwd(h, params[f"{pre}.pw2.w"], params[f"{pre}.pw2.b"])
-    h, c_drop = nn.dropout_fwd(h, drop, mode, rng)
-    cache = (c_ln, c_pw1, c_glu, c_dw, c_bn, c_act, c_pw2, c_drop)
+    tape.record(nn.batch_norm_bwd, c_bn, f"{pre}.bn.gamma", f"{pre}.bn.beta")
+    h = tape.op(nn.silu_fwd, nn.silu_bwd, h)
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.pw2.w", f"{pre}.pw2.b")
+    h = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=drop, mode=mode, rng=rng)
     new_state = {f"{pre}.bn.running_mean": new_mean, f"{pre}.bn.running_var": new_var}
-    return h, cache, new_state
+    return h, tape, new_state
 
 
-def _convmod_bwd(dy, cache, pre, grads):
-    c_ln, c_pw1, c_glu, c_dw, c_bn, c_act, c_pw2, c_drop = cache
-    dy = nn.dropout_bwd(dy, c_drop)
-    dy, dw, db = nn.linear_bwd(dy, c_pw2)
-    accumulate(grads, f"{pre}.pw2.w", dw)
-    accumulate(grads, f"{pre}.pw2.b", db)
-    dy = nn.silu_bwd(dy, c_act)
-    dy, dg, db = nn.batch_norm_bwd(dy, c_bn)
-    accumulate(grads, f"{pre}.bn.gamma", dg)
-    accumulate(grads, f"{pre}.bn.beta", db)
-    dy, dw, db = nn.depthwise_conv1d_bwd(dy, c_dw)
-    accumulate(grads, f"{pre}.dw.w", dw)
-    accumulate(grads, f"{pre}.dw.b", db)
-    dy = nn.glu_bwd(dy, c_glu)
-    dy, dw, db = nn.linear_bwd(dy, c_pw1)
-    accumulate(grads, f"{pre}.pw1.w", dw)
-    accumulate(grads, f"{pre}.pw1.b", db)
-    dy, dg, db = nn.layer_norm_bwd(dy, c_ln)
-    accumulate(grads, f"{pre}.ln.gamma", dg)
-    accumulate(grads, f"{pre}.ln.beta", db)
-    return dy
+# each module's backward replays its tape; one name per module lets a
+# profiler tell them apart
+_frontend_bwd = _ffn_bwd = _mhsa_bwd = _convmod_bwd = nn.replay
+
+
+def _residual(module_bwd, scale):
+    """Backward of the branch x + scale * module(x), for ``Tape.module``
+    with the module's tape."""
+    def bwd(dy, tape, grads):
+        return dy + module_bwd(dy if scale == 1.0 else scale * dy, tape, grads)
+    return bwd
 
 
 def _block_fwd(x, params, pre, cfg, state, mode, rng):
     # macaron layout: half-step FFN, self-attention, convolution, half-step
     # FFN, closing layer norm; every branch is residual
-    f1, c_f1 = _ffn_fwd(x, params, f"{pre}.ffn1", cfg.dropout, mode, rng)
-    x1 = x + 0.5 * f1
-    at, c_at = _mhsa_fwd(x1, params, f"{pre}.attn", cfg.num_heads, cfg.dropout, mode, rng)
-    x2 = x1 + at
-    cv, c_cv, new_state = _convmod_fwd(x2, params, f"{pre}.conv", state, cfg.dropout, mode, rng)
-    x3 = x2 + cv
-    f2, c_f2 = _ffn_fwd(x3, params, f"{pre}.ffn2", cfg.dropout, mode, rng)
-    x4 = x3 + 0.5 * f2
-    out, c_ln = nn.layer_norm_fwd(x4, params[f"{pre}.ln_out.gamma"], params[f"{pre}.ln_out.beta"])
-    return out, (c_f1, c_at, c_cv, c_f2, c_ln), new_state
-
-
-def _block_bwd(dy, cache, pre, grads):
-    c_f1, c_at, c_cv, c_f2, c_ln = cache
-    dx4, dg, db = nn.layer_norm_bwd(dy, c_ln)
-    accumulate(grads, f"{pre}.ln_out.gamma", dg)
-    accumulate(grads, f"{pre}.ln_out.beta", db)
-    dx3 = dx4 + _ffn_bwd(0.5 * dx4, c_f2, f"{pre}.ffn2", grads)
-    dx2 = dx3 + _convmod_bwd(dx3, c_cv, f"{pre}.conv", grads)
-    dx1 = dx2 + _mhsa_bwd(dx2, c_at, f"{pre}.attn", grads)
-    dx = dx1 + _ffn_bwd(0.5 * dx1, c_f1, f"{pre}.ffn1", grads)
-    return dx
+    tape = nn.Tape(params, mode)
+    f, sub = _ffn_fwd(x, params, f"{pre}.ffn1", cfg.dropout, mode, rng)
+    tape.module(_residual(_ffn_bwd, 0.5), sub)
+    x = x + 0.5 * f
+    at, sub = _mhsa_fwd(x, params, f"{pre}.attn", cfg.num_heads, cfg.dropout, mode, rng)
+    tape.module(_residual(_mhsa_bwd, 1.0), sub)
+    x = x + at
+    cv, sub, new_state = _convmod_fwd(x, params, f"{pre}.conv", state, cfg.dropout, mode, rng)
+    tape.module(_residual(_convmod_bwd, 1.0), sub)
+    x = x + cv
+    f, sub = _ffn_fwd(x, params, f"{pre}.ffn2", cfg.dropout, mode, rng)
+    tape.module(_residual(_ffn_bwd, 0.5), sub)
+    x = x + 0.5 * f
+    out = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x,
+                  f"{pre}.ln_out.gamma", f"{pre}.ln_out.beta")
+    return out, tape, new_state
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +244,30 @@ def _block_bwd(dy, cache, pre, grads):
 
 
 def _encoder_fwd(feats, params, state, cfg, mode="eval", rng=None):
-    """feats (B, T, F) -> list of per-block maps, caches, updated state."""
+    """feats (B, T, F) -> list of per-block maps, the tapes of the frontend
+    and of each block, updated state."""
     if feats.ndim != 3 or feats.shape[-1] != cfg.input_dim:
         raise ShapeError(
             f"expected (B, T, {cfg.input_dim}) features, got {feats.shape}")
     if feats.shape[1] < 4:
         raise LengthError("frontend needs at least 4 frames")
-    h, c_fr = _frontend_fwd(feats, params)
+    h, tape = _frontend_fwd(feats, params, mode)
     taps = []
-    caches = []
+    tapes = [tape]
     new_state = dict(state)
     for i in range(cfg.num_blocks):
-        h, c, st = _block_fwd(h, params, f"encoder.block{i}", cfg, state, mode, rng)
+        h, tape, st = _block_fwd(h, params, f"encoder.block{i}", cfg, state, mode, rng)
         new_state.update(st)
         taps.append(h)
-        caches.append(c)
-    return taps, (c_fr, caches), new_state
+        tapes.append(tape)
+    return taps, tapes, new_state
 
 
-def _encoder_bwd(d_taps, cache, cfg, grads):
+def _encoder_bwd(d_taps, tapes, grads):
     """d_taps: per-block upstream gradients (same shapes as the taps)."""
-    c_fr, caches = cache
     d = d_taps[-1]
-    for i in range(cfg.num_blocks - 1, -1, -1):
-        d = _block_bwd(d, caches[i], f"encoder.block{i}", grads)
+    for i in range(len(d_taps) - 1, -1, -1):
+        d = tapes[i + 1].backward(d, grads)
         if i > 0:
             d = d + d_taps[i - 1]
-    return _frontend_bwd(d, c_fr, grads)
+    return _frontend_bwd(d, tapes[0], grads)

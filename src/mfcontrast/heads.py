@@ -5,8 +5,10 @@ attentive statistics pooling, batch norm, and a linear projection to a raw
 (B, D) per-block embedding. ``_mfa_fwd`` is the aggregation path that gives
 the speaker embedding: layer-normalized taps are concatenated along
 channels before one pooling/projection stack. Both return raw embeddings;
-the losses and scoring unit-normalize at their own boundary. Each
-``*_fwd`` returns a cache that the matching ``*_bwd`` consumes.
+the losses and scoring unit-normalize at their own boundary. Both share
+the pooling/projection stack ``_pool_project``. Each forward records its
+ops on an ``nn.Tape`` and returns the tape as its cache, which the matching
+backward replays; an eval-mode forward records nothing.
 
 ``share_pooling`` makes all blocks use one {ln, attn} parameter set;
 ``share_projection`` does the same for {bn, proj}. The two flags are
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import nn
 from .encoder import EncoderConfig
-from .nn import accumulate
 
 STD_EPS = 1e-8
 
@@ -108,99 +109,67 @@ def init_head_params(enc_cfg: EncoderConfig, head_cfg: HeadConfig,
 # forward / backward
 
 
-def _head_fwd(tap, params, state, i, cfg: HeadConfig, mode):
-    """One block's head: LN -> attentive stats -> BN -> projection.
-
-    tap is (B, T', C); returns a raw (unnormalized) (B, D) embedding.
-    """
-    pool, proj = _pool_prefix(i, cfg), _proj_prefix(i, cfg)
-    h, c_ln = nn.layer_norm_fwd(tap, params[f"{pool}.ln.gamma"], params[f"{pool}.ln.beta"])
-    pooled, c_asp = nn.attentive_stats_fwd(
-        h, params[f"{pool}.attn.w"], params[f"{pool}.attn.b"],
-        params[f"{pool}.attn.v"], eps=STD_EPS)
+def _pool_project(tape, h, params, state, pool, proj, mode):
+    """Attentive statistics pooling of the (B, T', C) map h with the
+    ``pool`` parameters, then batch norm and projection with the ``proj``
+    ones, recorded on ``tape``. Returns the raw (B, D) embedding and the
+    updated batch-norm state."""
+    pooled = tape.op(nn.attentive_stats_fwd, nn.attentive_stats_bwd, h,
+                     f"{pool}.attn.w", f"{pool}.attn.b", f"{pool}.attn.v", eps=STD_EPS)
     normed, c_bn, new_mean, new_var = nn.batch_norm_fwd(
         pooled, params[f"{proj}.bn.gamma"], params[f"{proj}.bn.beta"],
         state[f"{proj}.bn.running_mean"], state[f"{proj}.bn.running_var"], mode)
-    emb, c_proj = nn.linear_fwd(normed, params[f"{proj}.proj.w"], params[f"{proj}.proj.b"])
-    cache = (c_ln, c_asp, c_bn, c_proj, pool, proj)
-    new_state = {f"{proj}.bn.running_mean": new_mean, f"{proj}.bn.running_var": new_var}
-    return emb, cache, new_state
+    tape.record(nn.batch_norm_bwd, c_bn, f"{proj}.bn.gamma", f"{proj}.bn.beta")
+    emb = tape.op(nn.linear_fwd, nn.linear_bwd, normed, f"{proj}.proj.w", f"{proj}.proj.b")
+    return emb, {f"{proj}.bn.running_mean": new_mean, f"{proj}.bn.running_var": new_var}
 
 
-def _head_bwd(demb, cache, grads):
-    c_ln, c_asp, c_bn, c_proj, pool, proj = cache
-    dy, dw, db = nn.linear_bwd(demb, c_proj)
-    accumulate(grads, f"{proj}.proj.w", dw)
-    accumulate(grads, f"{proj}.proj.b", db)
-    dy, dg, db = nn.batch_norm_bwd(dy, c_bn)
-    accumulate(grads, f"{proj}.bn.gamma", dg)
-    accumulate(grads, f"{proj}.bn.beta", db)
-    dy, dw, db, dv = nn.attentive_stats_bwd(dy, c_asp)
-    accumulate(grads, f"{pool}.attn.w", dw)
-    accumulate(grads, f"{pool}.attn.b", db)
-    accumulate(grads, f"{pool}.attn.v", dv)
-    dtap, dg, db = nn.layer_norm_bwd(dy, c_ln)
-    accumulate(grads, f"{pool}.ln.gamma", dg)
-    accumulate(grads, f"{pool}.ln.beta", db)
-    return dtap
+def _head_fwd(tap, params, state, i, cfg: HeadConfig, mode):
+    """One block's head: LN -> attentive stats -> BN -> projection.
+
+    tap is (B, T', C); returns a raw (unnormalized) (B, D) embedding, the
+    head's tape and its updated batch-norm state.
+    """
+    pool = _pool_prefix(i, cfg)
+    tape = nn.Tape(params, mode)
+    h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, tap, f"{pool}.ln.gamma", f"{pool}.ln.beta")
+    emb, new_state = _pool_project(tape, h, params, state, pool, _proj_prefix(i, cfg), mode)
+    return emb, tape, new_state
 
 
 def _heads_fwd(taps, params, state, cfg: HeadConfig, mode):
     """All per-block heads. taps: list of (B, T', C). Returns raw embeddings."""
-    embs, caches = [], []
+    embs, tapes = [], []
     new_state = dict(state)
     for i, tap in enumerate(taps):
-        emb, cache, st = _head_fwd(tap, params, state, i, cfg, mode)
+        emb, tape, st = _head_fwd(tap, params, state, i, cfg, mode)
         new_state.update(st)
         embs.append(emb)
-        caches.append(cache)
-    return embs, caches, new_state
+        tapes.append(tape)
+    return embs, tapes, new_state
 
 
-def _heads_bwd(dembs, caches, grads):
-    return [_head_bwd(d, c, grads) for d, c in zip(dembs, caches)]
+def _heads_bwd(dembs, tapes, grads):
+    return [tape.backward(d, grads) for d, tape in zip(dembs, tapes)]
+
+
+def _split_bwd(dcat, tapes, grads):
+    """Backward of concatenating equal-width maps along channels, each
+    produced by one of ``tapes``: a list with each map's input gradient."""
+    return [t.backward(d, grads) for t, d in zip(tapes, np.split(dcat, len(tapes), axis=-1))]
 
 
 def _mfa_fwd(taps, params, state, cfg: HeadConfig, mode):
     """Speaker-embedding path over the concatenated layer-normalized taps."""
-    ln_caches = []
-    normed = []
-    for i, tap in enumerate(taps):
-        h, c = nn.layer_norm_fwd(tap, params[f"mfa.ln{i}.gamma"], params[f"mfa.ln{i}.beta"])
-        normed.append(h)
-        ln_caches.append(c)
-    cat = np.concatenate(normed, axis=-1)
-    pooled, c_asp = nn.attentive_stats_fwd(
-        cat, params["mfa.attn.w"], params["mfa.attn.b"], params["mfa.attn.v"],
-        eps=STD_EPS)
-    bn_out, c_bn, new_mean, new_var = nn.batch_norm_fwd(
-        pooled, params["mfa.bn.gamma"], params["mfa.bn.beta"],
-        state["mfa.bn.running_mean"], state["mfa.bn.running_var"], mode)
-    emb, c_proj = nn.linear_fwd(bn_out, params["mfa.proj.w"], params["mfa.proj.b"])
-    cache = (ln_caches, c_asp, c_bn, c_proj, [t.shape[-1] for t in taps])
-    new_state = dict(state)
-    new_state.update({"mfa.bn.running_mean": new_mean, "mfa.bn.running_var": new_var})
-    return emb, cache, new_state
+    ln_tapes = [nn.Tape(params, mode) for _ in taps]
+    normed = [t.op(nn.layer_norm_fwd, nn.layer_norm_bwd, tap,
+                   f"mfa.ln{i}.gamma", f"mfa.ln{i}.beta")
+              for i, (t, tap) in enumerate(zip(ln_tapes, taps))]
+    tape = nn.Tape(params, mode)
+    tape.module(_split_bwd, ln_tapes)
+    emb, st = _pool_project(tape, np.concatenate(normed, axis=-1), params, state,
+                            "mfa", "mfa", mode)
+    return emb, tape, {**state, **st}
 
 
-def _mfa_bwd(demb, cache, grads):
-    ln_caches, c_asp, c_bn, c_proj, widths = cache
-    dy, dw, db = nn.linear_bwd(demb, c_proj)
-    accumulate(grads, "mfa.proj.w", dw)
-    accumulate(grads, "mfa.proj.b", db)
-    dy, dg, db = nn.batch_norm_bwd(dy, c_bn)
-    accumulate(grads, "mfa.bn.gamma", dg)
-    accumulate(grads, "mfa.bn.beta", db)
-    dy, dw, db, dv = nn.attentive_stats_bwd(dy, c_asp)
-    accumulate(grads, "mfa.attn.w", dw)
-    accumulate(grads, "mfa.attn.b", db)
-    accumulate(grads, "mfa.attn.v", dv)
-    d_taps = []
-    offset = 0
-    for i, width in enumerate(widths):
-        dpart, dg, db = nn.layer_norm_bwd(dy[..., offset:offset + width], ln_caches[i])
-        accumulate(grads, f"mfa.ln{i}.gamma", dg)
-        accumulate(grads, f"mfa.ln{i}.beta", db)
-        d_taps.append(dpart)
-        offset += width
-    return d_taps
+_mfa_bwd = nn.replay

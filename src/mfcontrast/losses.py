@@ -142,8 +142,7 @@ def supcon(z, labels, cfg: LossConfig | None = None):
 
     Sums over anchors i the mean over positives p (same label, different
     index) of -log(exp(z_i.z_p / tau) / sum_{a != i} exp(z_i.z_a / tau)).
-    Anchors without positives are skipped and counted. Returns
-    (loss, dz, num_skipped_anchors).
+    Anchors without positives are skipped. Returns (loss, dz).
     """
     cfg = cfg or LossConfig()
     z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
@@ -155,9 +154,8 @@ def supcon(z, labels, cfg: LossConfig | None = None):
     positives = (labels[:, None] == labels[None, :]) & ~eye
     pos_count = positives.sum(axis=1)
     contributing = pos_count > 0
-    num_skipped = int(np.count_nonzero(~contributing))
     if not contributing.any():
-        return 0.0, np.zeros_like(z), num_skipped
+        return 0.0, np.zeros_like(z)
 
     softmax, logz = _masked_row_softmax(s)
     safe_count = np.maximum(pos_count, 1)
@@ -172,7 +170,7 @@ def supcon(z, labels, cfg: LossConfig | None = None):
         total /= denom
         g /= denom
     dz = (g + g.T) @ z / cfg.temperature
-    return total, dz, num_skipped
+    return total, dz
 
 
 def ntxent(z, pair_index, cfg: LossConfig | None = None):
@@ -315,8 +313,7 @@ def npair_pairs(labels, is_augmented):
 def _contrastive(unit, labels, cfg: LossConfig, is_augmented):
     kind = cfg.contrastive_kind
     if kind == "supcon":
-        loss, dz, _ = supcon(unit, labels, cfg)
-        return loss, dz
+        return supcon(unit, labels, cfg)
     if kind == "ntxent":
         return ntxent(unit, augmentation_pairs(labels, is_augmented), cfg)
     if kind == "triplet":
@@ -356,7 +353,7 @@ def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
     spk_value = 0.0
     if lam_spk != 0.0:
         unit, c_norm = nn.l2_normalize_fwd(np.asarray(speaker_emb, dtype=np.float64))
-        spk_value, dunit, _ = supcon(unit, labels, cfg)
+        spk_value, dunit = supcon(unit, labels, cfg)
         d_spk = d_spk + lam_spk * nn.l2_normalize_bwd(dunit, c_norm)
     total = ams + lam_tap * (sum(per_block) / num_blocks) + lam_spk * spk_value
     breakdown = {"total": total, "ams": ams, "contrastive": per_block,

@@ -6,10 +6,13 @@ Parameters are one flat ``{name: array}`` dict (see
 naming scheme; the classifier lives at ``classifier.w``). Batch-norm
 running statistics live in ``state`` and are updated by train-mode
 forwards, which makes training single-writer; eval-mode forwards are
-read-only and safe to run concurrently.
+read-only and safe to run concurrently. A train-mode forward returns the
+tapes (``nn.Tape``) that ``backward`` replays; an eval-mode forward
+records none, and ``backward`` rejects its output.
 
 Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
-(float32), and so are every activation, cache and parameter gradient.
+(float32), and so are every activation, cached array and parameter
+gradient.
 ``forward`` casts its features to the parameters' dtype and returns the
 tap and speaker embeddings as float64, so the losses and metrics work in
 float64; ``backward`` casts the upstream gradients back. Casting
@@ -44,11 +47,12 @@ def _as_compute(arrays: dict) -> dict:
 @dataclass
 class ModelOutput:
     """Raw per-block tap embeddings and raw speaker embedding (float64),
-    and the caches needed to backpropagate into the parameters."""
+    and the tapes that backpropagate into the parameters: ``cache`` maps
+    "encoder", "heads" and "mfa" to what that part's forward returned."""
 
     tap_embeddings: list
     speaker_embedding: np.ndarray
-    cache: tuple
+    cache: dict
 
 
 class SpeakerModel:
@@ -87,29 +91,29 @@ class SpeakerModel:
             feats = feats[None]
         if mode == "train" and self.enc_cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
-        taps, enc_cache, state1 = _encoder_fwd(
+        taps, enc_tapes, state1 = _encoder_fwd(
             feats, self.params, self.state, self.enc_cfg, mode=mode, rng=rng)
-        tap_embs, head_caches, state2 = _heads_fwd(
+        tap_embs, head_tapes, state2 = _heads_fwd(
             taps, self.params, state1, self.head_cfg, mode)
-        spk_emb, mfa_cache, state3 = _mfa_fwd(
+        spk_emb, mfa_tape, state3 = _mfa_fwd(
             taps, self.params, state2, self.head_cfg, mode)
         if mode == "train":
             self.state = state3
         return ModelOutput([e.astype(np.float64) for e in tap_embs],
                            spk_emb.astype(np.float64),
-                           (enc_cache, head_caches, mfa_cache))
+                           {"encoder": enc_tapes, "heads": head_tapes, "mfa": mfa_tape})
 
     def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding):
         """Gradients of a scalar objective w.r.t. every parameter, given its
-        gradients w.r.t. the raw tap embeddings and speaker embedding."""
-        enc_cache, head_caches, mfa_cache = out.cache
+        gradients w.r.t. the raw tap embeddings and speaker embedding.
+        Raises ValueError when ``out`` came from an eval-mode forward."""
         grads: dict[str, np.ndarray] = {}
         d_taps = _heads_bwd([np.asarray(d, dtype=self.dtype) for d in d_tap_embeddings],
-                            head_caches, grads)
+                            out.cache["heads"], grads)
         d_taps_mfa = _mfa_bwd(np.asarray(d_speaker_embedding, dtype=self.dtype),
-                              mfa_cache, grads)
+                              out.cache["mfa"], grads)
         d_taps = [a + b for a, b in zip(d_taps, d_taps_mfa)]
-        _encoder_bwd(d_taps, enc_cache, self.enc_cfg, grads)
+        _encoder_bwd(d_taps, out.cache["encoder"], grads)
         for name, value in self.params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(value)

@@ -6,6 +6,10 @@ same order. Every op computes in its inputs' floating dtype and returns
 outputs, caches and gradients in that dtype; constants enter as Python
 scalars so they never promote it. Batch axes lead, channels are last.
 
+``Tape`` chains the ops: a module's forward records each op's backward and
+cache on a tape, and its backward replays the tape. An eval-mode tape
+records nothing, so an eval forward keeps no caches.
+
 The kernels run single-threaded and follow three rules on their hot paths.
 No einsum: its unoptimised loops are slower than the equivalent
 matmuls. Weight products in the backward passes and sums over the channel
@@ -341,3 +345,55 @@ def accumulate(grads, name, value):
         grads[name] = grads[name] + value
     else:
         grads[name] = value
+
+
+class Tape:
+    """Reverse-mode record of one module's forward pass (Baydin et al.,
+    arXiv 1502.05767).
+
+    ``op`` runs ``fwd(x, *params, **kw)`` on the parameters named by
+    ``names`` and records ``bwd``; ``record`` records an op the caller ran
+    itself, such as batch norm, which also returns state; ``module`` records
+    a step whose ``bwd(dy, cache, grads)`` adds its own parameter gradients,
+    such as a sub-module replaying its own tape. ``backward`` replays the
+    steps last to first: an op's ``bwd(dy, cache)`` returns the input
+    gradient followed by one gradient per name, each added to ``grads``.
+    An eval-mode tape records nothing and cannot be replayed.
+    """
+
+    def __init__(self, params, mode):
+        self.params = params
+        self.train = mode == "train"
+        self.steps = []
+
+    def op(self, fwd, bwd, x, *names, **kw):
+        y, cache = fwd(x, *(self.params[n] for n in names), **kw)
+        self.record(bwd, cache, *names)
+        return y
+
+    def record(self, bwd, cache, *names):
+        if self.train:
+            self.steps.append((bwd, cache, names))
+
+    def module(self, bwd, cache):
+        if self.train:
+            self.steps.append((bwd, cache, None))
+
+    def backward(self, dy, grads):
+        if not self.train:
+            raise ValueError("backward needs a train-mode forward")
+        for bwd, cache, names in reversed(self.steps):
+            if names is None:
+                dy = bwd(dy, cache, grads)
+            elif names:
+                dy, *param_grads = bwd(dy, cache)
+                for name, g in zip(names, param_grads):
+                    accumulate(grads, name, g)
+            else:
+                dy = bwd(dy, cache)
+        return dy
+
+
+def replay(dy, tape, grads):
+    """Backward of a module whose forward recorded ``tape``."""
+    return tape.backward(dy, grads)

@@ -22,7 +22,7 @@ def toy_setup(seed=0):
 
 def frontend(x, params):
     """The frontend on one (T, F) matrix, as a batch of one."""
-    return _frontend_fwd(x[None], params)[0][0]
+    return _frontend_fwd(x[None], params, "eval")[0][0]
 
 
 def block(h, params, state, i=0, cfg=TOY):
@@ -101,10 +101,9 @@ class TestConformerBlock:
         r = rng.standard_normal((1, 4, 8))
         pre = "encoder.block0"
 
-        out, cache, _ = _block_fwd(h, params, pre, cfg, state, "train", None)
+        out, tape, _ = _block_fwd(h, params, pre, cfg, state, "train", None)
         grads = {}
-        from mfcontrast.encoder import _block_bwd
-        dh = _block_bwd(r.copy(), cache, pre, grads)
+        dh = tape.backward(r.copy(), grads)
 
         def f():
             y, _, _ = _block_fwd(h, params, pre, cfg, state, "train", None)
@@ -191,7 +190,7 @@ class TestFullNetworkGradient:
 
         taps, cache, _ = _encoder_fwd(x, params, state, TOY, "train", None)
         grads = {}
-        _encoder_bwd([r.copy() for r in readouts], cache, TOY, grads)
+        _encoder_bwd([r.copy() for r in readouts], cache, grads)
 
         def scalar():
             t, _, _ = _encoder_fwd(x, params, state, TOY, "train", None)

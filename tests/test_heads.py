@@ -119,10 +119,9 @@ class TestHeadForward:
         tap = rng.standard_normal((2, 6, 8))
         r = rng.standard_normal((2, 5))
 
-        emb, cache, _ = _head_fwd(tap, params, state, 0, cfg, "train")
+        emb, tape, _ = _head_fwd(tap, params, state, 0, cfg, "train")
         grads = {}
-        from mfcontrast.heads import _head_bwd
-        dtap = _head_bwd(r.copy(), cache, grads)
+        dtap = tape.backward(r.copy(), grads)
 
         def f():
             e, _, _ = _head_fwd(tap, params, state, 0, cfg, "train")

@@ -89,14 +89,13 @@ class TestSupCon:
     def test_two_rows_same_label_is_zero(self):
         rng = np.random.default_rng(5)
         z = unit_rows(rng.standard_normal((2, 4)))
-        loss, dz, skipped = supcon(z, np.array([0, 0]), LossConfig())
+        loss, dz = supcon(z, np.array([0, 0]), LossConfig())
         assert loss == 0.0
-        assert skipped == 0
 
     def test_orthogonal_pairs_closed_form(self):
         z = np.stack([E1, E1, E2, E2])
         labels = np.array([0, 0, 1, 1])
-        loss, _, _ = supcon(z, labels, LossConfig(temperature=1.0))
+        loss, _ = supcon(z, labels, LossConfig(temperature=1.0))
         per_anchor = -(1.0 - np.log(np.e + 2.0))  # -log(e / (e + 2))
         assert abs(loss - 4.0 * per_anchor) < 1e-12
         assert abs(loss - 2.205779) < 1e-5
@@ -108,7 +107,7 @@ class TestSupCon:
             labels = rng.integers(0, 3, size=7)
             if not _every_anchor_has_positive(labels):
                 continue
-            loss, _, _ = supcon(z, labels, LossConfig(temperature=0.4))
+            loss, _ = supcon(z, labels, LossConfig(temperature=0.4))
             assert abs(loss - brute_force_supcon(z, labels, 0.4)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
@@ -117,26 +116,27 @@ class TestSupCon:
             z = unit_rows(rng.standard_normal((6, 8)))
             labels = np.array([0, 0, 1, 1, 2, 2])
             cfg = LossConfig(temperature=0.2)
-            loss, dz, _ = supcon(z, labels, cfg)
+            loss, dz = supcon(z, labels, cfg)
             fz = fd_gradient(lambda: supcon(z, labels, cfg)[0], z)
             assert rel_error(dz, fz) < 1e-5
 
-    def test_anchor_without_positive_skipped_and_counted(self):
+    def test_anchor_without_positive_is_skipped(self):
         rng = np.random.default_rng(8)
         z = unit_rows(rng.standard_normal((5, 4)))
         labels = np.array([0, 0, 1, 1, 2])
-        loss, dz, skipped = supcon(z, labels, LossConfig())
-        assert skipped == 1
-        # the lonely anchor row contributes to denominators, so loss is
-        # still finite and its own anchor term is absent
-        assert np.isfinite(loss)
+        cfg = LossConfig(temperature=0.4)
+        loss, dz = supcon(z, labels, cfg)
+        # the lonely anchor row still enters the other anchors' denominators;
+        # its own anchor term is absent, as in the oracle
+        assert abs(loss - brute_force_supcon(z, labels, 0.4)) < 1e-10
+        assert rel_error(dz, fd_gradient(lambda: supcon(z, labels, cfg)[0], z)) < 1e-5
 
     def test_mean_over_anchors_flag(self):
         rng = np.random.default_rng(9)
         z = unit_rows(rng.standard_normal((6, 4)))
         labels = np.array([0, 0, 1, 1, 2, 2])
-        total, _, _ = supcon(z, labels, LossConfig())
-        mean, _, _ = supcon(z, labels, LossConfig(supcon_mean_over_anchors=True))
+        total, _ = supcon(z, labels, LossConfig())
+        mean, _ = supcon(z, labels, LossConfig(supcon_mean_over_anchors=True))
         assert abs(total / 6.0 - mean) < 1e-12
 
 
@@ -291,8 +291,8 @@ class TestInvariances:
         labels = np.array([0, 0, 1, 1, 2, 2])
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         cfg = LossConfig(temperature=0.4)
-        a, _, _ = supcon(z, labels, cfg)
-        b, _, _ = supcon(z @ q, labels, cfg)
+        a, _ = supcon(z, labels, cfg)
+        b, _ = supcon(z @ q, labels, cfg)
         assert abs(a - b) < 1e-8
         pairs = np.array([3, 4, 5, 0, 1, 2])
         a2, _ = ntxent(z, pairs, cfg)
@@ -340,7 +340,7 @@ class TestComposites:
         cfg = LossConfig(temperature=0.5)
         total, bd, _, _, _ = self.objective(cfg, 1.0, 0.0, taps=self.taps[:1])
         ams, _, _ = am_softmax(self.spk, self.labels, self.w, cfg)
-        sc, _, _ = supcon(unit_rows(self.taps[0]), self.labels, cfg)
+        sc, _ = supcon(unit_rows(self.taps[0]), self.labels, cfg)
         assert abs(total - (ams + sc)) < 1e-12
 
     def test_breakdown_recombines_exactly(self):

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mfcontrast import model, trainer
+from mfcontrast import model, nn, trainer
 from mfcontrast.config import desk_config
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
@@ -28,9 +29,14 @@ def as_float64(m: SpeakerModel) -> SpeakerModel:
 
 
 def arrays_in(tree):
-    """Every ndarray in a nest of tuples and lists (a forward cache)."""
+    """Every ndarray in a forward cache: a nest of dicts, lists, tuples and
+    tapes, whose recorded steps hold the op caches."""
     if isinstance(tree, np.ndarray):
         yield tree
+    elif isinstance(tree, nn.Tape):
+        yield from arrays_in(tree.steps)
+    elif isinstance(tree, dict):
+        yield from arrays_in(list(tree.values()))
     elif isinstance(tree, (list, tuple)):
         for item in tree:
             yield from arrays_in(item)
@@ -40,9 +46,9 @@ class FullModelReadout:
     """Scalar readout sum_b <tap_b, r_b> + <spk, r_spk> of a float64 tiny
     model in train mode, with batch-norm state reset before every pass."""
 
-    def __init__(self):
+    def __init__(self, head_cfg=TINY_HEAD):
         rng = np.random.default_rng(7)
-        self.model = as_float64(SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=1))
+        self.model = as_float64(SpeakerModel(TINY_ENC, head_cfg, num_speakers=3, seed=1))
         self.feats = rng.standard_normal((3, 12, 8))
         self.r_taps = [rng.standard_normal((3, 6)) for _ in range(2)]
         self.r_spk = rng.standard_normal((3, 6))
@@ -76,7 +82,15 @@ def directional_fd(f, arrays: dict, direction: dict):
 
 class TestFullModelGradient:
     def test_parameter_gradients_coordinatewise(self):
-        readout = FullModelReadout()
+        self.check_coordinatewise(FullModelReadout())
+
+    def test_shared_head_parameter_gradients_coordinatewise(self):
+        # every head adds its gradient into the one head.shared.* set
+        self.check_coordinatewise(FullModelReadout(
+            replace(TINY_HEAD, share_pooling=True, share_projection=True)))
+
+    @staticmethod
+    def check_coordinatewise(readout):
         m = readout.model
         grads = readout.grads()
         coord_rng = np.random.default_rng(3)
@@ -254,6 +268,14 @@ def rewrite_meta(path, edit):
     edit(meta)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
+
+
+def test_eval_forward_keeps_no_caches_and_cannot_be_backpropagated():
+    m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=5)
+    out = m.forward(np.random.default_rng(12).standard_normal((4, 12, 8)), mode="eval")
+    assert list(arrays_in(out.cache)) == []
+    with pytest.raises(ValueError, match="needs a train-mode forward"):
+        m.backward(out, [np.ones((4, 6))] * 2, np.ones((4, 6)))
 
 
 class TestEmbedUtterance:

@@ -5,6 +5,9 @@ import pytest
 from scipy.special import expit
 
 from mfcontrast import nn
+from mfcontrast.encoder import EncoderConfig
+from mfcontrast.heads import HeadConfig
+from mfcontrast.model import SpeakerModel
 
 from oracles import fd_gradient, plain_temporal_stats, rel_error
 
@@ -176,3 +179,74 @@ def test_attentive_stats_batch_rows_match_plain_stats():
     for row, hb in zip(out, h):
         np.testing.assert_allclose(row, nn.attentive_stats_fwd(hb[None], w, b, v)[0][0],
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_tape_replays_a_chain_as_the_hand_chained_backward():
+    rng = np.random.default_rng(5)
+    x, dy = rng.standard_normal((3, 4, 6)), rng.standard_normal((3, 4, 5))
+    params = {"ln.g": rng.standard_normal(6), "ln.b": rng.standard_normal(6),
+              "w": rng.standard_normal((6, 5)), "b": rng.standard_normal(5)}
+    tape = nn.Tape(params, "train")
+    h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x, "ln.g", "ln.b")
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, h, "w", "b")
+    h = tape.op(nn.silu_fwd, nn.silu_bwd, h)
+    y = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=0.3, mode="train",
+                rng=np.random.default_rng(6))
+    grads = {}
+    dx = tape.backward(dy, grads)
+
+    h, c_ln = nn.layer_norm_fwd(x, params["ln.g"], params["ln.b"])
+    h, c_lin = nn.linear_fwd(h, params["w"], params["b"])
+    h, c_act = nn.silu_fwd(h)
+    y_ref, c_drop = nn.dropout_fwd(h, 0.3, "train", np.random.default_rng(6))
+    d = nn.silu_bwd(nn.dropout_bwd(dy, c_drop), c_act)
+    d, dw, db = nn.linear_bwd(d, c_lin)
+    dx_ref, dg, dbeta = nn.layer_norm_bwd(d, c_ln)
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(dx, dx_ref)
+    expected = {"w": dw, "b": db, "ln.g": dg, "ln.b": dbeta}
+    assert grads.keys() == expected.keys()
+    for name, g in expected.items():
+        np.testing.assert_array_equal(grads[name], g)
+
+
+def test_tape_adds_the_gradients_of_a_name_recorded_twice():
+    rng = np.random.default_rng(7)
+    x, dy = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    params = {"w": rng.standard_normal((3, 3)), "b": rng.standard_normal(3)}
+    tape = nn.Tape(params, "train")
+    h = tape.op(nn.linear_fwd, nn.linear_bwd, x, "w", "b")
+    tape.op(nn.linear_fwd, nn.linear_bwd, h, "w", "b")
+    grads = {}
+    tape.backward(dy, grads)
+    d1, dw1, db1 = nn.linear_bwd(dy, (h, params["w"]))
+    _, dw0, db0 = nn.linear_bwd(d1, (x, params["w"]))
+    np.testing.assert_array_equal(grads["w"], dw1 + dw0)
+    np.testing.assert_array_equal(grads["b"], db1 + db0)
+
+
+def test_model_ops_are_looked_up_at_call_time(monkeypatch):
+    # a profiler patches nn's attributes; every op call must go through them
+    enc = EncoderConfig(num_blocks=2, model_dim=8, num_heads=2, ff_expansion=2,
+                        conv_kernel=3, dropout=0.1, input_dim=4)
+    model = SpeakerModel(enc, HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
+    calls = {"linear_fwd": 0, "linear_bwd": 0}
+
+    def counting(name):
+        original = getattr(nn, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(nn, name, counting(name))
+    rng = np.random.default_rng(8)
+    out = model.forward(rng.standard_normal((3, 10, 4)), mode="train", rng=rng)
+    # per block: two FFNs (2 each), q/k/v/o and the conv module's two
+    # pointwise layers; one projection per tap head, one for the MFA path
+    linear_layers = enc.num_blocks * (2 + 4 + 2 + 2 + 1) + 1
+    assert calls == {"linear_fwd": linear_layers, "linear_bwd": 0}
+    model.backward(out, [np.ones((3, 4))] * enc.num_blocks, np.ones((3, 4)))
+    assert calls == {"linear_fwd": linear_layers, "linear_bwd": linear_layers}
