@@ -72,11 +72,13 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator):
     Naming scheme:
       encoder.frontend.{w,b}
       encoder.block<i>.ffn1.{ln.gamma,ln.beta,w1,b1,w2,b2}
-      encoder.block<i>.attn.{ln.*,wq,bq,wk,bk,wv,bv,wo,bo}
-      encoder.block<i>.conv.{ln.*,pw1.w,pw1.b,dw.w,dw.b,bn.gamma,bn.beta,pw2.w,pw2.b}
+      encoder.block<i>.attn.{ln.*,wq,bq,wk,wv,bv,wo,bo}
+      encoder.block<i>.conv.{ln.*,pw1.w,pw1.b,dw.w,bn.gamma,bn.beta,pw2.w,pw2.b}
       encoder.block<i>.ffn2.{...}
       encoder.block<i>.ln_out.{gamma,beta}
     State: encoder.block<i>.conv.bn.{running_mean,running_var}
+    There is no key bias, which the softmax over keys cancels, and no
+    depthwise bias, which the batch norm after it removes.
     """
     d = cfg.model_dim
     dff = d * cfg.ff_expansion
@@ -96,13 +98,13 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator):
         _init_ln(params, f"{pre}.attn.ln", d)
         for name in ("wq", "wk", "wv", "wo"):
             params[f"{pre}.attn.{name}"] = nn.xavier_uniform(rng, d, d)
-            params[f"{pre}.attn.{name.replace('w', 'b')}"] = np.zeros(d)
+            if name != "wk":
+                params[f"{pre}.attn.{name.replace('w', 'b')}"] = np.zeros(d)
         _init_ln(params, f"{pre}.conv.ln", d)
         params[f"{pre}.conv.pw1.w"] = nn.xavier_uniform(rng, d, 2 * d)
         params[f"{pre}.conv.pw1.b"] = np.zeros(2 * d)
         params[f"{pre}.conv.dw.w"] = nn.xavier_uniform(
             rng, cfg.conv_kernel, 1, (cfg.conv_kernel, d)) / np.sqrt(d)
-        params[f"{pre}.conv.dw.b"] = np.zeros(d)
         params[f"{pre}.conv.bn.gamma"] = np.ones(d)
         params[f"{pre}.conv.bn.beta"] = np.zeros(d)
         params[f"{pre}.conv.pw2.w"] = nn.xavier_uniform(rng, d, d)
@@ -140,13 +142,13 @@ def _ffn_fwd(x, params, pre, drop, mode, rng):
     return h, tape
 
 
-def _attention_fwd(h, wq, bq, wk, bk, wv, bv, num_heads, drop, mode, rng):
+def _attention_fwd(h, wq, bq, wk, wv, bv, num_heads, drop, mode, rng):
     """Multi-head scaled dot-product self-attention of the (B, T, D) map h,
     up to the output projection: (B, T, D) concatenated head contexts."""
     bsz, t, d = h.shape
     dh = d // num_heads
     q, c_q = nn.linear_fwd(h, wq, bq)
-    k, c_k = nn.linear_fwd(h, wk, bk)
+    k, c_k = nn.linear_fwd(h, wk, None)
     v, c_v = nn.linear_fwd(h, wv, bv)
     qh, kh, vh = (a.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3) for a in (q, k, v))
     # a Python float: an np.float64 scale would promote float32 scores
@@ -158,7 +160,7 @@ def _attention_fwd(h, wq, bq, wk, bk, wv, bv, num_heads, drop, mode, rng):
 
 
 def _attention_bwd(dctx, cache):
-    """Gradients for h, wq, bq, wk, bk, wv, bv."""
+    """Gradients for h, wq, bq, wk, wv, bv."""
     c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, scale = cache
     bsz, num_heads, t, dh = qh.shape
     d = num_heads * dh
@@ -166,22 +168,19 @@ def _attention_bwd(dctx, cache):
     dattn = nn.dropout_bwd(dctx @ vh.transpose(0, 1, 3, 2), c_dp)
     dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
     dscores = nn.softmax_bwd(dattn, c_sm) * scale
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dh_total = np.zeros((bsz, t, d), dtype=dctx.dtype)
-    param_grads = []
-    for dpart, c_lin in ((dqh, c_q), (dkh, c_k), (dvh, c_v)):
-        dx_part, dw, db = nn.linear_bwd(dpart.transpose(0, 2, 1, 3).reshape(bsz, t, d), c_lin)
-        dh_total += dx_part
-        param_grads += [dw, db]
-    return (dh_total, *param_grads)
+    dq, dk, dv = (a.transpose(0, 2, 1, 3).reshape(bsz, t, d)
+                  for a in (dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, dvh))
+    dxq, dwq, dbq = nn.linear_bwd(dq, c_q)
+    dxk, dwk, _ = nn.linear_bwd(dk, c_k)
+    dxv, dwv, dbv = nn.linear_bwd(dv, c_v)
+    return dxq + dxk + dxv, dwq, dbq, dwk, dwv, dbv
 
 
 def _mhsa_fwd(x, params, pre, num_heads, drop, mode, rng):
     tape = nn.Tape(params, mode)
     h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x, f"{pre}.ln.gamma", f"{pre}.ln.beta")
     h = tape.op(_attention_fwd, _attention_bwd, h,
-                *(f"{pre}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
+                *(f"{pre}.{n}" for n in ("wq", "bq", "wk", "wv", "bv")),
                 num_heads=num_heads, drop=drop, mode=mode, rng=rng)
     h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.wo", f"{pre}.bo")
     h = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=drop, mode=mode, rng=rng)
@@ -193,7 +192,7 @@ def _convmod_fwd(x, params, pre, state, drop, mode, rng):
     h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x, f"{pre}.ln.gamma", f"{pre}.ln.beta")
     h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.pw1.w", f"{pre}.pw1.b")
     h = tape.op(nn.glu_fwd, nn.glu_bwd, h)
-    h = tape.op(nn.depthwise_conv1d_fwd, nn.depthwise_conv1d_bwd, h, f"{pre}.dw.w", f"{pre}.dw.b")
+    h = tape.op(nn.depthwise_conv1d_fwd, nn.depthwise_conv1d_bwd, h, f"{pre}.dw.w")
     h, c_bn, new_mean, new_var = nn.batch_norm_fwd(
         h, params[f"{pre}.bn.gamma"], params[f"{pre}.bn.beta"],
         state[f"{pre}.bn.running_mean"], state[f"{pre}.bn.running_var"], mode)

@@ -44,6 +44,18 @@ def _as_compute(arrays: dict) -> dict:
     return {k: np.asarray(v, dtype=COMPUTE_DTYPE) for k, v in arrays.items()}
 
 
+def _drop_dead_biases(params: dict, state: dict) -> None:
+    """Remove the attention key biases and depthwise-conv biases that
+    archives from before their removal carry, keeping the eval output: the
+    softmax over keys cancels a key bias, and a depthwise bias only shifts
+    the batch norm after it, so it is folded into that running mean."""
+    for name in [k for k in params if k.endswith((".attn.bk", ".conv.dw.b"))]:
+        bias = params.pop(name)
+        mean = name.removesuffix("dw.b") + "bn.running_mean"
+        if name.endswith(".dw.b") and mean in state:
+            state[mean] = state[mean] - bias
+
+
 @dataclass
 class ModelOutput:
     """Raw per-block tap embeddings and raw speaker embedding (float64),
@@ -170,6 +182,7 @@ class SpeakerModel:
                                   if k.startswith("param/")})
             state = _as_compute({k[len("state/"):]: archive[k] for k in archive.files
                                  if k.startswith("state/")})
+        _drop_dead_biases(params, state)
         try:
             encoder = dict(meta["encoder"])
             # archives from before the stride-2 frontend became fixed name it

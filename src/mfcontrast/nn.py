@@ -48,9 +48,10 @@ def _position_sum(x):
 
 
 def linear_fwd(x, w, b):
+    """x @ w + b, or x @ w when b is None."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
-    return x @ w + b, (x, w)
+    return (x @ w if b is None else x @ w + b), (x, w)
 
 
 def linear_bwd(dy, cache):
@@ -196,16 +197,18 @@ def dropout_bwd(dy, cache):
 # convolutions (time axis is axis 1; x is (B, T, C))
 
 
-def depthwise_conv1d_fwd(x, w, b):
-    """Per-channel convolution along time with same padding. w is (K, C)."""
+def depthwise_conv1d_fwd(x, w):
+    """Per-channel convolution along time with same padding. w is (K, C).
+    It has no bias: every caller follows it with a batch norm, which
+    removes one."""
     k, c = w.shape
     if x.shape[-1] != c:
         raise ShapeError(f"depthwise conv: {x.shape[-1]} channels vs kernel {c}")
     p = (k - 1) // 2
     t = x.shape[1]
     xp = np.pad(x, ((0, 0), (p, p), (0, 0)))
-    y = np.broadcast_to(b, x.shape).copy()
-    for i in range(k):
+    y = xp[:, :t, :] * w[0]
+    for i in range(1, k):
         y += xp[:, i:i + t, :] * w[i]
     return y, (xp, w, t, p)
 
@@ -218,8 +221,7 @@ def depthwise_conv1d_bwd(dy, cache):
     for i in range(k):
         dxp[:, i:i + t, :] += dy * w[i]
         dw[i] = (dy * xp[:, i:i + t, :]).sum(axis=(0, 1))
-    db = dy.sum(axis=(0, 1))
-    return dxp[:, p:p + t, :], dw, db
+    return dxp[:, p:p + t, :], dw
 
 
 def strided_conv1d_fwd(x, w, b, stride=2):

@@ -68,16 +68,20 @@ class FullModelReadout:
 
 
 def directional_fd(f, arrays: dict, direction: dict):
+    """Five-point difference quotient of f along ``direction``. Its error is
+    O(STEP^4); a central difference's O(STEP^2) error read up to 3.6e-7
+    relative on some random directions of the full model."""
     saved = {k: v.copy() for k, v in arrays.items()}
-    for k in arrays:
-        arrays[k][...] = saved[k] + STEP * direction[k]
-    fp = f()
-    for k in arrays:
-        arrays[k][...] = saved[k] - STEP * direction[k]
-    fm = f()
+
+    def at(t):
+        for k in arrays:
+            arrays[k][...] = saved[k] + t * direction[k]
+        return f()
+
+    value = (8.0 * (at(STEP) - at(-STEP)) - (at(2 * STEP) - at(-2 * STEP))) / (12 * STEP)
     for k in arrays:
         arrays[k][...] = saved[k]
-    return (fp - fm) / (2 * STEP)
+    return value
 
 
 class TestFullModelGradient:
@@ -209,17 +213,9 @@ class TestComputeDtypePolicy:
         loss32, g32 = loss_and_grads(m32, cfg, feats, labels, is_aug)
         loss64, g64 = loss_and_grads(m64, cfg, feats, labels, is_aug)
         assert abs(loss32 - loss64) / abs(loss64) < 1e-6
-        global_norm = np.sqrt(sum(np.sum(g ** 2) for g in g64.values()))
-        compared = 0
+        assert g32.keys() == g64.keys()
         for name, g in g64.items():
-            # conv.dw.b and attn.bk have structurally zero gradients (a
-            # train-mode BN follows the first; softmax over keys ignores the
-            # second); what is left of them is rounding noise
-            if np.linalg.norm(g) <= 1e-6 * global_norm:
-                continue
-            compared += 1
             assert rel_error(g32[name], g) < 1e-4, name
-        assert compared > 0.9 * len(g64)
 
     def test_one_train_step_stays_float32(self, monkeypatch):
         enc = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
@@ -324,6 +320,29 @@ class TestCheckpoint:
         assert loaded.enc_cfg == m.enc_cfg
         utt = np.random.default_rng(11).standard_normal((30, 8))
         np.testing.assert_array_equal(loaded.embed_utterance(utt), m.embed_utterance(utt))
+
+    def test_loads_archive_with_key_and_depthwise_biases(self, tmp_path):
+        # older archives carry attn.bk and conv.dw.b; their eval output
+        # ignores the first and carries the second in the batch-norm mean
+        m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3)
+        rng = np.random.default_rng(13)
+        m.forward(rng.standard_normal((4, 12, 8)), mode="train")  # move the BN state
+        path = tmp_path / "checkpoint.npz"
+        m.save(path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        for i in range(TINY_ENC.num_blocks):
+            pre = f"encoder.block{i}"
+            arrays[f"param/{pre}.attn.bk"] = rng.standard_normal(16).astype(np.float32)
+            bias = rng.standard_normal(16).astype(np.float32)
+            arrays[f"param/{pre}.conv.dw.b"] = bias
+            arrays[f"state/{pre}.conv.bn.running_mean"] += bias
+        np.savez(path, **arrays)
+        loaded = SpeakerModel.load(path)
+        assert loaded.params.keys() == m.params.keys()
+        utt = rng.standard_normal((30, 8))
+        np.testing.assert_allclose(loaded.embed_utterance(utt), m.embed_utterance(utt),
+                                   rtol=1e-4, atol=1e-5)
 
     def test_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "checkpoint.npz"

@@ -24,6 +24,12 @@ def case_linear(normal):
     return f, [x, w, b], nn.linear_bwd(r, nn.linear_fwd(x, w, b)[1])
 
 
+def case_linear_no_bias(normal):
+    x, w = normal((2, 5, 4)), normal((4, 3))
+    f, r = readout(lambda: nn.linear_fwd(x, w, None), (2, 5, 3), normal)
+    return f, [x, w], nn.linear_bwd(r, nn.linear_fwd(x, w, None)[1])[:2]
+
+
 def case_layer_norm(normal):
     g, b, x = normal(6), normal(6), normal((3, 4, 6))
     f, r = readout(lambda: nn.layer_norm_fwd(x, g, b), x.shape, normal)
@@ -59,9 +65,9 @@ def case_glu(normal):
 
 
 def case_depthwise_conv1d(normal):
-    x, w, b = normal((2, 9, 4)), normal((5, 4)), normal(4)
-    f, r = readout(lambda: nn.depthwise_conv1d_fwd(x, w, b), x.shape, normal)
-    return f, [x, w, b], nn.depthwise_conv1d_bwd(r, nn.depthwise_conv1d_fwd(x, w, b)[1])
+    x, w = normal((2, 9, 4)), normal((5, 4))
+    f, r = readout(lambda: nn.depthwise_conv1d_fwd(x, w), x.shape, normal)
+    return f, [x, w], nn.depthwise_conv1d_bwd(r, nn.depthwise_conv1d_fwd(x, w)[1])
 
 
 def case_strided_conv1d(normal):
@@ -84,7 +90,7 @@ def case_l2_normalize(normal):
 
 
 CASES = {
-    "linear": case_linear, "layer_norm": case_layer_norm,
+    "linear": case_linear, "linear_no_bias": case_linear_no_bias, "layer_norm": case_layer_norm,
     "batch_norm_train": batch_norm_case("train"), "batch_norm_eval": batch_norm_case("eval"),
     "softmax": case_softmax, "silu": case_silu, "glu": case_glu,
     "depthwise_conv1d": case_depthwise_conv1d, "strided_conv1d": case_strided_conv1d,
