@@ -142,34 +142,68 @@ def _ffn_fwd(x, params, pre, drop, mode, rng):
     return h, tape
 
 
+# attention scores are computed in blocks of batch rows holding about this
+# many bytes of scores, so a block's scores, probabilities and dropout mask
+# stay in a 2 MiB per-core L2 cache
+_SCORE_BLOCK_BYTES = 1 << 20
+
+
+def _score_blocks(rows, row_bytes):
+    """Slices that split ``rows`` batch rows into the fewest equal blocks
+    of at most about _SCORE_BLOCK_BYTES each."""
+    count = max(1, -(-rows * row_bytes // _SCORE_BLOCK_BYTES))
+    size = -(-rows // count)
+    return [slice(i, i + size) for i in range(0, rows, size)]
+
+
+def _heads(a, num_heads):
+    """(B, T, D) -> a (B, H, T, D / H) view."""
+    bsz, t, d = a.shape
+    return a.reshape(bsz, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
 def _attention_fwd(h, wq, bq, wk, wv, bv, num_heads, drop, mode, rng):
     """Multi-head scaled dot-product self-attention of the (B, T, D) map h,
-    up to the output projection: (B, T, D) concatenated head contexts."""
+    up to the output projection: (B, T, D) concatenated head contexts.
+
+    The projections run on the whole batch; scores, softmax, dropout and
+    context run per block of batch rows (``_score_blocks``). Dropout masks
+    are drawn block by block in row order, so they equal one draw over the
+    whole batch."""
     bsz, t, d = h.shape
-    dh = d // num_heads
     q, c_q = nn.linear_fwd(h, wq, bq)
     k, c_k = nn.linear_fwd(h, wk, None)
     v, c_v = nn.linear_fwd(h, wv, bv)
-    qh, kh, vh = (a.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3) for a in (q, k, v))
+    qh, kh, vh = (_heads(a, num_heads) for a in (q, k, v))
     # a Python float: an np.float64 scale would promote float32 scores
-    scale = 1.0 / math.sqrt(dh)
-    attn, c_sm = nn.softmax_fwd((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
-    attn_d, c_dp = nn.dropout_fwd(attn, drop, mode, rng)
-    ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(bsz, t, d)
-    return ctx, (c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, scale)
+    scale = 1.0 / math.sqrt(d // num_heads)
+    ctx = np.empty(q.shape, q.dtype)
+    ctx_h = _heads(ctx, num_heads)
+    blocks = []
+    for rows in _score_blocks(bsz, num_heads * t * t * q.itemsize):
+        scores = qh[rows] @ kh[rows].transpose(0, 1, 3, 2)
+        scores *= scale
+        attn, c_sm = nn.softmax_fwd(scores)
+        attn_d, c_dp = nn.dropout_fwd(attn, drop, mode, rng)
+        np.matmul(attn_d, vh[rows], out=ctx_h[rows])
+        blocks.append((rows, c_sm, c_dp, attn_d))
+    return ctx, (c_q, c_k, c_v, qh, kh, vh, blocks, scale)
 
 
 def _attention_bwd(dctx, cache):
     """Gradients for h, wq, bq, wk, wv, bv."""
-    c_q, c_k, c_v, qh, kh, vh, c_sm, c_dp, attn_d, scale = cache
-    bsz, num_heads, t, dh = qh.shape
-    d = num_heads * dh
-    dctx = dctx.reshape(bsz, t, num_heads, dh).transpose(0, 2, 1, 3)
-    dattn = nn.dropout_bwd(dctx @ vh.transpose(0, 1, 3, 2), c_dp)
-    dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
-    dscores = nn.softmax_bwd(dattn, c_sm) * scale
-    dq, dk, dv = (a.transpose(0, 2, 1, 3).reshape(bsz, t, d)
-                  for a in (dscores @ kh, dscores.transpose(0, 1, 3, 2) @ qh, dvh))
+    c_q, c_k, c_v, qh, kh, vh, blocks, scale = cache
+    num_heads = qh.shape[1]
+    dq, dk, dv = (np.empty(dctx.shape, dctx.dtype) for _ in range(3))
+    dctx = _heads(dctx, num_heads)
+    dqh, dkh, dvh = (_heads(a, num_heads) for a in (dq, dk, dv))
+    for rows, c_sm, c_dp, attn_d in blocks:
+        dattn = nn.dropout_bwd(dctx[rows] @ vh[rows].transpose(0, 1, 3, 2), c_dp)
+        np.matmul(attn_d.transpose(0, 1, 3, 2), dctx[rows], out=dvh[rows])
+        dscores = nn.softmax_bwd(dattn, c_sm)
+        dscores *= scale
+        np.matmul(dscores, kh[rows], out=dqh[rows])
+        np.matmul(dscores.transpose(0, 1, 3, 2), qh[rows], out=dkh[rows])
     dxq, dwq, dbq = nn.linear_bwd(dq, c_q)
     dxk, dwk, _ = nn.linear_bwd(dk, c_k)
     dxv, dwv, dbv = nn.linear_bwd(dv, c_v)

@@ -2,7 +2,8 @@
 crops, and additive-noise / reverberation augmentation.
 
 Everything here is a pure function of its inputs plus explicit seeds, so the
-whole module is safe to call concurrently.
+whole module is safe to call concurrently. Spectra and convolutions use
+numpy's FFT only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 
 class LengthError(ValueError):
@@ -135,6 +135,17 @@ def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
     return window, fb
 
 
+def _log_mel(frames: np.ndarray, n_fft: int, fb: np.ndarray, log_floor: float) -> np.ndarray:
+    """Floored log mel energies of windowed (T, flen) frames under the
+    filterbank ``fb``. The rfft's interleaved real and imaginary parts are
+    squared in place and added pairwise into |X|^2, with no complex abs."""
+    sq = np.fft.rfft(frames, n=n_fft, axis=1).view(np.float64)
+    np.square(sq, out=sq)
+    energy = (sq[:, 0::2] + sq[:, 1::2]) @ fb.T
+    np.maximum(energy, log_floor, out=energy)
+    return np.log(energy, out=energy)
+
+
 def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
                   frame_shift: float = 0.010, log_floor: float = 1e-10) -> FeatureMatrix:
     """Log mel-filterbank features from a waveform.
@@ -158,9 +169,7 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
         n_fft *= 2
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, flen)[::fshift] * window
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    mel_energy = power @ fb.T
-    values = np.log(np.maximum(mel_energy, log_floor))
+    values = _log_mel(frames, n_fft, fb, log_floor)
     return FeatureMatrix(values, frame_shift=frame_shift, speaker_id=w.speaker_id)
 
 
@@ -213,16 +222,42 @@ def add_noise(w: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     return Waveform(w.samples + gain * n, w.sample_rate, w.speaker_id, w.utterance_id)
 
 
+def _fast_real_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's real FFT runs fast, and
+    the one ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            f = p35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def add_reverb(w: Waveform, ir: np.ndarray) -> Waveform:
     """Convolve with an impulse response, truncate to the input length, and
-    renormalize to the input peak amplitude."""
+    renormalize to the input peak amplitude.
+
+    The convolution runs through a real FFT of ``_fast_real_length`` points,
+    the same arithmetic as ``scipy.signal.fftconvolve``; a one-tap response
+    is an exact multiply."""
     ir = np.asarray(ir, dtype=np.float64)
     if ir.size == 0 or not np.any(ir):
         raise DegenerateInputError("impulse response is empty or all-zero")
-    out = fftconvolve(w.samples, ir, mode="full")[:w.samples.size]
+    x = w.samples
+    if min(x.size, ir.size) == 1:
+        out = (x * ir)[:x.size]
+    else:
+        nfft = _fast_real_length(x.size + ir.size - 1)
+        out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(ir, nfft), nfft)[:x.size]
     peak = np.max(np.abs(out))
     if peak > 0.0:
-        out = out * (np.max(np.abs(w.samples)) / peak)
+        out = out * (np.max(np.abs(x)) / peak)
     return Waveform(out, w.sample_rate, w.speaker_id, w.utterance_id)
 
 

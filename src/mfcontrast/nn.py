@@ -10,14 +10,18 @@ scalars so they never promote it. Batch axes lead, channels are last.
 cache on a tape, and its backward replays the tape. An eval-mode tape
 records nothing, so an eval forward keeps no caches.
 
-The kernels run single-threaded and follow three rules on their hot paths.
+The kernels run single-threaded and follow four rules on their hot paths.
 No einsum: its unoptimised loops are slower than the equivalent
-matmuls. Weight products in the backward passes and sums over the channel
-axis or over all leading axes run as one 2-D GEMM or GEMV on the activation
+matmuls. Weight products in the backward passes, and every sum over the
+channel axis or over all leading axes (the layer-norm, softmax and
+batch-norm sums among them), run as one 2-D GEMM or GEMV on the activation
 flattened to (positions, channels): numpy runs ``(B, T, N) @ w.T`` as one
 GEMM per batch row, and its reductions are several times slower than a
 GEMV. The sigmoid is ``0.5 + 0.5 * tanh(x / 2)``, which has a SIMD float32
-loop and cannot overflow.
+loop and cannot overflow. Attention scores are computed in blocks of batch
+rows holding about 1 MiB of scores (``encoder._SCORE_BLOCK_BYTES``), so a
+block's scores, probabilities and dropout mask stay in the reference host's
+2 MiB per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -91,54 +95,65 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode,
                    momentum=0.1, eps=1e-5):
     """Normalizes each channel over all leading axes.
 
-    Train mode uses batch statistics (biased variance) and returns updated
-    running statistics; eval mode uses the running statistics unchanged.
+    Train mode uses batch statistics (biased variance, the mean of the
+    centred squares) and returns updated running statistics; eval mode uses
+    the running statistics unchanged.
     """
-    flat = x.reshape(-1, x.shape[-1])
+    m = x.size // x.shape[-1]
     if mode == "train":
-        mu = flat.mean(axis=0)
-        var = flat.var(axis=0)
+        mean_weights = np.full(m, 1.0 / m, dtype=x.dtype)
+        mu = mean_weights @ x.reshape(m, -1)
+        xhat = x - mu
+        sq = xhat * xhat
+        var = mean_weights @ sq.reshape(m, -1)
         new_mean = (1.0 - momentum) * running_mean + momentum * mu
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
         mu, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
+        xhat = x - mu
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    y = gamma * xhat + beta
-    cache = (xhat, inv, gamma, mode, flat.shape[0])
-    return y, cache, new_mean, new_var
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv, gamma, mode, m), new_mean, new_var
 
 
 def batch_norm_bwd(dy, cache):
     xhat, inv, gamma, mode, m = cache
-    lead = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=lead)
-    dbeta = dy.sum(axis=lead)
-    dxhat = dy * gamma
-    if mode == "train":
-        dx = inv / m * (m * dxhat
-                        - dxhat.sum(axis=lead)
-                        - xhat * (dxhat * xhat).sum(axis=lead))
-    else:
-        dx = dxhat * inv
-    return dx, dgamma, dbeta
+    g = dy * xhat
+    dgamma = _position_sum(g)
+    dbeta = _position_sum(dy)
+    if mode != "train":
+        np.multiply(dy, gamma * inv, out=g)
+        return g, dgamma, dbeta
+    # dx = inv / m * (m dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)) with
+    # dxhat = gamma dy, whose position sums are gamma dbeta and gamma dgamma
+    np.multiply(xhat, dgamma / m, out=g)
+    np.subtract(dy, g, out=g)
+    g -= dbeta / m
+    g *= gamma * inv
+    return g, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
 # activations
 
 
-def softmax_fwd(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
-    return p, (p, axis)
+def softmax_fwd(x):
+    """Softmax over the last axis; the cache is the output."""
+    p = x - x.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= _channel_dot(p, np.ones(p.shape[-1], dtype=p.dtype))
+    return p, p
 
 
-def softmax_bwd(dy, cache):
-    p, axis = cache
-    return p * (dy - (dy * p).sum(axis=axis, keepdims=True))
+def softmax_bwd(dy, p):
+    # p * (dy - sum(dy * p)), built in one temporary
+    g = dy * p
+    np.subtract(dy, _channel_dot(g, np.ones(p.shape[-1], dtype=p.dtype)), out=g)
+    g *= p
+    return g
 
 
 def sigmoid(x):
@@ -176,10 +191,16 @@ def glu_fwd(x):
 
 
 def glu_bwd(dy, cache):
+    # da = dy * s and db = da * a * (1 - s), written into one output
     a, s = cache
-    da = dy * s
-    db = dy * a * s * (1.0 - s)
-    return np.concatenate([da, db], axis=-1)
+    c = a.shape[-1]
+    dx = np.empty(dy.shape[:-1] + (2 * c,), dtype=dy.dtype)
+    da, db = dx[..., :c], dx[..., c:]
+    np.multiply(dy, s, out=da)
+    np.subtract(1.0, s, out=db)
+    db *= a
+    db *= da
+    return dx
 
 
 def dropout_fwd(x, rate, mode, rng):
@@ -208,8 +229,10 @@ def depthwise_conv1d_fwd(x, w):
     t = x.shape[1]
     xp = np.pad(x, ((0, 0), (p, p), (0, 0)))
     y = xp[:, :t, :] * w[0]
+    tap = np.empty_like(y)
     for i in range(1, k):
-        y += xp[:, i:i + t, :] * w[i]
+        np.multiply(xp[:, i:i + t, :], w[i], out=tap)
+        y += tap
     return y, (xp, w, t, p)
 
 
@@ -217,10 +240,13 @@ def depthwise_conv1d_bwd(dy, cache):
     xp, w, t, p = cache
     k = w.shape[0]
     dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    dw = np.empty_like(w)
+    tap = np.empty_like(dy)
     for i in range(k):
-        dxp[:, i:i + t, :] += dy * w[i]
-        dw[i] = (dy * xp[:, i:i + t, :]).sum(axis=(0, 1))
+        np.multiply(dy, w[i], out=tap)
+        dxp[:, i:i + t, :] += tap
+        np.multiply(dy, xp[:, i:i + t, :], out=tap)
+        dw[i] = _position_sum(tap)
     return dxp[:, p:p + t, :], dw
 
 
@@ -268,7 +294,7 @@ def attentive_stats_fwd(h, w, b, v, eps=1e-8):
     u = h @ w + b
     a = np.tanh(u)
     e = a @ v
-    alpha, sm_cache = softmax_fwd(e, axis=-1)
+    alpha, sm_cache = softmax_fwd(e)
     weights = alpha[:, None, :]
     mu = (weights @ h)[:, 0]
     m2 = (weights @ (h * h))[:, 0]

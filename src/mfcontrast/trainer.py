@@ -104,8 +104,9 @@ def build_batch(utterances, cfg: TrainConfig, rng_seed: int,
     """Doubled training batch from B sampled utterances.
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
-    counterparts in matching order. Returns (features (2B, T, F), labels
-    (2B,), is_augmented (2B,)). Deterministic under rng_seed.
+    counterparts in matching order. Returns (features (2B, T, F) as
+    float32, labels (2B,), is_augmented (2B,)). Deterministic under
+    rng_seed.
     """
     if not utterances:
         raise ValueError("cannot build a batch from an empty dataset")
@@ -118,7 +119,7 @@ def build_batch(utterances, cfg: TrainConfig, rng_seed: int,
              for w in utterances]
     augmented = [sampler.apply(c, rng) for c in crops]
     feats = np.stack([extract_fbank(x, cfg.n_mels, cfg.frame_len, cfg.frame_shift).values
-                      for x in crops + augmented])
+                      for x in crops + augmented], dtype=np.float32)
     labels = np.array([label_map[w.speaker_id] for w in crops + augmented], dtype=int)
     is_augmented = np.array([False] * len(crops) + [True] * len(augmented))
     return feats, labels, is_augmented
@@ -282,8 +283,10 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     Writes one JSON-lines record per step (and a checkpoint at the end)
     when ``out_dir`` is given; evaluates on ``trials`` against ``store``
     every ``cfg.eval_every`` steps and once at the end when provided. Each
-    record carries the loss breakdown, the step's wall time ``step_s`` and
-    the minor page faults the process took during it, ``minor_faults``.
+    record carries the loss breakdown, the wall time of the step's
+    ``build_batch`` (``data_s``) and of the step itself (``step_s``), and
+    the minor page faults the process took during the step,
+    ``minor_faults``.
 
     Allocator policy: before it builds the model, ``train`` sets glibc's
     mmap threshold to 4 MiB and its trim threshold to 256 MiB, so buffers a
@@ -322,9 +325,11 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
             perm = order_rng.permutation(len(corpus))
             for s in range(steps_per_epoch):
                 picked = [corpus[i] for i in perm[s * batch:(s + 1) * batch]]
+                t0 = time.perf_counter()
                 feats, labels, is_aug = build_batch(
                     picked, cfg, _derive_seed(cfg.seed, 1, epoch, s),
                     sampler=sampler, label_map=label_map)
+                data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
                 faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
@@ -334,7 +339,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
                 record = {"step": step, "epoch": epoch, "lr": lr,
                           "objective": cfg.objective, **breakdown,
-                          "step_s": step_s, "minor_faults": faults}
+                          "data_s": data_s, "step_s": step_s, "minor_faults": faults}
                 history.append(record)
                 if log_file is not None:
                     log_file.write(json.dumps(_jsonable(record)) + "\n")

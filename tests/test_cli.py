@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +28,15 @@ def small_config(path):
 def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert f'\nversion = "{__version__}"\n' in pyproject.read_text()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, mfcontrast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_a_usage_error(tmp_path):

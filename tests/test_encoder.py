@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mfcontrast import encoder
 from mfcontrast.encoder import (EncoderConfig, init_encoder_params,
-                                subsampled_length, _block_fwd, _encoder_bwd,
-                                _encoder_fwd, _frontend_fwd)
+                                subsampled_length, _attention_bwd, _attention_fwd,
+                                _block_fwd, _encoder_bwd, _encoder_fwd, _frontend_fwd)
 from mfcontrast.features import LengthError
 from mfcontrast.heads import HeadConfig, _mfa_fwd, init_head_params
 from mfcontrast.nn import ShapeError
@@ -177,6 +178,30 @@ class TestEncodeWithTaps:
         c, _, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(10))
         np.testing.assert_array_equal(a[-1], b[-1])
         assert not np.array_equal(a[-1], c[-1])
+
+
+def attention_run(h, weights, dctx):
+    """Train-mode attention forward (dropout 0.2, seeded) and its six
+    gradients, plus the number of score blocks it used."""
+    ctx, cache = _attention_fwd(h, *weights, num_heads=4, drop=0.2, mode="train",
+                                rng=np.random.default_rng(11))
+    return [ctx, *_attention_bwd(dctx, cache)], len(cache[6])
+
+
+def test_blocked_attention_equals_one_block(monkeypatch):
+    # 4 heads x 18 frames x 3 rows: every block holds a multiple of 8 softmax
+    # rows, so the BLAS GEMV groups rows as it does in the one-block run and
+    # the sums are bit-identical
+    rng = np.random.default_rng(3)
+    h, dctx = (rng.standard_normal((7, 18, 16)).astype(np.float32) for _ in range(2))
+    weights = [rng.standard_normal(s).astype(np.float32) / 4
+               for s in ((16, 16), 16, (16, 16), (16, 16), 16)]
+    one, one_count = attention_run(h, weights, dctx)
+    monkeypatch.setattr(encoder, "_SCORE_BLOCK_BYTES", 3 * 4 * 18 * 18 * 4)
+    blocked, blocked_count = attention_run(h, weights, dctx)
+    assert (one_count, blocked_count) == (1, 3)
+    for a, b in zip(one, blocked):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestFullNetworkGradient:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from mfcontrast import features
 from mfcontrast.features import (AugmentSampler, AugmentSpec, DegenerateInputError,
@@ -79,17 +80,29 @@ class TestExtractFbank:
 
     @pytest.mark.parametrize("n, sr", [(400, 16000), (12_837, 8000), (64_000, 16000)])
     def test_strided_framing_equals_the_index_matrix_gather(self, n, sr):
-        # reference: every frame gathered through an explicit index matrix
+        # reference: every frame gathered through an explicit index matrix,
+        # then the same spectrum -> log-mel step
         samples = 0.3 * np.random.default_rng(n).standard_normal(n)
         flen, fshift, n_fft = sr // 40, sr // 100, 512 if sr == 16000 else 256
         num_frames = (n - flen) // fshift + 1
         idx = np.arange(num_frames)[:, None] * fshift + np.arange(flen)[None, :]
-        frames = samples[idx] * np.hamming(flen)
-        power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-        expected = np.log(np.maximum(power @ mel_filterbank(40, n_fft, sr).T, 1e-10))
+        _, fb = features._frame_weights(40, n_fft, sr, flen)
+        expected = features._log_mel(samples[idx] * np.hamming(flen), n_fft, fb, 1e-10)
         got = extract_fbank(Waveform(samples, sr), n_mels=40).values
         assert got.shape == (num_frames, 40)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_fft, sr, n_mels", [(512, 16000, 80), (256, 8000, 40)])
+    def test_log_mel_matches_the_textbook_power_spectrum(self, n_fft, sr, n_mels):
+        # log(max(|rfft|^2 @ fb.T, floor)), with |X| from np.abs
+        rng = np.random.default_rng(n_fft)
+        frames = rng.standard_normal((300, sr // 40)) * np.hamming(sr // 40)
+        frames[::7] *= 1e-6  # frames whose low bands reach the floor
+        fb = mel_filterbank(n_mels, n_fft, sr)
+        power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+        expected = np.log(np.maximum(power @ fb.T, 1e-10))
+        got = features._log_mel(frames, n_fft, fb, 1e-10)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestRandomCrop:
@@ -190,6 +203,15 @@ class TestAddReverb:
         full = direct_convolution(x, ir)[:500]
         expected = full * (np.max(np.abs(x)) / np.max(np.abs(full)))
         np.testing.assert_allclose(out.samples, expected, atol=1e-6 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2000, 1), (1, 9), (500, 64), (4001, 4000),
+                                      (12_837, 2000), (48_000, 4000)])
+    def test_equals_scipy_fftconvolve_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(n + m)
+        x, ir = rng.standard_normal(n), rng.standard_normal(m)
+        full = fftconvolve(x, ir)[:n]
+        expected = full * (np.max(np.abs(x)) / np.max(np.abs(full)))
+        np.testing.assert_array_equal(add_reverb(Waveform(x, 16000), ir).samples, expected)
 
     def test_peak_renormalized(self):
         rng = np.random.default_rng(8)

@@ -57,7 +57,7 @@ def test_every_record_has_the_same_breakdown_keys(histories):
     keys = {frozenset(h) for runs in histories.values() for h in runs[0]}
     assert keys == {frozenset({"step", "epoch", "lr", "objective", "total", "ams",
                                "contrastive", "speaker_contrastive", "lambda_tap",
-                               "lambda_spk", "step_s", "minor_faults"})}
+                               "lambda_spk", "data_s", "step_s", "minor_faults"})}
 
 
 def test_unknown_objective_is_rejected():
