@@ -191,15 +191,16 @@ def glu_fwd(x):
 
 
 def glu_bwd(dy, cache):
-    # da = dy * s and db = da * a * (1 - s), written into one output
+    # da = dy * s and db = da * a * (1 - s), written into one output; the
+    # product (1 - s) * a is built in a contiguous temporary, because
+    # in-place passes over a half-width view of the output are slower
     a, s = cache
     c = a.shape[-1]
     dx = np.empty(dy.shape[:-1] + (2 * c,), dtype=dy.dtype)
-    da, db = dx[..., :c], dx[..., c:]
-    np.multiply(dy, s, out=da)
-    np.subtract(1.0, s, out=db)
-    db *= a
-    db *= da
+    da = np.multiply(dy, s, out=dx[..., :c])
+    g = 1.0 - s
+    g *= a
+    np.multiply(g, da, out=dx[..., c:])
     return dx
 
 
