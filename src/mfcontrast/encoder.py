@@ -297,10 +297,12 @@ def _encoder_fwd(feats, params, state, cfg, mode="eval", rng=None):
 
 
 def _encoder_bwd(d_taps, tapes, grads):
-    """d_taps: per-block upstream gradients (same shapes as the taps)."""
+    """Adds the encoder's parameter gradients into ``grads``, given the
+    per-block upstream gradients d_taps (same shapes as the taps). Returns
+    None: no gradient is computed for the input features."""
     d = d_taps[-1]
     for i in range(len(d_taps) - 1, -1, -1):
         d = tapes[i + 1].backward(d, grads)
         if i > 0:
             d = d + d_taps[i - 1]
-    return _frontend_bwd(d, tapes[0], grads)
+    _frontend_bwd(d, tapes[0], grads)

@@ -135,11 +135,12 @@ def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
     return window, fb
 
 
-def _log_mel(frames: np.ndarray, n_fft: int, fb: np.ndarray, log_floor: float) -> np.ndarray:
-    """Floored log mel energies of windowed (T, flen) frames under the
-    filterbank ``fb``. The rfft's interleaved real and imaginary parts are
-    squared in place and added pairwise into |X|^2, with no complex abs."""
-    sq = np.fft.rfft(frames, n=n_fft, axis=1).view(np.float64)
+def _log_mel(frames: np.ndarray, fb: np.ndarray, log_floor: float) -> np.ndarray:
+    """Floored log mel energies of windowed, zero-padded (T, n_fft) frames
+    under the filterbank ``fb``. The rfft's interleaved real and imaginary
+    parts are squared in place and added pairwise into |X|^2, with no
+    complex abs."""
+    sq = np.fft.rfft(frames, axis=1).view(np.float64)
     np.square(sq, out=sq)
     energy = (sq[:, 0::2] + sq[:, 1::2]) @ fb.T
     np.maximum(energy, log_floor, out=energy)
@@ -154,22 +155,32 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
     window, power spectrum, triangular mel weighting, then a floored log.
     Output has T = floor((len - frame_len*sr) / (frame_shift*sr)) + 1 rows
     and ``n_mels`` columns.
+
+    The frames are one strided view of the samples, multiplied by the
+    window straight into a zeroed (T, n_fft) buffer, n_fft being the
+    smallest power of two that holds a frame; the real FFT then runs on
+    that buffer as it is, with no padding copy of its own.
     """
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
     sr = w.sample_rate
     flen = int(round(frame_len * sr))
     fshift = int(round(frame_shift * sr))
-    if w.samples.size < flen:
+    x = w.samples
+    if x.size < flen:
         raise LengthError(
-            f"waveform has {w.samples.size} samples, shorter than one "
+            f"waveform has {x.size} samples, shorter than one "
             f"{flen}-sample frame")
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
-    frames = np.lib.stride_tricks.sliding_window_view(w.samples, flen)[::fshift] * window
-    values = _log_mel(frames, n_fft, fb, log_floor)
+    num_frames = (x.size - flen) // fshift + 1
+    frames = np.lib.stride_tricks.as_strided(
+        x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
+    buf = np.zeros((num_frames, n_fft))
+    np.multiply(frames, window, out=buf[:, :flen])
+    values = _log_mel(buf, fb, log_floor)
     return FeatureMatrix(values, frame_shift=frame_shift, speaker_id=w.speaker_id)
 
 

@@ -22,6 +22,15 @@ loop and cannot overflow. Attention scores are computed in blocks of batch
 rows holding about 1 MiB of scores (``encoder._SCORE_BLOCK_BYTES``), so a
 block's scores, probabilities and dropout mask stay in the reference host's
 2 MiB per-core L2 cache.
+
+The depthwise convolution is a banded GEMM rather than one multiply-add
+pass per tap. It moves the map to (C, B, T), cuts time into equal tiles
+of at most ``_DEPTHWISE_TILE`` frames, and multiplies each channel's
+tiles by that channel's (L + K - 1, L) band matrix of kernel taps: one
+batched matmul over channels each for the forward, dx and dw, with dw read
+off the band gradient's K diagonals. The strided convolution returns no
+input gradient: its only caller is the frontend, whose input is the
+features, so nothing upstream needs one.
 """
 
 from __future__ import annotations
@@ -219,36 +228,82 @@ def dropout_bwd(dy, cache):
 # convolutions (time axis is axis 1; x is (B, T, C))
 
 
+# the depthwise convolution splits time into equal tiles of at most this
+# many output frames
+_DEPTHWISE_TILE = 24
+
+
+@functools.lru_cache(maxsize=32)
+def _band_index(k, length):
+    """Flat indices of band[s, t] = w[s - t] in an (length + k - 1, length)
+    band matrix, shaped (k, length): row i holds diagonal i."""
+    return np.arange(k)[:, None] * length + np.arange(length) * (length + 1)
+
+
+def _band(w, length):
+    """Per-channel (length + k - 1, length) band matrices of the (k, C)
+    kernel w, stacked (C, length + k - 1, length), built by one indexed
+    assignment."""
+    k, c = w.shape
+    band = np.zeros((c, (length + k - 1) * length), dtype=w.dtype)
+    band[:, _band_index(k, length)] = w.T[:, :, None]
+    return band.reshape(c, length + k - 1, length)
+
+
+def _time_tiles(x, k):
+    """The (B, T, C) map x, zero-padded by (k - 1) // 2 frames on each side
+    and moved to (C, B, time), cut into n equal tiles of ``length`` output
+    frames and their k - 1 frames of overlap: (C, B * n, length + k - 1)
+    and ``length``. One tile is the padded map itself, with no copy."""
+    b, t, c = x.shape
+    p = (k - 1) // 2
+    n = -(-t // _DEPTHWISE_TILE)
+    length = -(-t // n)
+    width = length + k - 1
+    xt = np.empty((c, b, n * length + k - 1), dtype=x.dtype)
+    xt[:, :, :p] = 0.0
+    xt[:, :, p + t:] = 0.0
+    # two batch rows at a time, so the rows being transposed stay in L1
+    for i in range(0, b, 2):
+        xt[:, i:i + 2, p:p + t] = x[i:i + 2].transpose(2, 0, 1)
+    if n == 1:
+        return xt, length
+    s = xt.strides
+    tiles = np.lib.stride_tricks.as_strided(
+        xt, (c, b, n, width), (s[0], s[1], length * s[2], s[2]))
+    return tiles.reshape(c, b * n, width), length
+
+
+def _untile(y, b, t):
+    """(C, B * n, length) tiled output -> the (B, T, C) map."""
+    return np.ascontiguousarray(y.reshape(y.shape[0], b, -1)[:, :, :t].transpose(1, 2, 0))
+
+
 def depthwise_conv1d_fwd(x, w):
     """Per-channel convolution along time with same padding. w is (K, C).
     It has no bias: every caller follows it with a batch norm, which
-    removes one."""
+    removes one. Each channel's time tiles are multiplied by its band
+    matrix, one batched GEMM over channels (see ``_time_tiles``)."""
     k, c = w.shape
     if x.shape[-1] != c:
         raise ShapeError(f"depthwise conv: {x.shape[-1]} channels vs kernel {c}")
-    p = (k - 1) // 2
-    t = x.shape[1]
-    xp = np.pad(x, ((0, 0), (p, p), (0, 0)))
-    y = xp[:, :t, :] * w[0]
-    tap = np.empty_like(y)
-    for i in range(1, k):
-        np.multiply(xp[:, i:i + t, :], w[i], out=tap)
-        y += tap
-    return y, (xp, w, t, p)
+    tiles, length = _time_tiles(x, k)
+    y = _untile(tiles @ _band(w, length), x.shape[0], x.shape[1])
+    return y, (tiles, w)
 
 
 def depthwise_conv1d_bwd(dy, cache):
-    xp, w, t, p = cache
+    # dx is the same-padded convolution of dy with the reversed kernel, and
+    # dw[i] sums diagonal i of the band gradient tiles^T @ (dy's tiles)
+    tiles, w = cache
     k = w.shape[0]
-    dxp = np.zeros_like(xp)
-    dw = np.empty_like(w)
-    tap = np.empty_like(dy)
-    for i in range(k):
-        np.multiply(dy, w[i], out=tap)
-        dxp[:, i:i + t, :] += tap
-        np.multiply(dy, xp[:, i:i + t, :], out=tap)
-        dw[i] = _position_sum(tap)
-    return dxp[:, p:p + t, :], dw
+    p = (k - 1) // 2
+    dtiles, length = _time_tiles(dy, k)
+    dx = _untile(dtiles @ _band(w[::-1], length), dy.shape[0], dy.shape[1])
+    dband = tiles.transpose(0, 2, 1) @ dtiles[:, :, p:p + length]
+    diagonals = dband.reshape(w.shape[1], -1)[:, _band_index(k, length)]
+    dw = diagonals.reshape(-1, length) @ np.ones(length, dtype=dy.dtype)
+    return dx, np.ascontiguousarray(dw.reshape(-1, k).T)
 
 
 def strided_conv1d_fwd(x, w, b, stride=2):
@@ -264,20 +319,19 @@ def strided_conv1d_fwd(x, w, b, stride=2):
     y = np.broadcast_to(b, x.shape[:1] + (t_out, d)).copy()
     for i in range(k):
         y += xp[:, i:i + stride * t_out:stride, :] @ w[i]
-    return y, (xp, w, stride, t, t_out, p)
+    return y, (xp, w, stride, t_out)
 
 
 def strided_conv1d_bwd(dy, cache):
-    xp, w, stride, t, t_out, p = cache
+    """Gradients for w and b; the input gradient is None, because the only
+    caller is the encoder's frontend, whose input is the features."""
+    xp, w, stride, t_out = cache
     k, f, d = w.shape
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    flat = dy.reshape(-1, d)
+    dw = np.empty_like(w)
     for i in range(k):
-        window = xp[:, i:i + stride * t_out:stride, :]
-        dxp[:, i:i + stride * t_out:stride, :] += dy @ w[i].T
-        dw[i] = window.reshape(-1, f).T @ dy.reshape(-1, d)
-    db = dy.sum(axis=(0, 1))
-    return dxp[:, p:p + t, :], dw, db
+        dw[i] = xp[:, i:i + stride * t_out:stride, :].reshape(-1, f).T @ flat
+    return None, dw, _position_sum(flat)
 
 
 # ---------------------------------------------------------------------------

@@ -169,16 +169,24 @@ def compute_objective(out, labels, is_augmented, weights, cfg: TrainConfig):
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
                is_augmented, cfg: TrainConfig, lr: float,
                rng: np.random.Generator):
-    """One forward/backward/update. Returns the loss breakdown."""
+    """One forward/backward/update. Returns the loss breakdown and the wall
+    time of each stage: ``forward_s``, ``loss_s``, ``backward_s`` and
+    ``adam_s``."""
+    t0 = time.perf_counter()
     out = model.forward(feats, mode="train", rng=rng)
+    t1 = time.perf_counter()
     total, breakdown, d_taps, d_spk, d_w = compute_objective(
         out, labels, is_augmented, model.classifier_weights, cfg)
     if not np.isfinite(total):
         raise NonFiniteLossError(breakdown)
+    t2 = time.perf_counter()
     grads = model.backward(out, d_taps, d_spk)
     grads["classifier.w"] = grads["classifier.w"] + d_w
+    t3 = time.perf_counter()
     adam_step(model.params, grads, opt, lr)
-    return breakdown
+    t4 = time.perf_counter()
+    return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1,
+                       "backward_s": t3 - t2, "adam_s": t4 - t3}
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +292,10 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     when ``out_dir`` is given; evaluates on ``trials`` against ``store``
     every ``cfg.eval_every`` steps and once at the end when provided. Each
     record carries the loss breakdown, the wall time of the step's
-    ``build_batch`` (``data_s``) and of the step itself (``step_s``), and
-    the minor page faults the process took during the step,
-    ``minor_faults``.
+    ``build_batch`` (``data_s``), of the step itself (``step_s``) and of
+    its stages (``forward_s``, ``loss_s``, ``backward_s``, ``adam_s``; see
+    ``train_step``), and the minor page faults the process took during the
+    step, ``minor_faults``.
 
     Allocator policy: before it builds the model, ``train`` sets glibc's
     mmap threshold to 4 MiB and its trim threshold to 256 MiB, so buffers a
@@ -333,13 +342,14 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
                 faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
-                breakdown = train_step(model, opt, feats, labels, is_aug,
-                                       cfg, lr, step_rng)
+                breakdown, stages = train_step(model, opt, feats, labels, is_aug,
+                                               cfg, lr, step_rng)
                 step_s = time.perf_counter() - t0
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
                 record = {"step": step, "epoch": epoch, "lr": lr,
                           "objective": cfg.objective, **breakdown,
-                          "data_s": data_s, "step_s": step_s, "minor_faults": faults}
+                          "data_s": data_s, **stages, "step_s": step_s,
+                          "minor_faults": faults}
                 history.append(record)
                 if log_file is not None:
                     log_file.write(json.dumps(_jsonable(record)) + "\n")

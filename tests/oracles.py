@@ -43,6 +43,31 @@ def direct_convolution(x, k):
     return out
 
 
+def direct_depthwise_conv1d(x, w, dy):
+    """Same-padded per-channel convolution of the (B, T, C) map x with the
+    (K, C) kernel w, and the gradients of <y, dy> for x and w, as float64
+    sums over the K taps: y[t] = sum_i x[t + i - p] w[i], p = (K - 1) // 2,
+    with x zero outside [0, T). Returns (y, dx, dw)."""
+    x, w, dy = (np.asarray(a, dtype=np.float64) for a in (x, w, dy))
+    k = w.shape[0]
+    t = x.shape[1]
+    p = (k - 1) // 2
+    y = np.zeros_like(x)
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for i in range(k):
+        shift = i - p  # y[t] takes x[t + shift]
+        out_lo, out_hi = max(0, -shift), min(t, t - shift)
+        if out_lo >= out_hi:
+            continue
+        src = slice(out_lo + shift, out_hi + shift)
+        dst = slice(out_lo, out_hi)
+        y[:, dst] += x[:, src] * w[i]
+        dx[:, src] += dy[:, dst] * w[i]
+        dw[i] = (dy[:, dst] * x[:, src]).sum(axis=(0, 1))
+    return y, dx, dw
+
+
 def plain_temporal_stats(h, eps=1e-8):
     """Uniform-weight mean and std over time of a (T, C) map."""
     t = h.shape[0]

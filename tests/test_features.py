@@ -87,7 +87,9 @@ class TestExtractFbank:
         num_frames = (n - flen) // fshift + 1
         idx = np.arange(num_frames)[:, None] * fshift + np.arange(flen)[None, :]
         _, fb = features._frame_weights(40, n_fft, sr, flen)
-        expected = features._log_mel(samples[idx] * np.hamming(flen), n_fft, fb, 1e-10)
+        frames = np.zeros((num_frames, n_fft))
+        frames[:, :flen] = samples[idx] * np.hamming(flen)
+        expected = features._log_mel(frames, fb, 1e-10)
         got = extract_fbank(Waveform(samples, sr), n_mels=40).values
         assert got.shape == (num_frames, 40)
         assert np.array_equal(got, expected)
@@ -96,13 +98,29 @@ class TestExtractFbank:
     def test_log_mel_matches_the_textbook_power_spectrum(self, n_fft, sr, n_mels):
         # log(max(|rfft|^2 @ fb.T, floor)), with |X| from np.abs
         rng = np.random.default_rng(n_fft)
-        frames = rng.standard_normal((300, sr // 40)) * np.hamming(sr // 40)
+        frames = np.zeros((300, n_fft))
+        frames[:, :sr // 40] = rng.standard_normal((300, sr // 40)) * np.hamming(sr // 40)
         frames[::7] *= 1e-6  # frames whose low bands reach the floor
         fb = mel_filterbank(n_mels, n_fft, sr)
-        power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+        power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
         expected = np.log(np.maximum(power @ fb.T, 1e-10))
-        got = features._log_mel(frames, n_fft, fb, 1e-10)
+        got = features._log_mel(frames, fb, 1e-10)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seconds", [1.0, 4.0])
+    @pytest.mark.parametrize("sr, n_mels", [(8000, 40), (16000, 80)])
+    def test_zero_padded_frames_equal_padding_inside_the_rfft(self, seconds, sr, n_mels):
+        # reference: unpadded windowed frames, zero-padded by rfft(n=n_fft),
+        # then the same squares, pair add, filterbank, floor and log
+        samples = 0.3 * np.random.default_rng(sr).standard_normal(int(seconds * sr))
+        flen, fshift, n_fft = sr // 40, sr // 100, 512 if sr == 16000 else 256
+        window, fb = features._frame_weights(n_mels, n_fft, sr, flen)
+        frames = np.lib.stride_tricks.sliding_window_view(samples, flen)[::fshift] * window
+        sq = np.fft.rfft(frames, n=n_fft, axis=1).view(np.float64)
+        np.square(sq, out=sq)
+        expected = np.log(np.maximum((sq[:, 0::2] + sq[:, 1::2]) @ fb.T, 1e-10))
+        got = extract_fbank(Waveform(samples, sr), n_mels=n_mels).values
+        assert np.array_equal(got, expected)
 
 
 class TestRandomCrop:

@@ -9,7 +9,7 @@ from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.model import SpeakerModel
 
-from oracles import fd_gradient, plain_temporal_stats, rel_error
+from oracles import direct_depthwise_conv1d, fd_gradient, plain_temporal_stats, rel_error
 
 
 def readout(fwd, shape, normal):
@@ -71,9 +71,13 @@ def case_depthwise_conv1d(normal):
 
 
 def case_strided_conv1d(normal):
+    # w and b only: the op returns no input gradient, since its one caller,
+    # the frontend, takes the features as input
     x, w, b = normal((2, 11, 6)), normal((3, 6, 5)), normal(5)
     f, r = readout(lambda: nn.strided_conv1d_fwd(x, w, b), (2, 6, 5), normal)
-    return f, [x, w, b], nn.strided_conv1d_bwd(r, nn.strided_conv1d_fwd(x, w, b)[1])
+    dx, dw, db = nn.strided_conv1d_bwd(r, nn.strided_conv1d_fwd(x, w, b)[1])
+    assert dx is None
+    return f, [w, b], [dw, db]
 
 
 def case_attentive_stats(normal):
@@ -139,6 +143,27 @@ def test_cached_positions_match_a_fresh_build_and_reject_writes():
         cached, nn.sinusoidal_positions.__wrapped__(49, 64, np.dtype(np.float32)))
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("b, t, c, k", [
+    (3, 2, 8, 15),     # fewer frames than taps
+    (4, 49, 8, 7),     # 49 and 150 frames are no multiple of the time tile
+    (2, 150, 5, 7),
+    (1, 200, 64, 7),   # one long utterance, as in evaluation
+    (1, 200, 64, 15),
+    (100, 49, 64, 7),  # the desk preset's conv module
+])
+def test_depthwise_conv1d_matches_the_direct_tap_sum(b, t, c, k):
+    rng = np.random.default_rng(t * k)
+    x, dy = (rng.standard_normal((b, t, c)).astype(np.float32) for _ in range(2))
+    w = rng.standard_normal((k, c)).astype(np.float32)
+    y, cache = nn.depthwise_conv1d_fwd(x, w)
+    dx, dw = nn.depthwise_conv1d_bwd(dy, cache)
+    for got, ref in zip((y, dx, dw), direct_depthwise_conv1d(x, w, dy)):
+        assert got.dtype == np.float32 and got.shape == ref.shape
+        # elementwise rtol, plus the same fraction of the largest value for
+        # the entries that cancel to near zero
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-15), (np.float32, 1e-6)])

@@ -57,7 +57,16 @@ def test_every_record_has_the_same_breakdown_keys(histories):
     keys = {frozenset(h) for runs in histories.values() for h in runs[0]}
     assert keys == {frozenset({"step", "epoch", "lr", "objective", "total", "ams",
                                "contrastive", "speaker_contrastive", "lambda_tap",
-                               "lambda_spk", "data_s", "step_s", "minor_faults"})}
+                               "lambda_spk", "data_s", "forward_s", "loss_s",
+                               "backward_s", "adam_s", "step_s", "minor_faults"})}
+
+
+def test_step_stage_times_are_non_negative_and_within_the_step(histories):
+    for runs in histories.values():
+        for h in runs[0]:
+            stages = [h[k] for k in ("forward_s", "loss_s", "backward_s", "adam_s")]
+            assert min(stages) >= 0.0
+            assert sum(stages) <= h["step_s"]
 
 
 def test_unknown_objective_is_rejected():
