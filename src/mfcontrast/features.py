@@ -166,15 +166,15 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
     sr = w.sample_rate
     flen = int(round(frame_len * sr))
     fshift = int(round(frame_shift * sr))
-    x = w.samples
-    if x.size < flen:
+    if w.samples.size < flen:
         raise LengthError(
-            f"waveform has {x.size} samples, shorter than one "
+            f"waveform has {w.samples.size} samples, shorter than one "
             f"{flen}-sample frame")
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
+    x = w.samples
     num_frames = (x.size - flen) // fshift + 1
     frames = np.lib.stride_tricks.as_strided(
         x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)

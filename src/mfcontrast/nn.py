@@ -263,7 +263,8 @@ def _time_tiles(x, k):
     xt = np.empty((c, b, n * length + k - 1), dtype=x.dtype)
     xt[:, :, :p] = 0.0
     xt[:, :, p + t:] = 0.0
-    # two batch rows at a time, so the rows being transposed stay in L1
+    # two batch rows at a time: measured faster than one transposing copy
+    # of the whole map, in a training step and alone
     for i in range(0, b, 2):
         xt[:, i:i + 2, p:p + t] = x[i:i + 2].transpose(2, 0, 1)
     if n == 1:
