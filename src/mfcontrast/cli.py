@@ -62,21 +62,21 @@ def _load_experiment(args) -> ExperimentConfig:
         cfg = desk_config()
     train_cfg = cfg.train
     loss_cfg = train_cfg.loss
-    if getattr(args, "loss", None):
-        train_cfg = replace(train_cfg, objective=args.loss)
-    if getattr(args, "lambda_", None) is not None:
-        loss_cfg = replace(loss_cfg, lam=args.lambda_)
-    if getattr(args, "lambda1", None) is not None:
-        loss_cfg = replace(loss_cfg, lam1=args.lambda1)
-    if getattr(args, "lambda2", None) is not None:
-        loss_cfg = replace(loss_cfg, lam2=args.lambda2)
-    if getattr(args, "contrastive_kind", None):
-        loss_cfg = replace(loss_cfg, contrastive_kind=args.contrastive_kind)
-    if getattr(args, "seed", None) is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    if getattr(args, "epochs", None) is not None:
-        train_cfg = replace(train_cfg, epochs=args.epochs)
     try:
+        if getattr(args, "loss", None):
+            train_cfg = replace(train_cfg, objective=args.loss)
+        if getattr(args, "lambda_", None) is not None:
+            loss_cfg = replace(loss_cfg, lam=args.lambda_)
+        if getattr(args, "lambda1", None) is not None:
+            loss_cfg = replace(loss_cfg, lam1=args.lambda1)
+        if getattr(args, "lambda2", None) is not None:
+            loss_cfg = replace(loss_cfg, lam2=args.lambda2)
+        if getattr(args, "contrastive_kind", None):
+            loss_cfg = replace(loss_cfg, contrastive_kind=args.contrastive_kind)
+        if getattr(args, "seed", None) is not None:
+            train_cfg = replace(train_cfg, seed=args.seed)
+        if getattr(args, "epochs", None) is not None:
+            train_cfg = replace(train_cfg, epochs=args.epochs)
         train_cfg = replace(train_cfg, loss=loss_cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -167,14 +167,17 @@ def _parse_sweep_values(axis, raw_values):
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if axis == "lambda":
-        return [float(v) for v in values]
-    if axis == "lambda12":
-        out = []
-        for v in values:
-            a, _, b = v.partition(":")
-            out.append((float(a), float(b) if b else float(a)))
-        return out
+    try:
+        if axis == "lambda":
+            return [float(v) for v in values]
+        if axis == "lambda12":
+            out = []
+            for v in values:
+                a, _, b = v.partition(":")
+                out.append((float(a), float(b) if b else float(a)))
+            return out
+    except ValueError as err:
+        raise ConfigError(f"--values for {axis}: {err}") from err
     if axis == "contrastive_kind":
         bad = [v for v in values if v not in CONTRASTIVE_KINDS]
         if bad:
@@ -192,35 +195,39 @@ def _parse_sweep_values(axis, raw_values):
 def _sweep_variant(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
     train_cfg, head_cfg = cfg.train, cfg.head
     loss_cfg = train_cfg.loss
-    if axis == "lambda":
-        train_cfg = replace(train_cfg, objective="mfcon")
-        loss_cfg = replace(loss_cfg, lam=value)
-    elif axis == "lambda12":
-        train_cfg = replace(train_cfg, objective="combined")
-        loss_cfg = replace(loss_cfg, lam1=value[0], lam2=value[1])
-    elif axis == "contrastive_kind":
-        train_cfg = replace(train_cfg, objective="mfcon")
-        loss_cfg = replace(loss_cfg, contrastive_kind=value,
-                           lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
-    elif axis == "sharing":
-        train_cfg = replace(train_cfg, objective="mfcon")
-        loss_cfg = replace(loss_cfg, lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
-        head_cfg = replace(head_cfg,
-                           share_pooling=value in ("pool", "both"),
-                           share_projection=value in ("proj", "both"))
-    return replace(cfg, train=replace(train_cfg, loss=loss_cfg), head=head_cfg)
+    try:
+        if axis == "lambda":
+            train_cfg = replace(train_cfg, objective="mfcon")
+            loss_cfg = replace(loss_cfg, lam=value)
+        elif axis == "lambda12":
+            train_cfg = replace(train_cfg, objective="combined")
+            loss_cfg = replace(loss_cfg, lam1=value[0], lam2=value[1])
+        elif axis == "contrastive_kind":
+            train_cfg = replace(train_cfg, objective="mfcon")
+            loss_cfg = replace(loss_cfg, contrastive_kind=value,
+                               lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
+        elif axis == "sharing":
+            train_cfg = replace(train_cfg, objective="mfcon")
+            loss_cfg = replace(loss_cfg, lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
+            head_cfg = replace(head_cfg,
+                               share_pooling=value in ("pool", "both"),
+                               share_projection=value in ("proj", "both"))
+        return replace(cfg, train=replace(train_cfg, loss=loss_cfg), head=head_cfg)
+    except ValueError as err:
+        raise ConfigError(f"{axis} value {value}: {err}") from err
 
 
 def cmd_sweep(args, argv) -> int:
     cfg = _load_experiment(args)
     values = _parse_sweep_values(args.axis, args.values)
+    # every value is checked before the first run trains
+    variants = [_sweep_variant(cfg, args.axis, value) for value in values]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
+    for value, variant in zip(values, variants):
         tag = (f"{value[0]:g}:{value[1]:g}" if isinstance(value, tuple)
                else f"{value:g}" if isinstance(value, float) else str(value))
-        variant = _sweep_variant(cfg, args.axis, value)
         run_dir = out_dir / f"{args.axis}_{tag.replace(':', '_')}"
         run_dir.mkdir(parents=True, exist_ok=True)
         corpus, trials, store = _resolve_dataset(args, variant)

@@ -86,6 +86,8 @@ class TrainConfig:
             raise ValueError("lr_halve_every must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {tuple(OBJECTIVES)}")
 

@@ -7,6 +7,9 @@ verifies.
 
 import numpy as np
 
+from mfcontrast.metrics import Trial
+from mfcontrast.synthdata import F0_RANGE, RESONANCE_BANDS
+
 
 def fd_gradient(f, x, h=1e-6):
     """Central finite-difference gradient of scalar f() w.r.t. array x,
@@ -185,3 +188,83 @@ def brute_force_supcon(z, labels, tau):
             total += (-1.0 / len(positives)) * np.log(
                 np.exp(np.dot(z[i], z[p]) / tau) / denom)
     return total
+
+
+def direct_synth_utterance(spec, speaker, utt):
+    """One synthetic utterance with its harmonics summed the direct way, one
+    float64 sine per harmonic per sample, drawing the same random numbers
+    in the same order as ``synthdata`` does."""
+    latent_rng = np.random.default_rng([spec.seed, 1000 + speaker])
+    lo, hi = F0_RANGE
+    width = (hi - lo) / spec.n_speakers
+    f0 = lo + width * speaker + latent_rng.uniform(0.1, 0.9) * width
+    resonances = np.array([latent_rng.uniform(a, b) for a, b in RESONANCE_BANDS])
+
+    rng = np.random.default_rng([spec.seed, 1000 + speaker, utt])
+    f0 = f0 * (1.0 + rng.uniform(-0.03, 0.03))
+    resonances = resonances * (1.0 + rng.uniform(-0.04, 0.04, size=3))
+    sr = spec.sample_rate
+    n = int(round(spec.duration * sr))
+    t = np.arange(n) / sr
+    f_max = min(4000.0, 0.45 * sr)
+    num_harmonics = max(3, int(f_max / f0))
+    ks = np.arange(1, num_harmonics + 1)
+    freqs = ks * f0
+    envelope = np.exp(-0.5 * ((freqs[:, None] - resonances[None, :]) / 140.0) ** 2).sum(axis=1)
+    amps = (envelope + 0.03) / ks ** 0.3
+    amps = amps * (freqs / 1000.0) ** rng.uniform(-2.2, 2.2)
+    eq = np.ones_like(freqs)
+    for _ in range(4):
+        depth = rng.uniform(0.0, 1.0)
+        period = rng.uniform(600.0, 2500.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        eq = eq * (1.0 + depth * np.sin(2.0 * np.pi * freqs / period + phase))
+    amps = amps * np.maximum(eq, 0.02)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=num_harmonics)
+    sig = np.zeros(n)
+    for k in range(num_harmonics):
+        sig += amps[k] * np.sin(2.0 * np.pi * freqs[k] * t + phases[k])
+
+    mod_rate = rng.uniform(1.0, 4.0)
+    mod_phase = rng.uniform(0.0, 2.0 * np.pi)
+    sig *= 1.0 + 0.4 * np.sin(2.0 * np.pi * mod_rate * t + mod_phase)
+    sig = 0.15 * sig / np.sqrt(np.mean(sig ** 2))
+    sig *= 10.0 ** (rng.uniform(-8.0, 8.0) / 20.0)
+    sig += rng.uniform(0.01, 0.09) * rng.standard_normal(n)
+    peak = np.max(np.abs(sig))
+    if peak > 0.95:
+        sig *= 0.95 / peak
+    return sig, num_harmonics
+
+
+def loop_trials(corpus, n_target, n_nontarget, seed):
+    """Seeded target/nontarget trials from pair pools built pair by pair as
+    Python tuples: each speaker's pairs (speakers in order of first
+    appearance), then every cross-speaker pair in row-major order."""
+    by_speaker = {}
+    for i, w in enumerate(corpus):
+        by_speaker.setdefault(w.speaker_id, []).append(i)
+    target_pairs = []
+    for utts in by_speaker.values():
+        for a in range(len(utts)):
+            for b in range(a + 1, len(utts)):
+                target_pairs.append((utts[a], utts[b]))
+    nontarget_pairs = []
+    for a in range(len(corpus)):
+        for b in range(a + 1, len(corpus)):
+            if corpus[a].speaker_id != corpus[b].speaker_id:
+                nontarget_pairs.append((a, b))
+    if n_target > len(target_pairs):
+        raise ValueError(f"requested {n_target} target trials, only "
+                         f"{len(target_pairs)} distinct pairs exist")
+    if n_nontarget > len(nontarget_pairs):
+        raise ValueError(f"requested {n_nontarget} nontarget trials, only "
+                         f"{len(nontarget_pairs)} distinct pairs exist")
+    rng = np.random.default_rng([seed, 77])
+    trials = []
+    for pool, count, flag in ((target_pairs, n_target, True),
+                              (nontarget_pairs, n_nontarget, False)):
+        for p in rng.choice(len(pool), size=count, replace=False):
+            a, b = pool[int(p)]
+            trials.append(Trial(corpus[a].utterance_id, corpus[b].utterance_id, flag))
+    return trials

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mfcontrast import __version__, cli
 from mfcontrast.config import TrialSpec, desk_config, save_config
@@ -41,6 +42,21 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_unknown_flag_is_a_usage_error(tmp_path):
     assert cli.main(["train", "--synthetic", "--out", str(tmp_path), "--no-such-flag"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "0"],
+    ["train", "--lambda", "-1"],
+    ["train", "--lambda1", "-1"],
+    ["train", "--lambda2", "-1"],
+    ["train", "--seed", "-3"],
+    ["sweep", "--axis", "lambda", "--values", "abc"],
+    ["sweep", "--axis", "lambda", "--values", "-0.5"],
+    ["sweep", "--axis", "lambda12", "--values", "1:2:3"],
+])
+def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
 
 
 def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):

@@ -150,7 +150,7 @@ class TestFileFormats:
         trials = [Trial("u1", "u2", True), Trial("u1", "u3", False)]
         path = tmp_path / "trials.txt"
         save_trials(path, trials)
-        assert open(path).readline() == "1 u1 u2\n"
+        assert path.read_text().startswith("1 u1 u2\n")
         back = load_trials(path)
         assert back == trials
 
@@ -158,7 +158,7 @@ class TestFileFormats:
         s = scoreset([0.123456789, -0.5], [0.25])
         path = tmp_path / "scores.txt"
         save_scores(path, s)
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         assert lines[0] == "0.123457 1"
         back = load_scores(path)
         np.testing.assert_allclose(back.scores, s.scores, atol=5e-7)

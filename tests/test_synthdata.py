@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mfcontrast.features import extract_fbank
+from mfcontrast.features import Waveform, extract_fbank
 from mfcontrast.synthdata import (SynthSpec, export_corpus, generate_corpus,
                                   generate_trials, load_manifest)
+from oracles import direct_synth_utterance, loop_trials
 
 SMALL = SynthSpec(n_speakers=4, utts_per_speaker=3, duration=0.5,
                   sample_rate=8000, seed=7)
@@ -52,6 +53,27 @@ class TestGenerateCorpus:
             SynthSpec(n_speakers=1)
         with pytest.raises(ValueError):
             SynthSpec(utts_per_speaker=1)
+        with pytest.raises(ValueError):
+            SynthSpec(seed=-1)
+        with pytest.raises(ValueError):
+            SynthSpec(duration=1e-5, sample_rate=8000)
+
+    @pytest.mark.parametrize("sample_rate", [8000, 16000])
+    @pytest.mark.parametrize("duration", [0.2, 1.6, 4.0])
+    def test_matches_the_direct_sine_sum(self, sample_rate, duration):
+        # 20 speakers put the first and last F0 strata at both ends of
+        # F0_RANGE: 14 to 38 harmonics at 8 kHz, 16 to 42 at 16 kHz
+        spec = SynthSpec(n_speakers=20, utts_per_speaker=2, duration=duration,
+                         sample_rate=sample_rate, seed=11)
+        harmonics = []
+        for i, w in enumerate(generate_corpus(spec)):
+            want, k = direct_synth_utterance(spec, i // 2, i % 2)
+            harmonics.append(k)
+            # the direct sum's phase reaches ~1e5 rad, so it is itself only
+            # good to ~2e-11 of the peak
+            assert np.max(np.abs(w.samples - want)) <= 1e-10 * np.max(np.abs(want))
+        assert (min(harmonics), max(harmonics)) == ((14, 38) if sample_rate == 8000
+                                                    else (16, 42))
 
 
 class TestGenerateTrials:
@@ -94,6 +116,34 @@ class TestGenerateTrials:
         corpus = generate_corpus(SMALL)  # 4 speakers x C(3,2) = 12 target pairs
         with pytest.raises(ValueError):
             generate_trials(corpus, 13, 0, seed=6)
+
+    @staticmethod
+    def uneven_corpus():
+        """Speakers with 2 to 7 utterances, interleaved and out of order."""
+        rng = np.random.default_rng(0)
+        speakers = [f"s{k}" for k, c in zip((3, 0, 4, 1, 2), (5, 2, 7, 3, 4))
+                    for _ in range(c)]
+        corpus = []
+        for i in rng.permutation(len(speakers)):
+            corpus.append(Waveform(np.zeros(1), 8000, speaker_id=speakers[i],
+                                   utterance_id=f"u{len(corpus):02d}"))
+        return corpus
+
+    @pytest.mark.parametrize("n_target,n_nontarget,seed",
+                             [(10, 40, 1), (0, 25, 2), (41, 0, 3), (41, 169, 4)])
+    def test_equals_the_pair_loop(self, n_target, n_nontarget, seed):
+        corpus = self.uneven_corpus()  # 41 target and 169 nontarget pairs
+        assert (generate_trials(corpus, n_target, n_nontarget, seed)
+                == loop_trials(corpus, n_target, n_nontarget, seed))
+
+    @pytest.mark.parametrize("n_target,n_nontarget", [(42, 0), (0, 170)])
+    def test_over_requests_fail_like_the_pair_loop(self, n_target, n_nontarget):
+        corpus = self.uneven_corpus()
+        with pytest.raises(ValueError) as want:
+            loop_trials(corpus, n_target, n_nontarget, 0)
+        with pytest.raises(ValueError) as got:
+            generate_trials(corpus, n_target, n_nontarget, 0)
+        assert str(got.value) == str(want.value)
 
 
 class TestExport:
