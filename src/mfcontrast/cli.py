@@ -11,13 +11,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, config_to_dict,
-                     desk_config, full_scale_config, load_config)
+from .config import (ConfigError, ExperimentConfig, desk_config,
+                     full_scale_config, load_config)
 from .losses import CONTRASTIVE_KINDS
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
@@ -40,7 +40,7 @@ def _write_manifest_start(out_dir: Path, cfg: ExperimentConfig, argv):
     """RunManifest first record, written atomically."""
     record = {"event": "start", "time": _now(), "version": __version__,
               "seed": cfg.train.seed, "out_dir": str(out_dir),
-              "argv": list(argv), "config": config_to_dict(cfg)}
+              "argv": list(argv), "config": asdict(cfg)}
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".manifest-")
     with os.fdopen(fd, "w") as f:
         f.write(json.dumps(record) + "\n")
@@ -121,10 +121,15 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
     return corpus, trials, utterance_store(scored)
 
 
-def cmd_train(args, argv) -> int:
-    cfg = _load_experiment(args)
+def _run(args, argv, cfg: ExperimentConfig, out_dir: Path):
+    """Train ``cfg`` into ``out_dir`` and return its held-out EvalResult.
+
+    Resolves the dataset, writes the manifest's start record, trains and
+    evaluates, saves the trial list, and ends the manifest with the run's
+    status: ``ok`` with the EER and minDCF, or ``numerical-failure`` before
+    the NonFiniteLossError propagates.
+    """
     corpus, trials, store = _resolve_dataset(args, cfg)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest_start(out_dir, cfg, argv)
     try:
@@ -136,6 +141,12 @@ def cmd_train(args, argv) -> int:
     save_trials(out_dir / "trials.txt", trials)
     ev = result.eval_result
     _append_manifest_end(out_dir, status="ok", eer=ev.eer, mindcf=ev.mindcf)
+    return ev
+
+
+def cmd_train(args, argv) -> int:
+    out_dir = Path(args.out)
+    ev = _run(args, argv, _load_experiment(args), out_dir)
     print(f"EER {100 * ev.eer:.2f}%  minDCF(p=0.01) {ev.mindcf:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.npz'}")
     return 0
@@ -179,10 +190,7 @@ def _parse_sweep_values(axis, raw_values):
     except ValueError as err:
         raise ConfigError(f"--values for {axis}: {err}") from err
     if axis == "contrastive_kind":
-        bad = [v for v in values if v not in CONTRASTIVE_KINDS]
-        if bad:
-            raise ConfigError(f"unknown contrastive kinds: {bad}")
-        return values
+        return values  # LossConfig rejects an unknown kind
     if axis == "sharing":
         allowed = ("none", "pool", "proj", "both")
         bad = [v for v in values if v not in allowed]
@@ -217,25 +225,28 @@ def _sweep_variant(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
         raise ConfigError(f"{axis} value {value}: {err}") from err
 
 
+def _sweep_tag(value) -> str:
+    """A sweep value as its results-table row and run-directory name print it."""
+    if isinstance(value, tuple):
+        return f"{value[0]:g}:{value[1]:g}"
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def cmd_sweep(args, argv) -> int:
     cfg = _load_experiment(args)
     values = _parse_sweep_values(args.axis, args.values)
     # every value is checked before the first run trains
     variants = [_sweep_variant(cfg, args.axis, value) for value in values]
+    tags = [_sweep_tag(value) for value in values]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ConfigError(f"--values name the same run more than once: {repeated}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, variant in zip(values, variants):
-        tag = (f"{value[0]:g}:{value[1]:g}" if isinstance(value, tuple)
-               else f"{value:g}" if isinstance(value, float) else str(value))
+    for tag, variant in zip(tags, variants):
         run_dir = out_dir / f"{args.axis}_{tag.replace(':', '_')}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        corpus, trials, store = _resolve_dataset(args, variant)
-        _write_manifest_start(run_dir, variant, argv)
-        result = train(corpus, variant.encoder, variant.head, variant.train,
-                       out_dir=run_dir, trials=trials, store=store)
-        ev = result.eval_result
-        _append_manifest_end(run_dir, status="ok", eer=ev.eer, mindcf=ev.mindcf)
+        ev = _run(args, argv, variant, run_dir)
         rows.append((tag, ev.eer, ev.mindcf))
         print(f"{args.axis}={tag}\tEER {100 * ev.eer:.2f}%\tminDCF {ev.mindcf:.4f}")
     table = out_dir / "results.tsv"

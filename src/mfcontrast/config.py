@@ -84,8 +84,6 @@ def _build(cls, data, where):
     values = dict(data)
     if cls is TrainConfig and "loss" in values:
         values["loss"] = _build(LossConfig, values["loss"], f"{where}.loss")
-    if cls is TrainConfig and "snr_range" in values:
-        values["snr_range"] = tuple(values["snr_range"])
     try:
         return cls(**values)
     except (TypeError, ValueError) as err:
@@ -108,12 +106,6 @@ def config_from_dict(data) -> ExperimentConfig:
     return ExperimentConfig(**parts)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = asdict(cfg)
-    out["train"]["snr_range"] = list(out["train"]["snr_range"])
-    return out
-
-
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
@@ -127,5 +119,5 @@ def load_config(path) -> ExperimentConfig:
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2)
+        json.dump(asdict(cfg), f, indent=2)
         f.write("\n")

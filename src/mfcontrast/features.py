@@ -1,6 +1,12 @@
 """Waveform handling: log-mel filterbank extraction, fixed-length training
 crops, and additive-noise / reverberation augmentation.
 
+The filterbank frames are ``FRAME_LEN`` (25 ms) long every ``FRAME_SHIFT``
+(10 ms), the MFA-Conformer front-end; the number of mel bins is the
+encoder's ``input_dim``. Training batches, ``trainer.evaluate`` and
+``mfcontrast eval`` all frame audio with these two constants, so a
+checkpoint always scores the features it was trained on.
+
 Everything here is a pure function of its inputs plus explicit seeds, so the
 whole module is safe to call concurrently. Spectra and convolutions use
 numpy's FFT only.
@@ -48,49 +54,21 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
+# filterbank framing, in seconds
+FRAME_LEN = 0.025
+FRAME_SHIFT = 0.010
+
+
 @dataclass
 class FeatureMatrix:
     """T x F matrix of log mel-filterbank energies (T frames, F mel bins)."""
 
     values: np.ndarray
-    frame_shift: float
-    speaker_id: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise ValueError("values must be a T x F matrix with T >= 1")
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class AugmentSpec:
-    """One augmentation to apply: additive noise at a target SNR, or
-    convolution with an impulse response.
-
-    Exactly one of ``snr_db`` / ``impulse_response`` must be set, matching
-    ``kind``. ``rng_seed`` makes the synthetic-noise path reproducible.
-    """
-
-    kind: str  # "noise" | "reverb"
-    snr_db: float | None = None
-    impulse_response: np.ndarray | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("noise", "reverb"):
-            raise ValueError(f"unknown augmentation kind: {self.kind!r}")
-        if self.kind == "noise" and (self.snr_db is None or self.impulse_response is not None):
-            raise ValueError("noise augmentation takes snr_db and no impulse_response")
-        if self.kind == "reverb" and (self.impulse_response is None or self.snr_db is not None):
-            raise ValueError("reverb augmentation takes impulse_response and no snr_db")
 
 
 def _hz_to_mel(f):
@@ -147,13 +125,13 @@ def _log_mel(frames: np.ndarray, fb: np.ndarray, log_floor: float) -> np.ndarray
     return np.log(energy, out=energy)
 
 
-def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
-                  frame_shift: float = 0.010, log_floor: float = 1e-10) -> FeatureMatrix:
+def extract_fbank(w: Waveform, n_mels: int = 80,
+                  log_floor: float = 1e-10) -> FeatureMatrix:
     """Log mel-filterbank features from a waveform.
 
-    Frames of ``frame_len`` seconds every ``frame_shift`` seconds, Hamming
+    Frames of ``FRAME_LEN`` seconds every ``FRAME_SHIFT`` seconds, Hamming
     window, power spectrum, triangular mel weighting, then a floored log.
-    Output has T = floor((len - frame_len*sr) / (frame_shift*sr)) + 1 rows
+    Output has T = floor((len - FRAME_LEN*sr) / (FRAME_SHIFT*sr)) + 1 rows
     and ``n_mels`` columns.
 
     The frames are one strided view of the samples, multiplied by the
@@ -164,8 +142,8 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
     sr = w.sample_rate
-    flen = int(round(frame_len * sr))
-    fshift = int(round(frame_shift * sr))
+    flen = int(round(FRAME_LEN * sr))
+    fshift = int(round(FRAME_SHIFT * sr))
     if w.samples.size < flen:
         raise LengthError(
             f"waveform has {w.samples.size} samples, shorter than one "
@@ -180,8 +158,7 @@ def extract_fbank(w: Waveform, n_mels: int = 80, frame_len: float = 0.025,
         x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
     buf = np.zeros((num_frames, n_fft))
     np.multiply(frames, window, out=buf[:, :flen])
-    values = _log_mel(buf, fb, log_floor)
-    return FeatureMatrix(values, frame_shift=frame_shift, speaker_id=w.speaker_id)
+    return FeatureMatrix(_log_mel(buf, fb, log_floor))
 
 
 def random_crop(w: Waveform, duration: float, rng_seed: int) -> Waveform:
@@ -272,19 +249,6 @@ def add_reverb(w: Waveform, ir: np.ndarray) -> Waveform:
     return Waveform(out, w.sample_rate, w.speaker_id, w.utterance_id)
 
 
-def augment(w: Waveform, spec: AugmentSpec) -> Waveform:
-    """Apply one augmentation. Noise specs mix seeded white Gaussian noise at
-    spec.snr_db; reverb specs convolve with spec.impulse_response.
-
-    Deterministic given spec.rng_seed.
-    """
-    if spec.kind == "noise":
-        rng = np.random.default_rng(spec.rng_seed)
-        noise = Waveform(rng.standard_normal(w.samples.size), w.sample_rate)
-        return add_noise(w, noise, spec.snr_db)
-    return add_reverb(w, spec.impulse_response)
-
-
 def synthetic_impulse_response(rng: np.random.Generator, sample_rate: int,
                                duration: float = 0.25, decay: float = 0.05) -> np.ndarray:
     """Exponentially decaying random impulse response: a unit direct path
@@ -334,14 +298,15 @@ class AugmentSampler:
             if self._noise_files:
                 pick = self._noise_files[int(rng.integers(len(self._noise_files)))]
                 return add_noise(w, load_wav(pick), snr)
-            seed = int(rng.integers(0, 2 ** 31 - 1))
-            return augment(w, AugmentSpec("noise", snr_db=snr, rng_seed=seed))
+            noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
+            noise = Waveform(noise_rng.standard_normal(w.samples.size), w.sample_rate)
+            return add_noise(w, noise, snr)
         if self._rir_files:
             pick = self._rir_files[int(rng.integers(len(self._rir_files)))]
             ir = load_wav(pick).samples
         else:
             ir = synthetic_impulse_response(rng, w.sample_rate, self.ir_duration)
-        return augment(w, AugmentSpec("reverb", impulse_response=ir))
+        return add_reverb(w, ir)
 
 
 def load_wav(path) -> Waveform:

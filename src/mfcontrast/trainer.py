@@ -48,7 +48,11 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainConfig:
-    """Optimizer, schedule, batch and feature settings, and the objective.
+    """Optimizer, schedule and batch settings, and the objective.
+
+    The features are not configured here: the mel-bin count is the
+    encoder's ``input_dim``, the framing is ``features.FRAME_LEN`` /
+    ``FRAME_SHIFT``, and the augmentation draws are ``AugmentSampler``'s.
 
     ``objective`` names a row of ``OBJECTIVES``; every row is
     ``losses.objective`` with its weights read from ``loss``:
@@ -71,11 +75,6 @@ class TrainConfig:
     objective: str = "mfcon"
     loss: LossConfig = field(default_factory=LossConfig)
     crop_duration: float = 3.0
-    n_mels: int = 80
-    frame_len: float = 0.025
-    frame_shift: float = 0.010
-    snr_range: tuple = (0.0, 15.0)
-    noise_prob: float = 0.5
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -101,27 +100,32 @@ def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def build_batch(utterances, cfg: TrainConfig, rng_seed: int,
+def speaker_label_map(utterances) -> dict:
+    """Speaker id -> class index, in sorted speaker order."""
+    return {s: i for i, s in enumerate(sorted({w.speaker_id for w in utterances}))}
+
+
+def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
                 sampler: AugmentSampler | None = None, label_map=None):
     """Doubled training batch from B sampled utterances.
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
-    counterparts in matching order. Returns (features (2B, T, F) as
+    counterparts in matching order. Returns (features (2B, T, n_mels) as
     float32, labels (2B,), is_augmented (2B,)). Deterministic under
-    rng_seed.
+    rng_seed. ``label_map`` defaults to ``speaker_label_map(utterances)``.
     """
     if not utterances:
         raise ValueError("cannot build a batch from an empty dataset")
     if sampler is None:
-        sampler = AugmentSampler(snr_range=cfg.snr_range, noise_prob=cfg.noise_prob)
+        sampler = AugmentSampler()
     if label_map is None:
-        label_map = {s: i for i, s in enumerate(sorted({w.speaker_id for w in utterances}))}
+        label_map = speaker_label_map(utterances)
     rng = np.random.default_rng([rng_seed, 0xBA7C4])
     crops = [random_crop(w, cfg.crop_duration, int(rng.integers(2 ** 31 - 1)))
              for w in utterances]
     augmented = [sampler.apply(c, rng) for c in crops]
-    feats = np.stack([extract_fbank(x, cfg.n_mels, cfg.frame_len, cfg.frame_shift).values
-                      for x in crops + augmented], dtype=np.float32)
+    feats = np.stack([extract_fbank(x, n_mels).values for x in crops + augmented],
+                     dtype=np.float32)
     labels = np.array([label_map[w.speaker_id] for w in crops + augmented], dtype=int)
     is_augmented = np.array([False] * len(crops) + [True] * len(augmented))
     return feats, labels, is_augmented
@@ -206,8 +210,7 @@ def utterance_store(corpus) -> dict:
     return {w.utterance_id: w for w in corpus}
 
 
-def evaluate(model: SpeakerModel, trials, store,
-             frame_len: float = 0.025, frame_shift: float = 0.010) -> EvalResult:
+def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     """Embed every referenced utterance once (full length, eval mode, no
     augmentation), score the trials, and compute EER / minDCF."""
     needed = []
@@ -222,8 +225,7 @@ def evaluate(model: SpeakerModel, trials, store,
         raise MissingUtteranceError(missing)
     embeddings = {}
     for utt in needed:
-        feats = extract_fbank(store[utt], model.enc_cfg.input_dim,
-                              frame_len, frame_shift).values
+        feats = extract_fbank(store[utt], model.enc_cfg.input_dim).values
         embeddings[utt] = model.embed_utterance(feats)
     scores = score_trials(trials, embeddings)
     eer, _ = compute_eer(scores)
@@ -307,14 +309,12 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     """
     if not corpus:
         raise ValueError("training corpus is empty")
-    if cfg.n_mels != enc_cfg.input_dim:
-        raise ValueError("feature n_mels must match the encoder input_dim")
     _keep_freed_heap()
-    label_map = {s: i for i, s in enumerate(sorted({w.speaker_id for w in corpus}))}
+    label_map = speaker_label_map(corpus)
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
     opt = adam_init(model.params)
     if sampler is None:
-        sampler = AugmentSampler(snr_range=cfg.snr_range, noise_prob=cfg.noise_prob)
+        sampler = AugmentSampler()
     if store is None and trials is not None:
         store = utterance_store(corpus)
 
@@ -338,7 +338,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                 picked = [corpus[i] for i in perm[s * batch:(s + 1) * batch]]
                 t0 = time.perf_counter()
                 feats, labels, is_aug = build_batch(
-                    picked, cfg, _derive_seed(cfg.seed, 1, epoch, s),
+                    picked, cfg, enc_cfg.input_dim, _derive_seed(cfg.seed, 1, epoch, s),
                     sampler=sampler, label_map=label_map)
                 data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
@@ -358,8 +358,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                 step += 1
                 if (cfg.eval_every and trials is not None
                         and step % cfg.eval_every == 0):
-                    interim = evaluate(model, trials, store,
-                                       cfg.frame_len, cfg.frame_shift)
+                    interim = evaluate(model, trials, store)
                     if log_file is not None:
                         log_file.write(json.dumps(
                             {"step": step, "eer": interim.eer,
@@ -369,7 +368,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
             log_file.close()
 
     if trials is not None:
-        eval_result = evaluate(model, trials, store, cfg.frame_len, cfg.frame_shift)
+        eval_result = evaluate(model, trials, store)
     if out_dir is not None:
         model.save(Path(out_dir) / "checkpoint.npz")
     return TrainResult(model, history, label_map, eval_result)

@@ -14,6 +14,7 @@ from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.metrics import load_trials
 from mfcontrast.model import SpeakerModel
+from mfcontrast.trainer import NonFiniteLossError
 
 
 def small_config(path):
@@ -53,10 +54,36 @@ def test_unknown_flag_is_a_usage_error(tmp_path):
     ["sweep", "--axis", "lambda", "--values", "abc"],
     ["sweep", "--axis", "lambda", "--values", "-0.5"],
     ["sweep", "--axis", "lambda12", "--values", "1:2:3"],
+    ["sweep", "--axis", "contrastive_kind", "--values", "chorus"],
+    # two values that would train into one run directory
+    ["sweep", "--axis", "lambda", "--values", "0.1,0.10"],
+    ["sweep", "--axis", "lambda", "--values", "0.1,0.1000000001"],
+    ["sweep", "--axis", "lambda12", "--values", "0.1,0.1:0.1"],
 ])
 def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
     assert cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")]) == 2
     assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("argv, run_dir", [
+    (["train"], "."),
+    (["sweep", "--axis", "lambda", "--values", "0.1,0.2"], "lambda_0.1"),
+])
+def test_non_finite_loss_exits_4_and_ends_the_manifest(tmp_path, capsys, monkeypatch,
+                                                       argv, run_dir):
+    def diverge(*args, **kwargs):
+        raise NonFiniteLossError({"total": float("nan")})
+
+    monkeypatch.setattr(cli, "train", diverge)
+    out = tmp_path / "run"
+    argv = argv + ["--synthetic", "--config", str(small_config(tmp_path / "cfg.json")),
+                   "--out", str(out)]
+    assert cli.main(argv) == 4
+    assert "numerical failure" in capsys.readouterr().err
+    records = [json.loads(line)
+               for line in (out / run_dir / "manifest.jsonl").read_text().splitlines()]
+    assert [r["event"] for r in records] == ["start", "end"]
+    assert records[-1]["status"] == "numerical-failure"
 
 
 def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,30 @@
+import json
+
+import pytest
+
+from mfcontrast import cli
+from mfcontrast.config import (ConfigError, desk_config, full_scale_config, load_config,
+                               save_config)
+
+
+@pytest.mark.parametrize("preset", [desk_config, full_scale_config])
+def test_presets_round_trip_through_a_saved_file(tmp_path, preset):
+    save_config(preset(), tmp_path / "cfg.json")
+    assert load_config(tmp_path / "cfg.json") == preset()
+
+
+# feature and augmentation settings that TrainConfig no longer has: the
+# mel-bin count is EncoderConfig.input_dim, the framing and the augmentation
+# draws are fixed in features
+@pytest.mark.parametrize("key, value", [("n_mels", 80), ("frame_len", 0.025),
+                                        ("frame_shift", 0.01), ("snr_range", [0.0, 15.0]),
+                                        ("noise_prob", 0.5)])
+def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": {"epochs": 1, key: value}}))
+    with pytest.raises(ConfigError, match=f"train: unknown keys \\['{key}'\\]"):
+        load_config(path)
+    assert cli.main(["train", "--synthetic", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

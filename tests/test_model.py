@@ -191,7 +191,8 @@ def desk_batch():
     desk = desk_config()
     corpus = generate_corpus(SynthSpec(n_speakers=10, utts_per_speaker=5, duration=1.6,
                                        sample_rate=8000, seed=4))
-    feats, labels, is_aug = trainer.build_batch(corpus, desk.train, rng_seed=5)
+    feats, labels, is_aug = trainer.build_batch(corpus, desk.train, desk.encoder.input_dim,
+                                                rng_seed=5)
     m = SpeakerModel(desk.encoder, desk.head, num_speakers=10, seed=6)
     return m, desk.train, feats, labels, is_aug
 
@@ -222,8 +223,7 @@ class TestComputeDtypePolicy:
                             conv_kernel=7, dropout=0.1, input_dim=8)
         m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
         opt = trainer.adam_init(m.params)
-        cfg = TrainConfig(batch_size=3, objective="mfcon", n_mels=8,
-                          loss=LossConfig(lam=0.1))
+        cfg = TrainConfig(batch_size=3, objective="mfcon", loss=LossConfig(lam=0.1))
         seen = {}
         compute_objective, backward = trainer.compute_objective, m.backward
 

@@ -1,4 +1,5 @@
 import ctypes
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from mfcontrast import config, trainer
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.losses import LossConfig
-from mfcontrast.synthdata import SynthSpec, generate_corpus
+from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
@@ -21,7 +22,7 @@ HEAD = HeadConfig(embed_dim=8, attention_hidden=6)
 def tiny(objective):
     """Three epochs of two 12-row steps, with every weight nonzero."""
     return TrainConfig(batch_size=6, lr=3e-3, epochs=3, seed=4, objective=objective,
-                       crop_duration=0.3, n_mels=16,
+                       crop_duration=0.3,
                        loss=LossConfig(lam=0.3, lam1=0.2, lam2=0.1, temperature=0.2))
 
 
@@ -67,6 +68,20 @@ def test_step_stage_times_are_non_negative_and_within_the_step(histories):
             stages = [h[k] for k in ("forward_s", "loss_s", "backward_s", "adam_s")]
             assert min(stages) >= 0.0
             assert sum(stages) <= h["step_s"]
+
+
+def test_eval_every_logs_interim_evaluations_and_final_scores_match_evaluate(tmp_path):
+    trials = generate_trials(CORPUS, 6, 6, seed=2)
+    cfg = replace(tiny("mfcon"), eval_every=2)
+    result = trainer.train(CORPUS, ENC, HEAD, cfg, out_dir=tmp_path, trials=trials,
+                           store=trainer.utterance_store(CORPUS))
+    lines = [json.loads(line) for line in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+    evals = [line for line in lines if "eer" in line]
+    assert [line["step"] for line in evals] == [2, 4, 6]
+    assert len(lines) == len(result.history) + len(evals) == 9
+    fresh = trainer.evaluate(result.model, trials, trainer.utterance_store(CORPUS))
+    assert np.array_equal(result.eval_result.scores.scores, fresh.scores.scores)
+    assert evals[-1]["eer"] == fresh.eer
 
 
 def test_unknown_objective_is_rejected():
