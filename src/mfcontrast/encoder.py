@@ -169,7 +169,8 @@ def _attention_fwd(h, wq, bq, wk, wv, bv, num_heads, drop, mode, rng):
     The projections run on the whole batch; scores, softmax, dropout and
     context run per block of batch rows (``_score_blocks``). Dropout masks
     are drawn block by block in row order, so they equal one draw over the
-    whole batch."""
+    whole batch, and the softmax sums run per batch row (``nn``'s batch
+    invariance), so the output does not depend on the block partition."""
     bsz, t, d = h.shape
     q, c_q = nn.linear_fwd(h, wq, bq)
     k, c_k = nn.linear_fwd(h, wk, None)

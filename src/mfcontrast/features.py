@@ -61,14 +61,16 @@ FRAME_SHIFT = 0.010
 
 @dataclass
 class FeatureMatrix:
-    """T x F matrix of log mel-filterbank energies (T frames, F mel bins)."""
+    """Log mel-filterbank energies: a T x F matrix (T frames, F mel bins)
+    for one waveform, or a B x T x F stack for B waveforms of one length."""
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise ValueError("values must be a T x F matrix with T >= 1")
+        if self.values.ndim not in (2, 3) or self.values.shape[-2] < 1:
+            raise ValueError("values must be a T x F matrix or a B x T x F stack "
+                             "with T >= 1")
 
 
 def _hz_to_mel(f):
@@ -113,52 +115,74 @@ def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
     return window, fb
 
 
-def _log_mel(frames: np.ndarray, fb: np.ndarray, log_floor: float) -> np.ndarray:
+def _log_mel(frames: np.ndarray, fb: np.ndarray, log_floor: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Floored log mel energies of windowed, zero-padded (T, n_fft) frames
-    under the filterbank ``fb``. The rfft's interleaved real and imaginary
-    parts are squared in place and added pairwise into |X|^2, with no
-    complex abs."""
+    under the filterbank ``fb``, written into ``out`` when given. The rfft's
+    interleaved real and imaginary parts are squared in place and added
+    pairwise into |X|^2, with no complex abs."""
     sq = np.fft.rfft(frames, axis=1).view(np.float64)
     np.square(sq, out=sq)
-    energy = (sq[:, 0::2] + sq[:, 1::2]) @ fb.T
+    energy = np.matmul(sq[:, 0::2] + sq[:, 1::2], fb.T, out=out)
     np.maximum(energy, log_floor, out=energy)
     return np.log(energy, out=energy)
 
 
-def extract_fbank(w: Waveform, n_mels: int = 80,
-                  log_floor: float = 1e-10) -> FeatureMatrix:
-    """Log mel-filterbank features from a waveform.
+def frame_count(n_samples: int, sample_rate: int) -> int:
+    """Filterbank frames ``extract_fbank`` gives ``n_samples`` samples at
+    ``sample_rate``; below one frame, 0."""
+    flen = int(round(FRAME_LEN * sample_rate))
+    fshift = int(round(FRAME_SHIFT * sample_rate))
+    return max(0, (n_samples - flen) // fshift + 1)
+
+
+def extract_fbank(w, n_mels: int = 80, log_floor: float = 1e-10) -> FeatureMatrix:
+    """Log mel-filterbank features of one ``Waveform``, or of a sequence of
+    waveforms that share their sample count and sample rate.
 
     Frames of ``FRAME_LEN`` seconds every ``FRAME_SHIFT`` seconds, Hamming
     window, power spectrum, triangular mel weighting, then a floored log.
-    Output has T = floor((len - FRAME_LEN*sr) / (FRAME_SHIFT*sr)) + 1 rows
-    and ``n_mels`` columns.
+    One waveform gives T = floor((len - FRAME_LEN*sr) / (FRAME_SHIFT*sr)) + 1
+    rows and ``n_mels`` columns (``frame_count``); a sequence of B gives a
+    (B, T, n_mels) stack whose item b equals the features of waveform b
+    alone, bit for bit. A sequence that mixes lengths or rates raises
+    ValueError.
 
-    The frames are one strided view of the samples, multiplied by the
-    window straight into a zeroed (T, n_fft) buffer, n_fft being the
+    The frames are one strided view of a waveform's samples, multiplied by
+    the window straight into a zeroed (T, n_fft) buffer, n_fft being the
     smallest power of two that holds a frame; the real FFT then runs on
-    that buffer as it is, with no padding copy of its own.
+    that buffer as it is, with no padding copy of its own. A batch reuses
+    the buffer wave by wave and writes each wave's features into its item
+    of the stack: one (B, T, n_fft) buffer would leave the cache at a few
+    waves of a few seconds and ran slower per wave.
     """
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
-    sr = w.sample_rate
+    waves = [w] if isinstance(w, Waveform) else list(w)
+    if not waves:
+        raise ValueError("no waveforms to extract features from")
+    sr, size = waves[0].sample_rate, waves[0].samples.size
+    if any(x.sample_rate != sr or x.samples.size != size for x in waves):
+        raise ValueError("batched waveforms must share their sample count and rate")
     flen = int(round(FRAME_LEN * sr))
     fshift = int(round(FRAME_SHIFT * sr))
-    if w.samples.size < flen:
+    num_frames = frame_count(size, sr)
+    if num_frames < 1:
         raise LengthError(
-            f"waveform has {w.samples.size} samples, shorter than one "
-            f"{flen}-sample frame")
+            f"waveform has {size} samples, shorter than one {flen}-sample frame")
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
-    x = w.samples
-    num_frames = (x.size - flen) // fshift + 1
-    frames = np.lib.stride_tricks.as_strided(
-        x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
     buf = np.zeros((num_frames, n_fft))
-    np.multiply(frames, window, out=buf[:, :flen])
-    return FeatureMatrix(_log_mel(buf, fb, log_floor))
+    values = np.empty((len(waves), num_frames, n_mels))
+    for out, wave in zip(values, waves):
+        x = wave.samples
+        frames = np.lib.stride_tricks.as_strided(
+            x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
+        np.multiply(frames, window, out=buf[:, :flen])
+        _log_mel(buf, fb, log_floor, out=out)
+    return FeatureMatrix(values[0] if isinstance(w, Waveform) else values)
 
 
 def random_crop(w: Waveform, duration: float, rng_seed: int) -> Waveform:

@@ -132,15 +132,22 @@ class SpeakerModel:
         return grads
 
     def embed_utterance(self, feats) -> np.ndarray:
-        """Eval-mode speaker embedding of one (T, F) feature matrix.
+        """Eval-mode speaker embedding of one (T, F) feature matrix, shaped
+        (D,), or of a (B, T, F) stack of same-length utterances, shaped
+        (B, D).
 
         Runs only the encoder and the aggregation path: the per-tap heads do
         not feed the speaker embedding, and eval mode leaves the state as it
-        is, so this equals ``forward(mode="eval").speaker_embedding[0]``."""
-        feats = np.asarray(feats, dtype=self.dtype)[None]
-        taps, _, _ = _encoder_fwd(feats, self.params, self.state, self.enc_cfg, mode="eval")
+        is, so this equals ``forward(mode="eval").speaker_embedding[0]``.
+        The kernels are batch-invariant (see ``nn``), so row b of a stack's
+        embeddings equals the embedding of ``feats[b]`` alone, bit for
+        bit."""
+        feats = np.asarray(feats, dtype=self.dtype)
+        taps, _, _ = _encoder_fwd(feats if feats.ndim == 3 else feats[None],
+                                  self.params, self.state, self.enc_cfg, mode="eval")
         emb, _, _ = _mfa_fwd(taps, self.params, self.state, self.head_cfg, "eval")
-        return emb[0].astype(np.float64)
+        emb = emb.astype(np.float64)
+        return emb if feats.ndim == 3 else emb[0]
 
     # -- checkpointing -----------------------------------------------------
 

@@ -10,18 +10,32 @@ scalars so they never promote it. Batch axes lead, channels are last.
 cache on a tape, and its backward replays the tape. An eval-mode tape
 records nothing, so an eval forward keeps no caches.
 
-The kernels run single-threaded and follow four rules on their hot paths.
+The kernels run single-threaded and follow five rules on their hot paths.
 No einsum: its unoptimised loops are slower than the equivalent
-matmuls. Weight products in the backward passes, and every sum over the
-channel axis or over all leading axes (the layer-norm, softmax and
-batch-norm sums among them), run as one 2-D GEMM or GEMV on the activation
-flattened to (positions, channels): numpy runs ``(B, T, N) @ w.T`` as one
-GEMM per batch row, and its reductions are several times slower than a
-GEMV. The sigmoid is ``0.5 + 0.5 * tanh(x / 2)``, which has a SIMD float32
-loop and cannot overflow. Attention scores are computed in blocks of batch
-rows holding about 1 MiB of scores (``encoder._SCORE_BLOCK_BYTES``), so a
-block's scores, probabilities and dropout mask stay in the reference host's
-2 MiB per-core L2 cache.
+matmuls. Weight products in the backward passes, and every sum over all
+leading axes (the batch-norm and bias-gradient sums), run as one 2-D GEMM
+or GEMV on the activation flattened to (positions, channels): numpy runs
+``(B, T, N) @ w.T`` as one GEMM per batch row, and its reductions are
+several times slower than a GEMV. The sigmoid is ``0.5 + 0.5 * tanh(x /
+2)``, which has a SIMD float32 loop and cannot overflow. Attention scores
+are computed in blocks of batch rows holding about 1 MiB of scores
+(``encoder._SCORE_BLOCK_BYTES``), so a block's scores, probabilities and
+dropout mask stay in the reference host's 2 MiB per-core L2 cache.
+
+Batch invariance: in a forward pass, a row's output never depends on its
+batch-mates, so an utterance embeds to the same bits alone, in any batch
+and in any attention block (``trainer.evaluate`` batches on this). Two
+kernels needed it. OpenBLAS rounds one row of a GEMV differently
+depending on where the row sits in the matrix, so every sum over the
+channel axis (the layer-norm, attention-softmax and pooling-softmax sums)
+runs as one GEMV per leading-axis item, ``x.reshape(B, -1, C) @ u``,
+never as one GEMV over the flattened rows. And a 2-D input's projection
+``(B, K) @ w`` is a GEMM, which rounds differently from the GEMV that one
+row gets, so ``linear_fwd`` projects a 2-D input row by row. The cost is B
+small BLAS calls where one large one ran, which left the forward and
+backward of a desk or deep training step no slower (2 CPUs, 1 BLAS
+thread), and training loss curves that differ at round-off from those
+summed over the flattened rows.
 
 The depthwise convolution is a banded GEMM rather than one multiply-add
 pass per tap. It moves the map to (C, B, T), cuts time into equal tiles
@@ -50,8 +64,8 @@ class ShapeError(ValueError):
 
 def _channel_dot(x, u):
     """Per-position dot product of x's channels with the vector u, shaped
-    x.shape[:-1] + (1,), as one GEMV."""
-    return (x.reshape(-1, x.shape[-1]) @ u).reshape(x.shape[:-1] + (1,))
+    x.shape[:-1] + (1,), as one GEMV per leading-axis item."""
+    return (x.reshape(x.shape[0], -1, x.shape[-1]) @ u).reshape(x.shape[:-1] + (1,))
 
 
 def _position_sum(x):
@@ -61,10 +75,12 @@ def _position_sum(x):
 
 
 def linear_fwd(x, w, b):
-    """x @ w + b, or x @ w when b is None."""
+    """x @ w + b, or x @ w when b is None. A 2-D x is projected row by row,
+    one GEMV each, so that a row's output does not depend on the others."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
-    return (x @ w if b is None else x @ w + b), (x, w)
+    y = (x[:, None, :] @ w)[:, 0] if x.ndim == 2 else x @ w
+    return (y if b is None else y + b), (x, w)
 
 
 def linear_bwd(dy, cache):

@@ -137,12 +137,46 @@ def generate_corpus(spec: SynthSpec) -> list:
     return corpus
 
 
+def _cross_speaker_pairs(speaker: np.ndarray, picks: np.ndarray):
+    """Pairs number ``picks`` of the corpus's upper-triangle pairs (a < b)
+    whose speakers differ, counted in row-major order, as (a, b) index
+    arrays; found from per-row counts, without listing the pairs.
+
+    Row a holds the n - 1 - a later utterances less those of its own
+    speaker, so ``searchsorted`` on the running row counts gives the row of
+    a pick and its offset q within the row. The partner is then the q-th
+    later utterance of another speaker: b = a + 1 + q + k, with k the count
+    of a's own speaker's later utterances that precede it."""
+    n = speaker.size
+    counts = np.bincount(speaker)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(speaker, kind="stable")  # each speaker's utterances in turn
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = np.arange(n)
+    rank = slot - starts[speaker]  # position among its speaker's utterances
+    row = (n - 1 - np.arange(n)) - (counts[speaker] - 1 - rank)
+    ends = np.cumsum(row)
+    a = np.searchsorted(ends, picks, side="right")
+    q = picks - (ends[a] - row[a])
+    # a speaker's j-th utterance u_j has u_j - j other-speaker utterances
+    # before it; the count never falls along the speaker's utterances, and
+    # offsetting each speaker's run by speaker * n sorts the whole array
+    before = order - (np.arange(n) - starts[speaker[order]])
+    key = speaker[order] * n + before
+    own = speaker[a]
+    k = np.searchsorted(key, own * n + q + a - rank[a], side="right") - starts[own] - rank[a] - 1
+    return a, a + 1 + q + k
+
+
 def generate_trials(corpus, n_target: int, n_nontarget: int, seed: int) -> list:
     """Seeded target/nontarget trial pairs without duplicates.
 
     Target trials pair distinct utterances of one speaker, nontarget trials
     pair utterances of different speakers; unordered pairs never repeat and
-    no utterance is paired with itself.
+    no utterance is paired with itself. The nontarget pool is never listed:
+    its size is n(n - 1)/2 less each speaker's c(c - 1)/2, and each pick is
+    mapped to its pair (``_cross_speaker_pairs``), so memory grows with n,
+    not n^2.
     """
     codes: dict[str, int] = {}
     speaker = np.array([codes.setdefault(w.speaker_id, len(codes)) for w in corpus],
@@ -150,29 +184,26 @@ def generate_trials(corpus, n_target: int, n_nontarget: int, seed: int) -> list:
     # target pool: each speaker's upper-triangle pairs in row-major order,
     # speakers in order of first appearance, utterances in corpus order
     order = np.argsort(speaker, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(speaker))[:-1])
+    counts = np.bincount(speaker)
+    groups = np.split(order, np.cumsum(counts)[:-1])
     target_a, target_b = np.concatenate(
         [g[np.stack(np.triu_indices(len(g), 1))] for g in groups], axis=1)
-    # nontarget pool: the corpus's upper-triangle pairs in row-major order
-    # whose speakers differ
-    a, b = np.triu_indices(len(corpus), 1)
-    cross = speaker[a] != speaker[b]
-    nontarget_a, nontarget_b = a[cross], b[cross]
+    n = len(corpus)
+    n_cross = n * (n - 1) // 2 - int(np.sum(counts * (counts - 1) // 2))
     if n_target > len(target_a):
         raise ValueError(f"requested {n_target} target trials, only "
                          f"{len(target_a)} distinct pairs exist")
-    if n_nontarget > len(nontarget_a):
+    if n_nontarget > n_cross:
         raise ValueError(f"requested {n_nontarget} nontarget trials, only "
-                         f"{len(nontarget_a)} distinct pairs exist")
+                         f"{n_cross} distinct pairs exist")
     rng = np.random.default_rng([seed, 77])
     ids = [w.utterance_id for w in corpus]
-    trials = []
-    for pool_a, pool_b, count, flag in ((target_a, target_b, n_target, True),
-                                        (nontarget_a, nontarget_b, n_nontarget, False)):
-        picks = rng.choice(len(pool_a), size=count, replace=False)
-        trials.extend(Trial(ids[i], ids[j], flag)
-                      for i, j in zip(pool_a[picks].tolist(), pool_b[picks].tolist()))
-    return trials
+    picks = rng.choice(len(target_a), size=n_target, replace=False)
+    pairs = [(target_a[picks], target_b[picks], True)]
+    picks = rng.choice(n_cross, size=n_nontarget, replace=False)
+    pairs.append((*_cross_speaker_pairs(speaker, picks), False))
+    return [Trial(ids[i], ids[j], flag) for pick_a, pick_b, flag in pairs
+            for i, j in zip(pick_a.tolist(), pick_b.tolist())]
 
 
 def export_corpus(corpus, out_dir) -> Path:

@@ -180,18 +180,16 @@ class TestEncodeWithTaps:
         assert not np.array_equal(a[-1], c[-1])
 
 
-def attention_run(h, weights, dctx):
+def attention_run(h, weights, dctx, num_heads=4):
     """Train-mode attention forward (dropout 0.2, seeded) and its six
     gradients, plus the number of score blocks it used."""
-    ctx, cache = _attention_fwd(h, *weights, num_heads=4, drop=0.2, mode="train",
+    ctx, cache = _attention_fwd(h, *weights, num_heads=num_heads, drop=0.2, mode="train",
                                 rng=np.random.default_rng(11))
     return [ctx, *_attention_bwd(dctx, cache)], len(cache[6])
 
 
 def test_blocked_attention_equals_one_block(monkeypatch):
-    # 4 heads x 18 frames x 3 rows: every block holds a multiple of 8 softmax
-    # rows, so the BLAS GEMV groups rows as it does in the one-block run and
-    # the sums are bit-identical
+    # 4 heads x 18 frames, 7 rows in blocks of 3
     rng = np.random.default_rng(3)
     h, dctx = (rng.standard_normal((7, 18, 16)).astype(np.float32) for _ in range(2))
     weights = [rng.standard_normal(s).astype(np.float32) / 4
@@ -202,6 +200,25 @@ def test_blocked_attention_equals_one_block(monkeypatch):
     assert (one_count, blocked_count) == (1, 3)
     for a, b in zip(one, blocked):
         np.testing.assert_array_equal(a, b)
+
+
+def test_attention_bits_do_not_depend_on_the_score_blocks(monkeypatch):
+    # the softmax sums run per batch row, so a row's scores do not depend
+    # on which rows share its block: one row per block equals one block
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        heads = int(rng.integers(1, 3))
+        b, t, d = int(rng.integers(2, 8)), int(rng.integers(3, 40)), heads * int(rng.integers(2, 9))
+        h, dctx = (rng.standard_normal((b, t, d)).astype(np.float32) for _ in range(2))
+        weights = [rng.standard_normal(s).astype(np.float32) / 4
+                   for s in ((d, d), d, (d, d), (d, d), d)]
+        monkeypatch.setattr(encoder, "_SCORE_BLOCK_BYTES", 1 << 40)
+        one, one_count = attention_run(h, weights, dctx, heads)
+        monkeypatch.setattr(encoder, "_SCORE_BLOCK_BYTES", 1)
+        rows, row_count = attention_run(h, weights, dctx, heads)
+        assert (one_count, row_count) == (1, b)
+        for x, y in zip(one, rows):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestFullNetworkGradient:

@@ -121,6 +121,29 @@ class TestExtractFbank:
         got = extract_fbank(Waveform(samples, sr), n_mels=n_mels).values
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("n, sr", [(400, 16000), (8000, 8000), (12_837, 8000),
+                                       (64_000, 16000)])
+    def test_a_batch_equals_the_per_wave_features(self, n, sr):
+        rng = np.random.default_rng(n)
+        waves = [Waveform(0.3 * rng.standard_normal(n), sr) for _ in range(5)]
+        single = [extract_fbank(w, n_mels=40).values for w in waves]
+        assert features.frame_count(n, sr) == single[0].shape[0]
+        for b in (1, 2, 5):
+            got = extract_fbank(waves[:b], n_mels=40).values
+            assert got.shape == (b,) + single[0].shape
+            for row, want in zip(got, single):
+                assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("other", [Waveform(np.ones(4001), 8000),
+                                       Waveform(np.ones(4000), 16000)])
+    def test_a_batch_of_mixed_lengths_or_rates_is_rejected(self, other):
+        with pytest.raises(ValueError, match="share their sample count and rate"):
+            extract_fbank([Waveform(np.ones(4000), 8000), other])
+
+    def test_an_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="no waveforms"):
+            extract_fbank([])
+
 
 class TestRandomCrop:
     def test_ten_second_input_gives_requested_length(self):

@@ -138,6 +138,24 @@ class TestScoreTrials:
         assert out.scores[1] == pytest.approx(np.sqrt(0.5))
         np.testing.assert_array_equal(out.is_target, [False, True, True])
 
+    def test_equals_the_cosine_score_loop_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        store = {f"u{i}": rng.standard_normal(24) * 10 ** rng.uniform(-3, 3)
+                 for i in range(30)}
+        store["f32"] = rng.standard_normal(24).astype(np.float32)
+        ids = list(store)
+        trials = [Trial(ids[i], ids[j], bool(rng.integers(2)))
+                  for i, j in rng.integers(len(ids), size=(500, 2))]
+        out = score_trials(trials, store)
+        expected = [cosine_score(store[t.enroll_utt], store[t.test_utt]) for t in trials]
+        assert np.array_equal(out.scores, expected)
+        np.testing.assert_array_equal(out.is_target, [t.is_target for t in trials])
+
+    def test_zero_embedding_rejected(self):
+        store = {"a": np.ones(2), "z": np.zeros(2)}
+        with pytest.raises(ValueError, match="zero vector"):
+            score_trials([Trial("a", "z", False)], store)
+
     def test_missing_ids_all_reported(self):
         store = {"a": np.ones(2)}
         with pytest.raises(MissingUtteranceError) as err:

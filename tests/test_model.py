@@ -290,6 +290,18 @@ class TestEmbedUtterance:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    def test_a_stack_embeds_as_its_utterances_one_at_a_time(self, b):
+        m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=5)
+        rng = np.random.default_rng(14)
+        m.forward(rng.standard_normal((4, 12, 8)), mode="train")  # move the BN state
+        stack = rng.standard_normal((b, 29, 8))  # T' = 15
+        got = m.embed_utterance(stack)
+        assert got.shape == (b, TINY_HEAD.embed_dim) and got.dtype == np.float64
+        for row, utt in zip(got, stack):
+            np.testing.assert_array_equal(row, m.embed_utterance(utt))
+            np.testing.assert_array_equal(row, m.forward(utt, mode="eval").speaker_embedding[0])
+
 
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):

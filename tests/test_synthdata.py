@@ -136,6 +136,23 @@ class TestGenerateTrials:
         assert (generate_trials(corpus, n_target, n_nontarget, seed)
                 == loop_trials(corpus, n_target, n_nontarget, seed))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_corpora_equal_the_pair_loop_down_to_all_pairs(self, seed):
+        # speakers of 1 to 8 utterances in a shuffled corpus; the last call
+        # asks for every pair, as the benchmark's all-pairs trial lists do
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, size=int(rng.integers(2, 9)))
+        speakers = np.repeat(np.arange(sizes.size), sizes)
+        rng.shuffle(speakers)
+        corpus = [Waveform(np.zeros(1), 8000, speaker_id=f"s{k}", utterance_id=f"u{i:02d}")
+                  for i, k in enumerate(speakers)]
+        n_target = int(np.sum(sizes * (sizes - 1) // 2))
+        n_cross = len(corpus) * (len(corpus) - 1) // 2 - n_target
+        for counts in ((int(rng.integers(n_target + 1)), int(rng.integers(n_cross + 1))),
+                       (n_target, n_cross)):
+            assert (generate_trials(corpus, *counts, seed)
+                    == loop_trials(corpus, *counts, seed))
+
     @pytest.mark.parametrize("n_target,n_nontarget", [(42, 0), (0, 170)])
     def test_over_requests_fail_like_the_pair_loop(self, n_target, n_nontarget):
         corpus = self.uneven_corpus()

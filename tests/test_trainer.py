@@ -7,8 +7,11 @@ import pytest
 
 from mfcontrast import config, trainer
 from mfcontrast.encoder import EncoderConfig
+from mfcontrast.features import Waveform, extract_fbank, frame_count
 from mfcontrast.heads import HeadConfig
 from mfcontrast.losses import LossConfig
+from mfcontrast.metrics import cosine_score
+from mfcontrast.model import SpeakerModel
 from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
 
@@ -82,6 +85,35 @@ def test_eval_every_logs_interim_evaluations_and_final_scores_match_evaluate(tmp
     fresh = trainer.evaluate(result.model, trials, trainer.utterance_store(CORPUS))
     assert np.array_equal(result.eval_result.scores.scores, fresh.scores.scores)
     assert evals[-1]["eer"] == fresh.eer
+
+
+def test_batched_evaluate_equals_one_utterance_at_a_time(monkeypatch):
+    # 7 utterances of 0.5 s and 5 cut to 0.3 s, interleaved; the budget makes
+    # batches of 2 long or 3 short ones, so both groups split unevenly
+    store = {w.utterance_id: w if k % 12 in (0, 2, 5, 7, 8, 10, 11)
+             else Waveform(w.samples[:2400], w.sample_rate, w.speaker_id, w.utterance_id)
+             for k, w in enumerate(CORPUS)}
+    long_t, short_t = frame_count(4000, 8000), frame_count(2400, 8000)
+    monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET", 2 * long_t + 1)
+    assert (trainer.EVAL_FRAME_BUDGET // short_t) == 3
+    trials = generate_trials(CORPUS, 18, 48, seed=3)  # every pair
+    model = SpeakerModel(ENC, HEAD, 3, seed=2)
+    rng = np.random.default_rng(5)
+    model.forward(rng.standard_normal((4, 20, 16)), mode="train", rng=rng)  # move the BN state
+
+    calls = []
+
+    def counted(waves, n_mels):
+        calls.append(len(waves))
+        return extract_fbank(waves, n_mels)
+
+    monkeypatch.setattr(trainer, "extract_fbank", counted)
+    got = trainer.evaluate(model, trials, store)
+    assert sorted(calls) == [1, 2, 2, 2, 2, 3]
+    alone = {u: model.embed_utterance(extract_fbank(w, 16).values) for u, w in store.items()}
+    expected = [cosine_score(alone[t.enroll_utt], alone[t.test_utt]) for t in trials]
+    assert np.array_equal(got.scores.scores, expected)
+    np.testing.assert_array_equal(got.scores.is_target, [t.is_target for t in trials])
 
 
 def test_unknown_objective_is_rejected():
