@@ -18,14 +18,13 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, desk_config,
                      full_scale_config, load_config)
-from .losses import CONTRASTIVE_KINDS
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
 from .synthdata import generate_corpus, generate_trials, load_manifest
 from .trainer import (OBJECTIVES, NonFiniteLossError, evaluate, train,
                       utterance_store)
 
-SWEEP_AXES = ("lambda", "lambda12", "contrastive_kind", "sharing")
+SWEEP_AXES = ("lambda", "lambda12", "sharing")
 
 
 class DataError(Exception):
@@ -71,8 +70,6 @@ def _load_experiment(args) -> ExperimentConfig:
             loss_cfg = replace(loss_cfg, lam1=args.lambda1)
         if getattr(args, "lambda2", None) is not None:
             loss_cfg = replace(loss_cfg, lam2=args.lambda2)
-        if getattr(args, "contrastive_kind", None):
-            loss_cfg = replace(loss_cfg, contrastive_kind=args.contrastive_kind)
         if getattr(args, "seed", None) is not None:
             train_cfg = replace(train_cfg, seed=args.seed)
         if getattr(args, "epochs", None) is not None:
@@ -189,8 +186,6 @@ def _parse_sweep_values(axis, raw_values):
             return out
     except ValueError as err:
         raise ConfigError(f"--values for {axis}: {err}") from err
-    if axis == "contrastive_kind":
-        return values  # LossConfig rejects an unknown kind
     if axis == "sharing":
         allowed = ("none", "pool", "proj", "both")
         bad = [v for v in values if v not in allowed]
@@ -210,10 +205,6 @@ def _sweep_variant(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
         elif axis == "lambda12":
             train_cfg = replace(train_cfg, objective="combined")
             loss_cfg = replace(loss_cfg, lam1=value[0], lam2=value[1])
-        elif axis == "contrastive_kind":
-            train_cfg = replace(train_cfg, objective="mfcon")
-            loss_cfg = replace(loss_cfg, contrastive_kind=value,
-                               lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
         elif axis == "sharing":
             train_cfg = replace(train_cfg, objective="mfcon")
             loss_cfg = replace(loss_cfg, lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
@@ -280,18 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(t)
     t.add_argument("--loss", choices=tuple(OBJECTIVES), default=None,
                    help="objective preset: margin softmax on the speaker "
-                        "embedding, plus the contrastive terms the preset "
-                        "weighs with --lambda/--lambda1/--lambda2")
+                        "embedding, plus the SupCon terms the preset weighs "
+                        "with --lambda/--lambda1/--lambda2")
     t.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                   help="per-block contrastive weight; read by --loss mfcon")
+                   help="per-block SupCon weight; read by --loss mfcon")
     t.add_argument("--lambda1", type=float, default=None,
                    help="per-block SupCon weight; read by --loss combined")
     t.add_argument("--lambda2", type=float, default=None,
                    help="speaker-embedding SupCon weight; read by --loss "
                         "am_supcon and combined")
-    t.add_argument("--contrastive-kind", dest="contrastive_kind",
-                   choices=CONTRASTIVE_KINDS, default=None,
-                   help="per-block contrastive loss of --loss mfcon")
     t.add_argument("--out", required=True, help="output directory")
 
     e = sub.add_parser("eval", help="score trials with a trained checkpoint")

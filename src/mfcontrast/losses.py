@@ -1,25 +1,26 @@
 """Training objectives with analytic gradients.
 
-Implements additive-margin softmax over cosine logits (AMS), supervised
-contrastive loss (SupCon), NT-Xent, batch-all triplet and N-pair, and the
-one training objective built from them:
+Implements additive-margin softmax over cosine logits (AMS), the
+supervised contrastive loss (SupCon, arXiv 2004.11362), and the one
+training objective built from them:
 
-    AMS(spk) + lam_tap * mean_b C_kind(tap_b) + lam_spk * SupCon(spk)
+    AMS(spk) + lam_tap * mean_b SupCon(tap_b) + lam_spk * SupCon(spk)
 
-where ``spk`` is the aggregated speaker embedding, ``tap_b`` the embedding
-of block b's feature map and C_kind the contrastive loss named by
-``LossConfig.contrastive_kind``. The named presets (the paper's multi-scale
-feature contrastive objective and its variants) are rows of
-``trainer.OBJECTIVES`` that pick the two weights and the kind.
+where ``spk`` is the aggregated speaker embedding and ``tap_b`` the
+embedding of block b's feature map. SupCon is the only contrastive loss.
+The named presets (the paper's multi-scale feature contrastive objective
+and its variants) are rows of ``trainer.OBJECTIVES`` that pick the two
+weights.
 
 Every function returns the scalar loss together with gradients for its
-array inputs, computed in closed form. Pure contrastive losses expect
-unit-norm rows; ``objective`` takes raw embeddings and normalizes inside,
+array inputs, computed in closed form. ``supcon`` expects unit-norm rows;
+``objective`` takes raw embeddings and normalizes inside,
 backpropagating through the normalization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +30,18 @@ from . import nn
 COS_CLAMP = 1e-7
 
 MARGIN_STYLES = ("cosine_additive", "angular_additive")
-CONTRASTIVE_KINDS = ("supcon", "ntxent", "triplet", "npair")
 
 
 @dataclass
 class LossConfig:
-    """Scalar hyperparameters for all objectives.
+    """Scalar hyperparameters of the objective.
 
-    ``lam``, ``lam1`` and ``lam2`` are the contrastive weights that the
-    presets in ``trainer.OBJECTIVES`` hand to ``objective``; that table says
-    which preset reads which. ``margin_style`` selects where the additive
-    margin enters: on the cosine (default) or on the angle.
+    ``margin``, ``scale`` and ``margin_style`` shape the margin softmax:
+    the additive margin enters on the cosine (default) or on the angle.
+    ``temperature`` and ``supcon_mean_over_anchors`` shape every SupCon
+    term. ``lam``, ``lam1`` and ``lam2`` are the SupCon weights that the
+    presets in ``trainer.OBJECTIVES`` hand to ``objective``; that table
+    says which preset reads which. Every float must be finite.
     """
 
     margin: float = 0.2
@@ -49,11 +51,13 @@ class LossConfig:
     lam1: float = 0.0
     lam2: float = 0.0
     margin_style: str = "cosine_additive"
-    contrastive_kind: str = "supcon"
-    triplet_margin: float = 0.2
     supcon_mean_over_anchors: bool = False
 
     def __post_init__(self):
+        for name in ("margin", "scale", "temperature", "lam", "lam1", "lam2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.scale <= 0:
@@ -64,8 +68,6 @@ class LossConfig:
             raise ValueError("loss coefficients must be >= 0")
         if self.margin_style not in MARGIN_STYLES:
             raise ValueError(f"margin_style must be one of {MARGIN_STYLES}")
-        if self.contrastive_kind not in CONTRASTIVE_KINDS:
-            raise ValueError(f"contrastive_kind must be one of {CONTRASTIVE_KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ def am_softmax(z, labels, weights, cfg: LossConfig):
 
 
 # ---------------------------------------------------------------------------
-# contrastive family
+# supervised contrastive loss
 
 
 def _masked_row_softmax(s):
@@ -173,169 +175,19 @@ def supcon(z, labels, cfg: LossConfig | None = None):
     return total, dz
 
 
-def ntxent(z, pair_index, cfg: LossConfig | None = None):
-    """Normalized temperature-scaled cross entropy for a paired batch.
-
-    ``pair_index[i]`` names row i's positive; the mapping must be a perfect
-    matching (an involution with no fixed point). The loss averages
-    -log(exp(z_i.z_pair(i) / tau) / sum_{a != i} exp(z_i.z_a / tau)) over
-    all rows. Returns (loss, dz).
-    """
-    cfg = cfg or LossConfig()
-    z = np.asarray(z, dtype=np.float64)
-    pair = np.asarray(pair_index, dtype=int)
-    n = z.shape[0]
-    idx = np.arange(n)
-    if pair.shape != (n,) or np.any(pair == idx) or np.any(pair[pair] != idx):
-        raise ValueError("pair_index must be a perfect matching of the rows")
-    s = (z @ z.T) / cfg.temperature
-    softmax, logz = _masked_row_softmax(s)
-    loss = (logz - s[idx, pair]).mean()
-    g = softmax.copy()
-    g[idx, pair] -= 1.0
-    g /= n
-    dz = (g + g.T) @ z / cfg.temperature
-    return loss, dz
-
-
-def triplet(z, labels, cfg: LossConfig | None = None):
-    """Batch-all triplet loss with squared Euclidean distances.
-
-    Mines every (anchor, positive, negative) triple the labels admit,
-    keeps terms max(0, d(a,p) - d(a,n) + margin), and averages the active
-    (nonzero) ones. Returns (loss, dz).
-    """
-    cfg = cfg or LossConfig()
-    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
-    n = z.shape[0]
-    sq = (z ** 2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-
-    coeff = np.zeros((n, n))
-    total = 0.0
-    active_count = 0
-    any_valid = False
-    for a in range(n):
-        pos = np.flatnonzero(same[a] & ~eye[a])
-        neg = np.flatnonzero(~same[a])
-        if pos.size == 0 or neg.size == 0:
-            continue
-        any_valid = True
-        terms = d2[a, pos][:, None] - d2[a, neg][None, :] + cfg.triplet_margin
-        active = terms > 0.0
-        if not active.any():
-            continue
-        total += terms[active].sum()
-        active_count += int(active.sum())
-        coeff[a, pos] += active.sum(axis=1)
-        coeff[a, neg] -= active.sum(axis=0)
-    if not any_valid:
-        raise ValueError("no valid (anchor, positive, negative) triple in batch")
-    if active_count == 0:
-        return 0.0, np.zeros_like(z)
-    loss = total / active_count
-    coeff /= active_count
-    b = coeff + coeff.T
-    dz = 2.0 * (b.sum(axis=1)[:, None] * z - b @ z)
-    return loss, dz
-
-
-def npair(z, labels, anchors, positives, cfg: LossConfig | None = None):
-    """N-pair loss over one (anchor, positive) pair per distinct class.
-
-    For each anchor i, -log(exp(z_i.z_p(i)) / sum_j exp(z_i.z_p(j))) with
-    the sum over all anchors' positives; raw inner products, no
-    temperature. Errors if two anchors share a class. Returns (loss, dz).
-    """
-    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
-    anchors = np.asarray(anchors, dtype=int)
-    positives = np.asarray(positives, dtype=int)
-    m = anchors.size
-    if m == 0 or positives.size != m:
-        raise ValueError("need matching anchor/positive index arrays")
-    if np.unique(labels[anchors]).size != m:
-        raise ValueError("duplicate class among n-pair anchors")
-    s = z[anchors] @ z[positives].T
-    shift = s.max(axis=1, keepdims=True)
-    e = np.exp(s - shift)
-    logz = (shift + np.log(e.sum(axis=1, keepdims=True)))[:, 0]
-    loss = (logz - np.diag(s)).mean()
-    g = e / e.sum(axis=1, keepdims=True)
-    g[np.arange(m), np.arange(m)] -= 1.0
-    g /= m
-    dz = np.zeros_like(z)
-    np.add.at(dz, anchors, g @ z[positives])
-    np.add.at(dz, positives, g.T @ z[anchors])
-    return loss, dz
-
-
-# ---------------------------------------------------------------------------
-# pairing helpers for the doubled-batch layout
-
-
-def augmentation_pairs(labels, is_augmented):
-    """Involution mapping each row to its augmentation partner.
-
-    Assumes the k-th original corresponds to the k-th augmented row, which
-    is how training batches are built; labels are cross-checked.
-    """
-    if is_augmented is None:
-        raise ValueError("pair-based losses need augmentation flags")
-    is_augmented = np.asarray(is_augmented, dtype=bool)
-    originals = np.flatnonzero(~is_augmented)
-    augmented = np.flatnonzero(is_augmented)
-    labels = np.asarray(labels)
-    if originals.size != augmented.size or np.any(labels[originals] != labels[augmented]):
-        raise ValueError("rows do not form matched (original, augmented) pairs")
-    pair = np.empty(labels.shape[0], dtype=int)
-    pair[originals] = augmented
-    pair[augmented] = originals
-    return pair
-
-
-def npair_pairs(labels, is_augmented):
-    """First (original, augmented) pair of each distinct class, in order."""
-    pair = augmentation_pairs(labels, is_augmented)
-    labels = np.asarray(labels)
-    anchors, positives, seen = [], [], set()
-    for i in np.flatnonzero(~np.asarray(is_augmented, dtype=bool)):
-        key = labels[i].item() if hasattr(labels[i], "item") else labels[i]
-        if key in seen:
-            continue
-        seen.add(key)
-        anchors.append(i)
-        positives.append(pair[i])
-    return np.asarray(anchors, dtype=int), np.asarray(positives, dtype=int)
-
-
-def _contrastive(unit, labels, cfg: LossConfig, is_augmented):
-    kind = cfg.contrastive_kind
-    if kind == "supcon":
-        return supcon(unit, labels, cfg)
-    if kind == "ntxent":
-        return ntxent(unit, augmentation_pairs(labels, is_augmented), cfg)
-    if kind == "triplet":
-        return triplet(unit, labels, cfg)
-    anchors, positives = npair_pairs(labels, is_augmented)
-    return npair(unit, labels, anchors, positives, cfg)
-
-
 # ---------------------------------------------------------------------------
 # the objective
 
 
 def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
-              lam_tap, lam_spk, is_augmented):
+              lam_tap, lam_spk):
     """Margin softmax on the speaker embedding, plus ``lam_tap`` times the
-    mean over blocks of the ``cfg.contrastive_kind`` loss on each tap
-    embedding, plus ``lam_spk`` times the supervised contrastive loss on the
-    speaker embedding.
+    mean over blocks of SupCon on each tap embedding, plus ``lam_spk``
+    times SupCon on the speaker embedding.
 
-    Embeddings come in raw; the contrastive terms unit-normalize them and
-    the returned gradients include the normalization. A zero weight skips
-    its term. Returns (total, breakdown, d_tap_embeddings, d_speaker_emb,
+    Embeddings come in raw; the SupCon terms unit-normalize them and the
+    returned gradients include the normalization. A zero weight skips its
+    term. Returns (total, breakdown, d_tap_embeddings, d_speaker_emb,
     d_weights); the breakdown has the same keys whatever the weights.
     """
     if not tap_embeddings:
@@ -348,7 +200,7 @@ def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
         scale = lam_tap / num_blocks
         for b, raw in enumerate(tap_embeddings):
             unit, c_norm = nn.l2_normalize_fwd(np.asarray(raw, dtype=np.float64))
-            per_block[b], dunit = _contrastive(unit, labels, cfg, is_augmented)
+            per_block[b], dunit = supcon(unit, labels, cfg)
             d_taps[b] = scale * nn.l2_normalize_bwd(dunit, c_norm)
     spk_value = 0.0
     if lam_spk != 0.0:

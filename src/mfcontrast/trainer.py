@@ -1,9 +1,9 @@
-"""Batch construction with augmentation pairing, the Adam training loop,
-checkpointing, and in-training evaluation.
+"""Batch construction, the Adam training loop, checkpointing, and
+in-training evaluation.
 
 Batches hold 2B rows: B original crops followed by their augmented
 counterparts in matching order, so every anchor has at least one positive
-for the contrastive losses. All randomness is derived from the config seed,
+for the SupCon terms. All randomness is derived from the config seed,
 and a fixed seed reproduces the loss curve bit-for-bit in single-threaded
 mode.
 """
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,13 @@ from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
                       compute_mindcf, score_trials)
 from .model import SpeakerModel
 
-# Named presets of losses.objective: name -> the (lam_tap, contrastive kind,
-# lam_spk) each one reads from a LossConfig. combined always uses SupCon.
+# Named presets of losses.objective: name -> the (lam_tap, lam_spk) each
+# one reads from a LossConfig.
 OBJECTIVES = {
-    "am_softmax": lambda lc: (0.0, lc.contrastive_kind, 0.0),
-    "mfcon": lambda lc: (lc.lam, lc.contrastive_kind, 0.0),
-    "am_supcon": lambda lc: (0.0, lc.contrastive_kind, lc.lam2),
-    "combined": lambda lc: (lc.lam1, "supcon", lc.lam2),
+    "am_softmax": lambda lc: (0.0, 0.0),
+    "mfcon": lambda lc: (lc.lam, 0.0),
+    "am_supcon": lambda lc: (0.0, lc.lam2),
+    "combined": lambda lc: (lc.lam1, lc.lam2),
 }
 
 
@@ -59,12 +60,14 @@ class TrainConfig:
     ``losses.objective`` with its weights read from ``loss``:
 
     - ``am_softmax``: margin softmax alone;
-    - ``mfcon``: plus ``loss.lam`` times the per-block
-      ``loss.contrastive_kind`` mean (the paper's objective);
+    - ``mfcon``: plus ``loss.lam`` times the per-block SupCon mean (the
+      paper's objective);
     - ``am_supcon``: plus ``loss.lam2`` times SupCon on the speaker
       embedding;
     - ``combined``: plus ``loss.lam1`` times the per-block SupCon mean and
       ``loss.lam2`` times SupCon on the speaker embedding.
+
+    ``lr`` and ``crop_duration`` must be finite and positive.
     """
 
     batch_size: int = 100
@@ -80,8 +83,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for name in ("lr", "crop_duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.lr_halve_every < 1:
             raise ValueError("lr_halve_every must be >= 1")
         if self.epochs < 1:
@@ -112,8 +117,8 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
     counterparts in matching order. Returns (features (2B, T, n_mels) as
-    float32, labels (2B,), is_augmented (2B,)). Deterministic under
-    rng_seed. ``label_map`` defaults to ``speaker_label_map(utterances)``.
+    float32, labels (2B,)). Deterministic under rng_seed. ``label_map``
+    defaults to ``speaker_label_map(utterances)``.
     """
     if not utterances:
         raise ValueError("cannot build a batch from an empty dataset")
@@ -128,8 +133,7 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
     feats = np.stack([extract_fbank(x, n_mels).values for x in crops + augmented],
                      dtype=np.float32)
     labels = np.array([label_map[w.speaker_id] for w in crops + augmented], dtype=int)
-    is_augmented = np.array([False] * len(crops) + [True] * len(augmented))
-    return feats, labels, is_augmented
+    return feats, labels
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +165,19 @@ def adam_step(params, grads, opt: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-
 
 
 # ---------------------------------------------------------------------------
-# objective dispatch
+# objective
 
 
-def compute_objective(out, labels, is_augmented, weights, cfg: TrainConfig):
+def compute_objective(out, labels, weights, cfg: TrainConfig):
     """Configured loss on a model forward. Returns
     (total, breakdown, d_tap_embeddings, d_speaker_embedding, d_weights)."""
-    lam_tap, kind, lam_spk = OBJECTIVES[cfg.objective](cfg.loss)
+    lam_tap, lam_spk = OBJECTIVES[cfg.objective](cfg.loss)
     return losses.objective(out.tap_embeddings, out.speaker_embedding, labels,
-                            weights, replace(cfg.loss, contrastive_kind=kind),
-                            lam_tap, lam_spk, is_augmented)
+                            weights, cfg.loss, lam_tap, lam_spk)
 
 
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
-               is_augmented, cfg: TrainConfig, lr: float,
-               rng: np.random.Generator):
+               cfg: TrainConfig, lr: float, rng: np.random.Generator):
     """One forward/backward/update. Returns the loss breakdown and the wall
     time of each stage: ``forward_s``, ``loss_s``, ``backward_s`` and
     ``adam_s``."""
@@ -183,7 +185,7 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
     out = model.forward(feats, mode="train", rng=rng)
     t1 = time.perf_counter()
     total, breakdown, d_taps, d_spk, d_w = compute_objective(
-        out, labels, is_augmented, model.classifier_weights, cfg)
+        out, labels, model.classifier_weights, cfg)
     if not np.isfinite(total):
         raise NonFiniteLossError(breakdown)
     t2 = time.perf_counter()
@@ -360,15 +362,15 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
             for s in range(steps_per_epoch):
                 picked = [corpus[i] for i in perm[s * batch:(s + 1) * batch]]
                 t0 = time.perf_counter()
-                feats, labels, is_aug = build_batch(
+                feats, labels = build_batch(
                     picked, cfg, enc_cfg.input_dim, _derive_seed(cfg.seed, 1, epoch, s),
                     sampler=sampler, label_map=label_map)
                 data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
                 faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
-                breakdown, stages = train_step(model, opt, feats, labels, is_aug,
-                                               cfg, lr, step_rng)
+                breakdown, stages = train_step(model, opt, feats, labels, cfg, lr,
+                                               step_rng)
                 step_s = time.perf_counter() - t0
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
                 record = {"step": step, "epoch": epoch, "lr": lr,

@@ -153,28 +153,6 @@ def brute_force_mindcf(scores, labels, p_target=0.01, c_miss=1.0, c_fa=1.0):
     return best / min(c_miss * p_target, c_fa * (1.0 - p_target))
 
 
-def brute_force_triplet(z, labels, margin):
-    """Batch-all triplet loss by direct triple enumeration."""
-    n = len(z)
-    total, count = 0.0, 0
-    any_valid = False
-    for a in range(n):
-        for p in range(n):
-            if p == a or labels[p] != labels[a]:
-                continue
-            for neg in range(n):
-                if labels[neg] == labels[a]:
-                    continue
-                any_valid = True
-                term = (np.sum((z[a] - z[p]) ** 2)
-                        - np.sum((z[a] - z[neg]) ** 2) + margin)
-                if term > 0.0:
-                    total += term
-                    count += 1
-    assert any_valid, "oracle: no valid triple"
-    return total / count if count else 0.0
-
-
 def brute_force_supcon(z, labels, tau):
     """Supervised contrastive loss by direct pair enumeration."""
     n = len(z)

@@ -41,10 +41,21 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_unknown_flag_is_a_usage_error(tmp_path):
-    assert cli.main(["train", "--synthetic", "--out", str(tmp_path), "--no-such-flag"]) == 2
+# flags and sweep axes the parser does not offer, among them the removed
+# contrastive-kind choice (SupCon is the only contrastive loss)
+@pytest.mark.parametrize("argv, name", [
+    (["train", "--no-such-flag"], "--no-such-flag"),
+    (["train", "--contrastive-kind", "npair"], "--contrastive-kind"),
+    (["sweep", "--axis", "contrastive_kind", "--values", "supcon"], "contrastive_kind"),
+], ids=["unknown-flag", "contrastive-kind-flag", "contrastive_kind-axis"])
+def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
+    assert cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mfcontrast") and name in err
+    assert not (tmp_path / "run").exists()
 
 
+# a dict in argv stands for a --config file that holds it
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", "0"],
     ["train", "--lambda", "-1"],
@@ -54,15 +65,33 @@ def test_unknown_flag_is_a_usage_error(tmp_path):
     ["sweep", "--axis", "lambda", "--values", "abc"],
     ["sweep", "--axis", "lambda", "--values", "-0.5"],
     ["sweep", "--axis", "lambda12", "--values", "1:2:3"],
-    ["sweep", "--axis", "contrastive_kind", "--values", "chorus"],
     # two values that would train into one run directory
     ["sweep", "--axis", "lambda", "--values", "0.1,0.10"],
     ["sweep", "--axis", "lambda", "--values", "0.1,0.1000000001"],
     ["sweep", "--axis", "lambda12", "--values", "0.1,0.1:0.1"],
+    # non-finite or non-positive hyperparameters
+    ["train", "--lambda", "nan"],
+    ["train", "--lambda", "inf"],
+    ["train", "--lambda1", "nan"],
+    ["train", "--loss", "mfcon", "--lambda2", "nan"],
+    ["sweep", "--axis", "lambda", "--values", "nan"],
+    ["sweep", "--axis", "lambda12", "--values", "0.1:inf"],
+    ["train", "--config", {"train": {"lr": float("nan")}}],
+    ["train", "--config", {"train": {"crop_duration": 0}}],
+    ["train", "--config", {"train": {"crop_duration": float("inf")}}],
+    ["train", "--config", {"train": {"loss": {"temperature": float("nan")}}}],
+    ["train", "--config", {"train": {"loss": {"scale": float("inf")}}}],
+    ["train", "--config", {"train": {"loss": {"margin": float("nan")}}}],
 ])
 def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
+    config = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
     assert cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")]) == 2
     assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv, run_dir", [

@@ -13,18 +13,25 @@ def test_presets_round_trip_through_a_saved_file(tmp_path, preset):
     assert load_config(tmp_path / "cfg.json") == preset()
 
 
-# feature and augmentation settings that TrainConfig no longer has: the
-# mel-bin count is EncoderConfig.input_dim, the framing and the augmentation
-# draws are fixed in features
+# settings that TrainConfig and its LossConfig no longer have: the mel-bin
+# count is EncoderConfig.input_dim, the framing and the augmentation draws are
+# fixed in features, and SupCon is the only contrastive loss. A dotted key
+# such as loss.triplet_margin lies in that subsection of train; every config
+# saved before the contrastive kinds were removed holds both loss keys.
 @pytest.mark.parametrize("key, value", [("n_mels", 80), ("frame_len", 0.025),
                                         ("frame_shift", 0.01), ("snr_range", [0.0, 15.0]),
-                                        ("noise_prob", 0.5)])
+                                        ("noise_prob", 0.5),
+                                        ("loss.contrastive_kind", "supcon"),
+                                        ("loss.triplet_margin", 0.2)])
 def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value):
+    section, _, name = key.rpartition(".")
+    entry = {section: {name: value}} if section else {name: value}
+    where = f"train.{section}" if section else "train"
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"train": {"epochs": 1, key: value}}))
-    with pytest.raises(ConfigError, match=f"train: unknown keys \\['{key}'\\]"):
+    path.write_text(json.dumps({"train": {"epochs": 1, **entry}}))
+    with pytest.raises(ConfigError, match=f"{where}: unknown keys \\['{name}'\\]"):
         load_config(path)
     assert cli.main(["train", "--synthetic", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 2
-    assert key in capsys.readouterr().err
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

@@ -5,14 +5,11 @@ import pytest
 
 from mfcontrast import trainer
 from mfcontrast.config import desk_config, full_scale_config
-from mfcontrast.losses import (LossConfig, am_softmax, augmentation_pairs,
-                               npair, npair_pairs, ntxent, objective, supcon,
-                               triplet)
+from mfcontrast.losses import LossConfig, am_softmax, objective, supcon
 from mfcontrast.model import ModelOutput
 from mfcontrast.trainer import TrainConfig
 
-from oracles import (brute_force_supcon, brute_force_triplet, fd_gradient,
-                     rel_error)
+from oracles import brute_force_supcon, fd_gradient, rel_error
 
 
 def unit_rows(a):
@@ -145,133 +142,6 @@ def _every_anchor_has_positive(labels):
     return np.all(counts >= 2)
 
 
-class TestNtxent:
-    def test_single_pair_is_zero(self):
-        z = unit_rows(np.random.default_rng(11).standard_normal((2, 4)))
-        loss, _ = ntxent(z, np.array([1, 0]), LossConfig())
-        assert loss == 0.0
-
-    def test_orthogonal_instance_matches_supcon_per_anchor(self):
-        z = np.stack([E1, E1, E2, E2])
-        loss, _ = ntxent(z, np.array([1, 0, 3, 2]), LossConfig(temperature=1.0))
-        assert abs(loss - (-(1.0 - np.log(np.e + 2.0)))) < 1e-12
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(12)
-        pairs = np.array([3, 4, 5, 0, 1, 2])
-        for _ in range(5):
-            z = unit_rows(rng.standard_normal((6, 8)))
-            cfg = LossConfig(temperature=0.3)
-            loss, dz = ntxent(z, pairs, cfg)
-            fz = fd_gradient(lambda: ntxent(z, pairs, cfg)[0], z)
-            assert rel_error(dz, fz) < 1e-5
-
-    def test_unmatched_rows_rejected(self):
-        z = np.eye(3)
-        with pytest.raises(ValueError):
-            ntxent(z, np.array([1, 0, 2]), LossConfig())  # fixed point
-
-
-class TestTriplet:
-    def test_satisfied_margin_is_zero(self):
-        # positives co-located with anchors, negatives far away
-        z = np.array([[1.0, 0], [1.0, 0], [-1.0, 0], [-1.0, 0]])
-        loss, dz = triplet(z, np.array([0, 0, 1, 1]), LossConfig(triplet_margin=0.2))
-        assert loss == 0.0
-        assert np.all(dz == 0.0)
-
-    def test_hand_instance_term(self):
-        # a = e1, p = e2 orthogonal: d(a,p) = 2; n at the anchor: d(a,n) = 0
-        z = np.stack([E1, E2, E1])
-        labels = np.array([0, 0, 1])
-        loss, _ = triplet(z, labels, LossConfig(triplet_margin=0.2))
-        # batch-all mean over active triples {2.2, 0.2}
-        assert abs(loss - 1.2) < 1e-12
-        assert abs(brute_force_triplet(z, labels, 0.2) - loss) < 1e-12
-
-    def test_matches_brute_force_enumeration(self):
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            z = unit_rows(rng.standard_normal((8, 5)))
-            labels = rng.integers(0, 3, size=8)
-            if not _every_anchor_has_positive(labels):
-                continue
-            loss, _ = triplet(z, labels, LossConfig(triplet_margin=0.4))
-            assert abs(loss - brute_force_triplet(z, labels, 0.4)) < 1e-10
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(14)
-        checked = 0
-        for _ in range(10):
-            z = unit_rows(rng.standard_normal((6, 6)))
-            labels = np.array([0, 0, 1, 1, 2, 2])
-            cfg = LossConfig(triplet_margin=0.37)
-            sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(-1)
-            margins = sq[:, :, None] - sq[:, None, :] + cfg.triplet_margin
-            if np.any(np.abs(margins) < 1e-3):
-                continue  # stay away from hinge kinks
-            loss, dz = triplet(z, labels, cfg)
-            fz = fd_gradient(lambda: triplet(z, labels, cfg)[0], z)
-            assert rel_error(dz, fz) < 1e-5
-            checked += 1
-        assert checked >= 3
-
-    def test_no_valid_triple_rejected(self):
-        z = np.eye(3)
-        with pytest.raises(ValueError):
-            triplet(z, np.array([0, 1, 2]), LossConfig())
-
-
-class TestNpair:
-    def test_single_pair_is_zero(self):
-        z = unit_rows(np.random.default_rng(15).standard_normal((2, 4)))
-        loss, _ = npair(z, np.array([0, 0]), np.array([0]), np.array([1]))
-        assert loss == 0.0
-
-    def test_orthogonal_two_class_closed_form(self):
-        z = np.stack([E1, E2, E1, E2])
-        labels = np.array([0, 1, 0, 1])
-        loss, _ = npair(z, labels, np.array([0, 1]), np.array([2, 3]))
-        assert abs(loss - np.log(1.0 + np.exp(-1.0))) < 1e-12
-        assert abs(loss - 0.313262) < 1e-6
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(16)
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        anchors = np.array([0, 1, 2])
-        positives = np.array([3, 4, 5])
-        for _ in range(5):
-            z = unit_rows(rng.standard_normal((6, 8)))
-            loss, dz = npair(z, labels, anchors, positives)
-            fz = fd_gradient(lambda: npair(z, labels, anchors, positives)[0], z)
-            assert rel_error(dz, fz) < 1e-5
-
-    def test_duplicate_class_rejected(self):
-        z = np.eye(4)
-        with pytest.raises(ValueError, match="duplicate"):
-            npair(z, np.array([0, 0, 0, 0]), np.array([0, 1]), np.array([2, 3]))
-
-
-class TestPairHelpers:
-    def test_augmentation_pairs_roundtrip(self):
-        labels = np.array([3, 1, 4, 3, 1, 4])
-        flags = np.array([False, False, False, True, True, True])
-        pair = augmentation_pairs(labels, flags)
-        np.testing.assert_array_equal(pair, [3, 4, 5, 0, 1, 2])
-
-    def test_npair_pairs_dedupe_classes(self):
-        labels = np.array([7, 7, 5, 7, 7, 5])
-        flags = np.array([False, False, False, True, True, True])
-        anchors, positives = npair_pairs(labels, flags)
-        np.testing.assert_array_equal(anchors, [0, 2])
-        np.testing.assert_array_equal(positives, [3, 5])
-
-    def test_mismatched_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            augmentation_pairs(np.array([0, 1, 1, 0]),
-                               np.array([False, False, True, True]))
-
-
 class TestInvariances:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(17)
@@ -279,9 +149,8 @@ class TestInvariances:
         labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
         zu = unit_rows(z)
         perm = rng.permutation(8)
-        cfg = LossConfig(temperature=0.3, triplet_margin=0.3)
+        cfg = LossConfig(temperature=0.3)
         for fn in (lambda v, l: supcon(v, l, cfg)[0],
-                   lambda v, l: triplet(v, l, cfg)[0],
                    lambda v, l: am_softmax(v, l, w, cfg)[0]):
             assert abs(fn(zu, labels) - fn(zu[perm], labels[perm])) < 1e-10
 
@@ -294,16 +163,12 @@ class TestInvariances:
         a, _ = supcon(z, labels, cfg)
         b, _ = supcon(z @ q, labels, cfg)
         assert abs(a - b) < 1e-8
-        pairs = np.array([3, 4, 5, 0, 1, 2])
-        a2, _ = ntxent(z, pairs, cfg)
-        b2, _ = ntxent(z @ q, pairs, cfg)
-        assert abs(a2 - b2) < 1e-8
 
 
-def preset(name, taps, spk, labels, w, cfg, flags):
+def preset(name, taps, spk, labels, w, cfg):
     """The named preset of trainer.OBJECTIVES on raw embeddings."""
     out = ModelOutput(taps, spk, cache=None)
-    return trainer.compute_objective(out, labels, flags, w,
+    return trainer.compute_objective(out, labels, w,
                                      TrainConfig(objective=name, loss=cfg))
 
 
@@ -314,16 +179,14 @@ class TestComposites:
         self.taps = [rng.standard_normal((6, 8)) for _ in range(3)]
         self.spk = rng.standard_normal((6, 8))
         self.labels = np.array([0, 1, 2, 0, 1, 2])
-        self.flags = np.array([False, False, False, True, True, True])
         self.w = rng.standard_normal((3, 8))
 
     def objective(self, cfg, lam_tap, lam_spk, taps=None):
         return objective(self.taps if taps is None else taps, self.spk,
-                         self.labels, self.w, cfg, lam_tap, lam_spk, self.flags)
+                         self.labels, self.w, cfg, lam_tap, lam_spk)
 
     def preset(self, name, cfg):
-        return preset(name, self.taps, self.spk, self.labels, self.w, cfg,
-                      self.flags)
+        return preset(name, self.taps, self.spk, self.labels, self.w, cfg)
 
     def test_zero_lambda_reduces_to_am_softmax(self):
         cfg = LossConfig(lam=0.3, lam1=0.3, lam2=0.3)
@@ -395,27 +258,9 @@ class TestComposites:
         for full, part in zip(d_taps, d_taps_b):
             np.testing.assert_allclose(full, part, atol=1e-12)
 
-    def test_combined_forces_supcon(self):
-        cfg = LossConfig(lam1=0.3, lam2=0.2, temperature=0.4)
-        ref = self.preset("combined", cfg)
-        for kind in ("ntxent", "triplet", "npair"):
-            got = self.preset("combined", replace(cfg, contrastive_kind=kind))
-            assert got[0] == ref[0]
-            for a, b in zip(got[2], ref[2]):
-                np.testing.assert_array_equal(a, b)
-
     def test_mfcon_defaults_match_best_sweep_row(self):
         # both presets train MFCon at the paper's best sweep row, lambda = 0.01
         for preset in (desk_config, full_scale_config):
             train = preset().train
             assert train.objective == "mfcon"
             assert train.loss.lam == 0.01
-
-    @pytest.mark.parametrize("kind", ["supcon", "ntxent", "triplet", "npair"])
-    def test_contrastive_kind_dispatch(self, kind):
-        cfg = LossConfig(lam=0.1, temperature=0.4, contrastive_kind=kind,
-                         triplet_margin=0.3)
-        total, bd, d_taps, _, _ = self.preset("mfcon", cfg)
-        assert np.isfinite(total)
-        assert len(bd["contrastive"]) == 3
-        assert any(np.any(d != 0.0) for d in d_taps)
