@@ -52,29 +52,27 @@ def _append_manifest_end(out_dir: Path, **extra):
         f.write(json.dumps(record) + "\n")
 
 
+def _given(**values) -> dict:
+    """The values a command line set; an absent flag parses to None."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _load_experiment(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    """The ``--config`` file or ``--preset`` (default desk), with the train
+    flags applied together, so the objective is checked against the weights
+    given with it."""
+    if args.config:
         cfg = load_config(args.config)
-    elif getattr(args, "preset", None) == "full":
+    elif args.preset == "full":
         cfg = full_scale_config()
     else:
         cfg = desk_config()
-    train_cfg = cfg.train
-    loss_cfg = train_cfg.loss
     try:
-        if getattr(args, "loss", None):
-            train_cfg = replace(train_cfg, objective=args.loss)
-        if getattr(args, "lambda_", None) is not None:
-            loss_cfg = replace(loss_cfg, lam=args.lambda_)
-        if getattr(args, "lambda1", None) is not None:
-            loss_cfg = replace(loss_cfg, lam1=args.lambda1)
-        if getattr(args, "lambda2", None) is not None:
-            loss_cfg = replace(loss_cfg, lam2=args.lambda2)
-        if getattr(args, "seed", None) is not None:
-            train_cfg = replace(train_cfg, seed=args.seed)
-        if getattr(args, "epochs", None) is not None:
-            train_cfg = replace(train_cfg, epochs=args.epochs)
-        train_cfg = replace(train_cfg, loss=loss_cfg)
+        loss_cfg = replace(cfg.train.loss, **_given(lam1=getattr(args, "lambda1", None),
+                                                    lam2=getattr(args, "lambda2", None)))
+        train_cfg = replace(cfg.train, loss=loss_cfg,
+                            **_given(objective=getattr(args, "loss", None),
+                                     seed=args.seed, epochs=args.epochs))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return replace(cfg, train=train_cfg)
@@ -196,22 +194,23 @@ def _parse_sweep_values(axis, raw_values):
 
 
 def _sweep_variant(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
-    train_cfg, head_cfg = cfg.train, cfg.head
-    loss_cfg = train_cfg.loss
+    """``cfg`` at one value of a sweep axis. ``lambda`` sweeps mfcon's
+    ``lam1``, ``lambda12`` combined's ``lam1:lam2``, and ``sharing`` trains
+    mfcon at the configured ``lam1``."""
+    head_cfg, loss_cfg = cfg.head, cfg.train.loss
     try:
         if axis == "lambda":
-            train_cfg = replace(train_cfg, objective="mfcon")
-            loss_cfg = replace(loss_cfg, lam=value)
+            objective, loss_cfg = "mfcon", replace(loss_cfg, lam1=value)
         elif axis == "lambda12":
-            train_cfg = replace(train_cfg, objective="combined")
-            loss_cfg = replace(loss_cfg, lam1=value[0], lam2=value[1])
-        elif axis == "sharing":
-            train_cfg = replace(train_cfg, objective="mfcon")
-            loss_cfg = replace(loss_cfg, lam=loss_cfg.lam if loss_cfg.lam > 0 else 0.1)
+            objective, loss_cfg = "combined", replace(loss_cfg, lam1=value[0],
+                                                      lam2=value[1])
+        else:
+            objective = "mfcon"
             head_cfg = replace(head_cfg,
                                share_pooling=value in ("pool", "both"),
                                share_projection=value in ("proj", "both"))
-        return replace(cfg, train=replace(train_cfg, loss=loss_cfg), head=head_cfg)
+        train_cfg = replace(cfg.train, objective=objective, loss=loss_cfg)
+        return replace(cfg, train=train_cfg, head=head_cfg)
     except ValueError as err:
         raise ConfigError(f"{axis} value {value}: {err}") from err
 
@@ -249,6 +248,11 @@ def cmd_sweep(args, argv) -> int:
     return 0
 
 
+def _readers(field) -> str:
+    """The objective presets that read a LossConfig weight, for help text."""
+    return " and ".join(n for n, reads in OBJECTIVES.items() if field in reads)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfcontrast",
@@ -257,10 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="experiment config JSON (default: desk preset)")
-        p.add_argument("--preset", choices=("desk", "full"), default=None,
-                       help="start from a named preset instead of the desk "
-                            "default; --config takes precedence")
+        start = p.add_mutually_exclusive_group()
+        start.add_argument("--config", help="experiment config JSON; what it leaves "
+                                            "out is the desk preset's")
+        start.add_argument("--preset", choices=("desk", "full"), default=None,
+                           help="start from a named preset (default: desk)")
         p.add_argument("--synthetic", action="store_true",
                        help="use the built-in synthetic corpus")
         p.add_argument("--data", help="corpus manifest file or directory")
@@ -271,15 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(t)
     t.add_argument("--loss", choices=tuple(OBJECTIVES), default=None,
                    help="objective preset: margin softmax on the speaker "
-                        "embedding, plus the SupCon terms the preset weighs "
-                        "with --lambda/--lambda1/--lambda2")
-    t.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                   help="per-block SupCon weight; read by --loss mfcon")
+                        "embedding, plus the SupCon terms it weighs with "
+                        "--lambda1 and --lambda2; a weight it reads must be "
+                        "positive")
     t.add_argument("--lambda1", type=float, default=None,
-                   help="per-block SupCon weight; read by --loss combined")
+                   help=f"per-block SupCon weight (loss.lam1); read by --loss "
+                        f"{_readers('lam1')}")
     t.add_argument("--lambda2", type=float, default=None,
-                   help="speaker-embedding SupCon weight; read by --loss "
-                        "am_supcon and combined")
+                   help=f"speaker-embedding SupCon weight (loss.lam2); read by "
+                        f"--loss {_readers('lam2')}")
     t.add_argument("--out", required=True, help="output directory")
 
     e = sub.add_parser("eval", help="score trials with a trained checkpoint")

@@ -1,18 +1,18 @@
 """Experiment configuration: a JSON file with one section per config
 dataclass (encoder, head, train, synth, trials), plus ready-made presets.
 
-Unknown sections or keys are rejected so typos fail loudly instead of
-silently training the wrong model.
+A file changes the desk preset: every section and field it leaves out keeps
+the desk value. Unknown sections or keys are rejected so typos fail loudly
+instead of silently training the wrong model.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .encoder import EncoderConfig
 from .heads import HeadConfig
-from .losses import LossConfig
 from .synthdata import SynthSpec
 from .trainer import TrainConfig
 
@@ -30,28 +30,25 @@ class TrialSpec:
 
 @dataclass
 class ExperimentConfig:
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    head: HeadConfig = field(default_factory=HeadConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    synth: SynthSpec = field(default_factory=SynthSpec)
+    """One experiment. The defaults are the desk preset: a small model that
+    trains MFCon (``lam1`` = 0.01) to a low error rate in about a minute on
+    the synthetic corpus."""
+
+    encoder: EncoderConfig = field(default_factory=lambda: EncoderConfig(
+        num_blocks=2, model_dim=64, num_heads=4, ff_expansion=2, conv_kernel=7,
+        dropout=0.0, input_dim=80))
+    head: HeadConfig = field(default_factory=lambda: HeadConfig(
+        embed_dim=64, attention_hidden=32))
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(
+        batch_size=50, lr=1.5e-3, epochs=30, crop_duration=1.0, objective="mfcon"))
+    synth: SynthSpec = field(default_factory=lambda: SynthSpec(
+        n_speakers=10, utts_per_speaker=20, duration=1.6, sample_rate=8000))
     trials: TrialSpec = field(default_factory=TrialSpec)
 
 
 def desk_config() -> ExperimentConfig:
-    """Small preset that trains to a low error rate in about a minute on
-    the synthetic corpus."""
-    return ExperimentConfig(
-        encoder=EncoderConfig(num_blocks=2, model_dim=64, num_heads=4,
-                              ff_expansion=2, conv_kernel=7, dropout=0.0,
-                              input_dim=80),
-        head=HeadConfig(embed_dim=64, attention_hidden=32),
-        train=TrainConfig(batch_size=50, lr=1.5e-3, epochs=30,
-                          crop_duration=1.0, objective="mfcon",
-                          loss=LossConfig(lam=0.01)),
-        synth=SynthSpec(n_speakers=10, utts_per_speaker=20, duration=1.6,
-                        sample_rate=8000),
-        trials=TrialSpec(n_target=250, n_nontarget=250),
-    )
+    """The desk preset, ``ExperimentConfig()``."""
+    return ExperimentConfig()
 
 
 def full_scale_config() -> ExperimentConfig:
@@ -63,47 +60,36 @@ def full_scale_config() -> ExperimentConfig:
                               input_dim=80),
         head=HeadConfig(embed_dim=192, attention_hidden=128),
         train=TrainConfig(batch_size=100, lr=1e-3, lr_halve_every=5,
-                          epochs=30, crop_duration=3.0, objective="mfcon",
-                          loss=LossConfig(lam=0.01)),
+                          epochs=30, crop_duration=3.0, objective="mfcon"),
         synth=SynthSpec(n_speakers=10, utts_per_speaker=20, duration=3.0,
                         sample_rate=16000),
     )
 
 
-_SECTIONS = {"encoder": EncoderConfig, "head": HeadConfig,
-             "train": TrainConfig, "synth": SynthSpec, "trials": TrialSpec}
-
-
-def _build(cls, data, where):
+def _fill(base, data, path=""):
+    """``base`` with the fields ``data`` names replaced; a field that holds a
+    config dataclass (a section, ``train.loss``) is filled the same way.
+    ``path`` is the dotted name of ``base`` that errors report."""
+    where = path or "top level"
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(base)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     values = dict(data)
-    if cls is TrainConfig and "loss" in values:
-        values["loss"] = _build(LossConfig, values["loss"], f"{where}.loss")
+    for name, value in data.items():
+        if is_dataclass(getattr(base, name)):
+            values[name] = _fill(getattr(base, name), value,
+                                 f"{path}.{name}" if path else name)
     try:
-        return cls(**values)
+        return replace(base, **values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
 def config_from_dict(data) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected an object")
-    unknown = set(data) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"top level: unknown sections {sorted(unknown)}")
-    base = ExperimentConfig()
-    parts = {}
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            parts[name] = _build(cls, data[name], name)
-        else:
-            parts[name] = getattr(base, name)
-    return ExperimentConfig(**parts)
+    """The desk preset with the sections and fields ``data`` gives replaced."""
+    return _fill(desk_config(), data)
 
 
 def load_config(path) -> ExperimentConfig:

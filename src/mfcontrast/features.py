@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import wave as _wavemod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -289,47 +289,26 @@ class AugmentSampler:
     """Draws per-utterance augmentations: noise or reverb, equal probability
     by default. Noise SNR is uniform over ``snr_range`` dB.
 
-    Without corpora, noise is white Gaussian and impulse responses are
-    synthetic exponential decays. Point ``noise_dir`` / ``rir_dir`` at
-    directory trees of WAV files to use real material instead; files are
-    enumerated recursively and chosen by seeded uniform draw.
+    Noise is white Gaussian and impulse responses are synthetic exponential
+    decays (``synthetic_impulse_response`` of ``ir_duration`` seconds).
     """
 
     snr_range: tuple[float, float] = (0.0, 15.0)
     noise_prob: float = 0.5
-    noise_dir: str | None = None
-    rir_dir: str | None = None
     ir_duration: float = 0.25
-    _noise_files: list = field(default_factory=list, repr=False)
-    _rir_files: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must lie in [0, 1]")
-        if self.noise_dir is not None:
-            self._noise_files = find_wavs(self.noise_dir)
-            if not self._noise_files:
-                raise FileNotFoundError(f"no WAV files under {self.noise_dir}")
-        if self.rir_dir is not None:
-            self._rir_files = find_wavs(self.rir_dir)
-            if not self._rir_files:
-                raise FileNotFoundError(f"no WAV files under {self.rir_dir}")
 
     def apply(self, w: Waveform, rng: np.random.Generator) -> Waveform:
         """Augment a copy of ``w`` using draws from ``rng``."""
         if rng.random() < self.noise_prob:
             snr = rng.uniform(*self.snr_range)
-            if self._noise_files:
-                pick = self._noise_files[int(rng.integers(len(self._noise_files)))]
-                return add_noise(w, load_wav(pick), snr)
             noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
             noise = Waveform(noise_rng.standard_normal(w.samples.size), w.sample_rate)
             return add_noise(w, noise, snr)
-        if self._rir_files:
-            pick = self._rir_files[int(rng.integers(len(self._rir_files)))]
-            ir = load_wav(pick).samples
-        else:
-            ir = synthetic_impulse_response(rng, w.sample_rate, self.ir_duration)
+        ir = synthetic_impulse_response(rng, w.sample_rate, self.ir_duration)
         return add_reverb(w, ir)
 
 
@@ -355,8 +334,3 @@ def save_wav(w: Waveform, path) -> None:
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
         f.writeframes(x.tobytes())
-
-
-def find_wavs(root) -> list[Path]:
-    """All .wav files under a directory tree, sorted for determinism."""
-    return sorted(Path(root).rglob("*.wav"))

@@ -8,9 +8,10 @@ training objective built from them:
 
 where ``spk`` is the aggregated speaker embedding and ``tap_b`` the
 embedding of block b's feature map. SupCon is the only contrastive loss.
-The named presets (the paper's multi-scale feature contrastive objective
-and its variants) are rows of ``trainer.OBJECTIVES`` that pick the two
-weights.
+Each weight has one ``LossConfig`` field: ``lam1`` is lam_tap and ``lam2``
+is lam_spk. The named presets (the paper's multi-scale feature contrastive
+objective and its variants) are rows of ``trainer.OBJECTIVES``, each naming
+the fields it reads; a weight the preset does not read is zero.
 
 Every function returns the scalar loss together with gradients for its
 array inputs, computed in closed form. ``supcon`` expects unit-norm rows;
@@ -39,22 +40,22 @@ class LossConfig:
     ``margin``, ``scale`` and ``margin_style`` shape the margin softmax:
     the additive margin enters on the cosine (default) or on the angle.
     ``temperature`` and ``supcon_mean_over_anchors`` shape every SupCon
-    term. ``lam``, ``lam1`` and ``lam2`` are the SupCon weights that the
-    presets in ``trainer.OBJECTIVES`` hand to ``objective``; that table
-    says which preset reads which. Every float must be finite.
+    term. ``lam1`` weighs the mean over blocks of SupCon on each feature
+    map and ``lam2`` SupCon on the speaker embedding; ``trainer.OBJECTIVES``
+    says which preset reads which. ``lam1`` defaults to 0.01, the paper's
+    best sweep row. Every float must be finite.
     """
 
     margin: float = 0.2
     scale: float = 30.0
     temperature: float = 0.07
-    lam: float = 0.0
-    lam1: float = 0.0
+    lam1: float = 0.01
     lam2: float = 0.0
     margin_style: str = "cosine_additive"
     supcon_mean_over_anchors: bool = False
 
     def __post_init__(self):
-        for name in ("margin", "scale", "temperature", "lam", "lam1", "lam2"):
+        for name in ("margin", "scale", "temperature", "lam1", "lam2"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -64,7 +65,7 @@ class LossConfig:
             raise ValueError("scale must be positive")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
-        if min(self.lam, self.lam1, self.lam2) < 0:
+        if min(self.lam1, self.lam2) < 0:
             raise ValueError("loss coefficients must be >= 0")
         if self.margin_style not in MARGIN_STYLES:
             raise ValueError(f"margin_style must be one of {MARGIN_STYLES}")

@@ -30,13 +30,13 @@ from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
                       compute_mindcf, score_trials)
 from .model import SpeakerModel
 
-# Named presets of losses.objective: name -> the (lam_tap, lam_spk) each
-# one reads from a LossConfig.
+# Named presets of losses.objective: name -> the LossConfig weights it reads,
+# lam1 as lam_tap and lam2 as lam_spk. A weight a preset does not read is 0.
 OBJECTIVES = {
-    "am_softmax": lambda lc: (0.0, 0.0),
-    "mfcon": lambda lc: (lc.lam, 0.0),
-    "am_supcon": lambda lc: (0.0, lc.lam2),
-    "combined": lambda lc: (lc.lam1, lc.lam2),
+    "am_softmax": (),
+    "mfcon": ("lam1",),
+    "am_supcon": ("lam2",),
+    "combined": ("lam1", "lam2"),
 }
 
 
@@ -60,14 +60,16 @@ class TrainConfig:
     ``losses.objective`` with its weights read from ``loss``:
 
     - ``am_softmax``: margin softmax alone;
-    - ``mfcon``: plus ``loss.lam`` times the per-block SupCon mean (the
+    - ``mfcon``: plus ``loss.lam1`` times the per-block SupCon mean (the
       paper's objective);
     - ``am_supcon``: plus ``loss.lam2`` times SupCon on the speaker
       embedding;
     - ``combined``: plus ``loss.lam1`` times the per-block SupCon mean and
       ``loss.lam2`` times SupCon on the speaker embedding.
 
-    ``lr`` and ``crop_duration`` must be finite and positive.
+    A weight the objective reads must be positive: a zero one would train
+    a different row under this one's name. ``lr`` and ``crop_duration``
+    must be finite and positive.
     """
 
     batch_size: int = 100
@@ -95,6 +97,10 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {tuple(OBJECTIVES)}")
+        for name in OBJECTIVES[self.objective]:
+            if getattr(self.loss, name) == 0:
+                raise ValueError(f"objective {self.objective} reads loss.{name}, "
+                                 "which must be positive, not 0")
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -112,27 +118,31 @@ def speaker_label_map(utterances) -> dict:
 
 
 def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
-                sampler: AugmentSampler | None = None, label_map=None):
+                label_map=None):
     """Doubled training batch from B sampled utterances.
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
-    counterparts in matching order. Returns (features (2B, T, n_mels) as
-    float32, labels (2B,)). Deterministic under rng_seed. ``label_map``
-    defaults to ``speaker_label_map(utterances)``.
+    counterparts in matching order. One ``extract_fbank`` call per sample
+    rate in the batch turns them into features. Returns (features
+    (2B, T, n_mels) as float32, labels (2B,)). Deterministic under
+    rng_seed. ``label_map`` defaults to ``speaker_label_map(utterances)``.
     """
     if not utterances:
         raise ValueError("cannot build a batch from an empty dataset")
-    if sampler is None:
-        sampler = AugmentSampler()
     if label_map is None:
         label_map = speaker_label_map(utterances)
     rng = np.random.default_rng([rng_seed, 0xBA7C4])
     crops = [random_crop(w, cfg.crop_duration, int(rng.integers(2 ** 31 - 1)))
              for w in utterances]
-    augmented = [sampler.apply(c, rng) for c in crops]
-    feats = np.stack([extract_fbank(x, n_mels).values for x in crops + augmented],
-                     dtype=np.float32)
-    labels = np.array([label_map[w.speaker_id] for w in crops + augmented], dtype=int)
+    sampler = AugmentSampler()
+    waves = crops + [sampler.apply(c, rng) for c in crops]
+    by_rate = {}
+    for w in waves:
+        by_rate.setdefault(w.sample_rate, []).append(w)
+    rows = {rate: iter(extract_fbank(group, n_mels).values)
+            for rate, group in by_rate.items()}
+    feats = np.stack([next(rows[w.sample_rate]) for w in waves], dtype=np.float32)
+    labels = np.array([label_map[w.speaker_id] for w in waves], dtype=int)
     return feats, labels
 
 
@@ -171,7 +181,9 @@ def adam_step(params, grads, opt: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-
 def compute_objective(out, labels, weights, cfg: TrainConfig):
     """Configured loss on a model forward. Returns
     (total, breakdown, d_tap_embeddings, d_speaker_embedding, d_weights)."""
-    lam_tap, lam_spk = OBJECTIVES[cfg.objective](cfg.loss)
+    reads = OBJECTIVES[cfg.objective]
+    lam_tap, lam_spk = (getattr(cfg.loss, name) if name in reads else 0.0
+                        for name in ("lam1", "lam2"))
     return losses.objective(out.tap_embeddings, out.speaker_embedding, labels,
                             weights, cfg.loss, lam_tap, lam_spk)
 
@@ -313,8 +325,7 @@ def _jsonable(record):
 
 
 def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
-          cfg: TrainConfig, out_dir=None, trials=None, store=None,
-          sampler: AugmentSampler | None = None) -> TrainResult:
+          cfg: TrainConfig, out_dir=None, trials=None, store=None) -> TrainResult:
     """Full training run over a labeled corpus.
 
     Writes one JSON-lines record per step (and a checkpoint at the end)
@@ -338,8 +349,6 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     label_map = speaker_label_map(corpus)
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
     opt = adam_init(model.params)
-    if sampler is None:
-        sampler = AugmentSampler()
     if store is None and trials is not None:
         store = utterance_store(corpus)
 
@@ -364,7 +373,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                 t0 = time.perf_counter()
                 feats, labels = build_batch(
                     picked, cfg, enc_cfg.input_dim, _derive_seed(cfg.seed, 1, epoch, s),
-                    sampler=sampler, label_map=label_map)
+                    label_map=label_map)
                 data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
                 faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

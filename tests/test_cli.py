@@ -41,24 +41,39 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def synthetic_run(tmp_path, argv):
+    """Exit code of ``argv`` on the synthetic corpus into ``tmp_path/run``; a
+    dict in ``argv`` stands for a --config file that holds it."""
+    config = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
+    return cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")])
+
+
 # flags and sweep axes the parser does not offer, among them the removed
-# contrastive-kind choice (SupCon is the only contrastive loss)
+# contrastive-kind choice (SupCon is the only contrastive loss) and the
+# removed --lambda (--lambda1 is mfcon's weight), and flags it does not take
+# together: a config file and a preset each name the whole starting point
 @pytest.mark.parametrize("argv, name", [
     (["train", "--no-such-flag"], "--no-such-flag"),
     (["train", "--contrastive-kind", "npair"], "--contrastive-kind"),
     (["sweep", "--axis", "contrastive_kind", "--values", "supcon"], "contrastive_kind"),
-], ids=["unknown-flag", "contrastive-kind-flag", "contrastive_kind-axis"])
+    (["train", "--lambda", "0.1"], "--lambda"),
+    (["train", "--preset", "full", "--config", "cfg.json"], "--config"),
+], ids=["unknown-flag", "contrastive-kind-flag", "contrastive_kind-axis", "lambda-flag",
+        "config-with-preset"])
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
-    assert cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert synthetic_run(tmp_path, argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: mfcontrast") and name in err
     assert not (tmp_path / "run").exists()
 
 
-# a dict in argv stands for a --config file that holds it
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", "0"],
-    ["train", "--lambda", "-1"],
+    ["train", "--loss", "am_supcon", "--lambda2", "-1"],
     ["train", "--lambda1", "-1"],
     ["train", "--lambda2", "-1"],
     ["train", "--seed", "-3"],
@@ -70,8 +85,8 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     ["sweep", "--axis", "lambda", "--values", "0.1,0.1000000001"],
     ["sweep", "--axis", "lambda12", "--values", "0.1,0.1:0.1"],
     # non-finite or non-positive hyperparameters
-    ["train", "--lambda", "nan"],
-    ["train", "--lambda", "inf"],
+    ["train", "--lambda2", "inf"],
+    ["train", "--lambda1", "inf"],
     ["train", "--lambda1", "nan"],
     ["train", "--loss", "mfcon", "--lambda2", "nan"],
     ["sweep", "--axis", "lambda", "--values", "nan"],
@@ -84,13 +99,28 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     ["train", "--config", {"train": {"loss": {"margin": float("nan")}}}],
 ])
 def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
-    config = tmp_path / "cfg.json"
-    for arg in argv:
-        if isinstance(arg, dict):
-            config.write_text(json.dumps(arg))
-    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
-    assert cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert synthetic_run(tmp_path, argv) == 2
     assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "run").exists()
+
+
+# a weight the objective reads is 0: the run would train another objective
+# under this one's name
+@pytest.mark.parametrize("argv, field", [
+    (["train", "--loss", "mfcon", "--lambda1", "0"], "lam1"),
+    (["train", "--loss", "am_supcon"], "lam2"),
+    (["train", "--loss", "combined", "--lambda2", "0.1", "--lambda1", "0"], "lam1"),
+    (["train", "--loss", "combined"], "lam2"),
+    (["train", "--config", {"train": {"loss": {"lam1": 0}}}], "lam1"),
+    (["sweep", "--axis", "lambda", "--values", "0.1,0"], "lam1"),
+    (["sweep", "--axis", "lambda12", "--values", "0.1:0"], "lam2"),
+    (["sweep", "--axis", "sharing", "--values", "none", "--config",
+      {"train": {"objective": "am_supcon", "loss": {"lam1": 0, "lam2": 0.1}}}], "lam1"),
+])
+def test_a_zero_weight_the_objective_reads_is_a_config_error(tmp_path, capsys, argv,
+                                                             field):
+    assert synthetic_run(tmp_path, argv) == 2
+    assert f"reads loss.{field}, which must be positive" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -193,9 +223,3 @@ def test_preset_full_resolves_without_training(tmp_path):
     cfg = cli._load_experiment(args)
     assert (cfg.encoder.num_blocks, cfg.encoder.model_dim) == (6, 256)
 
-
-def test_config_takes_precedence_over_preset(tmp_path):
-    path = small_config(tmp_path / "cfg.json")
-    args = cli.build_parser().parse_args(
-        ["train", "--preset", "full", "--config", str(path), "--out", str(tmp_path)])
-    assert cli._load_experiment(args).encoder.num_blocks == 2

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,7 +188,7 @@ class TestComposites:
         return preset(name, self.taps, self.spk, self.labels, self.w, cfg)
 
     def test_zero_lambda_reduces_to_am_softmax(self):
-        cfg = LossConfig(lam=0.3, lam1=0.3, lam2=0.3)
+        cfg = LossConfig(lam1=0.3, lam2=0.3)
         ams, dz, dw = am_softmax(self.spk, self.labels, self.w, cfg)
         # am_softmax is the objective with both weights zero, whatever the config
         for total, bd, d_taps, d_spk, d_w in (self.objective(cfg, 0.0, 0.0),
@@ -207,37 +206,31 @@ class TestComposites:
         assert abs(total - (ams + sc)) < 1e-12
 
     def test_breakdown_recombines_exactly(self):
-        cfg = LossConfig(lam=0.01, temperature=0.07)
+        cfg = LossConfig(lam1=0.01, temperature=0.07)
         total, bd, _, _, _ = self.preset("mfcon", cfg)
         recombined = bd["ams"] + bd["lambda_tap"] * np.mean(bd["contrastive"])
         assert total == bd["total"]
         assert abs(total - recombined) < 1e-15
 
     def test_combined_reductions(self):
-        cfg0 = LossConfig(lam1=0.0, lam2=0.0)
-        total, _, _, d_spk, d_w = self.preset("combined", cfg0)
-        ams, dz, dw = am_softmax(self.spk, self.labels, self.w, cfg0)
-        assert total == ams
-        np.testing.assert_array_equal(d_spk, dz)
-        np.testing.assert_array_equal(d_w, dw)
+        # combined reads both weights, so a zero one is rejected rather than
+        # training am_softmax, am_supcon or mfcon under combined's name
+        for lam1, lam2, field in ((0.0, 0.0, "lam1"), (0.0, 0.3, "lam1"),
+                                  (0.25, 0.0, "lam2")):
+            with pytest.raises(ValueError, match=f"reads loss.{field}"):
+                self.preset("combined", LossConfig(lam1=lam1, lam2=lam2))
 
-        # am_supcon is combined with lam1 = 0
-        cfg1 = LossConfig(lam1=0.0, lam2=0.3, temperature=0.2)
-        t1, _, _, ds1, dw1 = self.preset("combined", cfg1)
-        t2, _, _, ds2, dw2 = self.preset("am_supcon", replace(cfg1, lam1=0.7))
-        assert t1 == t2
-        np.testing.assert_array_equal(ds1, ds2)
-        np.testing.assert_array_equal(dw1, dw2)
-
-        # combined with lam2 = 0 is mfcon with lam = lam1
-        cfgm = LossConfig(lam1=0.25, lam2=0.0, temperature=0.2)
-        t3, _, dt3, ds3, _ = self.preset("combined", cfgm)
-        cfge = LossConfig(lam=0.25, temperature=0.2)
-        t4, _, dt4, ds4, _ = self.preset("mfcon", cfge)
-        assert abs(t3 - t4) < 1e-15
-        for a, b in zip(dt3, dt4):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(ds3, ds4)
+        # every preset is the objective at the weights it reads, 0 for the rest
+        cfg = LossConfig(lam1=0.25, lam2=0.3, temperature=0.2)
+        for name, lam_tap, lam_spk in (("am_softmax", 0.0, 0.0), ("mfcon", 0.25, 0.0),
+                                       ("am_supcon", 0.0, 0.3), ("combined", 0.25, 0.3)):
+            t1, _, dt1, ds1, dw1 = self.preset(name, cfg)
+            t2, _, dt2, ds2, dw2 = self.objective(cfg, lam_tap, lam_spk)
+            assert t1 == t2
+            for a, b in zip(dt1, dt2):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(ds1, ds2)
+            np.testing.assert_array_equal(dw1, dw2)
 
     def test_combined_total_is_linear_in_components(self):
         cfg = LossConfig(lam1=0.03, lam2=0.03, temperature=0.07)
@@ -263,4 +256,4 @@ class TestComposites:
         for preset in (desk_config, full_scale_config):
             train = preset().train
             assert train.objective == "mfcon"
-            assert train.loss.lam == 0.01
+            assert train.loss.lam1 == 0.01

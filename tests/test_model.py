@@ -173,7 +173,7 @@ class TestCompositeObjectiveGradients:
         assert rel_error(d_w, fd_gradient(f, self.w)) < tol
 
     def test_mfcon(self):
-        self.check("mfcon", LossConfig(lam=0.5, temperature=0.2))
+        self.check("mfcon", LossConfig(lam1=0.5, temperature=0.2))
 
     def test_combined(self):
         self.check("combined", LossConfig(lam1=0.3, lam2=0.2, temperature=0.2))
@@ -216,7 +216,7 @@ class TestComputeDtypePolicy:
                             conv_kernel=7, dropout=0.1, input_dim=8)
         m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
         opt = trainer.adam_init(m.params)
-        cfg = TrainConfig(batch_size=3, objective="mfcon", loss=LossConfig(lam=0.1))
+        cfg = TrainConfig(batch_size=3, objective="mfcon", loss=LossConfig(lam1=0.1))
         seen = {}
         compute_objective, backward = trainer.compute_objective, m.backward
 

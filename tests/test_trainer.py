@@ -7,7 +7,7 @@ import pytest
 
 from mfcontrast import config, trainer
 from mfcontrast.encoder import EncoderConfig
-from mfcontrast.features import Waveform, extract_fbank, frame_count
+from mfcontrast.features import FeatureMatrix, Waveform, extract_fbank, frame_count
 from mfcontrast.heads import HeadConfig
 from mfcontrast.losses import LossConfig
 from mfcontrast.metrics import cosine_score
@@ -26,7 +26,7 @@ def tiny(objective):
     """Three epochs of two 12-row steps, with every weight nonzero."""
     return TrainConfig(batch_size=6, lr=3e-3, epochs=3, seed=4, objective=objective,
                        crop_duration=0.3,
-                       loss=LossConfig(lam=0.3, lam1=0.2, lam2=0.1, temperature=0.2))
+                       loss=LossConfig(lam1=0.2, lam2=0.1, temperature=0.2))
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,45 @@ def test_batched_evaluate_equals_one_utterance_at_a_time(monkeypatch):
 def test_unknown_objective_is_rejected():
     with pytest.raises(ValueError, match="objective"):
         TrainConfig(objective="supcon_only")
+
+
+@pytest.mark.parametrize("objective, loss, field", [
+    ("mfcon", LossConfig(lam1=0.0, lam2=0.1), "lam1"),
+    ("am_supcon", LossConfig(), "lam2"),
+    ("combined", LossConfig(lam1=0.0, lam2=0.1), "lam1"),
+    ("combined", LossConfig(lam1=0.1), "lam2"),
+])
+def test_a_zero_weight_the_objective_reads_is_rejected(objective, loss, field):
+    with pytest.raises(ValueError, match=f"objective {objective} reads loss.{field}"):
+        TrainConfig(objective=objective, loss=loss)
+
+
+# 0.3 s crops make 28 frames at either rate, so one batch can mix them
+@pytest.mark.parametrize("utterances, calls_per_batch", [
+    (CORPUS, [24]),
+    (CORPUS[::2] + generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=2, duration=0.5,
+                                             sample_rate=16000, seed=2)), [12, 12]),
+], ids=["one-rate", "two-rates"])
+def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
+        monkeypatch, utterances, calls_per_batch):
+    calls = []
+
+    def counted(waves, n_mels):
+        calls.append(len(waves))
+        return extract_fbank(waves, n_mels)
+
+    def per_crop(waves, n_mels):
+        return FeatureMatrix(np.stack([extract_fbank(w, n_mels).values for w in waves]))
+
+    cfg = tiny("mfcon")
+    for seed in (1, 2, 3):
+        monkeypatch.setattr(trainer, "extract_fbank", counted)
+        feats, labels = trainer.build_batch(utterances, cfg, 16, seed)
+        monkeypatch.setattr(trainer, "extract_fbank", per_crop)
+        loop_feats, loop_labels = trainer.build_batch(utterances, cfg, 16, seed)
+        assert feats.dtype == np.float32 and np.array_equal(feats, loop_feats)
+        assert np.array_equal(labels, loop_labels)
+    assert calls == calls_per_batch * 3
 
 
 def libc_has_mallopt():
