@@ -16,8 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, desk_config,
-                     full_scale_config, load_config)
+from .config import PRESETS, ConfigError, ExperimentConfig, load_config
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
 from .synthdata import generate_corpus, generate_trials, load_manifest
@@ -61,12 +60,7 @@ def _load_experiment(args) -> ExperimentConfig:
     """The ``--config`` file or ``--preset`` (default desk), with the train
     flags applied together, so the objective is checked against the weights
     given with it."""
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.preset == "full":
-        cfg = full_scale_config()
-    else:
-        cfg = desk_config()
+    cfg = load_config(args.config) if args.config else PRESETS[args.preset or "desk"]()
     try:
         loss_cfg = replace(cfg.train.loss, **_given(lam1=getattr(args, "lambda1", None),
                                                     lam2=getattr(args, "lambda2", None)))
@@ -264,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         start = p.add_mutually_exclusive_group()
         start.add_argument("--config", help="experiment config JSON; what it leaves "
                                             "out is the desk preset's")
-        start.add_argument("--preset", choices=("desk", "full"), default=None,
+        start.add_argument("--preset", choices=tuple(PRESETS), default=None,
                            help="start from a named preset (default: desk)")
         p.add_argument("--synthetic", action="store_true",
                        help="use the built-in synthetic corpus")

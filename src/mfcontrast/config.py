@@ -1,6 +1,12 @@
 """Experiment configuration: a JSON file with one section per config
 dataclass (encoder, head, train, synth, trials), plus ready-made presets.
 
+Each preset is defined once. The desk preset is the section dataclasses' own
+defaults (``EncoderConfig``, ``HeadConfig``, ``TrainConfig``, ``SynthSpec``,
+``TrialSpec``), so ``ExperimentConfig()`` is the desk preset; the full preset
+(``full_scale_config``) names only the fields where it differs from desk.
+``PRESETS`` maps each preset's name to its builder.
+
 A file changes the desk preset: every section and field it leaves out keeps
 the desk value. Unknown sections or keys are rejected so typos fail loudly
 instead of silently training the wrong model.
@@ -34,36 +40,32 @@ class ExperimentConfig:
     trains MFCon (``lam1`` = 0.01) to a low error rate in about a minute on
     the synthetic corpus."""
 
-    encoder: EncoderConfig = field(default_factory=lambda: EncoderConfig(
-        num_blocks=2, model_dim=64, num_heads=4, ff_expansion=2, conv_kernel=7,
-        dropout=0.0, input_dim=80))
-    head: HeadConfig = field(default_factory=lambda: HeadConfig(
-        embed_dim=64, attention_hidden=32))
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        batch_size=50, lr=1.5e-3, epochs=30, crop_duration=1.0, objective="mfcon"))
-    synth: SynthSpec = field(default_factory=lambda: SynthSpec(
-        n_speakers=10, utts_per_speaker=20, duration=1.6, sample_rate=8000))
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    head: HeadConfig = field(default_factory=HeadConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    synth: SynthSpec = field(default_factory=SynthSpec)
     trials: TrialSpec = field(default_factory=TrialSpec)
 
 
 def desk_config() -> ExperimentConfig:
-    """The desk preset, ``ExperimentConfig()``."""
+    """The desk preset, ``ExperimentConfig()``: every section's defaults."""
     return ExperimentConfig()
 
 
 def full_scale_config() -> ExperimentConfig:
-    """Six-block preset with the published training hyperparameters.
-    Sized for real corpora; untested at that scale."""
+    """Six-block preset with the published training hyperparameters: the
+    desk preset with the fields named here changed, every other one the
+    section's default. Sized for real corpora; untested at that scale."""
     return ExperimentConfig(
-        encoder=EncoderConfig(num_blocks=6, model_dim=256, num_heads=4,
-                              ff_expansion=4, conv_kernel=15, dropout=0.1,
-                              input_dim=80),
+        encoder=EncoderConfig(num_blocks=6, model_dim=256, ff_expansion=4,
+                              conv_kernel=15, dropout=0.1),
         head=HeadConfig(embed_dim=192, attention_hidden=128),
-        train=TrainConfig(batch_size=100, lr=1e-3, lr_halve_every=5,
-                          epochs=30, crop_duration=3.0, objective="mfcon"),
-        synth=SynthSpec(n_speakers=10, utts_per_speaker=20, duration=3.0,
-                        sample_rate=16000),
+        train=TrainConfig(batch_size=100, lr=1e-3, crop_duration=3.0),
+        synth=SynthSpec(duration=3.0, sample_rate=16000),
     )
+
+
+PRESETS = {"desk": desk_config, "full": full_scale_config}
 
 
 def _fill(base, data, path=""):

@@ -30,16 +30,20 @@ from .nn import ShapeError
 
 FRONTEND_KERNEL = 3
 FRONTEND_STRIDE = 2
+# fewest filterbank frames the encoder takes
+MIN_FRAMES = 4
 
 
 @dataclass
 class EncoderConfig:
-    num_blocks: int = 6
+    """The defaults are the desk preset's encoder."""
+
+    num_blocks: int = 2
     model_dim: int = 64
     num_heads: int = 4
-    ff_expansion: int = 4
-    conv_kernel: int = 15
-    dropout: float = 0.1
+    ff_expansion: int = 2
+    conv_kernel: int = 7
+    dropout: float = 0.0
     input_dim: int = 80
 
     def __post_init__(self):
@@ -283,8 +287,8 @@ def _encoder_fwd(feats, params, state, cfg, mode="eval", rng=None):
     if feats.ndim != 3 or feats.shape[-1] != cfg.input_dim:
         raise ShapeError(
             f"expected (B, T, {cfg.input_dim}) features, got {feats.shape}")
-    if feats.shape[1] < 4:
-        raise LengthError("frontend needs at least 4 frames")
+    if feats.shape[1] < MIN_FRAMES:
+        raise LengthError(f"frontend needs at least {MIN_FRAMES} frames")
     h, tape = _frontend_fwd(feats, params, mode)
     taps = []
     tapes = [tape]

@@ -73,34 +73,16 @@ class FeatureMatrix:
                              "with T >= 1")
 
 
-def _hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def _mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
-                   f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
-    """Triangular mel filters with unit peak, shape (n_mels, n_fft // 2 + 1)."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), n_mels + 2))
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filters with unit peak from 0 Hz to Nyquist, shape
+    (n_mels, n_fft // 2 + 1); mel(f) = 2595 log10(1 + f / 700)."""
+    mel_max = 2595.0 * np.log10(1.0 + sample_rate / 2.0 / 700.0)
+    pts = 700.0 * (10.0 ** (np.linspace(0.0, mel_max, n_mels + 2) / 2595.0) - 1.0)
     freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rising = (freqs[None, :] - lo) / np.maximum(ctr - lo, 1e-12)
     falling = (hi - freqs[None, :]) / np.maximum(hi - ctr, 1e-12)
     return np.clip(np.minimum(rising, falling), 0.0, 1.0)
-
-
-def mel_band_centers(n_mels: int, sample_rate: int,
-                     f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
-    """Center frequencies (Hz) of the triangular mel bands."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), n_mels + 2))
-    return pts[1:-1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -284,32 +266,29 @@ def synthetic_impulse_response(rng: np.random.Generator, sample_rate: int,
     return ir
 
 
-@dataclass
+# augmentation: the SNR range of added noise, in dB, and the chance of noise
+# rather than reverb
+SNR_RANGE = (0.0, 15.0)
+NOISE_PROB = 0.5
+
+
 class AugmentSampler:
-    """Draws per-utterance augmentations: noise or reverb, equal probability
-    by default. Noise SNR is uniform over ``snr_range`` dB.
+    """Draws per-utterance augmentations: white Gaussian noise at an SNR
+    uniform over ``SNR_RANGE`` with probability ``NOISE_PROB``, otherwise
+    reverb through a ``synthetic_impulse_response``.
 
-    Noise is white Gaussian and impulse responses are synthetic exponential
-    decays (``synthetic_impulse_response`` of ``ir_duration`` seconds).
+    It holds no settings; it stays a class because the benchmark's
+    ``features.augment`` span wraps ``AugmentSampler.apply``.
     """
-
-    snr_range: tuple[float, float] = (0.0, 15.0)
-    noise_prob: float = 0.5
-    ir_duration: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 <= self.noise_prob <= 1.0:
-            raise ValueError("noise_prob must lie in [0, 1]")
 
     def apply(self, w: Waveform, rng: np.random.Generator) -> Waveform:
         """Augment a copy of ``w`` using draws from ``rng``."""
-        if rng.random() < self.noise_prob:
-            snr = rng.uniform(*self.snr_range)
+        if rng.random() < NOISE_PROB:
+            snr = rng.uniform(*SNR_RANGE)
             noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
             noise = Waveform(noise_rng.standard_normal(w.samples.size), w.sample_rate)
             return add_noise(w, noise, snr)
-        ir = synthetic_impulse_response(rng, w.sample_rate, self.ir_duration)
-        return add_reverb(w, ir)
+        return add_reverb(w, synthetic_impulse_response(rng, w.sample_rate))
 
 
 def load_wav(path) -> Waveform:

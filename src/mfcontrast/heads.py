@@ -29,10 +29,12 @@ STD_EPS = 1e-8
 
 @dataclass
 class HeadConfig:
-    embed_dim: int = 192
+    """The defaults are the desk preset's heads."""
+
+    embed_dim: int = 64
     share_pooling: bool = False
     share_projection: bool = False
-    attention_hidden: int = 64
+    attention_hidden: int = 32
 
     def __post_init__(self):
         if self.embed_dim < 1:

@@ -39,10 +39,12 @@ RESONANCE_BANDS = ((300.0, 900.0), (1000.0, 2200.0), (2400.0, 3600.0))
 
 @dataclass
 class SynthSpec:
+    """The defaults are the desk preset's corpus."""
+
     n_speakers: int = 10
     utts_per_speaker: int = 20
-    duration: float = 3.0
-    sample_rate: int = 16000
+    duration: float = 1.6
+    sample_rate: int = 8000
     seed: int = 0
 
     def __post_init__(self):
@@ -224,7 +226,9 @@ def export_corpus(corpus, out_dir) -> Path:
 
 
 def load_manifest(manifest_path) -> list:
-    """Read an exported corpus back as labeled waveforms."""
+    """Read an exported corpus back as labeled waveforms. A corpus holds one
+    sample rate: mel bin k spans different bands at different rates, so a
+    manifest whose WAVs mix rates raises ValueError naming them."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     corpus = []
@@ -239,4 +243,8 @@ def load_manifest(manifest_path) -> list:
             w = load_wav(root / rel)
             corpus.append(Waveform(w.samples, w.sample_rate,
                                    speaker_id=speaker_id, utterance_id=utt_id))
+    rates = sorted({w.sample_rate for w in corpus})
+    if len(rates) > 1:
+        raise ValueError(f"{manifest_path}: WAVs mix sample rates {rates} Hz; "
+                         "a corpus must have one")
     return corpus

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .encoder import EncoderConfig
-from .features import (AugmentSampler, Waveform, extract_fbank, frame_count,
-                       random_crop)
+from .encoder import MIN_FRAMES, EncoderConfig
+from .features import (FRAME_LEN, FRAME_SHIFT, AugmentSampler, extract_fbank,
+                       frame_count, random_crop)
 from .heads import HeadConfig
 from .losses import LossConfig
 from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
@@ -39,6 +39,11 @@ OBJECTIVES = {
     "combined": ("lam1", "lam2"),
 }
 
+# epochs between halvings of the learning rate
+LR_HALVE_EVERY = 5
+# the shortest crop that gives the encoder its MIN_FRAMES filterbank frames
+MIN_CROP_DURATION = FRAME_LEN + (MIN_FRAMES - 1) * FRAME_SHIFT
+
 
 class NonFiniteLossError(FloatingPointError):
     """Training produced a non-finite loss; carries the component values."""
@@ -50,7 +55,9 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainConfig:
-    """Optimizer, schedule and batch settings, and the objective.
+    """Optimizer, schedule and batch settings, and the objective. The
+    defaults are the desk preset's; the learning rate halves every
+    ``LR_HALVE_EVERY`` epochs.
 
     The features are not configured here: the mel-bin count is the
     encoder's ``input_dim``, the framing is ``features.FRAME_LEN`` /
@@ -68,19 +75,19 @@ class TrainConfig:
       ``loss.lam2`` times SupCon on the speaker embedding.
 
     A weight the objective reads must be positive: a zero one would train
-    a different row under this one's name. ``lr`` and ``crop_duration``
-    must be finite and positive.
+    a different row under this one's name. ``lr`` must be finite and
+    positive, and ``crop_duration`` finite and at least
+    ``MIN_CROP_DURATION`` (55 ms).
     """
 
-    batch_size: int = 100
-    lr: float = 1e-3
-    lr_halve_every: int = 5
+    batch_size: int = 50
+    lr: float = 1.5e-3
     epochs: int = 30
     seed: int = 0
     eval_every: int = 0  # steps between in-training evaluations; 0 disables
     objective: str = "mfcon"
     loss: LossConfig = field(default_factory=LossConfig)
-    crop_duration: float = 3.0
+    crop_duration: float = 1.0
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -89,8 +96,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.lr_halve_every < 1:
-            raise ValueError("lr_halve_every must be >= 1")
+        # the slack keeps the bound itself valid however its sum rounds
+        if self.crop_duration < MIN_CROP_DURATION - 1e-9:
+            raise ValueError(f"crop_duration must be at least {MIN_CROP_DURATION:g} s "
+                             f"({MIN_FRAMES} filterbank frames), got {self.crop_duration}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
@@ -104,8 +113,8 @@ class TrainConfig:
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """Learning rate at a 0-indexed epoch: halved every lr_halve_every."""
-    return cfg.lr * 0.5 ** (epoch // cfg.lr_halve_every)
+    """Learning rate at a 0-indexed epoch: halved every LR_HALVE_EVERY."""
+    return cfg.lr * 0.5 ** (epoch // LR_HALVE_EVERY)
 
 
 def _derive_seed(*parts) -> int:
@@ -122,8 +131,9 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
     """Doubled training batch from B sampled utterances.
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
-    counterparts in matching order. One ``extract_fbank`` call per sample
-    rate in the batch turns them into features. Returns (features
+    counterparts in matching order. One ``extract_fbank`` call turns them
+    into features, so the utterances must share a sample rate (a
+    ``load_manifest`` corpus does). Returns (features
     (2B, T, n_mels) as float32, labels (2B,)). Deterministic under
     rng_seed. ``label_map`` defaults to ``speaker_label_map(utterances)``.
     """
@@ -136,12 +146,7 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
              for w in utterances]
     sampler = AugmentSampler()
     waves = crops + [sampler.apply(c, rng) for c in crops]
-    by_rate = {}
-    for w in waves:
-        by_rate.setdefault(w.sample_rate, []).append(w)
-    rows = {rate: iter(extract_fbank(group, n_mels).values)
-            for rate, group in by_rate.items()}
-    feats = np.stack([next(rows[w.sample_rate]) for w in waves], dtype=np.float32)
+    feats = extract_fbank(waves, n_mels).values.astype(np.float32)
     labels = np.array([label_map[w.speaker_id] for w in waves], dtype=int)
     return feats, labels
 

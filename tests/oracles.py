@@ -80,6 +80,21 @@ def plain_temporal_stats(h, eps=1e-8):
     return np.concatenate([mu, sigma])
 
 
+def mel_band_edges(sample_rate, n_mels):
+    """The n_mels + 2 edge frequencies (Hz) of the triangular mel bands,
+    evenly spaced in mel(f) = 2595 log10(1 + f / 700) from 0 Hz to Nyquist;
+    band m rises from edge m, peaks at edge m + 1 and falls to edge m + 2."""
+
+    def to_mel(f):
+        return 2595.0 * np.log10(1.0 + f / 700.0)
+
+    def from_mel(m):
+        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
+
+    return [from_mel(m) for m in
+            np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2)]
+
+
 def dft_mel_energies(frame, n_fft, sample_rate, n_mels):
     """Mel-band energies of one windowed frame via an explicit DFT and
     triangle weights built from the mel formula directly."""
@@ -89,15 +104,7 @@ def dft_mel_energies(frame, n_fft, sample_rate, n_mels):
         for n in range(len(frame)):
             spectrum[k] += frame[n] * np.exp(-2j * np.pi * k * n / n_fft)
     power = np.abs(spectrum) ** 2
-
-    def to_mel(f):
-        return 2595.0 * np.log10(1.0 + f / 700.0)
-
-    def from_mel(m):
-        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-
-    edges = [from_mel(m) for m in
-             np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2)]
+    edges = mel_band_edges(sample_rate, n_mels)
     freqs = [k * sample_rate / n_fft for k in range(n_bins)]
     energies = np.zeros(n_mels)
     for m in range(n_mels):

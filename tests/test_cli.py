@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from mfcontrast import __version__, cli
-from mfcontrast.config import TrialSpec, desk_config, save_config
+from mfcontrast.config import PRESETS, TrialSpec, desk_config, save_config
 from mfcontrast.encoder import EncoderConfig
+from mfcontrast.features import Waveform
 from mfcontrast.heads import HeadConfig
-from mfcontrast.metrics import load_trials
+from mfcontrast.metrics import Trial, load_trials, save_trials
 from mfcontrast.model import SpeakerModel
+from mfcontrast.synthdata import SynthSpec, export_corpus, generate_corpus
 from mfcontrast.trainer import NonFiniteLossError
 
 
@@ -97,6 +99,11 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     ["train", "--config", {"train": {"loss": {"temperature": float("nan")}}}],
     ["train", "--config", {"train": {"loss": {"scale": float("inf")}}}],
     ["train", "--config", {"train": {"loss": {"margin": float("nan")}}}],
+    # crops shorter than the encoder's 4 filterbank frames
+    ["train", "--config", {"train": {"crop_duration": 0.04, "epochs": 1},
+                           "synth": {"n_speakers": 3, "utts_per_speaker": 4},
+                           "trials": {"n_target": 5, "n_nontarget": 5}}],
+    ["train", "--config", {"train": {"crop_duration": 0.05}}],
 ])
 def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
     assert synthetic_run(tmp_path, argv) == 2
@@ -223,3 +230,38 @@ def test_preset_full_resolves_without_training(tmp_path):
     cfg = cli._load_experiment(args)
     assert (cfg.encoder.num_blocks, cfg.encoder.model_dim) == (6, 256)
 
+
+def test_preset_choices_are_the_presets_table(tmp_path):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("train", "sweep"):
+        preset = next(a for a in commands[command]._actions if a.dest == "preset")
+        assert preset.choices == tuple(PRESETS)
+    for name, build in PRESETS.items():
+        args = parser.parse_args(["train", "--preset", name, "--synthetic",
+                                  "--out", str(tmp_path)])
+        assert cli._load_experiment(args) == build()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_that_mixes_sample_rates_is_a_data_error(tmp_path, capsys, command):
+    # 4 speakers at 8 kHz and 4 others at 16 kHz: mel bin k would be a
+    # different band in different rows of one batch
+    low, high = (generate_corpus(SynthSpec(n_speakers=4, utts_per_speaker=2, duration=0.5,
+                                           sample_rate=rate, seed=1))
+                 for rate in (8000, 16000))
+    high = [Waveform(w.samples, w.sample_rate, "wide" + w.speaker_id,
+                     "wide" + w.utterance_id) for w in high]
+    manifest = export_corpus(low + high, tmp_path / "data")
+    if command == "train":
+        argv = ["train", "--data", str(manifest), "--out", str(tmp_path / "run")]
+    else:
+        saved_checkpoint(tmp_path / "checkpoint.npz")
+        save_trials(tmp_path / "trials.txt", [Trial(low[0].utterance_id,
+                                                     high[0].utterance_id, False)])
+        argv = ["eval", str(tmp_path / "checkpoint.npz"), str(tmp_path / "trials.txt"),
+                str(manifest), "--scores-out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "8000" in err and "16000" in err
+    assert not (tmp_path / "run").exists()

@@ -5,10 +5,10 @@ from scipy.signal import fftconvolve
 from mfcontrast import features
 from mfcontrast.features import (AugmentSampler, DegenerateInputError, LengthError,
                                  Waveform, add_noise, add_reverb, extract_fbank, load_wav,
-                                 mel_band_centers, mel_filterbank, random_crop, save_wav,
+                                 mel_filterbank, random_crop, save_wav,
                                  synthetic_impulse_response)
 
-from oracles import dft_mel_energies, direct_convolution
+from oracles import dft_mel_energies, direct_convolution, mel_band_edges
 
 
 def sine(freq, duration=1.0, sr=16000, amp=0.3):
@@ -34,7 +34,7 @@ class TestExtractFbank:
         assert np.all(fb.values == np.log(1e-10))
 
     def test_sine_at_band_center_peaks_in_that_band(self):
-        centers = mel_band_centers(40, 16000)
+        centers = mel_band_edges(16000, 40)[1:-1]
         for band in (8, 15, 24):
             fb = extract_fbank(sine(centers[band], duration=0.2), n_mels=40)
             assert np.all(np.argmax(fb.values, axis=1) == band)
@@ -275,7 +275,7 @@ class TestAugment:
 
     def test_sampler_produces_both_kinds(self):
         w = sine(150.0)
-        sampler = AugmentSampler(snr_range=(5.0, 10.0))
+        sampler = AugmentSampler()
         rng = np.random.default_rng(1)
         outs = [sampler.apply(w, rng) for _ in range(12)]
         lengths_match = all(o.samples.size == w.samples.size for o in outs)

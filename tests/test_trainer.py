@@ -132,14 +132,19 @@ def test_a_zero_weight_the_objective_reads_is_rejected(objective, loss, field):
         TrainConfig(objective=objective, loss=loss)
 
 
-# 0.3 s crops make 28 frames at either rate, so one batch can mix them
-@pytest.mark.parametrize("utterances, calls_per_batch", [
-    (CORPUS, [24]),
-    (CORPUS[::2] + generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=2, duration=0.5,
-                                             sample_rate=16000, seed=2)), [12, 12]),
-], ids=["one-rate", "two-rates"])
+CORPUS_16K = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=2, duration=0.5,
+                                       sample_rate=16000, seed=2))
+
+
+# 0.3 s crops make 28 frames; the shortest crop TrainConfig takes makes the
+# encoder's 4 at either rate
+@pytest.mark.parametrize("utterances, crop_duration, frames", [
+    (CORPUS, 0.3, 28),
+    (CORPUS, 0.055, 4),
+    (CORPUS_16K, 0.055, 4),
+], ids=["one-rate", "shortest-crop-8k", "shortest-crop-16k"])
 def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
-        monkeypatch, utterances, calls_per_batch):
+        monkeypatch, utterances, crop_duration, frames):
     calls = []
 
     def counted(waves, n_mels):
@@ -149,7 +154,7 @@ def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
     def per_crop(waves, n_mels):
         return FeatureMatrix(np.stack([extract_fbank(w, n_mels).values for w in waves]))
 
-    cfg = tiny("mfcon")
+    cfg = replace(tiny("mfcon"), crop_duration=crop_duration)
     for seed in (1, 2, 3):
         monkeypatch.setattr(trainer, "extract_fbank", counted)
         feats, labels = trainer.build_batch(utterances, cfg, 16, seed)
@@ -157,7 +162,11 @@ def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
         loop_feats, loop_labels = trainer.build_batch(utterances, cfg, 16, seed)
         assert feats.dtype == np.float32 and np.array_equal(feats, loop_feats)
         assert np.array_equal(labels, loop_labels)
-    assert calls == calls_per_batch * 3
+    assert calls == [2 * len(utterances)] * 3
+    assert feats.shape == (2 * len(utterances), frames, 16)
+    model = SpeakerModel(ENC, HEAD, 3, seed=1)
+    out = model.forward(feats, mode="train", rng=np.random.default_rng(0))
+    assert np.all(np.isfinite(out.speaker_embedding))
 
 
 def libc_has_mallopt():
