@@ -23,7 +23,7 @@ from .synthdata import generate_corpus, generate_trials, load_manifest
 from .trainer import (OBJECTIVES, NonFiniteLossError, evaluate, train,
                       utterance_store)
 
-SWEEP_AXES = ("lambda", "lambda12", "sharing")
+SWEEP_AXES = ("lambda", "lambda12")
 
 
 class DataError(Exception):
@@ -156,6 +156,11 @@ def cmd_eval(args) -> int:
         corpus = load_manifest(args.audio_manifest)
     except (OSError, ValueError) as err:
         raise DataError(f"could not load manifest {args.audio_manifest}: {err}") from err
+    # load_manifest gives one rate; an archive that records none is scored as is
+    rate = corpus[0].sample_rate if corpus else model.sample_rate
+    if model.sample_rate not in (None, rate):
+        raise DataError(f"{args.audio_manifest} is at {rate} Hz, but checkpoint "
+                        f"{args.checkpoint} trained at {model.sample_rate} Hz")
     result = evaluate(model, trials, utterance_store(corpus))
     scores_path = args.scores_out or str(args.trial_list) + ".scores"
     save_scores(scores_path, result.scores)
@@ -178,33 +183,20 @@ def _parse_sweep_values(axis, raw_values):
             return out
     except ValueError as err:
         raise ConfigError(f"--values for {axis}: {err}") from err
-    if axis == "sharing":
-        allowed = ("none", "pool", "proj", "both")
-        bad = [v for v in values if v not in allowed]
-        if bad:
-            raise ConfigError(f"unknown sharing settings: {bad} (use {allowed})")
-        return values
     raise ConfigError(f"unknown sweep axis: {axis}")
 
 
 def _sweep_variant(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
     """``cfg`` at one value of a sweep axis. ``lambda`` sweeps mfcon's
-    ``lam1``, ``lambda12`` combined's ``lam1:lam2``, and ``sharing`` trains
-    mfcon at the configured ``lam1``."""
-    head_cfg, loss_cfg = cfg.head, cfg.train.loss
+    ``lam1``, and ``lambda12`` combined's ``lam1:lam2``."""
     try:
         if axis == "lambda":
-            objective, loss_cfg = "mfcon", replace(loss_cfg, lam1=value)
-        elif axis == "lambda12":
-            objective, loss_cfg = "combined", replace(loss_cfg, lam1=value[0],
-                                                      lam2=value[1])
+            objective, loss_cfg = "mfcon", replace(cfg.train.loss, lam1=value)
         else:
-            objective = "mfcon"
-            head_cfg = replace(head_cfg,
-                               share_pooling=value in ("pool", "both"),
-                               share_projection=value in ("proj", "both"))
+            objective, loss_cfg = "combined", replace(cfg.train.loss, lam1=value[0],
+                                                      lam2=value[1])
         train_cfg = replace(cfg.train, objective=objective, loss=loss_cfg)
-        return replace(cfg, train=train_cfg, head=head_cfg)
+        return replace(cfg, train=train_cfg)
     except ValueError as err:
         raise ConfigError(f"{axis} value {value}: {err}") from err
 
@@ -213,7 +205,7 @@ def _sweep_tag(value) -> str:
     """A sweep value as its results-table row and run-directory name print it."""
     if isinstance(value, tuple):
         return f"{value[0]:g}:{value[1]:g}"
-    return f"{value:g}" if isinstance(value, float) else str(value)
+    return f"{value:g}"
 
 
 def cmd_sweep(args, argv) -> int:

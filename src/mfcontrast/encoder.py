@@ -59,12 +59,6 @@ class EncoderConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
 
-def subsampled_length(t: int) -> int:
-    """Output frame count of the stride-2 frontend: (T - 1) // 2 + 1."""
-    p = (FRONTEND_KERNEL - 1) // 2
-    return (t + 2 * p - FRONTEND_KERNEL) // FRONTEND_STRIDE + 1
-
-
 def _init_ln(params, prefix, dim):
     params[f"{prefix}.gamma"] = np.ones(dim)
     params[f"{prefix}.beta"] = np.zeros(dim)

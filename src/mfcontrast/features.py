@@ -57,6 +57,8 @@ class Waveform:
 # filterbank framing, in seconds
 FRAME_LEN = 0.025
 FRAME_SHIFT = 0.010
+# mel energies are floored here before the log
+LOG_FLOOR = 1e-10
 
 
 @dataclass
@@ -97,16 +99,16 @@ def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
     return window, fb
 
 
-def _log_mel(frames: np.ndarray, fb: np.ndarray, log_floor: float,
+def _log_mel(frames: np.ndarray, fb: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Floored log mel energies of windowed, zero-padded (T, n_fft) frames
-    under the filterbank ``fb``, written into ``out`` when given. The rfft's
-    interleaved real and imaginary parts are squared in place and added
-    pairwise into |X|^2, with no complex abs."""
+    """``LOG_FLOOR``-floored log mel energies of windowed, zero-padded
+    (T, n_fft) frames under the filterbank ``fb``, written into ``out`` when
+    given. The rfft's interleaved real and imaginary parts are squared in
+    place and added pairwise into |X|^2, with no complex abs."""
     sq = np.fft.rfft(frames, axis=1).view(np.float64)
     np.square(sq, out=sq)
     energy = np.matmul(sq[:, 0::2] + sq[:, 1::2], fb.T, out=out)
-    np.maximum(energy, log_floor, out=energy)
+    np.maximum(energy, LOG_FLOOR, out=energy)
     return np.log(energy, out=energy)
 
 
@@ -118,13 +120,14 @@ def frame_count(n_samples: int, sample_rate: int) -> int:
     return max(0, (n_samples - flen) // fshift + 1)
 
 
-def extract_fbank(w, n_mels: int = 80, log_floor: float = 1e-10) -> FeatureMatrix:
+def extract_fbank(w, n_mels: int = 80) -> FeatureMatrix:
     """Log mel-filterbank features of one ``Waveform``, or of a sequence of
     waveforms that share their sample count and sample rate.
 
     Frames of ``FRAME_LEN`` seconds every ``FRAME_SHIFT`` seconds, Hamming
-    window, power spectrum, triangular mel weighting, then a floored log.
-    One waveform gives T = floor((len - FRAME_LEN*sr) / (FRAME_SHIFT*sr)) + 1
+    window, power spectrum, triangular mel weighting, then a log floored at
+    ``LOG_FLOOR``. One waveform gives
+    T = floor((len - FRAME_LEN*sr) / (FRAME_SHIFT*sr)) + 1
     rows and ``n_mels`` columns (``frame_count``); a sequence of B gives a
     (B, T, n_mels) stack whose item b equals the features of waveform b
     alone, bit for bit. A sequence that mixes lengths or rates raises
@@ -163,7 +166,7 @@ def extract_fbank(w, n_mels: int = 80, log_floor: float = 1e-10) -> FeatureMatri
         frames = np.lib.stride_tricks.as_strided(
             x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
         np.multiply(frames, window, out=buf[:, :flen])
-        _log_mel(buf, fb, log_floor, out=out)
+        _log_mel(buf, fb, out=out)
     return FeatureMatrix(values[0] if isinstance(w, Waveform) else values)
 
 

@@ -38,6 +38,13 @@ from .heads import (HeadConfig, _heads_bwd, _heads_fwd, _mfa_bwd, _mfa_fwd,
 CHECKPOINT_FORMAT = "mfcontrast-checkpoint-v1"
 # dtype of parameters, state, activations and parameter gradients
 COMPUTE_DTYPE = np.float32
+# Config keys that older archives' meta holds and no config has any more,
+# by section, each with the one value that builds today's model: the
+# stride-2 frontend became fixed, and every block got its own head.
+RETIRED_META_KEYS = {
+    "encoder": {"subsample_factor": "1/2"},
+    "head": {"share_pooling": False, "share_projection": False},
+}
 
 
 def _as_compute(arrays: dict) -> dict:
@@ -68,7 +75,11 @@ class ModelOutput:
 
 
 class SpeakerModel:
-    """Encoder + heads + classifier with explicit forward/backward."""
+    """Encoder + heads + classifier with explicit forward/backward.
+
+    ``sample_rate`` is that of the audio the model trained on, which
+    ``save`` records; None when unknown (an untrained model, or an archive
+    saved before checkpoints recorded it)."""
 
     def __init__(self, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                  num_speakers: int, seed: int = 0):
@@ -77,6 +88,7 @@ class SpeakerModel:
         self.enc_cfg = enc_cfg
         self.head_cfg = head_cfg
         self.num_speakers = num_speakers
+        self.sample_rate = None
         rng = np.random.default_rng([seed, 0xC0DE])
         enc_params, enc_state = init_encoder_params(enc_cfg, rng)
         head_params, head_state = init_head_params(enc_cfg, head_cfg, rng)
@@ -105,10 +117,8 @@ class SpeakerModel:
             raise ValueError("train-mode forward with dropout needs an rng")
         taps, enc_tapes, state1 = _encoder_fwd(
             feats, self.params, self.state, self.enc_cfg, mode=mode, rng=rng)
-        tap_embs, head_tapes, state2 = _heads_fwd(
-            taps, self.params, state1, self.head_cfg, mode)
-        spk_emb, mfa_tape, state3 = _mfa_fwd(
-            taps, self.params, state2, self.head_cfg, mode)
+        tap_embs, head_tapes, state2 = _heads_fwd(taps, self.params, state1, mode)
+        spk_emb, mfa_tape, state3 = _mfa_fwd(taps, self.params, state2, mode)
         if mode == "train":
             self.state = state3
         return ModelOutput([e.astype(np.float64) for e in tap_embs],
@@ -145,7 +155,7 @@ class SpeakerModel:
         feats = np.asarray(feats, dtype=self.dtype)
         taps, _, _ = _encoder_fwd(feats if feats.ndim == 3 else feats[None],
                                   self.params, self.state, self.enc_cfg, mode="eval")
-        emb, _, _ = _mfa_fwd(taps, self.params, self.state, self.head_cfg, "eval")
+        emb, _, _ = _mfa_fwd(taps, self.params, self.state, "eval")
         emb = emb.astype(np.float64)
         return emb if feats.ndim == 3 else emb[0]
 
@@ -161,6 +171,7 @@ class SpeakerModel:
             "encoder": asdict(self.enc_cfg),
             "head": asdict(self.head_cfg),
             "num_speakers": self.num_speakers,
+            "sample_rate": self.sample_rate,
         }
         arrays = {f"param/{k}": v for k, v in self.params.items()}
         arrays.update({f"state/{k}": v for k, v in self.state.items()})
@@ -180,7 +191,9 @@ class SpeakerModel:
         """Model from a ``save`` archive. Raises ValueError naming ``path``
         when the archive is not a checkpoint, when its stored configuration
         does not build a model, or when its arrays differ in name or shape
-        from those of a model of that configuration."""
+        from those of a model of that configuration. A key of
+        ``RETIRED_META_KEYS`` is dropped when it holds its one value; any
+        other value does not build."""
         with np.load(path) as archive:
             meta = json.loads(bytes(archive["meta"])) if "meta" in archive.files else {}
             if meta.get("format") != CHECKPOINT_FORMAT:
@@ -191,11 +204,13 @@ class SpeakerModel:
                                  if k.startswith("state/")})
         _drop_dead_biases(params, state)
         try:
-            encoder = dict(meta["encoder"])
-            # archives from before the stride-2 frontend became fixed name it
-            if encoder.get("subsample_factor") == "1/2":
-                del encoder["subsample_factor"]
-            model = cls(EncoderConfig(**encoder), HeadConfig(**meta["head"]),
+            sections = {name: dict(meta[name]) for name in ("encoder", "head")}
+            for name, retired in RETIRED_META_KEYS.items():
+                for key, only in retired.items():
+                    if key in sections[name] and sections[name].pop(key) != only:
+                        raise ValueError(f"retired key {name}.{key} may only hold "
+                                         f"{json.dumps(only)}")
+            model = cls(EncoderConfig(**sections["encoder"]), HeadConfig(**sections["head"]),
                         meta["num_speakers"])
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: stored configuration does not build a "
@@ -209,4 +224,5 @@ class SpeakerModel:
                                  f"from those of its configuration: {wrong}")
         model.params = params
         model.state = state
+        model.sample_rate = meta.get("sample_rate")
         return model

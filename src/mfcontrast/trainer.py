@@ -333,9 +333,10 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
           cfg: TrainConfig, out_dir=None, trials=None, store=None) -> TrainResult:
     """Full training run over a labeled corpus.
 
-    Writes one JSON-lines record per step (and a checkpoint at the end)
-    when ``out_dir`` is given; evaluates on ``trials`` against ``store``
-    every ``cfg.eval_every`` steps and once at the end when provided. Each
+    Writes one JSON-lines record per step (and a checkpoint, which records
+    the corpus's sample rate, at the end) when ``out_dir`` is given;
+    evaluates on ``trials`` against ``store`` every ``cfg.eval_every`` steps
+    and once at the end when provided. Each
     record carries the loss breakdown, the wall time of the step's
     ``build_batch`` (``data_s``), of the step itself (``step_s``) and of
     its stages (``forward_s``, ``loss_s``, ``backward_s``, ``adam_s``; see
@@ -353,6 +354,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     _keep_freed_heap()
     label_map = speaker_label_map(corpus)
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
+    model.sample_rate = corpus[0].sample_rate
     opt = adam_init(model.params)
     if store is None and trials is not None:
         store = utterance_store(corpus)

@@ -55,8 +55,9 @@ def synthetic_run(tmp_path, argv):
 
 
 # flags and sweep axes the parser does not offer, among them the removed
-# contrastive-kind choice (SupCon is the only contrastive loss) and the
-# removed --lambda (--lambda1 is mfcon's weight), and flags it does not take
+# contrastive-kind choice (SupCon is the only contrastive loss), the removed
+# --lambda (--lambda1 is mfcon's weight) and the removed head-sharing axis
+# (every block has its own head), and flags it does not take
 # together: a config file and a preset each name the whole starting point
 @pytest.mark.parametrize("argv, name", [
     (["train", "--no-such-flag"], "--no-such-flag"),
@@ -64,8 +65,9 @@ def synthetic_run(tmp_path, argv):
     (["sweep", "--axis", "contrastive_kind", "--values", "supcon"], "contrastive_kind"),
     (["train", "--lambda", "0.1"], "--lambda"),
     (["train", "--preset", "full", "--config", "cfg.json"], "--config"),
+    (["sweep", "--axis", "sharing", "--values", "none"], "sharing"),
 ], ids=["unknown-flag", "contrastive-kind-flag", "contrastive_kind-axis", "lambda-flag",
-        "config-with-preset"])
+        "config-with-preset", "sharing-axis"])
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     assert synthetic_run(tmp_path, argv) == 2
     err = capsys.readouterr().err
@@ -121,8 +123,6 @@ def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
     (["train", "--config", {"train": {"loss": {"lam1": 0}}}], "lam1"),
     (["sweep", "--axis", "lambda", "--values", "0.1,0"], "lam1"),
     (["sweep", "--axis", "lambda12", "--values", "0.1:0"], "lam2"),
-    (["sweep", "--axis", "sharing", "--values", "none", "--config",
-      {"train": {"objective": "am_supcon", "loss": {"lam1": 0, "lam2": 0.1}}}], "lam1"),
 ])
 def test_a_zero_weight_the_objective_reads_is_a_config_error(tmp_path, capsys, argv,
                                                              field):
@@ -193,6 +193,16 @@ def saved_checkpoint(path):
         return {k: archive[k] for k in archive.files}
 
 
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to the JSON meta of the checkpoint archive at ``path``."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 def eval_exit_code(path, tmp_path, capsys):
     code = cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
                      str(tmp_path / "manifest.txt")])
@@ -203,11 +213,8 @@ def eval_exit_code(path, tmp_path, capsys):
 
 def test_eval_rejects_checkpoint_whose_config_does_not_build(tmp_path, capsys):
     path = tmp_path / "checkpoint.npz"
-    arrays = saved_checkpoint(path)
-    meta = json.loads(bytes(arrays["meta"]))
-    meta["encoder"]["no_such_knob"] = 1
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    saved_checkpoint(path)
+    rewrite_meta(path, lambda meta: meta["encoder"].update(no_such_knob=1))
     assert eval_exit_code(path, tmp_path, capsys) == 3
 
 
@@ -265,3 +272,29 @@ def test_a_manifest_that_mixes_sample_rates_is_a_data_error(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert "data error" in err and "8000" in err and "16000" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_eval_rejects_audio_at_a_rate_the_checkpoint_did_not_train_on(tmp_path, capsys):
+    # the mel bins of 16 kHz audio span 0-8 kHz, those of the 8 kHz
+    # training audio 0-4 kHz
+    run = tmp_path / "run"
+    assert cli.main(["train", "--synthetic", "--config",
+                     str(small_config(tmp_path / "cfg.json")), "--out", str(run)]) == 0
+    corpus = generate_corpus(SynthSpec(n_speakers=2, utts_per_speaker=2, duration=0.5,
+                                       sample_rate=16000, seed=1))
+    manifest = export_corpus(corpus, tmp_path / "data")
+    trials = tmp_path / "trials.txt"
+    save_trials(trials, [Trial(corpus[0].utterance_id, corpus[1].utterance_id, True),
+                         Trial(corpus[0].utterance_id, corpus[2].utterance_id, False)])
+    checkpoint = run / "checkpoint.npz"
+    scores = tmp_path / "scores.txt"
+    argv = ["eval", str(checkpoint), str(trials), str(manifest), "--scores-out", str(scores)]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "8000 Hz" in err and "16000 Hz" in err
+    assert not scores.exists()
+    # an archive saved before checkpoints recorded the rate is scored as before
+    rewrite_meta(checkpoint, lambda meta: meta.pop("sample_rate"))
+    assert cli.main(argv) == 0
+    assert scores.is_file()

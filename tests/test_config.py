@@ -35,8 +35,7 @@ TRIALS = {"n_target": 250, "n_nontarget": 250, "seed": 100}
 DESK = {
     "encoder": {"num_blocks": 2, "model_dim": 64, "num_heads": 4, "ff_expansion": 2,
                 "conv_kernel": 7, "dropout": 0.0, "input_dim": 80},
-    "head": {"embed_dim": 64, "share_pooling": False, "share_projection": False,
-             "attention_hidden": 32},
+    "head": {"embed_dim": 64, "attention_hidden": 32},
     "train": {"batch_size": 50, "lr": 1.5e-3, "epochs": 30, "seed": 0, "eval_every": 0,
               "objective": "mfcon", "loss": LOSS, "crop_duration": 1.0},
     "synth": {"n_speakers": 10, "utts_per_speaker": 20, "duration": 1.6,
@@ -46,8 +45,7 @@ DESK = {
 FULL = {
     "encoder": {"num_blocks": 6, "model_dim": 256, "num_heads": 4, "ff_expansion": 4,
                 "conv_kernel": 15, "dropout": 0.1, "input_dim": 80},
-    "head": {"embed_dim": 192, "share_pooling": False, "share_projection": False,
-             "attention_hidden": 128},
+    "head": {"embed_dim": 192, "attention_hidden": 128},
     "train": {"batch_size": 100, "lr": 1e-3, "epochs": 30, "seed": 0, "eval_every": 0,
               "objective": "mfcon", "loss": LOSS, "crop_duration": 3.0},
     "synth": {"n_speakers": 10, "utts_per_speaker": 20, "duration": 3.0,
@@ -95,12 +93,28 @@ def test_a_partial_file_changes_only_the_fields_it_names(data):
                                         ("loss.triplet_margin", 0.2),
                                         ("loss.lam", 0.01), ("lr_halve_every", 5)])
 def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value):
-    section, _, name = key.rpartition(".")
-    entry = {section: {name: value}} if section else {name: value}
-    where = f"train.{section}" if section else "train"
+    check_removed_key(tmp_path, capsys, f"train.{key}", value)
+
+
+# every block has its own head; configs saved before the head-sharing flags
+# were removed hold both, false
+@pytest.mark.parametrize("key", ["share_pooling", "share_projection"])
+def test_removed_head_keys_are_named_config_errors(tmp_path, capsys, key):
+    check_removed_key(tmp_path, capsys, f"head.{key}", False)
+
+
+def check_removed_key(tmp_path, capsys, key, value):
+    """A file whose dotted ``key`` holds ``value`` fails to load, naming the
+    key and its section, and ``train`` exits 2 before any run directory."""
+    *where, name = key.split(".")
+    data = {name: value}
+    for section in reversed(where):
+        data = {section: data}
+    data["train"] = {"epochs": 1, **data.get("train", {})}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"train": {"epochs": 1, **entry}}))
-    with pytest.raises(ConfigError, match=f"{where}: unknown keys \\['{name}'\\]"):
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError,
+                       match=f"{'.'.join(where)}: unknown keys \\['{name}'\\]"):
         load_config(path)
     assert cli.main(["train", "--synthetic", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 2

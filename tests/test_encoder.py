@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mfcontrast import encoder
-from mfcontrast.encoder import (EncoderConfig, init_encoder_params,
-                                subsampled_length, _attention_bwd, _attention_fwd,
-                                _block_fwd, _encoder_bwd, _encoder_fwd, _frontend_fwd)
+from mfcontrast.encoder import (MIN_FRAMES, EncoderConfig, init_encoder_params,
+                                _attention_bwd, _attention_fwd, _block_fwd, _encoder_bwd,
+                                _encoder_fwd, _frontend_fwd)
 from mfcontrast.features import LengthError
 from mfcontrast.heads import HeadConfig, _mfa_fwd, init_head_params
 from mfcontrast.nn import ShapeError
@@ -38,20 +38,16 @@ def encode(x, params, state, cfg=TOY):
 
 
 class TestSubsampleFrontend:
-    def test_half_rate_arithmetic(self):
-        assert subsampled_length(298) == 149
-        assert subsampled_length(4) == 2
-
+    # the stride-2 frontend gives (T - 1) // 2 + 1 frames
     def test_shapes(self):
         params, state, rng = toy_setup()
-        x = rng.standard_normal((298, 8))
-        out = frontend(x, params)
-        assert out.shape == (149, 16)
+        out = frontend(rng.standard_normal((298, 8)), params)
+        assert out.shape == ((298 - 1) // 2 + 1, 16) == (149, 16)
 
     def test_minimal_input(self):
         params, state, rng = toy_setup()
-        out = frontend(rng.standard_normal((4, 8)), params)
-        assert out.shape == (2, 16)
+        out = frontend(rng.standard_normal((MIN_FRAMES, 8)), params)
+        assert out.shape == ((MIN_FRAMES - 1) // 2 + 1, 16) == (2, 16)
 
     def test_doubling_frames_doubles_output(self):
         params, state, rng = toy_setup()
@@ -164,8 +160,7 @@ class TestEncodeWithTaps:
         head = HeadConfig(embed_dim=4, attention_hidden=3)
         params, state = init_head_params(TOY, head, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            _mfa_fwd([np.zeros((1, 3, 16)), np.zeros((1, 4, 16))], params, state,
-                     head, "eval")
+            _mfa_fwd([np.zeros((1, 3, 16)), np.zeros((1, 4, 16))], params, state, "eval")
 
     def test_train_mode_dropout_is_seeded(self):
         cfg = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2,

@@ -17,19 +17,19 @@ def pool(h, w, b, v):
     return attentive_stats_fwd(h[None], w, b, v)[0][0]
 
 
-def head(tap, params, state, i, cfg):
+def head(tap, params, state, i):
     """Eval-mode head ``i`` on one (T', C) tap, as a batch of one."""
-    return _head_fwd(tap[None], params, state, i, cfg, "eval")[0][0]
+    return _head_fwd(tap[None], params, state, i, "eval")[0][0]
 
 
-def mfa(taps, params, state, cfg):
+def mfa(taps, params, state):
     """Eval-mode speaker embedding of one utterance's (T', C) taps."""
-    return _mfa_fwd([t[None] for t in taps], params, state, cfg, "eval")[0][0]
+    return _mfa_fwd([t[None] for t in taps], params, state, "eval")[0][0]
 
 
-def tap_embeddings(taps, params, state, cfg):
+def tap_embeddings(taps, params, state):
     """Raw eval-mode per-block embeddings of a batch of (B, T', C) taps."""
-    return _heads_fwd(taps, params, state, cfg, "eval")[0]
+    return _heads_fwd(taps, params, state, "eval")[0]
 
 
 def setup_heads(head_cfg=None, seed=0):
@@ -98,14 +98,14 @@ class TestHeadForward:
     def test_embed_dim_192(self):
         cfg, params, state, rng = setup_heads(HeadConfig(embed_dim=192, attention_hidden=6))
         tap = rng.standard_normal((10, 16))
-        emb = head(tap, params, state, 0, cfg)
+        emb = head(tap, params, state, 0)
         assert emb.shape == (192,)
 
     def test_eval_determinism(self):
         cfg, params, state, rng = setup_heads()
         tap = rng.standard_normal((10, 16))
-        a = head(tap, params, state, 0, cfg)
-        b = head(tap, params, state, 0, cfg)
+        a = head(tap, params, state, 0)
+        b = head(tap, params, state, 0)
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_matches_finite_differences(self):
@@ -119,12 +119,12 @@ class TestHeadForward:
         tap = rng.standard_normal((2, 6, 8))
         r = rng.standard_normal((2, 5))
 
-        emb, tape, _ = _head_fwd(tap, params, state, 0, cfg, "train")
+        emb, tape, _ = _head_fwd(tap, params, state, 0, "train")
         grads = {}
         dtap = tape.backward(r.copy(), grads)
 
         def f():
-            e, _, _ = _head_fwd(tap, params, state, 0, cfg, "train")
+            e, _, _ = _head_fwd(tap, params, state, 0, "train")
             return (e * r).sum()
 
         fd = fd_gradient(f, tap)
@@ -146,7 +146,7 @@ class TestFeatureMapEmbeddings:
     def test_rows_unit_norm(self):
         cfg, params, state, rng = setup_heads()
         taps = [rng.standard_normal((4, 10, 16)) for _ in range(2)]
-        for emb in tap_embeddings(taps, params, state, cfg):
+        for emb in tap_embeddings(taps, params, state):
             unit, _ = l2_normalize_fwd(emb)
             np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0,
                                        atol=1e-6)
@@ -154,34 +154,11 @@ class TestFeatureMapEmbeddings:
     def test_share_projection_false_isolates_blocks(self):
         cfg, params, state, rng = setup_heads()
         taps = [rng.standard_normal((3, 10, 16)) for _ in range(2)]
-        before = tap_embeddings(taps, params, state, cfg)
+        before = tap_embeddings(taps, params, state)
         params["head.0.proj.w"] = params["head.0.proj.w"] + 0.5
-        after = tap_embeddings(taps, params, state, cfg)
+        after = tap_embeddings(taps, params, state)
         assert not np.array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
-
-    def test_shared_projection_couples_blocks(self):
-        cfg = HeadConfig(embed_dim=12, attention_hidden=6,
-                         share_pooling=True, share_projection=True)
-        rng = np.random.default_rng(0)
-        params, state = init_head_params(ENC, cfg, rng)
-        assert any(n.startswith("head.shared.") for n in params)
-        assert not any(n.startswith("head.0.") for n in params)
-        taps = [rng.standard_normal((3, 10, 16)) for _ in range(2)]
-        before = tap_embeddings(taps, params, state, cfg)
-        params["head.shared.proj.w"] = params["head.shared.proj.w"] + 0.5
-        after = tap_embeddings(taps, params, state, cfg)
-        for i in range(2):
-            assert not np.array_equal(before[i], after[i])
-
-    def test_independent_sharing_flags(self):
-        cfg = HeadConfig(embed_dim=12, attention_hidden=6,
-                         share_pooling=True, share_projection=False)
-        rng = np.random.default_rng(0)
-        params, state = init_head_params(ENC, cfg, rng)
-        assert "head.shared.attn.w" in params
-        assert "head.0.proj.w" in params and "head.1.proj.w" in params
-        assert "head.shared.proj.w" not in params
 
 
 class TestSpeakerEmbedding:
@@ -196,7 +173,7 @@ class TestSpeakerEmbedding:
         assert params["mfa.bn.gamma"].shape == (768,)
         assert params["mfa.proj.w"].shape == (768, 192)
         taps = [rng.standard_normal((9, 64)) for _ in range(6)]
-        emb = mfa(taps, params, state, cfg)
+        emb = mfa(taps, params, state)
         assert emb.shape == (192,)
 
     def test_single_block_equals_head_with_mfa_parameters(self):
@@ -220,13 +197,13 @@ class TestSpeakerEmbedding:
         alias_state["head.0.bn.running_mean"] = state["mfa.bn.running_mean"]
         alias_state["head.0.bn.running_var"] = state["mfa.bn.running_var"]
         tap = rng.standard_normal((9, 16))
-        via_mfa = mfa([tap], params, state, cfg)
-        via_head = head(tap, alias, alias_state, 0, cfg)
+        via_mfa = mfa([tap], params, state)
+        via_head = head(tap, alias, alias_state, 0)
         np.testing.assert_allclose(via_mfa, via_head, atol=1e-12)
 
     def test_eval_determinism(self):
         cfg, params, state, rng = setup_heads()
         taps = [rng.standard_normal((9, 16)) for _ in range(2)]
-        a = mfa(taps, params, state, cfg)
-        b = mfa(taps, params, state, cfg)
+        a = mfa(taps, params, state)
+        b = mfa(taps, params, state)
         np.testing.assert_array_equal(a, b)

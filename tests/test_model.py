@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -46,9 +47,9 @@ class FullModelReadout:
     """Scalar readout sum_b <tap_b, r_b> + <spk, r_spk> of a float64 tiny
     model in train mode, with batch-norm state reset before every pass."""
 
-    def __init__(self, head_cfg=TINY_HEAD):
+    def __init__(self):
         rng = np.random.default_rng(7)
-        self.model = as_float64(SpeakerModel(TINY_ENC, head_cfg, num_speakers=3, seed=1))
+        self.model = as_float64(SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=1))
         self.feats = rng.standard_normal((3, 12, 8))
         self.r_taps = [rng.standard_normal((3, 6)) for _ in range(2)]
         self.r_spk = rng.standard_normal((3, 6))
@@ -86,15 +87,7 @@ def directional_fd(f, arrays: dict, direction: dict):
 
 class TestFullModelGradient:
     def test_parameter_gradients_coordinatewise(self):
-        self.check_coordinatewise(FullModelReadout())
-
-    def test_shared_head_parameter_gradients_coordinatewise(self):
-        # every head adds its gradient into the one head.shared.* set
-        self.check_coordinatewise(FullModelReadout(
-            replace(TINY_HEAD, share_pooling=True, share_projection=True)))
-
-    @staticmethod
-    def check_coordinatewise(readout):
+        readout = FullModelReadout()
         m = readout.model
         grads = readout.grads()
         coord_rng = np.random.default_rng(3)
@@ -326,6 +319,39 @@ class TestCheckpoint:
         utt = np.random.default_rng(11).standard_normal((30, 8))
         np.testing.assert_array_equal(loaded.embed_utterance(utt), m.embed_utterance(utt))
 
+    @pytest.mark.parametrize("key", ["share_pooling", "share_projection"])
+    def test_loads_archive_that_names_a_false_head_sharing_flag(self, tmp_path, key):
+        # checkpoints from before every block had its own head carry both
+        # flags, false, in their head meta
+        m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3)
+        m.forward(np.random.default_rng(13).standard_normal((4, 12, 8)), mode="train")
+        path = tmp_path / "checkpoint.npz"
+        m.save(path)
+        rewrite_meta(path, lambda meta: meta["head"].update({key: False}))
+        loaded = SpeakerModel.load(path)
+        assert loaded.head_cfg == m.head_cfg
+        utt = np.random.default_rng(11).standard_normal((30, 8))
+        np.testing.assert_array_equal(loaded.embed_utterance(utt), m.embed_utterance(utt))
+
+    @pytest.mark.parametrize("key", ["share_pooling", "share_projection"])
+    def test_rejects_archive_with_a_true_head_sharing_flag(self, tmp_path, key):
+        path = tmp_path / "checkpoint.npz"
+        SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3).save(path)
+        rewrite_meta(path, lambda meta: meta["head"].update({key: True}))
+        with pytest.raises(ValueError, match=f"head.{key}"):
+            SpeakerModel.load(path)
+
+    def test_records_the_sample_rate(self, tmp_path):
+        m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3)
+        assert m.sample_rate is None
+        m.sample_rate = 8000
+        path = tmp_path / "checkpoint.npz"
+        m.save(path)
+        assert SpeakerModel.load(path).sample_rate == 8000
+        # archives from before checkpoints recorded the rate
+        rewrite_meta(path, lambda meta: meta.pop("sample_rate"))
+        assert SpeakerModel.load(path).sample_rate is None
+
     def test_loads_archive_with_key_and_depthwise_biases(self, tmp_path):
         # older archives carry attn.bk and conv.dw.b; their eval output
         # ignores the first and carries the second in the batch-norm mean
@@ -372,3 +398,27 @@ class TestCheckpoint:
         np.savez(path, weights=np.zeros(3))  # no meta at all
         with pytest.raises(ValueError):
             SpeakerModel.load(path)
+
+
+def init_digest(m: SpeakerModel) -> str:
+    """SHA-256 over the name-sorted initial parameters and state."""
+    h = hashlib.sha256()
+    for kind, arrays in (("params", m.params), ("state", m.state)):
+        for name in sorted(arrays):
+            a = arrays[name]
+            h.update(f"{kind}/{name}:{a.dtype}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# every initial parameter and state array, pinned: the parameter names and
+# the order of the random draws that fill them must not move
+@pytest.mark.parametrize("num_blocks, digest", [
+    (2, "d950a39f7772d6004f6d0801d67d59921993b97738807657a886e032eff13d53"),
+    (6, "3366b3ca554fd073b92246b68ec3494646a5d8bcf5d842b0cf7f856c5cfcf238"),
+], ids=["desk", "six-blocks"])
+def test_initial_parameters_are_pinned(num_blocks, digest):
+    desk = desk_config()
+    m = SpeakerModel(replace(desk.encoder, num_blocks=num_blocks), desk.head,
+                     num_speakers=10, seed=0)
+    assert init_digest(m) == digest
