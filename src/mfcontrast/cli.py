@@ -161,6 +161,8 @@ def cmd_eval(args) -> int:
     if model.sample_rate not in (None, rate):
         raise DataError(f"{args.audio_manifest} is at {rate} Hz, but checkpoint "
                         f"{args.checkpoint} trained at {model.sample_rate} Hz")
+    if {t.is_target for t in trials} != {True, False}:
+        raise DataError(f"{args.trial_list} needs a target and a nontarget trial")
     result = evaluate(model, trials, utterance_store(corpus))
     scores_path = args.scores_out or str(args.trial_list) + ".scores"
     save_scores(scores_path, result.scores)

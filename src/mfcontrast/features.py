@@ -76,7 +76,7 @@ class FeatureMatrix:
 
 
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters with unit peak from 0 Hz to Nyquist, shape
+    """Triangle-shaped mel filters with unit peak from 0 Hz to Nyquist, shape
     (n_mels, n_fft // 2 + 1); mel(f) = 2595 log10(1 + f / 700)."""
     mel_max = 2595.0 * np.log10(1.0 + sample_rate / 2.0 / 700.0)
     pts = 700.0 * (10.0 ** (np.linspace(0.0, mel_max, n_mels + 2) / 2595.0) - 1.0)
@@ -125,7 +125,7 @@ def extract_fbank(w, n_mels: int = 80) -> FeatureMatrix:
     waveforms that share their sample count and sample rate.
 
     Frames of ``FRAME_LEN`` seconds every ``FRAME_SHIFT`` seconds, Hamming
-    window, power spectrum, triangular mel weighting, then a log floored at
+    window, power spectrum, triangle mel weighting, then a log floored at
     ``LOG_FLOOR``. One waveform gives
     T = floor((len - FRAME_LEN*sr) / (FRAME_SHIFT*sr)) + 1
     rows and ``n_mels`` columns (``frame_count``); a sequence of B gives a
@@ -258,21 +258,23 @@ def add_reverb(w: Waveform, ir: np.ndarray) -> Waveform:
     return Waveform(out, w.sample_rate, w.speaker_id, w.utterance_id)
 
 
-def synthetic_impulse_response(rng: np.random.Generator, sample_rate: int,
-                               duration: float = 0.25, decay: float = 0.05) -> np.ndarray:
-    """Exponentially decaying random impulse response: a unit direct path
-    followed by a noise tail with time constant ``decay`` seconds."""
-    n = max(2, int(round(duration * sample_rate)))
-    t = np.arange(n) / sample_rate
-    ir = 0.3 * rng.standard_normal(n) * np.exp(-t / decay)
-    ir[0] = 1.0
-    return ir
-
-
-# augmentation: the SNR range of added noise, in dB, and the chance of noise
-# rather than reverb
+# augmentation: the SNR range of added noise, in dB, the chance of noise
+# rather than reverb, and the length and the tail's time constant of the
+# reverb's synthetic impulse response, in seconds
 SNR_RANGE = (0.0, 15.0)
 NOISE_PROB = 0.5
+IR_DURATION = 0.25
+IR_DECAY = 0.05
+
+
+def synthetic_impulse_response(rng: np.random.Generator, sample_rate: int) -> np.ndarray:
+    """Exponentially decaying random impulse response ``IR_DURATION`` long:
+    a unit direct path followed by a noise tail decaying by ``IR_DECAY``."""
+    n = max(2, int(round(IR_DURATION * sample_rate)))
+    t = np.arange(n) / sample_rate
+    ir = 0.3 * rng.standard_normal(n) * np.exp(-t / IR_DECAY)
+    ir[0] = 1.0
+    return ir
 
 
 class AugmentSampler:
@@ -295,14 +297,18 @@ class AugmentSampler:
 
 
 def load_wav(path) -> Waveform:
-    """Read a mono 16-bit PCM WAV file. Multichannel input is rejected."""
-    with _wavemod.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-        sr = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    """Read a mono 16-bit PCM WAV file. Multichannel input, and a file that
+    is not a WAV (empty, or no RIFF header), raise ValueError naming it."""
+    try:
+        with _wavemod.open(str(path), "rb") as f:
+            if f.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
+            if f.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
+            sr = f.getframerate()
+            raw = f.readframes(f.getnframes())
+    except (EOFError, _wavemod.Error) as err:
+        raise ValueError(f"{path}: not a readable WAV file ({err or 'empty'})") from err
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, sr, utterance_id=Path(path).stem)
 

@@ -21,8 +21,6 @@ import numpy as np
 from . import nn
 from .encoder import EncoderConfig, _init_ln
 
-STD_EPS = 1e-8
-
 
 @dataclass
 class HeadConfig:
@@ -91,7 +89,7 @@ def _pool_project(tape, h, params, state, prefix, mode):
     and projection, with the ``prefix`` parameters, recorded on ``tape``.
     Returns the raw (B, D) embedding and the updated batch-norm state."""
     pooled = tape.op(nn.attentive_stats_fwd, nn.attentive_stats_bwd, h,
-                     f"{prefix}.attn.w", f"{prefix}.attn.b", f"{prefix}.attn.v", eps=STD_EPS)
+                     f"{prefix}.attn.w", f"{prefix}.attn.b", f"{prefix}.attn.v")
     normed, c_bn, new_mean, new_var = nn.batch_norm_fwd(
         pooled, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
         state[f"{prefix}.bn.running_mean"], state[f"{prefix}.bn.running_var"], mode)

@@ -28,22 +28,27 @@ import numpy as np
 
 from . import nn
 
-COS_CLAMP = 1e-7
-
-MARGIN_STYLES = ("cosine_additive", "angular_additive")
-
 
 @dataclass
 class LossConfig:
     """Scalar hyperparameters of the objective.
 
-    ``margin``, ``scale`` and ``margin_style`` shape the margin softmax:
-    the additive margin enters on the cosine (default) or on the angle.
-    ``temperature`` and ``supcon_mean_over_anchors`` shape every SupCon
-    term. ``lam1`` weighs the mean over blocks of SupCon on each feature
-    map and ``lam2`` SupCon on the speaker embedding; ``trainer.OBJECTIVES``
-    says which preset reads which. ``lam1`` defaults to 0.01, the paper's
-    best sweep row. Every float must be finite.
+    ``margin`` and ``scale`` shape the margin softmax. The margin enters on
+    the cosine, psi(theta) = cos(theta) - m, as AM-Softmax (arXiv
+    1801.05599) defines it; the paper's MFA-Conformer baseline trains with
+    AM-Softmax, and ``trainer.OBJECTIVES`` names that preset ``am_softmax``.
+    ``temperature`` shapes every SupCon term. ``lam1`` weighs the mean over
+    blocks of SupCon on each feature map and ``lam2`` SupCon on the speaker
+    embedding; ``trainer.OBJECTIVES`` says which preset reads which.
+    ``lam1`` defaults to 0.01, the paper's best sweep row. Every float must
+    be finite.
+
+    SupCon sums over anchors (Eq. 2 of arXiv 2004.11362). Its reference
+    code takes the mean instead, but no weight needs a second reduction:
+    ``trainer.build_batch`` gives row b and row B+b the same label, so
+    every one of the 2B anchors has a positive, and the mean at weight lam
+    is the sum at lam / 2B (at the desk 2B = 100, the mean at 0.01 is the
+    sum at 1e-4).
     """
 
     margin: float = 0.2
@@ -51,8 +56,6 @@ class LossConfig:
     temperature: float = 0.07
     lam1: float = 0.01
     lam2: float = 0.0
-    margin_style: str = "cosine_additive"
-    supcon_mean_over_anchors: bool = False
 
     def __post_init__(self):
         for name in ("margin", "scale", "temperature", "lam1", "lam2"):
@@ -67,8 +70,6 @@ class LossConfig:
             raise ValueError("margin must be >= 0")
         if min(self.lam1, self.lam2) < 0:
             raise ValueError("loss coefficients must be >= 0")
-        if self.margin_style not in MARGIN_STYLES:
-            raise ValueError(f"margin_style must be one of {MARGIN_STYLES}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +78,13 @@ class LossConfig:
 
 def am_softmax(z, labels, weights, cfg: LossConfig):
     """Mean cross-entropy over scaled cosine logits with an additive margin
-    on the true class.
-
-    ``margin_style="cosine_additive"`` puts the target logit at
-    s*(cos(theta_y) - m); ``"angular_additive"`` at s*cos(theta_y + m).
+    on the true class: the target logit is s*(cos(theta_y) - m).
     Embeddings and class weights are normalized internally, so raw inputs
     are fine. Returns (loss, dz, dweights).
     """
-    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
+    z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=int)
     w = np.asarray(weights, dtype=np.float64)
     n, k = z.shape[0], w.shape[0]
-    labels = np.asarray(labels, dtype=int)
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
     zu, c_z = nn.l2_normalize_fwd(z)
@@ -95,19 +92,7 @@ def am_softmax(z, labels, weights, cfg: LossConfig):
     cos = zu @ wu.T
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-
-    if cfg.margin_style == "cosine_additive":
-        logits = cfg.scale * (cos - cfg.margin * onehot)
-        dcos_factor = None
-    else:
-        c = np.clip(cos[np.arange(n), labels], -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
-        # cos(theta + m) = c*cos(m) - sqrt(1-c^2)*sin(m)
-        shifted = c * np.cos(cfg.margin) - np.sqrt(1.0 - c ** 2) * np.sin(cfg.margin)
-        logits = cfg.scale * cos
-        logits[np.arange(n), labels] = cfg.scale * shifted
-        dcos_factor = np.cos(cfg.margin) + c / np.sqrt(1.0 - c ** 2) * np.sin(cfg.margin)
-        # clamped cosines sit on a constant branch
-        dcos_factor *= np.abs(cos[np.arange(n), labels]) < 1.0 - COS_CLAMP
+    logits = cfg.scale * (cos - cfg.margin * onehot)
 
     shift = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - shift)
@@ -116,8 +101,6 @@ def am_softmax(z, labels, weights, cfg: LossConfig):
 
     dlogits = (exp / exp.sum(axis=1, keepdims=True) - onehot) / n
     dcos = cfg.scale * dlogits
-    if dcos_factor is not None:
-        dcos[np.arange(n), labels] *= dcos_factor
     dzu = dcos @ wu
     dwu = dcos.T @ zu
     dz = nn.l2_normalize_bwd(dzu, c_z)
@@ -140,14 +123,13 @@ def _masked_row_softmax(s):
     return e / total, (m + np.log(total))[:, 0]
 
 
-def supcon(z, labels, cfg: LossConfig | None = None):
+def supcon(z, labels, cfg: LossConfig):
     """Supervised contrastive loss over unit-norm rows.
 
     Sums over anchors i the mean over positives p (same label, different
     index) of -log(exp(z_i.z_p / tau) / sum_{a != i} exp(z_i.z_a / tau)).
     Anchors without positives are skipped. Returns (loss, dz).
     """
-    cfg = cfg or LossConfig()
     z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     n = z.shape[0]
     if n < 2:
@@ -168,10 +150,6 @@ def supcon(z, labels, cfg: LossConfig | None = None):
 
     g = softmax - positives / safe_count[:, None]
     g[~contributing] = 0.0
-    if cfg.supcon_mean_over_anchors:
-        denom = contributing.sum()
-        total /= denom
-        g /= denom
     dz = (g + g.T) @ z / cfg.temperature
     return total, dz
 

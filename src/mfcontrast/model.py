@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -189,19 +190,24 @@ class SpeakerModel:
     @classmethod
     def load(cls, path) -> "SpeakerModel":
         """Model from a ``save`` archive. Raises ValueError naming ``path``
-        when the archive is not a checkpoint, when its stored configuration
+        when the file is not a readable (empty, truncated or corrupted)
+        checkpoint archive, when its stored configuration
         does not build a model, or when its arrays differ in name or shape
         from those of a model of that configuration. A key of
         ``RETIRED_META_KEYS`` is dropped when it holds its one value; any
         other value does not build."""
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["meta"])) if "meta" in archive.files else {}
-            if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ValueError(f"{path} is not a recognized checkpoint")
-            params = _as_compute({k[len("param/"):]: archive[k] for k in archive.files
-                                  if k.startswith("param/")})
-            state = _as_compute({k[len("state/"):]: archive[k] for k in archive.files
-                                 if k.startswith("state/")})
+        try:
+            # np.load leaves a file it opened open when the zip will not parse
+            with open(path, "rb") as f, np.load(f) as archive:
+                meta = json.loads(bytes(archive["meta"])) if "meta" in archive.files else {}
+                if meta.get("format") != CHECKPOINT_FORMAT:
+                    raise ValueError(f"{path} is not a recognized checkpoint")
+                params = _as_compute({k[len("param/"):]: archive[k] for k in archive.files
+                                      if k.startswith("param/")})
+                state = _as_compute({k[len("state/"):]: archive[k] for k in archive.files
+                                     if k.startswith("state/")})
+        except (EOFError, zipfile.BadZipFile) as err:
+            raise ValueError(f"{path} is not a readable archive: {err}") from err
         _drop_dead_biases(params, state)
         try:
             sections = {name: dict(meta[name]) for name in ("encoder", "head")}

@@ -61,6 +61,12 @@ class ShapeError(ValueError):
 # ---------------------------------------------------------------------------
 # linear / normalization
 
+# the variance floor of layer and batch norm, batch norm's running-statistics
+# momentum, and the floor under each channel's variance in attentive pooling
+NORM_EPS = 1e-5
+BATCH_NORM_MOMENTUM = 0.1
+POOL_VAR_FLOOR = 1e-8
+
 
 def _channel_dot(x, u):
     """Per-position dot product of x's channels with the vector u, shaped
@@ -91,13 +97,13 @@ def linear_bwd(dy, cache):
     return dx, dw, _position_sum(flat)
 
 
-def layer_norm_fwd(x, gamma, beta, eps=1e-5):
+def layer_norm_fwd(x, gamma, beta):
     # normalizes over the channel (last) axis, per position; the variance is
     # the mean of the centred squares, never E[x^2] - E[x]^2, which cancels
     c = x.shape[-1]
     mean_weights = np.full(c, 1.0 / c, dtype=x.dtype)
     xc = x - _channel_dot(x, mean_weights)
-    inv = 1.0 / np.sqrt(_channel_dot(xc * xc, mean_weights) + eps)
+    inv = 1.0 / np.sqrt(_channel_dot(xc * xc, mean_weights) + NORM_EPS)
     xc *= inv
     y = xc * gamma
     y += beta
@@ -116,8 +122,7 @@ def layer_norm_bwd(dy, cache):
     return dx, _position_sum(dyx), _position_sum(dy)
 
 
-def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode,
-                   momentum=0.1, eps=1e-5):
+def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
     """Normalizes each channel over all leading axes.
 
     Train mode uses batch statistics (biased variance, the mean of the
@@ -131,13 +136,13 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode,
         xhat = x - mu
         sq = xhat * xhat
         var = mean_weights @ sq.reshape(m, -1)
-        new_mean = (1.0 - momentum) * running_mean + momentum * mu
-        new_var = (1.0 - momentum) * running_var + momentum * var
+        new_mean = (1.0 - BATCH_NORM_MOMENTUM) * running_mean + BATCH_NORM_MOMENTUM * mu
+        new_var = (1.0 - BATCH_NORM_MOMENTUM) * running_var + BATCH_NORM_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
         xhat = x - mu
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     y = xhat * gamma
     y += beta
@@ -355,13 +360,14 @@ def strided_conv1d_bwd(dy, cache):
 # pooling / embeddings
 
 
-def attentive_stats_fwd(h, w, b, v, eps=1e-8):
+def attentive_stats_fwd(h, w, b, v):
     """Attention-weighted temporal mean and standard deviation.
 
     h is (B, T, C). Scores e_t = v . tanh(h_t W + b), alpha = softmax over
     time, mu = sum_t alpha_t h_t, sigma = sqrt(max(sum_t alpha_t h_t^2 -
-    mu^2, eps)). Returns (B, 2C): mu and sigma concatenated. The max()
-    clamp keeps zero-variance channels from producing infinite gradients.
+    mu^2, POOL_VAR_FLOOR)). Returns (B, 2C): mu and sigma concatenated.
+    The max() clamp keeps zero-variance channels from producing infinite
+    gradients.
     """
     u = h @ w + b
     a = np.tanh(u)
@@ -371,17 +377,17 @@ def attentive_stats_fwd(h, w, b, v, eps=1e-8):
     mu = (weights @ h)[:, 0]
     m2 = (weights @ (h * h))[:, 0]
     raw = m2 - mu ** 2
-    var = np.maximum(raw, eps)
+    var = np.maximum(raw, POOL_VAR_FLOOR)
     sigma = np.sqrt(var)
     out = np.concatenate([mu, sigma], axis=-1)
-    cache = (h, w, v, a, alpha, sm_cache, mu, sigma, raw, eps)
+    cache = (h, w, v, a, alpha, sm_cache, mu, sigma, raw)
     return out, cache
 
 
 def attentive_stats_bwd(dy, cache):
-    h, w, v, a, alpha, sm_cache, mu, sigma, raw, eps = cache
+    h, w, v, a, alpha, sm_cache, mu, sigma, raw = cache
     c = mu.shape[-1]
-    dm2 = dy[..., c:] * (0.5 / sigma) * (raw > eps)
+    dm2 = dy[..., c:] * (0.5 / sigma) * (raw > POOL_VAR_FLOOR)
     dmu = dy[..., :c] - 2.0 * mu * dm2
     dalpha = (h @ dmu[..., None])[..., 0] + ((h * h) @ dm2[..., None])[..., 0]
     # dh = alpha * (dmu + 2 h dm2), then the score path's u = h W + b term
@@ -400,17 +406,17 @@ def attentive_stats_bwd(dy, cache):
     return dh, dw, _position_sum(flat_du), dv
 
 
-def l2_normalize_fwd(x, axis=-1):
-    n = np.linalg.norm(x, axis=axis, keepdims=True)
+def l2_normalize_fwd(x):
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("cannot L2-normalize a zero vector")
     y = x / n
-    return y, (y, n, axis)
+    return y, (y, n)
 
 
 def l2_normalize_bwd(dy, cache):
-    y, n, axis = cache
-    return (dy - y * (dy * y).sum(axis=axis, keepdims=True)) / n
+    y, n = cache
+    return (dy - y * (dy * y).sum(axis=-1, keepdims=True)) / n
 
 
 # ---------------------------------------------------------------------------

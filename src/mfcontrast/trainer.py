@@ -41,6 +41,8 @@ OBJECTIVES = {
 
 # epochs between halvings of the learning rate
 LR_HALVE_EVERY = 5
+# Adam's moment decay rates and the floor under its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # the shortest crop that gives the encoder its MIN_FRAMES filterbank frames
 MIN_CROP_DURATION = FRAME_LEN + (MIN_FRAMES - 1) * FRAME_SHIFT
 
@@ -167,7 +169,8 @@ def adam_init(params) -> AdamState:
                      v={k: np.zeros_like(p) for k, p in params.items()})
 
 
-def adam_step(params, grads, opt: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, opt: AdamState, lr):
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     opt.t += 1
     correct1 = 1.0 - beta1 ** opt.t
     correct2 = 1.0 - beta2 ** opt.t

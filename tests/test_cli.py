@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -231,6 +233,60 @@ def test_eval_rejects_checkpoint_arrays_unlike_its_config(tmp_path, capsys):
     assert eval_exit_code(path, tmp_path, capsys) == 3
 
 
+def damage(path, how):
+    """Overwrite the archive at ``path`` with an empty, a truncated, or a
+    CRC-corrupted copy: one byte of the first member's data is flipped."""
+    data = bytearray(path.read_bytes())
+    if how == "zero-byte":
+        data = bytearray()
+    elif how == "truncated":
+        data = data[:len(data) // 2]
+    else:
+        with zipfile.ZipFile(path) as archive:
+            first = archive.infolist()[0]
+        name_len, extra_len = struct.unpack_from("<HH", data, first.header_offset + 26)
+        start = first.header_offset + 30 + name_len + extra_len
+        data[start + first.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("how", ["zero-byte", "truncated", "crc"])
+def test_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, how):
+    path = tmp_path / "checkpoint.npz"
+    saved_checkpoint(path)
+    damage(path, how)
+    assert eval_exit_code(path, tmp_path, capsys) == 3
+
+
+def small_manifest(tmp_path):
+    """An exported 8 kHz corpus of 3 speakers with 2 utterances each, and its
+    waveforms."""
+    corpus = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=2, duration=0.5,
+                                       sample_rate=8000, seed=1))
+    return export_corpus(corpus, tmp_path / "data"), corpus
+
+
+# a trial list needs both kinds of trial for an EER
+@pytest.mark.parametrize("kinds", [(), (True,), (False,), (True, True)],
+                         ids=["empty", "target-only", "nontarget-only", "targets-only"])
+def test_eval_rejects_a_trial_list_without_both_kinds(tmp_path, capsys, monkeypatch,
+                                                      kinds):
+    manifest, corpus = small_manifest(tmp_path)
+    saved_checkpoint(tmp_path / "checkpoint.npz")
+    trials = tmp_path / "trials.txt"
+    save_trials(trials, [Trial(corpus[0].utterance_id, corpus[1 if kind else 2].utterance_id,
+                               kind) for kind in kinds])
+    embedded = []
+    monkeypatch.setattr(SpeakerModel, "embed_utterance",
+                        lambda self, feats: embedded.append(feats))
+    scores = tmp_path / "scores.txt"
+    assert cli.main(["eval", str(tmp_path / "checkpoint.npz"), str(trials), str(manifest),
+                     "--scores-out", str(scores)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(trials) in err
+    assert not embedded and not scores.exists()
+
+
 def test_preset_full_resolves_without_training(tmp_path):
     args = cli.build_parser().parse_args(
         ["train", "--preset", "full", "--synthetic", "--out", str(tmp_path)])
@@ -271,6 +327,29 @@ def test_a_manifest_that_mixes_sample_rates_is_a_data_error(tmp_path, capsys, co
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "8000" in err and "16000" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"not a RIFF header"], ids=["zero-byte", "not-riff"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_entry_that_is_not_a_wav_is_a_data_error(tmp_path, capsys, command,
+                                                            content):
+    manifest, corpus = small_manifest(tmp_path)
+    bad = manifest.parent / corpus[1].speaker_id / f"{corpus[1].utterance_id}.wav"
+    bad.write_bytes(content)
+    if command == "train":
+        argv = ["train", "--data", str(manifest), "--out", str(tmp_path / "run")]
+    else:
+        saved_checkpoint(tmp_path / "checkpoint.npz")
+        save_trials(tmp_path / "trials.txt", [Trial(corpus[0].utterance_id,
+                                                     corpus[1].utterance_id, True),
+                                               Trial(corpus[0].utterance_id,
+                                                     corpus[2].utterance_id, False)])
+        argv = ["eval", str(tmp_path / "checkpoint.npz"), str(tmp_path / "trials.txt"),
+                str(manifest), "--scores-out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err
     assert not (tmp_path / "run").exists()
 
 

@@ -29,8 +29,7 @@ def test_each_section_default_is_the_desk_preset(section, cls):
     assert cls() == getattr(desk_config(), section)
 
 
-LOSS = {"margin": 0.2, "scale": 30.0, "temperature": 0.07, "lam1": 0.01, "lam2": 0.0,
-        "margin_style": "cosine_additive", "supcon_mean_over_anchors": False}
+LOSS = {"margin": 0.2, "scale": 30.0, "temperature": 0.07, "lam1": 0.01, "lam2": 0.0}
 TRIALS = {"n_target": 250, "n_nontarget": 250, "seed": 100}
 DESK = {
     "encoder": {"num_blocks": 2, "model_dim": 64, "num_heads": 4, "ff_expansion": 2,
@@ -82,16 +81,21 @@ def test_a_partial_file_changes_only_the_fields_it_names(data):
 # count is EncoderConfig.input_dim, the framing and the augmentation draws are
 # fixed in features, the learning rate halves every trainer.LR_HALVE_EVERY
 # epochs, SupCon is the only contrastive loss, and mfcon reads its
-# weight from loss.lam1. A dotted key such as loss.triplet_margin lies in that
-# subsection of train; every config saved before the contrastive kinds were
-# removed holds both loss keys, and every one saved before lam1 became mfcon's
-# weight holds loss.lam.
+# weight from loss.lam1; the margin is on the cosine and SupCon sums over
+# anchors. A dotted key such as loss.triplet_margin lies in that subsection of
+# train; every config saved before the contrastive kinds were removed holds
+# both loss keys, every one saved before lam1 became mfcon's weight holds
+# loss.lam, and every one saved before the margin style and the SupCon
+# reduction were fixed holds loss.margin_style and
+# loss.supcon_mean_over_anchors.
 @pytest.mark.parametrize("key, value", [("n_mels", 80), ("frame_len", 0.025),
                                         ("frame_shift", 0.01), ("snr_range", [0.0, 15.0]),
                                         ("noise_prob", 0.5),
                                         ("loss.contrastive_kind", "supcon"),
                                         ("loss.triplet_margin", 0.2),
-                                        ("loss.lam", 0.01), ("lr_halve_every", 5)])
+                                        ("loss.lam", 0.01), ("lr_halve_every", 5),
+                                        ("loss.margin_style", "cosine_additive"),
+                                        ("loss.supcon_mean_over_anchors", False)])
 def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value):
     check_removed_key(tmp_path, capsys, f"train.{key}", value)
 

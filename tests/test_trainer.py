@@ -162,6 +162,10 @@ def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
         loop_feats, loop_labels = trainer.build_batch(utterances, cfg, 16, seed)
         assert feats.dtype == np.float32 and np.array_equal(feats, loop_feats)
         assert np.array_equal(labels, loop_labels)
+        # row b and row B+b share a label, so every anchor has a positive and
+        # SupCon's mean over the 2B anchors is its sum over 2B
+        b = len(utterances)
+        assert np.array_equal(labels[:b], labels[b:])
     assert calls == [2 * len(utterances)] * 3
     assert feats.shape == (2 * len(utterances), frames, 16)
     model = SpeakerModel(ENC, HEAD, 3, seed=1)
