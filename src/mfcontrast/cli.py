@@ -1,5 +1,10 @@
 """Command-line entry points: train, eval, and sweep.
 
+An objective row, ``name[:weight=value,...]`` such as ``mfcon:lam1=0.01``,
+names what a run trains: ``name`` is a key of ``trainer.OBJECTIVES``, and a
+weight the row leaves out keeps the config's value. ``train --loss ROW``
+trains one row, ``sweep ROW [ROW ...]`` one run per row.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numerical failure during training.
 """
@@ -17,13 +22,12 @@ from pathlib import Path
 
 from . import __version__
 from .config import PRESETS, ConfigError, ExperimentConfig, load_config
+from .features import LengthError
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
 from .synthdata import generate_corpus, generate_trials, load_manifest
 from .trainer import (OBJECTIVES, NonFiniteLossError, evaluate, train,
-                      utterance_store)
-
-SWEEP_AXES = ("lambda", "lambda12")
+                      trial_utterances, utterance_store)
 
 
 class DataError(Exception):
@@ -51,25 +55,43 @@ def _append_manifest_end(out_dir: Path, **extra):
         f.write(json.dumps(record) + "\n")
 
 
-def _given(**values) -> dict:
-    """The values a command line set; an absent flag parses to None."""
-    return {k: v for k, v in values.items() if v is not None}
-
-
 def _load_experiment(args) -> ExperimentConfig:
-    """The ``--config`` file or ``--preset`` (default desk), with the train
-    flags applied together, so the objective is checked against the weights
-    given with it."""
+    """The ``--config`` file or ``--preset`` (default desk), given ``--seed``/``--epochs``."""
     cfg = load_config(args.config) if args.config else PRESETS[args.preset or "desk"]()
+    given = {k: v for k, v in (("seed", args.seed), ("epochs", args.epochs)) if v is not None}
     try:
-        loss_cfg = replace(cfg.train.loss, **_given(lam1=getattr(args, "lambda1", None),
-                                                    lam2=getattr(args, "lambda2", None)))
-        train_cfg = replace(cfg.train, loss=loss_cfg,
-                            **_given(objective=getattr(args, "loss", None),
-                                     seed=args.seed, epochs=args.epochs))
+        return replace(cfg, train=replace(cfg.train, **given))
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return replace(cfg, train=train_cfg)
+
+
+def _objective_row(cfg: ExperimentConfig, row: str) -> ExperimentConfig:
+    """``cfg`` training the objective row ``name[:weight=value,...]``. The
+    row may set only weights its objective reads; the objective and the
+    weights are checked together by ``TrainConfig`` and ``LossConfig``."""
+    name, colon, spec = row.partition(":")
+    if name not in OBJECTIVES:
+        raise ConfigError(f"row {row!r}: objective must be one of {tuple(OBJECTIVES)}")
+    weights = {}
+    for item in spec.split(",") if colon else ():
+        key, eq, value = item.partition("=")
+        if not eq or key in weights or key not in OBJECTIVES[name]:
+            raise ConfigError(f"row {row!r}: {item!r} is not weight=value, each set once, "
+                              f"for a weight {name} reads: {list(OBJECTIVES[name])}")
+        weights[key] = value
+    try:
+        loss_cfg = replace(cfg.train.loss, **{k: float(v) for k, v in weights.items()})
+        return replace(cfg, train=replace(cfg.train, objective=name, loss=loss_cfg))
+    except ValueError as err:
+        raise ConfigError(f"row {row!r}: {err}") from err
+
+
+def _row_tag(cfg: ExperimentConfig) -> str:
+    """The canonical tag of ``cfg``'s objective row: its name and every
+    weight the objective reads, as ``:g``."""
+    t = cfg.train
+    weights = ",".join(f"{w}={getattr(t.loss, w):g}" for w in OBJECTIVES[t.objective])
+    return f"{t.objective}:{weights}" if weights else t.objective
 
 
 def _resolve_dataset(args, cfg: ExperimentConfig):
@@ -107,7 +129,9 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
                                  cfg.trials.n_nontarget, cfg.trials.seed)
     except ValueError as err:
         raise ConfigError(f"trials: {err}") from err
-    return corpus, trials, utterance_store(scored)
+    store = utterance_store(scored)
+    trial_utterances(trials, store)  # a scored utterance too short fails before training
+    return corpus, trials, store
 
 
 def _run(args, argv, cfg: ExperimentConfig, out_dir: Path):
@@ -135,7 +159,8 @@ def _run(args, argv, cfg: ExperimentConfig, out_dir: Path):
 
 def cmd_train(args, argv) -> int:
     out_dir = Path(args.out)
-    ev = _run(args, argv, _load_experiment(args), out_dir)
+    cfg = _load_experiment(args)
+    ev = _run(args, argv, cfg if args.loss is None else _objective_row(cfg, args.loss), out_dir)
     print(f"EER {100 * ev.eer:.2f}%  minDCF(p=0.01) {ev.mindcf:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.npz'}")
     return 0
@@ -170,75 +195,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_sweep_values(axis, raw_values):
-    values = [v.strip() for v in raw_values.split(",") if v.strip()]
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    try:
-        if axis == "lambda":
-            return [float(v) for v in values]
-        if axis == "lambda12":
-            out = []
-            for v in values:
-                a, _, b = v.partition(":")
-                out.append((float(a), float(b) if b else float(a)))
-            return out
-    except ValueError as err:
-        raise ConfigError(f"--values for {axis}: {err}") from err
-    raise ConfigError(f"unknown sweep axis: {axis}")
-
-
-def _sweep_variant(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
-    """``cfg`` at one value of a sweep axis. ``lambda`` sweeps mfcon's
-    ``lam1``, and ``lambda12`` combined's ``lam1:lam2``."""
-    try:
-        if axis == "lambda":
-            objective, loss_cfg = "mfcon", replace(cfg.train.loss, lam1=value)
-        else:
-            objective, loss_cfg = "combined", replace(cfg.train.loss, lam1=value[0],
-                                                      lam2=value[1])
-        train_cfg = replace(cfg.train, objective=objective, loss=loss_cfg)
-        return replace(cfg, train=train_cfg)
-    except ValueError as err:
-        raise ConfigError(f"{axis} value {value}: {err}") from err
-
-
-def _sweep_tag(value) -> str:
-    """A sweep value as its results-table row and run-directory name print it."""
-    if isinstance(value, tuple):
-        return f"{value[0]:g}:{value[1]:g}"
-    return f"{value:g}"
-
-
 def cmd_sweep(args, argv) -> int:
     cfg = _load_experiment(args)
-    values = _parse_sweep_values(args.axis, args.values)
-    # every value is checked before the first run trains
-    variants = [_sweep_variant(cfg, args.axis, value) for value in values]
-    tags = [_sweep_tag(value) for value in values]
+    # every row is checked before the first run trains
+    variants = [_objective_row(cfg, row) for row in args.rows]
+    tags = [_row_tag(variant) for variant in variants]
     repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
     if repeated:
-        raise ConfigError(f"--values name the same run more than once: {repeated}")
+        raise ConfigError(f"rows name the same run more than once: {repeated}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    lines = ["row\teer\tmindcf\n"]
     for tag, variant in zip(tags, variants):
-        run_dir = out_dir / f"{args.axis}_{tag.replace(':', '_')}"
-        ev = _run(args, argv, variant, run_dir)
-        rows.append((tag, ev.eer, ev.mindcf))
-        print(f"{args.axis}={tag}\tEER {100 * ev.eer:.2f}%\tminDCF {ev.mindcf:.4f}")
+        ev = _run(args, argv, variant, out_dir / tag.replace(":", "_"))
+        lines.append(f"{tag}\t{ev.eer:.6f}\t{ev.mindcf:.6f}\n")
+        print(f"{tag}\tEER {100 * ev.eer:.2f}%\tminDCF {ev.mindcf:.4f}")
     table = out_dir / "results.tsv"
-    with open(table, "w") as f:
-        f.write("value\teer\tmindcf\n")
-        for tag, eer, mindcf in rows:
-            f.write(f"{tag}\t{eer:.6f}\t{mindcf:.6f}\n")
+    table.write_text("".join(lines))
     print(f"results table: {table}")
     return 0
-
-
-def _readers(field) -> str:
-    """The objective presets that read a LossConfig weight, for help text."""
-    return " and ".join(n for n, reads in OBJECTIVES.items() if field in reads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,17 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model and report EER/minDCF")
     add_common(t)
-    t.add_argument("--loss", choices=tuple(OBJECTIVES), default=None,
-                   help="objective preset: margin softmax on the speaker "
-                        "embedding, plus the SupCon terms it weighs with "
-                        "--lambda1 and --lambda2; a weight it reads must be "
-                        "positive")
-    t.add_argument("--lambda1", type=float, default=None,
-                   help=f"per-block SupCon weight (loss.lam1); read by --loss "
-                        f"{_readers('lam1')}")
-    t.add_argument("--lambda2", type=float, default=None,
-                   help=f"speaker-embedding SupCon weight (loss.lam2); read by "
-                        f"--loss {_readers('lam2')}")
+    t.add_argument("--loss", metavar="ROW", default=None,
+                   help=f"objective row NAME[:WEIGHT=VALUE,...], e.g. mfcon:lam1=0.01; "
+                        f"NAME is one of {', '.join(OBJECTIVES)}, and a row sets only "
+                        f"weights it reads (lam1: per-block SupCon, lam2: speaker SupCon)")
     t.add_argument("--out", required=True, help="output directory")
 
     e = sub.add_parser("eval", help="score trials with a trained checkpoint")
@@ -281,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("audio_manifest")
     e.add_argument("--scores-out", default=None)
 
-    s = sub.add_parser("sweep", help="train once per value along one axis")
+    s = sub.add_parser("sweep", help="train once per objective row")
     add_common(s)
-    s.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    s.add_argument("--values", required=True,
-                   help="comma-separated values; lambda12 accepts a:b pairs")
+    s.add_argument("rows", nargs="+", metavar="ROW",
+                   help="objective rows as --loss takes them, one run each, e.g. "
+                        "am_softmax mfcon:lam1=0.01; two rows may not name one run")
     s.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -306,7 +274,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DataError, MissingUtteranceError) as err:
+    except (DataError, MissingUtteranceError, LengthError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except NonFiniteLossError as err:

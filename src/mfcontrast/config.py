@@ -33,6 +33,13 @@ class TrialSpec:
     n_nontarget: int = 250
     seed: int = 100
 
+    def __post_init__(self):
+        for name in ("n_target", "n_nontarget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: an EER needs both kinds of trial")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 @dataclass
 class ExperimentConfig:
@@ -67,6 +74,9 @@ def full_scale_config() -> ExperimentConfig:
 
 PRESETS = {"desk": desk_config, "full": full_scale_config}
 
+# the JSON values a field of each annotated type takes; a bool is not a number
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
 
 def _fill(base, data, path=""):
     """``base`` with the fields ``data`` names replaced; a field that holds a
@@ -79,10 +89,13 @@ def _fill(base, data, path=""):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     values = dict(data)
+    kinds = {f.name: f.type for f in fields(base)}
     for name, value in data.items():
+        key = f"{path}.{name}" if path else name
         if is_dataclass(getattr(base, name)):
-            values[name] = _fill(getattr(base, name), value,
-                                 f"{path}.{name}" if path else name)
+            values[name] = _fill(getattr(base, name), value, key)
+        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kinds[name]]):
+            raise ConfigError(f"{key}: expected {kinds[name]}, got {value!r}")
     try:
         return replace(base, **values)
     except (TypeError, ValueError) as err:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import wave as _wavemod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -287,10 +287,15 @@ class AugmentSampler:
     """
 
     def apply(self, w: Waveform, rng: np.random.Generator) -> Waveform:
-        """Augment a copy of ``w`` using draws from ``rng``."""
+        """Augment a copy of ``w`` using draws from ``rng``. An SNR against a
+        silent crop is undefined, so the noise branch copies it unchanged,
+        after the same draws."""
         if rng.random() < NOISE_PROB:
             snr = rng.uniform(*SNR_RANGE)
-            noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
+            noise_seed = int(rng.integers(0, 2 ** 31 - 1))
+            if not w.samples.any():
+                return replace(w, samples=w.samples.copy())
+            noise_rng = np.random.default_rng(noise_seed)
             noise = Waveform(noise_rng.standard_normal(w.samples.size), w.sample_rate)
             return add_noise(w, noise, snr)
         return add_reverb(w, synthetic_impulse_response(rng, w.sample_rate))

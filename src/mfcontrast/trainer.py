@@ -22,8 +22,8 @@ import numpy as np
 
 from . import losses
 from .encoder import MIN_FRAMES, EncoderConfig
-from .features import (FRAME_LEN, FRAME_SHIFT, AugmentSampler, extract_fbank,
-                       frame_count, random_crop)
+from .features import (FRAME_LEN, FRAME_SHIFT, AugmentSampler, LengthError,
+                       extract_fbank, frame_count, random_crop)
 from .heads import HeadConfig
 from .losses import LossConfig
 from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
@@ -233,6 +233,22 @@ def utterance_store(corpus) -> dict:
     return {w.utterance_id: w for w in corpus}
 
 
+def trial_utterances(trials, store) -> list:
+    """The utterance ids ``trials`` name, each once, in first-use order.
+    Raises MissingUtteranceError for ids ``store`` lacks, and LengthError
+    naming every one shorter than the encoder's ``MIN_FRAMES`` frames."""
+    needed = list(dict.fromkeys(u for t in trials for u in (t.enroll_utt, t.test_utt)))
+    missing = [u for u in needed if u not in store]
+    if missing:
+        raise MissingUtteranceError(missing)
+    short = [u for u in needed
+             if frame_count(store[u].samples.size, store[u].sample_rate) < MIN_FRAMES]
+    if short:
+        raise LengthError(f"utterances shorter than {MIN_FRAMES} filterbank frames "
+                          f"({MIN_CROP_DURATION:g} s) cannot be scored: {', '.join(short)}")
+    return needed
+
+
 # filterbank frames per batch of utterances that evaluate() embeds at once:
 # a batch holds max(1, EVAL_FRAME_BUDGET // T) utterances of T frames, 5 of
 # 4 s (T = 398). Timed by alternating budgets on the desk encoder's 20-utterance
@@ -251,16 +267,7 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     ``extract_fbank`` and one ``embed_utterance`` call per batch. Both are
     batch-invariant, so every embedding, and with it every score, equals
     that of the utterance embedded alone, bit for bit."""
-    needed = []
-    seen = set()
-    for t in trials:
-        for utt in (t.enroll_utt, t.test_utt):
-            if utt not in seen:
-                seen.add(utt)
-                needed.append(utt)
-    missing = [u for u in needed if u not in store]
-    if missing:
-        raise MissingUtteranceError(missing)
+    needed = trial_utterances(trials, store)
     groups = {}
     for utt in needed:
         w = store[utt]

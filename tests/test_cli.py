@@ -6,6 +6,7 @@ import sys
 import zipfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ import pytest
 from mfcontrast import __version__, cli
 from mfcontrast.config import PRESETS, TrialSpec, desk_config, save_config
 from mfcontrast.encoder import EncoderConfig
-from mfcontrast.features import Waveform
+from mfcontrast.features import Waveform, save_wav
 from mfcontrast.heads import HeadConfig
 from mfcontrast.metrics import Trial, load_trials, save_trials
 from mfcontrast.model import SpeakerModel
 from mfcontrast.synthdata import SynthSpec, export_corpus, generate_corpus
-from mfcontrast.trainer import NonFiniteLossError
+from mfcontrast.trainer import EvalResult, NonFiniteLossError
 
 
 def small_config(path):
@@ -56,20 +57,25 @@ def synthetic_run(tmp_path, argv):
     return cli.main(argv + ["--synthetic", "--out", str(tmp_path / "run")])
 
 
-# flags and sweep axes the parser does not offer, among them the removed
-# contrastive-kind choice (SupCon is the only contrastive loss), the removed
-# --lambda (--lambda1 is mfcon's weight) and the removed head-sharing axis
-# (every block has its own head), and flags it does not take
+# flags the parser does not offer, among them the removed contrastive-kind
+# choice (SupCon is the only contrastive loss), the removed weight flags and
+# sweep axes (an objective row names its weights), and flags it does not take
 # together: a config file and a preset each name the whole starting point
 @pytest.mark.parametrize("argv, name", [
     (["train", "--no-such-flag"], "--no-such-flag"),
     (["train", "--contrastive-kind", "npair"], "--contrastive-kind"),
-    (["sweep", "--axis", "contrastive_kind", "--values", "supcon"], "contrastive_kind"),
+    (["sweep", "--axis", "contrastive_kind", "--values", "supcon"], "--axis"),
     (["train", "--lambda", "0.1"], "--lambda"),
     (["train", "--preset", "full", "--config", "cfg.json"], "--config"),
-    (["sweep", "--axis", "sharing", "--values", "none"], "sharing"),
+    (["sweep", "--axis", "sharing", "--values", "none"], "--axis"),
+    (["train", "--lambda1", "0.5"], "--lambda1"),
+    (["train", "--loss", "combined", "--lambda2", "0.5"], "--lambda2"),
+    (["sweep", "mfcon", "--axis", "lambda"], "--axis"),
+    (["sweep", "mfcon", "--values", "0.1"], "--values"),
+    (["sweep"], "ROW"),
 ], ids=["unknown-flag", "contrastive-kind-flag", "contrastive_kind-axis", "lambda-flag",
-        "config-with-preset", "sharing-axis"])
+        "config-with-preset", "sharing-axis", "lambda1-flag", "lambda2-flag", "axis-flag",
+        "values-flag", "sweep-without-rows"])
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     assert synthetic_run(tmp_path, argv) == 2
     err = capsys.readouterr().err
@@ -79,24 +85,24 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
 
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", "0"],
-    ["train", "--loss", "am_supcon", "--lambda2", "-1"],
-    ["train", "--lambda1", "-1"],
-    ["train", "--lambda2", "-1"],
+    ["train", "--loss", "am_supcon:lam2=-1"],
+    ["train", "--loss", "mfcon:lam1=-1"],
+    ["train", "--loss", "combined:lam2=-1"],
     ["train", "--seed", "-3"],
-    ["sweep", "--axis", "lambda", "--values", "abc"],
-    ["sweep", "--axis", "lambda", "--values", "-0.5"],
-    ["sweep", "--axis", "lambda12", "--values", "1:2:3"],
-    # two values that would train into one run directory
-    ["sweep", "--axis", "lambda", "--values", "0.1,0.10"],
-    ["sweep", "--axis", "lambda", "--values", "0.1,0.1000000001"],
-    ["sweep", "--axis", "lambda12", "--values", "0.1,0.1:0.1"],
+    ["sweep", "mfcon:lam1=abc"],
+    ["sweep", "mfcon:lam1=-0.5"],
+    ["sweep", "combined:lam1=1,lam2=2:3"],
+    # two rows that would train into one run directory
+    ["sweep", "mfcon:lam1=0.1", "mfcon:lam1=0.10"],
+    ["sweep", "mfcon:lam1=0.1", "mfcon:lam1=0.1000000001"],
+    ["sweep", "combined:lam1=0.1,lam2=0.1", "combined:lam2=0.1,lam1=0.1"],
     # non-finite or non-positive hyperparameters
-    ["train", "--lambda2", "inf"],
-    ["train", "--lambda1", "inf"],
-    ["train", "--lambda1", "nan"],
-    ["train", "--loss", "mfcon", "--lambda2", "nan"],
-    ["sweep", "--axis", "lambda", "--values", "nan"],
-    ["sweep", "--axis", "lambda12", "--values", "0.1:inf"],
+    ["train", "--loss", "combined:lam2=inf"],
+    ["train", "--loss", "mfcon:lam1=inf"],
+    ["train", "--loss", "mfcon:lam1=nan"],
+    ["train", "--loss", "am_supcon:lam2=nan"],
+    ["sweep", "mfcon:lam1=nan"],
+    ["sweep", "combined:lam1=0.1,lam2=inf"],
     ["train", "--config", {"train": {"lr": float("nan")}}],
     ["train", "--config", {"train": {"crop_duration": 0}}],
     ["train", "--config", {"train": {"crop_duration": float("inf")}}],
@@ -115,16 +121,101 @@ def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "run").exists()
 
 
+# an objective row is name[:weight=value,...]: a weight its objective does
+# not read, a malformed item, a field that is not a weight, an unknown
+# objective, and two rows whose canonical tags agree (at the desk lam1 of
+# 0.01) are each rejected, by name, before anything trains
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--loss", "am_softmax:lam1=0.5"], "'lam1=0.5'"),
+    (["train", "--loss", "mfcon:lam2=0.1"], "'lam2=0.1'"),
+    (["sweep", "mfcon:lam1=0.1", "am_softmax:lam1=0.5"], "'lam1=0.5'"),
+    (["train", "--loss", "mfcon:lam1"], "'lam1'"),
+    (["train", "--loss", "mfcon:lam1=1=2"], "'1=2'"),
+    (["train", "--loss", "mfcon:"], "'mfcon:'"),
+    (["train", "--loss", "mfcon:lam1=0.1,lam1=0.2"], "'lam1=0.2'"),
+    (["train", "--loss", "mfcon:margin=0.3"], "'margin=0.3'"),
+    (["train", "--loss", "bogus"], "'bogus': objective must be one of"),
+    (["train", "--loss", ""], "'': objective must be one of"),
+    (["sweep", "bogus:lam1=0.1"], "'bogus:lam1=0.1': objective must be one of"),
+    (["sweep", "mfcon", "mfcon:lam1=0.01"], "more than once: ['mfcon:lam1=0.01']"),
+    (["sweep", "am_softmax", "mfcon:lam1=0.1", "am_softmax"], "more than once: ['am_softmax']"),
+], ids=["unread-weight", "unread-lam2", "unread-weight-in-sweep", "no-value", "two-equals",
+        "empty-item", "repeated-weight", "not-a-weight", "unknown-objective", "empty-row",
+        "unknown-objective-in-sweep", "default-valued-collision", "repeated-row"])
+def test_a_bad_objective_row_is_a_named_config_error(tmp_path, capsys, argv, named):
+    assert synthetic_run(tmp_path, argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and named in errors[0]
+    assert not (tmp_path / "run").exists()
+
+
+def captured_runs(monkeypatch):
+    """Patch ``cli.train`` to record each run's TrainConfig and out_dir and
+    report EER 0.25, minDCF 0.5 for the first run, 0.125 and 0.75 after."""
+    runs = []
+
+    def fake_train(corpus, enc_cfg, head_cfg, train_cfg, out_dir, trials, store):
+        runs.append((train_cfg, out_dir))
+        eer, mindcf = (0.25, 0.5) if len(runs) == 1 else (0.125, 0.75)
+        return SimpleNamespace(eval_result=EvalResult(eer, mindcf, None))
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    return runs
+
+
+# every old invocation has a row: --loss NAME --lambda1 X --lambda2 Y is
+# --loss NAME:lam1=X,lam2=Y, and a weight a row leaves out keeps the
+# config's value (the desk lam1 is 0.01, lam2 0)
+@pytest.mark.parametrize("argv, objective, lam1, lam2", [
+    ([], "mfcon", 0.01, 0.0),
+    (["--loss", "am_softmax"], "am_softmax", 0.01, 0.0),
+    (["--loss", "mfcon"], "mfcon", 0.01, 0.0),
+    (["--loss", "mfcon:lam1=0.5"], "mfcon", 0.5, 0.0),
+    (["--loss", "am_supcon:lam2=0.2"], "am_supcon", 0.01, 0.2),
+    (["--loss", "combined:lam2=0.1"], "combined", 0.01, 0.1),
+    (["--loss", "combined:lam2=0.3,lam1=1e-4"], "combined", 1e-4, 0.3),
+])
+def test_train_loss_row_sets_the_objective_and_its_weights(tmp_path, monkeypatch, argv,
+                                                           objective, lam1, lam2):
+    runs = captured_runs(monkeypatch)
+    assert cli.main(["train", "--synthetic", "--config", str(small_config(tmp_path / "c.json")),
+                     "--out", str(tmp_path / "run")] + argv) == 0
+    (train_cfg, _), = runs
+    assert (train_cfg.objective, train_cfg.loss.lam1, train_cfg.loss.lam2) == (
+        objective, lam1, lam2)
+
+
+def test_sweep_trains_one_run_per_row_and_tabulates_the_canonical_tags(tmp_path, capsys,
+                                                                       monkeypatch):
+    runs = captured_runs(monkeypatch)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "am_softmax", "mfcon:lam1=0.1", "--synthetic", "--config",
+                     str(small_config(tmp_path / "cfg.json")), "--out", str(out)]) == 0
+    assert [(cfg.objective, cfg.loss.lam1) for cfg, _ in runs] == [("am_softmax", 0.01),
+                                                                   ("mfcon", 0.1)]
+    assert [run_dir for _, run_dir in runs] == [out / "am_softmax", out / "mfcon_lam1=0.1"]
+    for _, run_dir in runs:
+        records = [json.loads(line)
+                   for line in (run_dir / "manifest.jsonl").read_text().splitlines()]
+        assert [r["status"] for r in records[1:]] == ["ok"]
+        assert (run_dir / "trials.txt").is_file()
+    assert (out / "results.tsv").read_text().splitlines() == [
+        "row\teer\tmindcf", "am_softmax\t0.250000\t0.500000",
+        "mfcon:lam1=0.1\t0.125000\t0.750000"]
+    assert "mfcon:lam1=0.1\tEER 12.50%" in capsys.readouterr().out
+
+
 # a weight the objective reads is 0: the run would train another objective
 # under this one's name
 @pytest.mark.parametrize("argv, field", [
-    (["train", "--loss", "mfcon", "--lambda1", "0"], "lam1"),
+    (["train", "--loss", "mfcon:lam1=0"], "lam1"),
     (["train", "--loss", "am_supcon"], "lam2"),
-    (["train", "--loss", "combined", "--lambda2", "0.1", "--lambda1", "0"], "lam1"),
+    (["train", "--loss", "combined:lam2=0.1,lam1=0"], "lam1"),
     (["train", "--loss", "combined"], "lam2"),
     (["train", "--config", {"train": {"loss": {"lam1": 0}}}], "lam1"),
-    (["sweep", "--axis", "lambda", "--values", "0.1,0"], "lam1"),
-    (["sweep", "--axis", "lambda12", "--values", "0.1:0"], "lam2"),
+    (["sweep", "mfcon:lam1=0.1", "mfcon:lam1=0"], "lam1"),
+    (["sweep", "combined:lam1=0.1,lam2=0"], "lam2"),
 ])
 def test_a_zero_weight_the_objective_reads_is_a_config_error(tmp_path, capsys, argv,
                                                              field):
@@ -135,7 +226,7 @@ def test_a_zero_weight_the_objective_reads_is_a_config_error(tmp_path, capsys, a
 
 @pytest.mark.parametrize("argv, run_dir", [
     (["train"], "."),
-    (["sweep", "--axis", "lambda", "--values", "0.1,0.2"], "lambda_0.1"),
+    (["sweep", "mfcon:lam1=0.1", "mfcon:lam1=0.2"], "mfcon_lam1=0.1"),
 ])
 def test_non_finite_loss_exits_4_and_ends_the_manifest(tmp_path, capsys, monkeypatch,
                                                        argv, run_dir):
@@ -351,6 +442,64 @@ def test_a_manifest_entry_that_is_not_a_wav_is_a_data_error(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bad) in err
     assert not (tmp_path / "run").exists()
+
+
+def data_config(path, **trials):
+    """The desk preset sized for a ``small_manifest`` corpus: two epochs of
+    0.5 s crops, all 6 utterances in one batch, and the given trial counts."""
+    cfg = desk_config()
+    cfg = replace(cfg, train=replace(cfg.train, batch_size=6, epochs=2, crop_duration=0.5),
+                  trials=TrialSpec(**trials))
+    save_config(cfg, path)
+    return path
+
+
+# an utterance of 300 samples at 8 kHz gives 2 filterbank frames, fewer than
+# the encoder's MIN_FRAMES: scoring it fails before anything trains or embeds
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_utterance_too_short_to_score_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                                         command):
+    manifest, corpus = small_manifest(tmp_path)
+    short = corpus[1]
+    save_wav(Waveform(short.samples[:300], short.sample_rate),
+             manifest.parent / short.speaker_id / f"{short.utterance_id}.wav")
+    runs = captured_runs(monkeypatch)
+    embedded = []
+    monkeypatch.setattr(SpeakerModel, "embed_utterance",
+                        lambda self, feats: embedded.append(feats))
+    if command == "train":
+        # every pair of the 6 utterances is a trial
+        config = data_config(tmp_path / "cfg.json", n_target=3, n_nontarget=12)
+        argv = ["train", "--data", str(manifest), "--config", str(config),
+                "--out", str(tmp_path / "run")]
+    else:
+        saved_checkpoint(tmp_path / "checkpoint.npz")
+        save_trials(tmp_path / "trials.txt", [Trial(corpus[0].utterance_id,
+                                                     short.utterance_id, True),
+                                               Trial(corpus[0].utterance_id,
+                                                     corpus[2].utterance_id, False)])
+        argv = ["eval", str(tmp_path / "checkpoint.npz"), str(tmp_path / "trials.txt"),
+                str(manifest), "--scores-out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and short.utterance_id in err
+    assert not runs and not embedded
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_on_a_manifest_with_a_silent_utterance(tmp_path, capsys):
+    # the all-zero utterance's augmented crop draws the noise branch, where
+    # an SNR against it is undefined
+    manifest, corpus = small_manifest(tmp_path)
+    silent = corpus[1]
+    save_wav(Waveform(np.zeros(silent.samples.size), silent.sample_rate),
+             manifest.parent / silent.speaker_id / f"{silent.utterance_id}.wav")
+    config = data_config(tmp_path / "cfg.json", n_target=3, n_nontarget=3)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(manifest), "--config", str(config),
+                     "--out", str(out)]) == 0
+    assert "EER" in capsys.readouterr().out
+    assert (out / "checkpoint.npz").is_file()
 
 
 def test_eval_rejects_audio_at_a_rate_the_checkpoint_did_not_train_on(tmp_path, capsys):

@@ -124,3 +124,37 @@ def check_removed_key(tmp_path, capsys, key, value):
                      "--out", str(tmp_path / "run")]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+# a value of the wrong JSON type, or a trial count or seed out of range,
+# fails on load and names its key before any run directory exists: an int
+# field takes only an integer (a bool is not one) and a float field an int
+# or a float; a zero trial count would train the whole run before scoring
+@pytest.mark.parametrize("key, value", [
+    ("trials.n_target", 0), ("trials.n_nontarget", 0), ("trials.seed", -1),
+    ("trials.n_target", 2.5), ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
+    ("train.seed", True), ("train.batch_size", 12.5), ("train.lr", "0.001"),
+    ("train.loss.lam1", True), ("train.objective", 1), ("encoder.dropout", None),
+])
+def test_a_value_of_the_wrong_type_or_range_is_a_named_config_error(tmp_path, capsys,
+                                                                     key, value):
+    *where, name = key.split(".")
+    data = {name: value}
+    for section in reversed(where):
+        data = {section: data}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    named = (key, f"{'.'.join(where)}: {name} ")
+    assert str(err.value).startswith(named)
+    assert cli.main(["train", "--synthetic", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(tuple(f"error: {n}" for n in named))
+    assert not (tmp_path / "run").exists()
+
+
+# a float field takes a JSON integer as the number it is
+def test_a_float_field_takes_an_integer():
+    cfg = config_from_dict({"train": {"lr": 1, "loss": {"lam1": 1}}, "encoder": {"dropout": 0}})
+    assert (cfg.train.lr, cfg.train.loss.lam1, cfg.encoder.dropout) == (1.0, 1.0, 0.0)

@@ -282,6 +282,21 @@ class TestAugment:
         assert lengths_match
         assert len({round(float(np.sum(o.samples ** 2)), 6) for o in outs}) > 1
 
+    def test_a_silent_crop_stays_silent_after_the_same_draws(self):
+        # an SNR against a silent crop is undefined (add_noise rejects it);
+        # the sampler copies the crop and leaves rng where a voiced crop does
+        seeds = range(8)
+        assert {np.random.default_rng(s).random() < features.NOISE_PROB
+                for s in seeds} == {True, False}
+        silent = Waveform(np.zeros(16000), 16000, "spk", "utt")
+        for seed in seeds:
+            rng, voiced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = AugmentSampler().apply(silent, rng)
+            AugmentSampler().apply(sine(150.0), voiced_rng)
+            assert out.samples.shape == silent.samples.shape and not out.samples.any()
+            assert out.samples is not silent.samples
+            assert rng.bit_generator.state == voiced_rng.bit_generator.state
+
 
 class TestWavIO:
     def test_round_trip(self, tmp_path):
