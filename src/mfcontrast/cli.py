@@ -26,8 +26,8 @@ from .features import LengthError
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
 from .synthdata import generate_corpus, generate_trials, load_manifest
-from .trainer import (OBJECTIVES, NonFiniteLossError, evaluate, train,
-                      trial_utterances, utterance_store)
+from .trainer import (MIN_CROP_DURATION, OBJECTIVES, NonFiniteLossError, evaluate,
+                      train, trial_utterances, utterance_store)
 
 
 class DataError(Exception):
@@ -56,8 +56,12 @@ def _append_manifest_end(out_dir: Path, **extra):
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    """The ``--config`` file or ``--preset`` (default desk), given ``--seed``/``--epochs``."""
+    """The ``--config`` file or ``--preset`` (default desk), given ``--seed``/``--epochs``;
+    with ``--synthetic``, its utterances must be long enough to score."""
     cfg = load_config(args.config) if args.config else PRESETS[args.preset or "desk"]()
+    if args.synthetic and cfg.synth.duration < MIN_CROP_DURATION - 1e-9:  # round-off slack
+        raise ConfigError(f"synth.duration must be at least {MIN_CROP_DURATION:g} s to be "
+                          f"scored, got {cfg.synth.duration:g}")
     given = {k: v for k, v in (("seed", args.seed), ("epochs", args.epochs)) if v is not None}
     try:
         return replace(cfg, train=replace(cfg.train, **given))

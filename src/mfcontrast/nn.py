@@ -82,11 +82,14 @@ def _position_sum(x):
 
 def linear_fwd(x, w, b):
     """x @ w + b, or x @ w when b is None. A 2-D x is projected row by row,
-    one GEMV each, so that a row's output does not depend on the others."""
+    one GEMV each, so that a row's output does not depend on the others.
+    The bias is added in place, into the product's own array."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
     y = (x[:, None, :] @ w)[:, 0] if x.ndim == 2 else x @ w
-    return (y if b is None else y + b), (x, w)
+    if b is not None:
+        y += b
+    return y, (x, w)
 
 
 def linear_bwd(dy, cache):

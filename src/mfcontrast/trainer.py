@@ -106,6 +106,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0 (0 disables), got {self.eval_every}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {tuple(OBJECTIVES)}")
         for name in OBJECTIVES[self.objective]:
@@ -159,27 +161,70 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Adam (Kingma & Ba, arXiv 1412.6980) over one flat parameter vector.
+
+    Layout: ``params`` holds every parameter array raveled, end to end, in
+    ``names`` order, in the parameters' dtype. After ``adam_init`` each entry
+    of the model's parameter dict is a view into it, so updating the vector
+    updates the model. ``grad`` is the buffer ``adam_step`` gathers the
+    gradients into, and ``m`` and ``v`` are the first and second moments;
+    all three share the layout of ``params``, so one name's entries are the
+    same slice of each. ``t`` counts the steps taken.
+    """
+
+    names: tuple
+    params: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adam_init(params) -> AdamState:
-    return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
-                     v={k: np.zeros_like(p) for k, p in params.items()})
+def adam_init(params: dict) -> AdamState:
+    """Zero-moment Adam state over ``params``, a name -> array dict such as
+    ``SpeakerModel.params``. Copies the arrays into one flat vector and
+    rebinds every entry of ``params`` to a view of its slice (see
+    ``AdamState``); code that replaces an entry afterwards detaches it from
+    the optimizer."""
+    names = tuple(params)
+    flat = np.concatenate([np.ravel(params[k]) for k in names])
+    offset = 0
+    for k in names:
+        size = params[k].size
+        params[k] = flat[offset:offset + size].reshape(params[k].shape)
+        offset += size
+    return AdamState(names, flat, np.empty_like(flat), np.zeros_like(flat),
+                     np.zeros_like(flat))
 
 
-def adam_step(params, grads, opt: AdamState, lr):
+def adam_step(grads: dict, opt: AdamState, lr):
+    """One Adam update of ``opt.params`` in place from ``grads``, a name ->
+    array dict holding every name of ``opt.names``. The gradients are
+    gathered into ``opt.grad`` in the parameters' dtype (classifier.w's
+    comes back from the losses as float64); then a fixed handful of whole-
+    vector operations compute, elementwise and in this order,
+    m = β1·m + (1−β1)·g, v = β2·v + ((1−β2)·g)·g and
+    p = p − lr·(m/c1) / (√(v/c2) + ε), with c1 = 1 − β1^t and c2 = 1 − β2^t."""
     beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     opt.t += 1
     correct1 = 1.0 - beta1 ** opt.t
     correct2 = 1.0 - beta2 ** opt.t
-    for k in params:
-        # classifier.w's gradient comes back from the losses as float64
-        g = grads[k].astype(params[k].dtype, copy=False)
-        opt.m[k] = beta1 * opt.m[k] + (1.0 - beta1) * g
-        opt.v[k] = beta2 * opt.v[k] + (1.0 - beta2) * g * g
-        params[k] = params[k] - lr * (opt.m[k] / correct1) / (np.sqrt(opt.v[k] / correct2) + eps)
+    g, m, v = opt.grad, opt.m, opt.v
+    np.concatenate([np.ravel(grads[k]) for k in opt.names], out=g, casting="same_kind")
+    step = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += step
+    np.multiply(g, 1.0 - beta2, out=step)
+    step *= g
+    v *= beta2
+    v += step
+    np.divide(m, correct1, out=step)
+    step *= lr
+    denom = np.divide(v, correct2)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    opt.params -= step
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +257,7 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
     grads = model.backward(out, d_taps, d_spk)
     grads["classifier.w"] = grads["classifier.w"] + d_w
     t3 = time.perf_counter()
-    adam_step(model.params, grads, opt, lr)
+    adam_step(grads, opt, lr)
     t4 = time.perf_counter()
     return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1,
                        "backward_s": t3 - t2, "adam_s": t4 - t3}

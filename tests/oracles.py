@@ -36,6 +36,20 @@ def rel_error(a, b, floor=1e-12):
     return np.linalg.norm((a - b).ravel()) / denom
 
 
+def per_array_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam (Kingma & Ba, arXiv 1412.6980) one array at a time: step ``t``
+    (from 1) at rate ``lr`` replaces the entries of the name -> array dicts
+    ``params``, ``m`` and ``v``. Each gradient is first cast to its
+    parameter's dtype."""
+    correct1 = 1.0 - beta1 ** t
+    correct2 = 1.0 - beta2 ** t
+    for k in params:
+        g = grads[k].astype(params[k].dtype, copy=False)
+        m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        params[k] = params[k] - lr * (m[k] / correct1) / (np.sqrt(v[k] / correct2) + eps)
+
+
 def direct_convolution(x, k):
     """O(N*K) full convolution by definition."""
     n, m = len(x), len(k)

@@ -206,6 +206,25 @@ def test_sweep_trains_one_run_per_row_and_tabulates_the_canonical_tags(tmp_path,
     assert "mfcon:lam1=0.1\tEER 12.50%" in capsys.readouterr().out
 
 
+# a synthetic utterance shorter than the 55 ms that scoring needs is named as
+# a config value before anything is generated or any run directory exists;
+# at 55 ms the held-out utterances score
+@pytest.mark.parametrize("argv", [["train"], ["sweep", "am_softmax", "mfcon"]])
+def test_a_synthetic_duration_too_short_to_score_is_a_named_config_error(tmp_path, capsys,
+                                                                       argv):
+    assert synthetic_run(tmp_path, argv + ["--config", {"synth": {"duration": 0.01}}]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: synth.duration must be at least 0.055 s")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_synthetic_duration_of_55_ms_trains(tmp_path, monkeypatch):
+    runs = captured_runs(monkeypatch)
+    assert synthetic_run(tmp_path, ["train", "--config", {"synth": {"duration": 0.055}}]) == 0
+    assert len(runs) == 1
+
+
 # a weight the objective reads is 0: the run would train another objective
 # under this one's name
 @pytest.mark.parametrize("argv, field", [

@@ -231,7 +231,7 @@ class TestComputeDtypePolicy:
 
         out = seen["out"]
         groups = {"params": m.params.values(), "state": m.state.values(),
-                  "adam.m": opt.m.values(), "adam.v": opt.v.values(),
+                  "adam.m": [opt.m], "adam.v": [opt.v],
                   "grads": seen["grads"].values(), "cache": arrays_in(out.cache)}
         for group, arrays in groups.items():
             dtypes = {a.dtype for a in arrays}

@@ -15,6 +15,8 @@ from mfcontrast.model import SpeakerModel
 from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
 
+from oracles import per_array_adam_step
+
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
 ENC = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
@@ -114,6 +116,58 @@ def test_batched_evaluate_equals_one_utterance_at_a_time(monkeypatch):
     expected = [cosine_score(alone[t.enroll_utt], alone[t.test_utt]) for t in trials]
     assert np.array_equal(got.scores.scores, expected)
     np.testing.assert_array_equal(got.scores.is_target, [t.is_target for t in trials])
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_train_step_matches_a_per_array_adam_bit_for_bit(monkeypatch):
+    model = SpeakerModel(ENC, HEAD, 3, seed=4)
+    ref = {k: p.copy() for k, p in model.params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    opt = trainer.adam_init(model.params)
+    seen = []
+    adam_step = trainer.adam_step
+
+    def spy(grads, opt, lr):
+        seen.append(dict(grads))
+        adam_step(grads, opt, lr)
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    cfg = tiny("combined")
+    label_map = trainer.speaker_label_map(CORPUS)
+    for t in range(1, 5):
+        feats, labels = trainer.build_batch(CORPUS[t::2], cfg, ENC.input_dim, t,
+                                            label_map=label_map)
+        trainer.train_step(model, opt, feats, labels, cfg, cfg.lr, np.random.default_rng(t))
+        # the losses return classifier.w's gradient as float64
+        assert seen[-1]["classifier.w"].dtype == np.float64
+        per_array_adam_step(ref, seen[-1], ref_m, ref_v, t, cfg.lr)
+        assert opt.t == t
+        for k, p in model.params.items():
+            assert_same_bits(p, ref[k])
+        for moment, ref_moment in ((opt.m, ref_m), (opt.v, ref_v)):
+            assert_same_bits(moment, np.concatenate([ref_moment[k].ravel() for k in opt.names]))
+
+
+def test_after_training_every_parameter_is_a_view_of_the_flat_vector(monkeypatch):
+    made = []
+    adam_init = trainer.adam_init
+
+    def kept(params):
+        made.append(adam_init(params))
+        return made[-1]
+
+    monkeypatch.setattr(trainer, "adam_init", kept)
+    result = trainer.train(CORPUS, ENC, HEAD, tiny("combined"))
+    (opt,) = made
+    params = result.model.params
+    assert opt.t == len(result.history) and tuple(params) == opt.names
+    # a replaced entry would hold its own memory and miss every later update
+    assert all(np.shares_memory(p, opt.params) for p in params.values())
+    assert_same_bits(np.concatenate([p.ravel() for p in params.values()]), opt.params)
 
 
 def test_unknown_objective_is_rejected():
