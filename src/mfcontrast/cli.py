@@ -69,6 +69,15 @@ def _load_experiment(args) -> ExperimentConfig:
         raise ConfigError(str(err)) from err
 
 
+def _run_dir(out: Path) -> Path:
+    """``out``, a directory ``_run`` creates; a file on its path is a config
+    error, raised before anything trains."""
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ConfigError(f"cannot make run directory {out}: {blocker} is a file")
+    return out
+
+
 def _objective_row(cfg: ExperimentConfig, row: str) -> ExperimentConfig:
     """``cfg`` training the objective row ``name[:weight=value,...]``. The
     row may set only weights its objective reads; the objective and the
@@ -162,7 +171,7 @@ def _run(args, argv, cfg: ExperimentConfig, out_dir: Path):
 
 
 def cmd_train(args, argv) -> int:
-    out_dir = Path(args.out)
+    out_dir = _run_dir(Path(args.out))
     cfg = _load_experiment(args)
     ev = _run(args, argv, cfg if args.loss is None else _objective_row(cfg, args.loss), out_dir)
     print(f"EER {100 * ev.eer:.2f}%  minDCF(p=0.01) {ev.mindcf:.4f}")
@@ -192,8 +201,11 @@ def cmd_eval(args) -> int:
                         f"{args.checkpoint} trained at {model.sample_rate} Hz")
     if {t.is_target for t in trials} != {True, False}:
         raise DataError(f"{args.trial_list} needs a target and a nontarget trial")
+    scores_path = Path(args.scores_out or f"{args.trial_list}.scores")
+    if not scores_path.parent.is_dir() or scores_path.is_dir():
+        raise ConfigError(f"cannot write scores to {scores_path}: it is a directory, "
+                          f"or {scores_path.parent} is not one")
     result = evaluate(model, trials, utterance_store(corpus))
-    scores_path = args.scores_out or str(args.trial_list) + ".scores"
     save_scores(scores_path, result.scores)
     print(f"EER {100 * result.eer:.2f}%  minDCF(p=0.01) {result.mindcf:.4f}")
     return 0
@@ -208,10 +220,11 @@ def cmd_sweep(args, argv) -> int:
     if repeated:
         raise ConfigError(f"rows name the same run more than once: {repeated}")
     out_dir = Path(args.out)
+    run_dirs = [_run_dir(out_dir / tag.replace(":", "_")) for tag in tags]
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["row\teer\tmindcf\n"]
-    for tag, variant in zip(tags, variants):
-        ev = _run(args, argv, variant, out_dir / tag.replace(":", "_"))
+    for tag, variant, run_dir in zip(tags, variants, run_dirs):
+        ev = _run(args, argv, variant, run_dir)
         lines.append(f"{tag}\t{ev.eer:.6f}\t{ev.mindcf:.6f}\n")
         print(f"{tag}\tEER {100 * ev.eer:.2f}%\tminDCF {ev.mindcf:.4f}")
     table = out_dir / "results.tsv"

@@ -12,7 +12,8 @@ block's tape replays its sub-modules' tapes. Only the attention core
 eval-mode forward records nothing.
 
 Parameters live in a flat ``{name: array}`` dict under the ``encoder.``
-prefix; batch-norm running statistics live in a separate state dict. Naming
+prefix; batch-norm running statistics live in a separate state dict, which
+a train-mode forward updates in place and an eval-mode one only reads. Naming
 is stable (see ``init_encoder_params``) so checkpoints can be inspected and
 diffed.
 """
@@ -226,15 +227,13 @@ def _convmod_fwd(x, params, pre, state, drop, mode, rng):
     h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.pw1.w", f"{pre}.pw1.b")
     h = tape.op(nn.glu_fwd, nn.glu_bwd, h)
     h = tape.op(nn.depthwise_conv1d_fwd, nn.depthwise_conv1d_bwd, h, f"{pre}.dw.w")
-    h, c_bn, new_mean, new_var = nn.batch_norm_fwd(
-        h, params[f"{pre}.bn.gamma"], params[f"{pre}.bn.beta"],
-        state[f"{pre}.bn.running_mean"], state[f"{pre}.bn.running_var"], mode)
-    tape.record(nn.batch_norm_bwd, c_bn, f"{pre}.bn.gamma", f"{pre}.bn.beta")
+    h = tape.op(nn.batch_norm_fwd, nn.batch_norm_bwd, h, f"{pre}.bn.gamma", f"{pre}.bn.beta",
+                running_mean=state[f"{pre}.bn.running_mean"],
+                running_var=state[f"{pre}.bn.running_var"], mode=mode)
     h = tape.op(nn.silu_fwd, nn.silu_bwd, h)
     h = tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{pre}.pw2.w", f"{pre}.pw2.b")
     h = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=drop, mode=mode, rng=rng)
-    new_state = {f"{pre}.bn.running_mean": new_mean, f"{pre}.bn.running_var": new_var}
-    return h, tape, new_state
+    return h, tape
 
 
 # each module's backward replays its tape; one name per module lets a
@@ -260,7 +259,7 @@ def _block_fwd(x, params, pre, cfg, state, mode, rng):
     at, sub = _mhsa_fwd(x, params, f"{pre}.attn", cfg.num_heads, cfg.dropout, mode, rng)
     tape.module(_residual(_mhsa_bwd, 1.0), sub)
     x = x + at
-    cv, sub, new_state = _convmod_fwd(x, params, f"{pre}.conv", state, cfg.dropout, mode, rng)
+    cv, sub = _convmod_fwd(x, params, f"{pre}.conv", state, cfg.dropout, mode, rng)
     tape.module(_residual(_convmod_bwd, 1.0), sub)
     x = x + cv
     f, sub = _ffn_fwd(x, params, f"{pre}.ffn2", cfg.dropout, mode, rng)
@@ -268,7 +267,7 @@ def _block_fwd(x, params, pre, cfg, state, mode, rng):
     x = x + 0.5 * f
     out = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, x,
                   f"{pre}.ln_out.gamma", f"{pre}.ln_out.beta")
-    return out, tape, new_state
+    return out, tape
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +275,9 @@ def _block_fwd(x, params, pre, cfg, state, mode, rng):
 
 
 def _encoder_fwd(feats, params, state, cfg, mode="eval", rng=None):
-    """feats (B, T, F) -> list of per-block maps, the tapes of the frontend
-    and of each block, updated state."""
+    """feats (B, T, F) -> list of per-block maps and the tapes of the
+    frontend and of each block. A train-mode call updates the batch-norm
+    running statistics in ``state`` in place."""
     if feats.ndim != 3 or feats.shape[-1] != cfg.input_dim:
         raise ShapeError(
             f"expected (B, T, {cfg.input_dim}) features, got {feats.shape}")
@@ -286,13 +286,11 @@ def _encoder_fwd(feats, params, state, cfg, mode="eval", rng=None):
     h, tape = _frontend_fwd(feats, params, mode)
     taps = []
     tapes = [tape]
-    new_state = dict(state)
     for i in range(cfg.num_blocks):
-        h, tape, st = _block_fwd(h, params, f"encoder.block{i}", cfg, state, mode, rng)
-        new_state.update(st)
+        h, tape = _block_fwd(h, params, f"encoder.block{i}", cfg, state, mode, rng)
         taps.append(h)
         tapes.append(tape)
-    return taps, tapes, new_state
+    return taps, tapes
 
 
 def _encoder_bwd(d_taps, tapes, grads):

@@ -181,17 +181,10 @@ def random_crop(w: Waveform, duration: float, rng_seed: int) -> Waveform:
         raise ValueError("duration must be positive")
     target = int(round(duration * w.sample_rate))
     x = w.samples
-    if x.size < target:
-        reps = -(-target // x.size)
-        x = np.tile(x, reps)[:target]
-        offset = 0
-    elif x.size == target:
-        offset = 0
-    else:
-        rng = np.random.default_rng(rng_seed)
-        offset = int(rng.integers(0, x.size - target + 1))
-        x = x[offset:offset + target]
-    return Waveform(x.copy(), w.sample_rate, w.speaker_id, w.utterance_id)
+    if x.size > target:
+        x = x[np.random.default_rng(rng_seed).integers(0, x.size - target + 1):]
+    return Waveform(_tile_to_length(x, target).copy(), w.sample_rate, w.speaker_id,
+                    w.utterance_id)
 
 
 def _tile_to_length(x: np.ndarray, n: int) -> np.ndarray:

@@ -8,8 +8,9 @@ channels before one pooling/projection stack. Both return raw embeddings;
 the losses and scoring unit-normalize at their own boundary. Both share
 the pooling/projection stack ``_pool_project``, and every block has its
 own head. Each forward records its ops on an ``nn.Tape`` and returns the
-tape as its cache, which the matching backward replays; an eval-mode
-forward records nothing.
+tape as its cache, which the matching backward replays. A train-mode
+forward updates the batch-norm ``state`` in place; an eval-mode forward
+only reads it and records nothing.
 """
 
 from __future__ import annotations
@@ -84,44 +85,39 @@ def init_head_params(enc_cfg: EncoderConfig, head_cfg: HeadConfig,
 # forward / backward
 
 
-def _pool_project(tape, h, params, state, prefix, mode):
+def _pool_project(tape, h, state, prefix, mode):
     """Attentive statistics pooling of the (B, T', C) map h, then batch norm
     and projection, with the ``prefix`` parameters, recorded on ``tape``.
-    Returns the raw (B, D) embedding and the updated batch-norm state."""
-    pooled = tape.op(nn.attentive_stats_fwd, nn.attentive_stats_bwd, h,
-                     f"{prefix}.attn.w", f"{prefix}.attn.b", f"{prefix}.attn.v")
-    normed, c_bn, new_mean, new_var = nn.batch_norm_fwd(
-        pooled, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
-        state[f"{prefix}.bn.running_mean"], state[f"{prefix}.bn.running_var"], mode)
-    tape.record(nn.batch_norm_bwd, c_bn, f"{prefix}.bn.gamma", f"{prefix}.bn.beta")
-    emb = tape.op(nn.linear_fwd, nn.linear_bwd, normed, f"{prefix}.proj.w", f"{prefix}.proj.b")
-    return emb, {f"{prefix}.bn.running_mean": new_mean, f"{prefix}.bn.running_var": new_var}
+    Returns the raw (B, D) embedding."""
+    h = tape.op(nn.attentive_stats_fwd, nn.attentive_stats_bwd, h,
+                f"{prefix}.attn.w", f"{prefix}.attn.b", f"{prefix}.attn.v")
+    h = tape.op(nn.batch_norm_fwd, nn.batch_norm_bwd, h, f"{prefix}.bn.gamma", f"{prefix}.bn.beta",
+                running_mean=state[f"{prefix}.bn.running_mean"],
+                running_var=state[f"{prefix}.bn.running_var"], mode=mode)
+    return tape.op(nn.linear_fwd, nn.linear_bwd, h, f"{prefix}.proj.w", f"{prefix}.proj.b")
 
 
 def _head_fwd(tap, params, state, i, mode):
     """Block i's head: LN -> attentive stats -> BN -> projection.
 
-    tap is (B, T', C); returns a raw (unnormalized) (B, D) embedding, the
-    head's tape and its updated batch-norm state.
+    tap is (B, T', C); returns a raw (unnormalized) (B, D) embedding and
+    the head's tape.
     """
     prefix = f"head.{i}"
     tape = nn.Tape(params, mode)
     h = tape.op(nn.layer_norm_fwd, nn.layer_norm_bwd, tap,
                 f"{prefix}.ln.gamma", f"{prefix}.ln.beta")
-    emb, new_state = _pool_project(tape, h, params, state, prefix, mode)
-    return emb, tape, new_state
+    return _pool_project(tape, h, state, prefix, mode), tape
 
 
 def _heads_fwd(taps, params, state, mode):
-    """All per-block heads. taps: list of (B, T', C). Returns raw embeddings."""
+    """All per-block heads on the (B, T', C) taps: raw embeddings and tapes."""
     embs, tapes = [], []
-    new_state = dict(state)
     for i, tap in enumerate(taps):
-        emb, tape, st = _head_fwd(tap, params, state, i, mode)
-        new_state.update(st)
+        emb, tape = _head_fwd(tap, params, state, i, mode)
         embs.append(emb)
         tapes.append(tape)
-    return embs, tapes, new_state
+    return embs, tapes
 
 
 def _heads_bwd(dembs, tapes, grads):
@@ -142,8 +138,7 @@ def _mfa_fwd(taps, params, state, mode):
               for i, (t, tap) in enumerate(zip(ln_tapes, taps))]
     tape = nn.Tape(params, mode)
     tape.module(_split_bwd, ln_tapes)
-    emb, st = _pool_project(tape, np.concatenate(normed, axis=-1), params, state, "mfa", mode)
-    return emb, tape, {**state, **st}
+    return _pool_project(tape, np.concatenate(normed, axis=-1), state, "mfa", mode), tape
 
 
 _mfa_bwd = nn.replay

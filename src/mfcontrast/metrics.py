@@ -185,15 +185,3 @@ def save_scores(path, s: TrialScoreSet) -> None:
     with open(path, "w") as f:
         for score, label in zip(s.scores, s.is_target):
             f.write(f"{score:.6f} {int(label)}\n")
-
-
-def load_scores(path) -> TrialScoreSet:
-    scores, labels = [], []
-    with open(path) as f:
-        for line in f:
-            fields = line.split()
-            if not fields:
-                continue
-            scores.append(float(fields[0]))
-            labels.append(fields[1] == "1")
-    return TrialScoreSet(np.array(scores), np.array(labels, dtype=bool))

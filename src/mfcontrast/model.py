@@ -4,11 +4,11 @@ classifier weights, with checkpoint save/load.
 Parameters are one flat ``{name: array}`` dict (see
 ``encoder.init_encoder_params`` and ``heads.init_head_params`` for the
 naming scheme; the classifier lives at ``classifier.w``). Batch-norm
-running statistics live in ``state`` and are updated by train-mode
-forwards, which makes training single-writer; eval-mode forwards are
-read-only and safe to run concurrently. A train-mode forward returns the
-tapes (``nn.Tape``) that ``backward`` replays; an eval-mode forward
-records none, and ``backward`` rejects its output.
+running statistics live in ``state``: a train-mode forward updates its
+arrays in place, which makes training single-writer; an eval-mode forward
+only reads them and is safe to run concurrently. A train-mode forward
+returns the tapes (``nn.Tape``) that ``backward`` replays; an eval-mode
+forward records none, and ``backward`` rejects its output.
 
 Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
 (float32), and so are every activation, cached array and parameter
@@ -109,19 +109,17 @@ class SpeakerModel:
         return self.params["classifier.w"].dtype
 
     def forward(self, feats, mode="eval", rng=None) -> ModelOutput:
-        """feats: (B, T, F) or (T, F). Train mode updates batch-norm state
-        and draws dropout masks from ``rng``."""
+        """feats: (B, T, F) or (T, F). Train mode updates the batch-norm
+        state arrays in place and draws dropout masks from ``rng``."""
         feats = np.asarray(feats, dtype=self.dtype)
         if feats.ndim == 2:
             feats = feats[None]
         if mode == "train" and self.enc_cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
-        taps, enc_tapes, state1 = _encoder_fwd(
+        taps, enc_tapes = _encoder_fwd(
             feats, self.params, self.state, self.enc_cfg, mode=mode, rng=rng)
-        tap_embs, head_tapes, state2 = _heads_fwd(taps, self.params, state1, mode)
-        spk_emb, mfa_tape, state3 = _mfa_fwd(taps, self.params, state2, mode)
-        if mode == "train":
-            self.state = state3
+        tap_embs, head_tapes = _heads_fwd(taps, self.params, self.state, mode)
+        spk_emb, mfa_tape = _mfa_fwd(taps, self.params, self.state, mode)
         return ModelOutput([e.astype(np.float64) for e in tap_embs],
                            spk_emb.astype(np.float64),
                            {"encoder": enc_tapes, "heads": head_tapes, "mfa": mfa_tape})
@@ -154,9 +152,9 @@ class SpeakerModel:
         embeddings equals the embedding of ``feats[b]`` alone, bit for
         bit."""
         feats = np.asarray(feats, dtype=self.dtype)
-        taps, _, _ = _encoder_fwd(feats if feats.ndim == 3 else feats[None],
-                                  self.params, self.state, self.enc_cfg, mode="eval")
-        emb, _, _ = _mfa_fwd(taps, self.params, self.state, "eval")
+        taps, _ = _encoder_fwd(feats if feats.ndim == 3 else feats[None],
+                               self.params, self.state, self.enc_cfg, mode="eval")
+        emb, _ = _mfa_fwd(taps, self.params, self.state, "eval")
         emb = emb.astype(np.float64)
         return emb if feats.ndim == 3 else emb[0]
 

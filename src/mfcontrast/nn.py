@@ -2,7 +2,8 @@
 
 Every ``*_fwd`` returns ``(output, cache)`` and the matching ``*_bwd`` takes
 ``(upstream_gradient, cache)`` and returns gradients for the inputs in the
-same order. Every op computes in its inputs' floating dtype and returns
+same order; train-mode batch norm also moves its running statistics in
+place. Every op computes in its inputs' floating dtype and returns
 outputs, caches and gradients in that dtype; constants enter as Python
 scalars so they never promote it. Batch axes lead, channels are last.
 
@@ -129,8 +130,9 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
     """Normalizes each channel over all leading axes.
 
     Train mode uses batch statistics (biased variance, the mean of the
-    centred squares) and returns updated running statistics; eval mode uses
-    the running statistics unchanged.
+    centred squares) and moves the running statistics toward them in
+    place, by BATCH_NORM_MOMENTUM; eval mode normalizes with, and only
+    reads, the running statistics.
     """
     m = x.size // x.shape[-1]
     if mode == "train":
@@ -139,17 +141,17 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
         xhat = x - mu
         sq = xhat * xhat
         var = mean_weights @ sq.reshape(m, -1)
-        new_mean = (1.0 - BATCH_NORM_MOMENTUM) * running_mean + BATCH_NORM_MOMENTUM * mu
-        new_var = (1.0 - BATCH_NORM_MOMENTUM) * running_var + BATCH_NORM_MOMENTUM * var
+        for running, batch in ((running_mean, mu), (running_var, var)):
+            running *= 1.0 - BATCH_NORM_MOMENTUM
+            running += BATCH_NORM_MOMENTUM * batch
     else:
         mu, var = running_mean, running_var
-        new_mean, new_var = running_mean, running_var
         xhat = x - mu
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     y = xhat * gamma
     y += beta
-    return y, (xhat, inv, gamma, mode, m), new_mean, new_var
+    return y, (xhat, inv, gamma, mode, m)
 
 
 def batch_norm_bwd(dy, cache):
@@ -461,10 +463,9 @@ class Tape:
     arXiv 1502.05767).
 
     ``op`` runs ``fwd(x, *params, **kw)`` on the parameters named by
-    ``names`` and records ``bwd``; ``record`` records an op the caller ran
-    itself, such as batch norm, which also returns state; ``module`` records
-    a step whose ``bwd(dy, cache, grads)`` adds its own parameter gradients,
-    such as a sub-module replaying its own tape. ``backward`` replays the
+    ``names`` and records ``bwd``; ``module`` records a step whose
+    ``bwd(dy, cache, grads)`` adds its own parameter gradients, such as a
+    sub-module replaying its own tape. ``backward`` replays the
     steps last to first: an op's ``bwd(dy, cache)`` returns the input
     gradient followed by one gradient per name, each added to ``grads``.
     An eval-mode tape records nothing and cannot be replayed.
@@ -477,12 +478,9 @@ class Tape:
 
     def op(self, fwd, bwd, x, *names, **kw):
         y, cache = fwd(x, *(self.params[n] for n in names), **kw)
-        self.record(bwd, cache, *names)
-        return y
-
-    def record(self, bwd, cache, *names):
         if self.train:
             self.steps.append((bwd, cache, names))
+        return y
 
     def module(self, bwd, cache):
         if self.train:

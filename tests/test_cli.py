@@ -397,6 +397,39 @@ def test_eval_rejects_a_trial_list_without_both_kinds(tmp_path, capsys, monkeypa
     assert not embedded and not scores.exists()
 
 
+# an output path that cannot be written is rejected before anything trains
+# or is scored: --out naming a file, or a path under one
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", [["train"], ["sweep", "am_softmax", "mfcon"]],
+                         ids=["train", "sweep"])
+def test_an_out_path_through_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                      command, under):
+    runs = captured_runs(monkeypatch)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "run" if under else blocker
+    assert cli.main(command + ["--synthetic", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(blocker) in err[0]
+    assert runs == [] and blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_eval_scores_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys,
+                                                                   monkeypatch, where):
+    manifest, corpus = small_manifest(tmp_path)
+    saved_checkpoint(tmp_path / "checkpoint.npz")
+    trials = tmp_path / "trials.txt"
+    save_trials(trials, [Trial(corpus[0].utterance_id, corpus[1].utterance_id, True),
+                         Trial(corpus[0].utterance_id, corpus[2].utterance_id, False)])
+    monkeypatch.setattr(cli, "evaluate", lambda *args: pytest.fail("evaluate ran"))
+    scores = tmp_path / "missing" / "s.txt" if where == "missing-directory" else tmp_path
+    assert cli.main(["eval", str(tmp_path / "checkpoint.npz"), str(trials), str(manifest),
+                     "--scores-out", str(scores)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(scores) in err[0]
+
+
 def test_preset_full_resolves_without_training(tmp_path):
     args = cli.build_parser().parse_args(
         ["train", "--preset", "full", "--synthetic", "--out", str(tmp_path)])

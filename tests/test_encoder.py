@@ -33,7 +33,7 @@ def block(h, params, state, i=0, cfg=TOY):
 
 def encode(x, params, state, cfg=TOY):
     """Every block's eval-mode map for one (T, F) matrix."""
-    taps, _, _ = _encoder_fwd(x[None], params, state, cfg)
+    taps, _ = _encoder_fwd(x[None], params, state, cfg)
     return [t[0] for t in taps]
 
 
@@ -98,12 +98,12 @@ class TestConformerBlock:
         r = rng.standard_normal((1, 4, 8))
         pre = "encoder.block0"
 
-        out, tape, _ = _block_fwd(h, params, pre, cfg, state, "train", None)
+        out, tape = _block_fwd(h, params, pre, cfg, state, "train", None)
         grads = {}
         dh = tape.backward(r.copy(), grads)
 
         def f():
-            y, _, _ = _block_fwd(h, params, pre, cfg, state, "train", None)
+            y, _ = _block_fwd(h, params, pre, cfg, state, "train", None)
             return (y * r).sum()
 
         step = 1e-6
@@ -168,9 +168,9 @@ class TestEncodeWithTaps:
         rng = np.random.default_rng(4)
         params, state = init_encoder_params(cfg, rng)
         x = rng.standard_normal((2, 20, 8))
-        a, _, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(9))
-        b, _, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(9))
-        c, _, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(10))
+        a, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(9))
+        b, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(9))
+        c, _ = _encoder_fwd(x, params, state, cfg, "train", np.random.default_rng(10))
         np.testing.assert_array_equal(a[-1], b[-1])
         assert not np.array_equal(a[-1], c[-1])
 
@@ -225,12 +225,12 @@ class TestFullNetworkGradient:
         x = rng.standard_normal((2, 12, 8))
         readouts = [rng.standard_normal((2, 6, 16)) for _ in range(2)]
 
-        taps, cache, _ = _encoder_fwd(x, params, state, TOY, "train", None)
+        taps, cache = _encoder_fwd(x, params, state, TOY, "train", None)
         grads = {}
         _encoder_bwd([r.copy() for r in readouts], cache, grads)
 
         def scalar():
-            t, _, _ = _encoder_fwd(x, params, state, TOY, "train", None)
+            t, _ = _encoder_fwd(x, params, state, TOY, "train", None)
             return sum((m * r).sum() for m, r in zip(t, readouts))
 
         step = 1e-6

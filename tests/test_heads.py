@@ -119,12 +119,12 @@ class TestHeadForward:
         tap = rng.standard_normal((2, 6, 8))
         r = rng.standard_normal((2, 5))
 
-        emb, tape, _ = _head_fwd(tap, params, state, 0, "train")
+        emb, tape = _head_fwd(tap, params, state, 0, "train")
         grads = {}
         dtap = tape.backward(r.copy(), grads)
 
         def f():
-            e, _, _ = _head_fwd(tap, params, state, 0, "train")
+            e, _ = _head_fwd(tap, params, state, 0, "train")
             return (e * r).sum()
 
         fd = fd_gradient(f, tap)

@@ -260,6 +260,36 @@ def test_eval_forward_keeps_no_caches_and_cannot_be_backpropagated():
         m.backward(out, [np.ones((4, 6))] * 2, np.ones((4, 6)))
 
 
+class TestBatchNormState:
+    """A train-mode forward moves every batch-norm running statistic in
+    place; an eval-mode forward and ``embed_utterance`` only read them."""
+
+    def setup_method(self):
+        self.model = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=5)
+        self.feats = np.random.default_rng(15).standard_normal((4, 12, 8))
+
+    def test_train_forward_updates_every_entry_in_place(self):
+        arrays = dict(self.model.state)
+        assert arrays.keys() == {f"{p}.bn.running_{s}" for s in ("mean", "var") for p in (
+            "encoder.block0.conv", "encoder.block1.conv", "head.0", "head.1", "mfa")}
+        before = {k: v.copy() for k, v in arrays.items()}
+        self.model.forward(self.feats, mode="train")
+        assert self.model.state.keys() == arrays.keys()
+        for k, v in self.model.state.items():
+            assert v is arrays[k], k
+            assert not np.array_equal(v, before[k]), k
+
+    def test_eval_forward_and_embed_only_read(self):
+        self.model.forward(self.feats, mode="train")
+        arrays = dict(self.model.state)
+        before = {k: v.tobytes() for k, v in arrays.items()}
+        self.model.forward(self.feats, mode="eval")
+        self.model.embed_utterance(self.feats)
+        self.model.embed_utterance(self.feats[0])
+        for k, v in self.model.state.items():
+            assert v is arrays[k] and v.tobytes() == before[k], k
+
+
 class TestEmbedUtterance:
     def test_equals_eval_forward_without_the_tap_heads(self, monkeypatch):
         m = SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=5)

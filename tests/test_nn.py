@@ -188,6 +188,32 @@ def test_linear_bwd_on_3d_input_equals_flattened_2d():
     np.testing.assert_array_equal(db, flat[2])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_train_batch_norm_moves_the_running_statistics_in_place(dtype):
+    rng = np.random.default_rng(5)
+    x = (2.0 + rng.standard_normal((4, 3, 5))).astype(dtype)
+    g, b = np.ones(5, dtype), np.zeros(5, dtype)
+    rm, rv = (0.1 * rng.standard_normal(5)).astype(dtype), (0.5 + rng.random(5)).astype(dtype)
+    flat = x.astype(np.float64).reshape(-1, 5)
+    want_mean = 0.9 * rm + 0.1 * flat.mean(axis=0)
+    want_var = 0.9 * rv + 0.1 * flat.var(axis=0)  # biased: ddof=0
+    nn.batch_norm_fwd(x, g, b, rm, rv, "train")
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(rm, want_mean, rtol=tol, atol=tol)
+    np.testing.assert_allclose(rv, want_var, rtol=tol, atol=tol)
+    assert rm.dtype == rv.dtype == dtype
+
+
+def test_eval_batch_norm_only_reads_the_running_statistics():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((4, 3, 5))
+    rm, rv = rng.standard_normal(5), 0.5 + rng.random(5)
+    before = rm.tobytes(), rv.tobytes()
+    y, _ = nn.batch_norm_fwd(x, np.ones(5), np.zeros(5), rm, rv, "eval")
+    assert (rm.tobytes(), rv.tobytes()) == before
+    np.testing.assert_allclose(y, (x - rm) / np.sqrt(rv + nn.NORM_EPS), rtol=1e-12)
+
+
 def test_layer_norm_float32_variance_survives_a_large_mean():
     # a one-pass E[x^2] - E[x]^2 variance loses every digit at this offset
     x = (1e3 + np.random.default_rng(3).standard_normal((200, 64))).astype(np.float32)
