@@ -57,16 +57,22 @@ def _append_manifest_end(out_dir: Path, **extra):
 
 def _load_experiment(args) -> ExperimentConfig:
     """The ``--config`` file or ``--preset`` (default desk), given ``--seed``/``--epochs``;
-    with ``--synthetic``, its utterances must be long enough to score."""
+    with ``--synthetic``, its utterances must be long enough to score. The
+    synthetic corpus is drawn from the train seed: ``synth.seed`` must be 0 or
+    the file's own ``train.seed``, and is returned as the resolved train seed."""
     cfg = load_config(args.config) if args.config else PRESETS[args.preset or "desk"]()
+    if cfg.synth.seed not in (0, cfg.train.seed):
+        raise ConfigError(f"synth.seed must be 0 or train.seed ({cfg.train.seed}), "
+                          f"the seed the synthetic corpus is drawn from; got {cfg.synth.seed}")
     if args.synthetic and cfg.synth.duration < MIN_CROP_DURATION - 1e-9:  # round-off slack
         raise ConfigError(f"synth.duration must be at least {MIN_CROP_DURATION:g} s to be "
                           f"scored, got {cfg.synth.duration:g}")
     given = {k: v for k, v in (("seed", args.seed), ("epochs", args.epochs)) if v is not None}
     try:
-        return replace(cfg, train=replace(cfg.train, **given))
+        train_cfg = replace(cfg.train, **given)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    return replace(cfg, train=train_cfg, synth=replace(cfg.synth, seed=train_cfg.seed))
 
 
 def _run_dir(out: Path) -> Path:
@@ -111,16 +117,15 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
     """Training corpus, trials, and the store of the utterances the trials
     name, either synthetic or from a manifest tree.
 
-    The synthetic corpus has twice the configured speakers: the even-index
-    ones train and the trials come only from the odd-index ones, so the
-    reported EER is on speakers the model never saw (synthdata stratifies
-    F0 by speaker index, so both halves span the whole F0 range). A
-    manifest corpus is both trained on and scored.
+    The synthetic corpus is ``cfg.synth`` (whose seed ``_load_experiment``
+    sets to the train seed) with twice the configured speakers: the
+    even-index ones train and the trials come only from the odd-index
+    ones, so the reported EER is on speakers the model never saw
+    (synthdata stratifies F0 by speaker index, so both halves span the
+    whole F0 range). A manifest corpus is both trained on and scored.
     """
     if args.synthetic:
-        synth = replace(cfg.synth, seed=cfg.train.seed,
-                        n_speakers=2 * cfg.synth.n_speakers)
-        both = generate_corpus(synth)
+        both = generate_corpus(replace(cfg.synth, n_speakers=2 * cfg.synth.n_speakers))
         speakers = sorted({w.speaker_id for w in both})
         held_out = set(speakers[1::2])
         corpus = [w for w in both if w.speaker_id not in held_out]

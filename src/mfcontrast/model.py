@@ -1,22 +1,27 @@
 """Full speaker model: encoder, per-block heads, aggregation path, and the
 classifier weights, with checkpoint save/load.
 
-Parameters are one flat ``{name: array}`` dict (see
-``encoder.init_encoder_params`` and ``heads.init_head_params`` for the
-naming scheme; the classifier lives at ``classifier.w``). Batch-norm
-running statistics live in ``state``: a train-mode forward updates its
-arrays in place, which makes training single-writer; an eval-mode forward
-only reads them and is safe to run concurrently. A train-mode forward
-returns the tapes (``nn.Tape``) that ``backward`` replays; an eval-mode
-forward records none, and ``backward`` rejects its output.
+Parameters are named (see ``encoder.init_encoder_params`` and
+``heads.init_head_params`` for the naming scheme; the classifier lives at
+``classifier.w``). The model owns their layout, built once in ``__init__``:
+every parameter lies, in ``params`` order, in one flat ``param_vector``, and
+``params`` is a name -> view dict over it; ``grads`` is the same over
+``grad_vector``, which ``backward`` overwrites. Adam and ``load`` write
+through these arrays and never rebind an entry. Batch-norm running
+statistics live in ``state``: a train-mode forward updates its arrays in
+place, which makes training single-writer; an eval-mode forward only reads
+them and is safe to run concurrently. A train-mode forward returns the
+tapes (``nn.Tape``) that ``backward`` replays; an eval-mode forward records
+none, and ``backward`` rejects its output.
 
 Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
 (float32), and so are every activation, cached array and parameter
 gradient.
 ``forward`` casts its features to the parameters' dtype and returns the
 tap and speaker embeddings as float64, so the losses and metrics work in
-float64; ``backward`` casts the upstream gradients back. Casting
-``params`` and ``state`` to float64 runs the same code in float64.
+float64; ``backward`` casts the upstream gradients back. Rebuilding the
+vectors from float64 parameters (``_flat_layout``) and casting ``state``
+runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -39,29 +44,25 @@ from .heads import (HeadConfig, _heads_bwd, _heads_fwd, _mfa_bwd, _mfa_fwd,
 CHECKPOINT_FORMAT = "mfcontrast-checkpoint-v1"
 # dtype of parameters, state, activations and parameter gradients
 COMPUTE_DTYPE = np.float32
-# Config keys that older archives' meta holds and no config has any more,
-# by section, each with the one value that builds today's model: the
-# stride-2 frontend became fixed, and every block got its own head.
-RETIRED_META_KEYS = {
-    "encoder": {"subsample_factor": "1/2"},
-    "head": {"share_pooling": False, "share_projection": False},
-}
 
 
 def _as_compute(arrays: dict) -> dict:
     return {k: np.asarray(v, dtype=COMPUTE_DTYPE) for k, v in arrays.items()}
 
 
-def _drop_dead_biases(params: dict, state: dict) -> None:
-    """Remove the attention key biases and depthwise-conv biases that
-    archives from before their removal carry, keeping the eval output: the
-    softmax over keys cancels a key bias, and a depthwise bias only shifts
-    the batch norm after it, so it is folded into that running mean."""
-    for name in [k for k in params if k.endswith((".attn.bk", ".conv.dw.b"))]:
-        bias = params.pop(name)
-        mean = name.removesuffix("dw.b") + "bn.running_mean"
-        if name.endswith(".dw.b") and mean in state:
-            state[mean] = state[mean] - bias
+def _flat_layout(params: dict):
+    """``params`` laid end to end in one vector, in their dtype, beside a
+    zeroed gradient vector of the same layout. Returns (param_vector,
+    params, grad_vector, grads), each dict a name -> view of its vector."""
+    param_vector = np.concatenate([np.ravel(v) for v in params.values()])
+    # np.zeros maps pages that stay untouched until written, so a model that
+    # never runs backward never makes its gradient pages resident
+    grad_vector = np.zeros(param_vector.size, param_vector.dtype)
+    ends = np.cumsum([v.size for v in params.values()])
+    views = [{k: vector[end - v.size:end].reshape(v.shape)
+              for (k, v), end in zip(params.items(), ends)}
+             for vector in (param_vector, grad_vector)]
+    return param_vector, views[0], grad_vector, views[1]
 
 
 @dataclass
@@ -79,8 +80,7 @@ class SpeakerModel:
     """Encoder + heads + classifier with explicit forward/backward.
 
     ``sample_rate`` is that of the audio the model trained on, which
-    ``save`` records; None when unknown (an untrained model, or an archive
-    saved before checkpoints recorded it)."""
+    ``save`` records; None when unknown (an untrained model)."""
 
     def __init__(self, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                  num_speakers: int, seed: int = 0):
@@ -96,7 +96,8 @@ class SpeakerModel:
         params = {**enc_params, **head_params}
         params["classifier.w"] = rng.standard_normal(
             (num_speakers, head_cfg.embed_dim)) / np.sqrt(head_cfg.embed_dim)
-        self.params = _as_compute(params)
+        self.param_vector, self.params, self.grad_vector, self.grads = _flat_layout(
+            _as_compute(params))
         self.state = _as_compute({**enc_state, **head_state})
 
     @property
@@ -126,18 +127,18 @@ class SpeakerModel:
 
     def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding):
         """Gradients of a scalar objective w.r.t. every parameter, given its
-        gradients w.r.t. the raw tap embeddings and speaker embedding.
-        Raises ValueError when ``out`` came from an eval-mode forward."""
-        grads: dict[str, np.ndarray] = {}
+        gradients w.r.t. the raw tap embeddings and speaker embedding:
+        ``grads``, whose arrays (views of ``grad_vector``) the next
+        ``backward`` overwrites. Raises ValueError when ``out`` came from an
+        eval-mode forward."""
+        grads = self.grads
+        self.grad_vector.fill(0.0)
         d_taps = _heads_bwd([np.asarray(d, dtype=self.dtype) for d in d_tap_embeddings],
                             out.cache["heads"], grads)
         d_taps_mfa = _mfa_bwd(np.asarray(d_speaker_embedding, dtype=self.dtype),
                               out.cache["mfa"], grads)
         d_taps = [a + b for a, b in zip(d_taps, d_taps_mfa)]
         _encoder_bwd(d_taps, out.cache["encoder"], grads)
-        for name, value in self.params.items():
-            if name not in grads:
-                grads[name] = np.zeros_like(value)
         return grads
 
     def embed_utterance(self, feats) -> np.ndarray:
@@ -189,33 +190,26 @@ class SpeakerModel:
     def load(cls, path) -> "SpeakerModel":
         """Model from a ``save`` archive. Raises ValueError naming ``path``
         when the file is not a readable (empty, truncated or corrupted)
-        checkpoint archive, when its stored configuration
-        does not build a model, or when its arrays differ in name or shape
-        from those of a model of that configuration. A key of
-        ``RETIRED_META_KEYS`` is dropped when it holds its one value; any
-        other value does not build."""
+        checkpoint archive, when its stored configuration (sample rate
+        included) does not build a model, or when its arrays differ in name
+        or shape from those of a model of that configuration. The arrays are
+        copied into the new model's own ``params`` and ``state`` arrays."""
         try:
             # np.load leaves a file it opened open when the zip will not parse
             with open(path, "rb") as f, np.load(f) as archive:
                 meta = json.loads(bytes(archive["meta"])) if "meta" in archive.files else {}
                 if meta.get("format") != CHECKPOINT_FORMAT:
                     raise ValueError(f"{path} is not a recognized checkpoint")
-                params = _as_compute({k[len("param/"):]: archive[k] for k in archive.files
-                                      if k.startswith("param/")})
-                state = _as_compute({k[len("state/"):]: archive[k] for k in archive.files
-                                     if k.startswith("state/")})
+                params = {k[len("param/"):]: archive[k] for k in archive.files
+                          if k.startswith("param/")}
+                state = {k[len("state/"):]: archive[k] for k in archive.files
+                         if k.startswith("state/")}
         except (EOFError, zipfile.BadZipFile) as err:
             raise ValueError(f"{path} is not a readable archive: {err}") from err
-        _drop_dead_biases(params, state)
         try:
-            sections = {name: dict(meta[name]) for name in ("encoder", "head")}
-            for name, retired in RETIRED_META_KEYS.items():
-                for key, only in retired.items():
-                    if key in sections[name] and sections[name].pop(key) != only:
-                        raise ValueError(f"retired key {name}.{key} may only hold "
-                                         f"{json.dumps(only)}")
-            model = cls(EncoderConfig(**sections["encoder"]), HeadConfig(**sections["head"]),
+            model = cls(EncoderConfig(**meta["encoder"]), HeadConfig(**meta["head"]),
                         meta["num_speakers"])
+            model.sample_rate = meta["sample_rate"]
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: stored configuration does not build a "
                              f"model: {err}") from err
@@ -226,7 +220,6 @@ class SpeakerModel:
             if wrong:
                 raise ValueError(f"{path}: {kind} arrays differ in name or shape "
                                  f"from those of its configuration: {wrong}")
-        model.params = params
-        model.state = state
-        model.sample_rate = meta.get("sample_rate")
+            for k, v in stored.items():
+                fresh[k][...] = v
         return model

@@ -451,9 +451,11 @@ def xavier_uniform(rng, fan_in, fan_out, shape=None):
 
 
 def accumulate(grads, name, value):
-    """Add a gradient contribution into a flat name -> array dict."""
+    """Add a gradient contribution into a name -> array dict: in place, into
+    the array ``name`` already has (such as a view of
+    ``SpeakerModel.grad_vector``), else as a new entry."""
     if name in grads:
-        grads[name] = grads[name] + value
+        grads[name] += value
     else:
         grads[name] = value
 

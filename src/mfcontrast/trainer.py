@@ -161,61 +161,39 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
 
 @dataclass
 class AdamState:
-    """Adam (Kingma & Ba, arXiv 1412.6980) over one flat parameter vector.
+    """Adam (Kingma & Ba, arXiv 1412.6980) moments over one flat parameter
+    vector, such as ``SpeakerModel.param_vector``: ``m`` and ``v`` are the
+    first and second moments, laid out as that vector (one parameter's
+    entries are the same slice of each), and ``t`` counts the steps
+    taken."""
 
-    Layout: ``params`` holds every parameter array raveled, end to end, in
-    ``names`` order, in the parameters' dtype. After ``adam_init`` each entry
-    of the model's parameter dict is a view into it, so updating the vector
-    updates the model. ``grad`` is the buffer ``adam_step`` gathers the
-    gradients into, and ``m`` and ``v`` are the first and second moments;
-    all three share the layout of ``params``, so one name's entries are the
-    same slice of each. ``t`` counts the steps taken.
-    """
-
-    names: tuple
-    params: np.ndarray
-    grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
 
-def adam_init(params: dict) -> AdamState:
-    """Zero-moment Adam state over ``params``, a name -> array dict such as
-    ``SpeakerModel.params``. Copies the arrays into one flat vector and
-    rebinds every entry of ``params`` to a view of its slice (see
-    ``AdamState``); code that replaces an entry afterwards detaches it from
-    the optimizer."""
-    names = tuple(params)
-    flat = np.concatenate([np.ravel(params[k]) for k in names])
-    offset = 0
-    for k in names:
-        size = params[k].size
-        params[k] = flat[offset:offset + size].reshape(params[k].shape)
-        offset += size
-    return AdamState(names, flat, np.empty_like(flat), np.zeros_like(flat),
-                     np.zeros_like(flat))
+def adam_init(vector: np.ndarray) -> AdamState:
+    """Zero-moment Adam state over the flat parameter vector ``vector``."""
+    return AdamState(np.zeros_like(vector), np.zeros_like(vector))
 
 
-def adam_step(grads: dict, opt: AdamState, lr):
-    """One Adam update of ``opt.params`` in place from ``grads``, a name ->
-    array dict holding every name of ``opt.names``. The gradients are
-    gathered into ``opt.grad`` in the parameters' dtype (classifier.w's
-    comes back from the losses as float64); then a fixed handful of whole-
-    vector operations compute, elementwise and in this order,
-    m = β1·m + (1−β1)·g, v = β2·v + ((1−β2)·g)·g and
-    p = p − lr·(m/c1) / (√(v/c2) + ε), with c1 = 1 − β1^t and c2 = 1 − β2^t."""
+def adam_step(params: np.ndarray, grad: np.ndarray, opt: AdamState, lr):
+    """One Adam update of the flat vector ``params`` in place from ``grad``,
+    its gradient in the same layout and dtype (``SpeakerModel.param_vector``
+    and ``grad_vector``). A fixed handful of whole-vector operations
+    compute, elementwise and in this order, m = β1·m + (1−β1)·g,
+    v = β2·v + ((1−β2)·g)·g and p = p − lr·(m/c1) / (√(v/c2) + ε), with
+    c1 = 1 − β1^t and c2 = 1 − β2^t."""
     beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     opt.t += 1
     correct1 = 1.0 - beta1 ** opt.t
     correct2 = 1.0 - beta2 ** opt.t
-    g, m, v = opt.grad, opt.m, opt.v
-    np.concatenate([np.ravel(grads[k]) for k in opt.names], out=g, casting="same_kind")
-    step = np.multiply(g, 1.0 - beta1)
+    m, v = opt.m, opt.v
+    step = np.multiply(grad, 1.0 - beta1)
     m *= beta1
     m += step
-    np.multiply(g, 1.0 - beta2, out=step)
-    step *= g
+    np.multiply(grad, 1.0 - beta2, out=step)
+    step *= grad
     v *= beta2
     v += step
     np.divide(m, correct1, out=step)
@@ -224,7 +202,7 @@ def adam_step(grads: dict, opt: AdamState, lr):
     np.sqrt(denom, out=denom)
     denom += eps
     step /= denom
-    opt.params -= step
+    params -= step
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +233,9 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
         raise NonFiniteLossError(breakdown)
     t2 = time.perf_counter()
     grads = model.backward(out, d_taps, d_spk)
-    grads["classifier.w"] = grads["classifier.w"] + d_w
+    grads["classifier.w"] += d_w  # rounds the float64 loss gradient to the model's dtype
     t3 = time.perf_counter()
-    adam_step(grads, opt, lr)
+    adam_step(model.param_vector, model.grad_vector, opt, lr)
     t4 = time.perf_counter()
     return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1,
                        "backward_s": t3 - t2, "adam_s": t4 - t3}
@@ -372,18 +350,6 @@ class TrainResult:
     eval_result: EvalResult | None = None
 
 
-def _jsonable(record):
-    out = {}
-    for k, v in record.items():
-        if isinstance(v, (list, tuple)):
-            out[k] = [float(x) for x in v]
-        elif isinstance(v, (int, str)):
-            out[k] = v
-        else:
-            out[k] = float(v)
-    return out
-
-
 def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
           cfg: TrainConfig, out_dir=None, trials=None, store=None) -> TrainResult:
     """Full training run over a labeled corpus.
@@ -410,7 +376,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     label_map = speaker_label_map(corpus)
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
     model.sample_rate = corpus[0].sample_rate
-    opt = adam_init(model.params)
+    opt = adam_init(model.param_vector)
     if store is None and trials is not None:
         store = utterance_store(corpus)
 
@@ -450,7 +416,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                           "minor_faults": faults}
                 history.append(record)
                 if log_file is not None:
-                    log_file.write(json.dumps(_jsonable(record)) + "\n")
+                    log_file.write(json.dumps(record) + "\n")
                 step += 1
                 if (cfg.eval_every and trials is not None
                         and step % cfg.eval_every == 0):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mfcontrast import __version__, cli
-from mfcontrast.config import PRESETS, TrialSpec, desk_config, save_config
+from mfcontrast.config import (PRESETS, TrialSpec, config_from_dict, desk_config,
+                               load_config, save_config)
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.features import Waveform, save_wav
 from mfcontrast.heads import HeadConfig
@@ -286,6 +287,58 @@ def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):
     assert not trained & scored
 
 
+# the synthetic corpus is drawn from the train seed, so any other synth.seed
+# would be recorded in the manifest but never used
+@pytest.mark.parametrize("command", [["train"], ["sweep", "am_softmax", "mfcon"]],
+                         ids=["train", "sweep"])
+@pytest.mark.parametrize("config", [{"synth": {"seed": 7}},
+                                    {"synth": {"seed": 7}, "train": {"seed": 8}}],
+                         ids=["train-seed-0", "train-seed-8"])
+def test_a_synth_seed_other_than_the_train_seed_is_a_named_config_error(tmp_path, capsys,
+                                                                         command, config):
+    assert synthetic_run(tmp_path, command + ["--config", config, "--seed", "7"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: synth.seed must be 0 or train.seed")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("synth_seed, train_seed, argv, drawn", [
+    (0, 0, [], 0), (0, 3, [], 3), (3, 3, [], 3), (3, 3, ["--seed", "5"], 5)],
+    ids=["both-0", "synth-0", "equal", "seed-flag"])
+def test_the_manifest_records_the_seed_the_corpus_is_drawn_from(tmp_path, monkeypatch,
+                                                                synth_seed, train_seed, argv,
+                                                                drawn):
+    cfg = load_config(small_config(tmp_path / "cfg.json"))
+    cfg = replace(cfg, synth=replace(cfg.synth, seed=synth_seed),
+                  train=replace(cfg.train, seed=train_seed))
+    save_config(cfg, tmp_path / "cfg.json")
+    specs, generate = [], cli.generate_corpus
+
+    class Trains(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Trains
+
+    monkeypatch.setattr(cli, "generate_corpus", lambda spec: specs.append(spec) or generate(spec))
+    monkeypatch.setattr(cli, "train", stop)  # the manifest's start record is written by then
+    run = tmp_path / "run"
+    with pytest.raises(Trains):
+        cli.main(["train", "--synthetic", "--config", str(tmp_path / "cfg.json"),
+                  "--out", str(run)] + argv)
+    assert [spec.seed for spec in specs] == [drawn]
+    record = json.loads((run / "manifest.jsonl").read_text().splitlines()[0])
+    recorded = config_from_dict(record["config"])
+    assert recorded.synth.seed == recorded.train.seed == record["seed"] == drawn
+    assert recorded == replace(cfg, synth=replace(cfg.synth, seed=drawn),
+                               train=replace(cfg.train, seed=drawn))
+    # the recorded config, given back as a file, resolves to itself
+    save_config(recorded, tmp_path / "recorded.json")
+    args = cli.build_parser().parse_args(["train", "--synthetic", "--config",
+                                          str(tmp_path / "recorded.json"), "--out", str(run)])
+    assert cli._load_experiment(args) == recorded
+
+
 def test_oversize_trial_spec_is_a_config_error(tmp_path, capsys):
     cfg = desk_config()
     cfg = replace(cfg, synth=replace(cfg.synth, n_speakers=3, utts_per_speaker=3))
@@ -341,6 +394,19 @@ def test_eval_rejects_checkpoint_arrays_unlike_its_config(tmp_path, capsys):
     reshaped["param/classifier.w"] = np.zeros((3, 4), dtype=np.float32)
     np.savez(path, **reshaped)
     assert eval_exit_code(path, tmp_path, capsys) == 3
+
+
+def test_eval_rejects_a_checkpoint_with_a_removed_array(tmp_path, capsys):
+    # archives from before the attention key bias was removed carry attn.bk
+    path = tmp_path / "checkpoint.npz"
+    arrays = saved_checkpoint(path)
+    arrays["param/encoder.block0.attn.bk"] = np.zeros(8, dtype=np.float32)
+    np.savez(path, **arrays)
+    assert cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
+                     str(tmp_path / "manifest.txt")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert "'encoder.block0.attn.bk'" in err[0]
 
 
 def damage(path, how):
@@ -574,7 +640,7 @@ def test_eval_rejects_audio_at_a_rate_the_checkpoint_did_not_train_on(tmp_path, 
     err = capsys.readouterr().err
     assert "data error" in err and "8000 Hz" in err and "16000 Hz" in err
     assert not scores.exists()
-    # an archive saved before checkpoints recorded the rate is scored as before
-    rewrite_meta(checkpoint, lambda meta: meta.pop("sample_rate"))
+    # an archive that records no rate is scored as it is
+    rewrite_meta(checkpoint, lambda meta: meta.update(sample_rate=None))
     assert cli.main(argv) == 0
     assert scores.is_file()
