@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import PRESETS, ConfigError, ExperimentConfig, load_config
+from .config import PRESETS, TRIAL_SEED, ConfigError, ExperimentConfig, load_config
 from .features import LengthError
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
@@ -64,7 +64,7 @@ def _load_experiment(args) -> ExperimentConfig:
     if cfg.synth.seed not in (0, cfg.train.seed):
         raise ConfigError(f"synth.seed must be 0 or train.seed ({cfg.train.seed}), "
                           f"the seed the synthetic corpus is drawn from; got {cfg.synth.seed}")
-    if args.synthetic and cfg.synth.duration < MIN_CROP_DURATION - 1e-9:  # round-off slack
+    if args.synthetic and cfg.synth.duration < MIN_CROP_DURATION:
         raise ConfigError(f"synth.duration must be at least {MIN_CROP_DURATION:g} s to be "
                           f"scored, got {cfg.synth.duration:g}")
     given = {k: v for k, v in (("seed", args.seed), ("epochs", args.epochs)) if v is not None}
@@ -143,8 +143,8 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
             raise DataError(f"could not load {manifest}: {err}") from err
         scored = corpus
     try:
-        trials = generate_trials(scored, cfg.trials.n_target,
-                                 cfg.trials.n_nontarget, cfg.trials.seed)
+        trials = generate_trials(scored, cfg.trials.n_target, cfg.trials.n_nontarget,
+                                 TRIAL_SEED)
     except ValueError as err:
         raise ConfigError(f"trials: {err}") from err
     store = utterance_store(scored)

@@ -33,15 +33,16 @@ FRONTEND_KERNEL = 3
 FRONTEND_STRIDE = 2
 # fewest filterbank frames the encoder takes
 MIN_FRAMES = 4
+# attention heads per self-attention module
+NUM_HEADS = 4
 
 
 @dataclass
 class EncoderConfig:
-    """The defaults are the desk preset's encoder."""
+    """The desk preset's encoder; ``model_dim`` must divide by ``NUM_HEADS``."""
 
     num_blocks: int = 2
     model_dim: int = 64
-    num_heads: int = 4
     ff_expansion: int = 2
     conv_kernel: int = 7
     dropout: float = 0.0
@@ -50,8 +51,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
-        if self.model_dim % self.num_heads != 0:
-            raise ValueError("model_dim must be divisible by num_heads")
+        if self.model_dim % NUM_HEADS != 0:
+            raise ValueError(f"model_dim must be divisible by {NUM_HEADS} (NUM_HEADS)")
         if self.model_dim % 2 != 0:
             raise ValueError("model_dim must be even (positional encoding)")
         if self.conv_kernel % 2 != 1:
@@ -256,7 +257,7 @@ def _block_fwd(x, params, pre, cfg, state, mode, rng):
     f, sub = _ffn_fwd(x, params, f"{pre}.ffn1", cfg.dropout, mode, rng)
     tape.module(_residual(_ffn_bwd, 0.5), sub)
     x = x + 0.5 * f
-    at, sub = _mhsa_fwd(x, params, f"{pre}.attn", cfg.num_heads, cfg.dropout, mode, rng)
+    at, sub = _mhsa_fwd(x, params, f"{pre}.attn", NUM_HEADS, cfg.dropout, mode, rng)
     tape.module(_residual(_mhsa_bwd, 1.0), sub)
     x = x + at
     cv, sub = _convmod_fwd(x, params, f"{pre}.conv", state, cfg.dropout, mode, rng)

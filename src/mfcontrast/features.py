@@ -49,10 +49,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be a positive integer")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 # filterbank framing, in seconds
 FRAME_LEN = 0.025
@@ -309,14 +305,3 @@ def load_wav(path) -> Waveform:
         raise ValueError(f"{path}: not a readable WAV file ({err or 'empty'})") from err
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, sr, utterance_id=Path(path).stem)
-
-
-def save_wav(w: Waveform, path) -> None:
-    """Write a waveform as mono 16-bit PCM WAV."""
-    x = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with _wavemod.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
-        f.writeframes(x.tobytes())

@@ -9,9 +9,10 @@ training objective built from them:
 where ``spk`` is the aggregated speaker embedding and ``tap_b`` the
 embedding of block b's feature map. SupCon is the only contrastive loss.
 Each weight has one ``LossConfig`` field: ``lam1`` is lam_tap and ``lam2``
-is lam_spk. The named presets (the paper's multi-scale feature contrastive
-objective and its variants) are rows of ``trainer.OBJECTIVES``, each naming
-the fields it reads; a weight the preset does not read is zero.
+is lam_spk; the margin, scale and temperature are constants. The named
+presets (the paper's multi-scale feature contrastive objective and its
+variants) are rows of ``trainer.OBJECTIVES``, each naming the fields it
+reads; a weight the preset does not read is zero.
 
 Every function returns the scalar loss together with gradients for its
 array inputs, computed in closed form. ``supcon`` expects unit-norm rows;
@@ -29,19 +30,21 @@ import numpy as np
 from . import nn
 
 
+# The published values of AM-Softmax's margin, which enters on the cosine,
+# and logit scale (arXiv 1801.05599; the paper's MFA-Conformer baseline
+# trains with it), and of SupCon's temperature (arXiv 2004.11362).
+AMS_MARGIN = 0.2
+AMS_SCALE = 30.0
+SUPCON_TEMPERATURE = 0.07
+
+
 @dataclass
 class LossConfig:
-    """Scalar hyperparameters of the objective.
-
-    ``margin`` and ``scale`` shape the margin softmax. The margin enters on
-    the cosine, psi(theta) = cos(theta) - m, as AM-Softmax (arXiv
-    1801.05599) defines it; the paper's MFA-Conformer baseline trains with
-    AM-Softmax, and ``trainer.OBJECTIVES`` names that preset ``am_softmax``.
-    ``temperature`` shapes every SupCon term. ``lam1`` weighs the mean over
-    blocks of SupCon on each feature map and ``lam2`` SupCon on the speaker
+    """The objective's two weights. ``lam1`` weighs the mean over blocks of
+    SupCon on each feature map and ``lam2`` SupCon on the speaker
     embedding; ``trainer.OBJECTIVES`` says which preset reads which.
-    ``lam1`` defaults to 0.01, the paper's best sweep row. Every float must
-    be finite.
+    ``lam1`` defaults to 0.01, the paper's best sweep row. Both must be
+    finite and at least 0.
 
     SupCon sums over anchors (Eq. 2 of arXiv 2004.11362). Its reference
     code takes the mean instead, but no weight needs a second reduction:
@@ -51,23 +54,14 @@ class LossConfig:
     sum at 1e-4).
     """
 
-    margin: float = 0.2
-    scale: float = 30.0
-    temperature: float = 0.07
     lam1: float = 0.01
     lam2: float = 0.0
 
     def __post_init__(self):
-        for name in ("margin", "scale", "temperature", "lam1", "lam2"):
+        for name in ("lam1", "lam2"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
         if min(self.lam1, self.lam2) < 0:
             raise ValueError("loss coefficients must be >= 0")
 
@@ -76,11 +70,12 @@ class LossConfig:
 # additive-margin softmax
 
 
-def am_softmax(z, labels, weights, cfg: LossConfig):
+def am_softmax(z, labels, weights):
     """Mean cross-entropy over scaled cosine logits with an additive margin
-    on the true class: the target logit is s*(cos(theta_y) - m).
-    Embeddings and class weights are normalized internally, so raw inputs
-    are fine. Returns (loss, dz, dweights).
+    on the true class: the target logit is s*(cos(theta_y) - m), with
+    s = ``AMS_SCALE`` and m = ``AMS_MARGIN``. Embeddings and class weights
+    are normalized internally, so raw inputs are fine. Returns (loss, dz,
+    dweights).
     """
     z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=int)
     w = np.asarray(weights, dtype=np.float64)
@@ -92,7 +87,7 @@ def am_softmax(z, labels, weights, cfg: LossConfig):
     cos = zu @ wu.T
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    logits = cfg.scale * (cos - cfg.margin * onehot)
+    logits = AMS_SCALE * (cos - AMS_MARGIN * onehot)
 
     shift = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - shift)
@@ -100,7 +95,7 @@ def am_softmax(z, labels, weights, cfg: LossConfig):
     loss = -logprob[np.arange(n), labels].mean()
 
     dlogits = (exp / exp.sum(axis=1, keepdims=True) - onehot) / n
-    dcos = cfg.scale * dlogits
+    dcos = AMS_SCALE * dlogits
     dzu = dcos @ wu
     dwu = dcos.T @ zu
     dz = nn.l2_normalize_bwd(dzu, c_z)
@@ -123,18 +118,19 @@ def _masked_row_softmax(s):
     return e / total, (m + np.log(total))[:, 0]
 
 
-def supcon(z, labels, cfg: LossConfig):
+def supcon(z, labels):
     """Supervised contrastive loss over unit-norm rows.
 
     Sums over anchors i the mean over positives p (same label, different
-    index) of -log(exp(z_i.z_p / tau) / sum_{a != i} exp(z_i.z_a / tau)).
-    Anchors without positives are skipped. Returns (loss, dz).
+    index) of -log(exp(z_i.z_p / tau) / sum_{a != i} exp(z_i.z_a / tau)),
+    tau = ``SUPCON_TEMPERATURE``. Anchors without positives are skipped.
+    Returns (loss, dz).
     """
     z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     n = z.shape[0]
     if n < 2:
         raise ValueError("supcon needs at least two rows")
-    s = (z @ z.T) / cfg.temperature
+    s = (z @ z.T) / SUPCON_TEMPERATURE
     eye = np.eye(n, dtype=bool)
     positives = (labels[:, None] == labels[None, :]) & ~eye
     pos_count = positives.sum(axis=1)
@@ -150,7 +146,7 @@ def supcon(z, labels, cfg: LossConfig):
 
     g = softmax - positives / safe_count[:, None]
     g[~contributing] = 0.0
-    dz = (g + g.T) @ z / cfg.temperature
+    dz = (g + g.T) @ z / SUPCON_TEMPERATURE
     return total, dz
 
 
@@ -158,8 +154,7 @@ def supcon(z, labels, cfg: LossConfig):
 # the objective
 
 
-def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
-              lam_tap, lam_spk):
+def objective(tap_embeddings, speaker_emb, labels, weights, lam_tap, lam_spk):
     """Margin softmax on the speaker embedding, plus ``lam_tap`` times the
     mean over blocks of SupCon on each tap embedding, plus ``lam_spk``
     times SupCon on the speaker embedding.
@@ -171,7 +166,7 @@ def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
     """
     if not tap_embeddings:
         raise ValueError("need at least one tap embedding batch")
-    ams, d_spk, d_w = am_softmax(speaker_emb, labels, weights, cfg)
+    ams, d_spk, d_w = am_softmax(speaker_emb, labels, weights)
     num_blocks = len(tap_embeddings)
     per_block = [0.0] * num_blocks
     d_taps = [np.zeros_like(np.asarray(t, dtype=np.float64)) for t in tap_embeddings]
@@ -179,12 +174,12 @@ def objective(tap_embeddings, speaker_emb, labels, weights, cfg: LossConfig,
         scale = lam_tap / num_blocks
         for b, raw in enumerate(tap_embeddings):
             unit, c_norm = nn.l2_normalize_fwd(np.asarray(raw, dtype=np.float64))
-            per_block[b], dunit = supcon(unit, labels, cfg)
+            per_block[b], dunit = supcon(unit, labels)
             d_taps[b] = scale * nn.l2_normalize_bwd(dunit, c_norm)
     spk_value = 0.0
     if lam_spk != 0.0:
         unit, c_norm = nn.l2_normalize_fwd(np.asarray(speaker_emb, dtype=np.float64))
-        spk_value, dunit = supcon(unit, labels, cfg)
+        spk_value, dunit = supcon(unit, labels)
         d_spk = d_spk + lam_spk * nn.l2_normalize_bwd(dunit, c_norm)
     total = ams + lam_tap * (sum(per_block) / num_blocks) + lam_spk * spk_value
     breakdown = {"total": total, "ams": ams, "contrastive": per_block,

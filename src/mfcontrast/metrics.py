@@ -98,18 +98,20 @@ def compute_eer(s: TrialScoreSet):
     return float(eer), float(threshold)
 
 
-def compute_mindcf(s: TrialScoreSet, p_target: float = 0.01,
-                   c_miss: float = 1.0, c_fa: float = 1.0):
-    """Minimum normalized detection cost over all thresholds.
+# prior of a target trial in the detection cost
+MINDCF_P_TARGET = 0.01
 
-    DCF(t) = c_miss * p_target * P_miss(t) + c_fa * (1 - p_target) * P_fa(t),
-    normalized by min(c_miss * p_target, c_fa * (1 - p_target)).
+
+def compute_mindcf(s: TrialScoreSet):
+    """Minimum normalized detection cost over all thresholds, with unit miss
+    and false-acceptance costs and p = ``MINDCF_P_TARGET``: DCF(t) =
+    p * P_miss(t) + (1 - p) * P_fa(t), normalized by min(p, 1 - p).
     Returns (min_dcf, threshold).
     """
     thresholds, p_miss, p_fa = _operating_points(s.scores, s.is_target)
-    dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
+    dcf = MINDCF_P_TARGET * p_miss + (1.0 - MINDCF_P_TARGET) * p_fa
     best = int(np.argmin(dcf))
-    norm = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    norm = min(MINDCF_P_TARGET, 1.0 - MINDCF_P_TARGET)
     return float(dcf[best] / norm), float(thresholds[best])
 
 

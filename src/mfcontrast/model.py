@@ -20,8 +20,8 @@ gradient.
 ``forward`` casts its features to the parameters' dtype and returns the
 tap and speaker embeddings as float64, so the losses and metrics work in
 float64; ``backward`` casts the upstream gradients back. Rebuilding the
-vectors from float64 parameters (``_flat_layout``) and casting ``state``
-runs the same code in float64.
+vectors in float64 (``_flat_layout(params, np.float64)``) and casting
+``state`` runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
 from .encoder import (EncoderConfig, _encoder_bwd, _encoder_fwd,
                       init_encoder_params)
 from .heads import (HeadConfig, _heads_bwd, _heads_fwd, _mfa_bwd, _mfa_fwd,
@@ -50,14 +49,14 @@ def _as_compute(arrays: dict) -> dict:
     return {k: np.asarray(v, dtype=COMPUTE_DTYPE) for k, v in arrays.items()}
 
 
-def _flat_layout(params: dict):
-    """``params`` laid end to end in one vector, in their dtype, beside a
-    zeroed gradient vector of the same layout. Returns (param_vector,
-    params, grad_vector, grads), each dict a name -> view of its vector."""
-    param_vector = np.concatenate([np.ravel(v) for v in params.values()])
+def _flat_layout(params: dict, dtype):
+    """``params`` cast to ``dtype`` as they are laid end to end in one vector
+    (no cast copy per array), beside a zeroed gradient vector of the same
+    layout. Returns (param_vector, params, grad_vector, grads), dicts of views."""
+    param_vector = np.concatenate([np.ravel(v) for v in params.values()], dtype=dtype)
     # np.zeros maps pages that stay untouched until written, so a model that
     # never runs backward never makes its gradient pages resident
-    grad_vector = np.zeros(param_vector.size, param_vector.dtype)
+    grad_vector = np.zeros(param_vector.size, dtype)
     ends = np.cumsum([v.size for v in params.values()])
     views = [{k: vector[end - v.size:end].reshape(v.shape)
               for (k, v), end in zip(params.items(), ends)}
@@ -97,7 +96,7 @@ class SpeakerModel:
         params["classifier.w"] = rng.standard_normal(
             (num_speakers, head_cfg.embed_dim)) / np.sqrt(head_cfg.embed_dim)
         self.param_vector, self.params, self.grad_vector, self.grads = _flat_layout(
-            _as_compute(params))
+            params, COMPUTE_DTYPE)
         self.state = _as_compute({**enc_state, **head_state})
 
     @property

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import Waveform, save_wav, load_wav
+from .features import Waveform, load_wav
 from .metrics import Trial
 
 F0_RANGE = (90.0, 250.0)
@@ -208,27 +208,12 @@ def generate_trials(corpus, n_target: int, n_nontarget: int, seed: int) -> list:
             for i, j in zip(pick_a.tolist(), pick_b.tolist())]
 
 
-def export_corpus(corpus, out_dir) -> Path:
-    """Write WAVs plus a `<utt_id> <speaker_id> <path>` manifest.
-
-    Returns the manifest path. Paths in the manifest are relative to the
-    manifest's directory.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "manifest.txt"
-    with open(manifest, "w") as f:
-        for w in corpus:
-            rel = Path(w.speaker_id) / f"{w.utterance_id}.wav"
-            save_wav(w, out_dir / rel)
-            f.write(f"{w.utterance_id} {w.speaker_id} {rel}\n")
-    return manifest
-
-
 def load_manifest(manifest_path) -> list:
-    """Read an exported corpus back as labeled waveforms. A corpus holds one
-    sample rate: mel bin k spans different bands at different rates, so a
-    manifest whose WAVs mix rates raises ValueError naming them."""
+    """Labeled waveforms from `<utt_id> <speaker_id> <path>` manifest lines,
+    each path a mono 16-bit WAV relative to the manifest's directory. A
+    corpus holds one sample rate: mel bin k spans different bands at
+    different rates, so a manifest whose WAVs mix rates raises ValueError
+    naming them."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     corpus = []

@@ -66,7 +66,8 @@ class TrainConfig:
     ``FRAME_SHIFT``, and the augmentation draws are ``AugmentSampler``'s.
 
     ``objective`` names a row of ``OBJECTIVES``; every row is
-    ``losses.objective`` with its weights read from ``loss``:
+    ``losses.objective`` with its weights read from ``loss`` (the margin,
+    scale and temperature are ``losses`` constants):
 
     - ``am_softmax``: margin softmax alone;
     - ``mfcon``: plus ``loss.lam1`` times the per-block SupCon mean (the
@@ -98,8 +99,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        # the slack keeps the bound itself valid however its sum rounds
-        if self.crop_duration < MIN_CROP_DURATION - 1e-9:
+        if self.crop_duration < MIN_CROP_DURATION:
             raise ValueError(f"crop_duration must be at least {MIN_CROP_DURATION:g} s "
                              f"({MIN_FRAMES} filterbank frames), got {self.crop_duration}")
         if self.epochs < 1:
@@ -216,7 +216,7 @@ def compute_objective(out, labels, weights, cfg: TrainConfig):
     lam_tap, lam_spk = (getattr(cfg.loss, name) if name in reads else 0.0
                         for name in ("lam1", "lam2"))
     return losses.objective(out.tap_embeddings, out.speaker_embedding, labels,
-                            weights, cfg.loss, lam_tap, lam_spk)
+                            weights, lam_tap, lam_spk)
 
 
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
@@ -356,8 +356,9 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
 
     Writes one JSON-lines record per step (and a checkpoint, which records
     the corpus's sample rate, at the end) when ``out_dir`` is given;
-    evaluates on ``trials`` against ``store`` every ``cfg.eval_every`` steps
-    and once at the end when provided. Each
+    evaluates on ``trials`` against ``store`` (an ``utterance_store`` of
+    the utterances they name, required with ``trials``) every
+    ``cfg.eval_every`` steps and once at the end when provided. Each
     record carries the loss breakdown, the wall time of the step's
     ``build_batch`` (``data_s``), of the step itself (``step_s``) and of
     its stages (``forward_s``, ``loss_s``, ``backward_s``, ``adam_s``; see
@@ -377,8 +378,6 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
     model.sample_rate = corpus[0].sample_rate
     opt = adam_init(model.param_vector)
-    if store is None and trials is not None:
-        store = utterance_store(corpus)
 
     log_file = None
     if out_dir is not None:

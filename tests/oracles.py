@@ -166,12 +166,15 @@ def brute_force_eer(scores, labels):
     raise AssertionError("no crossing found")
 
 
-def brute_force_mindcf(scores, labels, p_target=0.01, c_miss=1.0, c_fa=1.0):
+def brute_force_mindcf(scores, labels):
+    """Minimum normalized detection cost at p_target 0.01 and unit miss and
+    false-acceptance costs."""
+    p_target = 0.01
     best = float("inf")
     for _, p_miss, p_fa in sweep_error_rates(scores, labels):
-        dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
+        dcf = p_target * p_miss + (1.0 - p_target) * p_fa
         best = min(best, dcf)
-    return best / min(c_miss * p_target, c_fa * (1.0 - p_target))
+    return best / min(p_target, 1.0 - p_target)
 
 
 def brute_force_supcon(z, labels, tau):

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from mfcontrast import __version__, cli
-from mfcontrast.config import (PRESETS, TrialSpec, config_from_dict, desk_config,
-                               load_config, save_config)
+from mfcontrast.config import PRESETS, TrialSpec, config_from_dict, desk_config, load_config
 from mfcontrast.encoder import EncoderConfig
-from mfcontrast.features import Waveform, save_wav
+from mfcontrast.features import Waveform
 from mfcontrast.heads import HeadConfig
 from mfcontrast.metrics import Trial, load_trials, save_trials
 from mfcontrast.model import SpeakerModel
-from mfcontrast.synthdata import SynthSpec, export_corpus, generate_corpus
+from mfcontrast.synthdata import SynthSpec, generate_corpus
 from mfcontrast.trainer import EvalResult, NonFiniteLossError
+
+from writers import export_corpus, save_config, save_wav
 
 
 def small_config(path):
@@ -107,9 +108,9 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     ["train", "--config", {"train": {"lr": float("nan")}}],
     ["train", "--config", {"train": {"crop_duration": 0}}],
     ["train", "--config", {"train": {"crop_duration": float("inf")}}],
-    ["train", "--config", {"train": {"loss": {"temperature": float("nan")}}}],
-    ["train", "--config", {"train": {"loss": {"scale": float("inf")}}}],
-    ["train", "--config", {"train": {"loss": {"margin": float("nan")}}}],
+    ["train", "--config", {"train": {"loss": {"lam1": float("nan")}}}],
+    ["train", "--config", {"train": {"loss": {"lam2": float("inf")}}}],
+    ["train", "--config", {"train": {"loss": {"lam2": -0.5}}}],
     # crops shorter than the encoder's 4 filterbank frames
     ["train", "--config", {"train": {"crop_duration": 0.04, "epochs": 1},
                            "synth": {"n_speakers": 3, "utts_per_speaker": 4},
@@ -350,7 +351,7 @@ def test_oversize_trial_spec_is_a_config_error(tmp_path, capsys):
 
 
 def saved_checkpoint(path):
-    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8, num_heads=2,
+    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8,
                                        ff_expansion=2, conv_kernel=3, input_dim=8),
                          HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
     model.save(path)
@@ -377,10 +378,15 @@ def eval_exit_code(path, tmp_path, capsys):
 
 
 def test_eval_rejects_checkpoint_whose_config_does_not_build(tmp_path, capsys):
+    # archives written before the head count became encoder.NUM_HEADS name it
     path = tmp_path / "checkpoint.npz"
     saved_checkpoint(path)
-    rewrite_meta(path, lambda meta: meta["encoder"].update(no_such_knob=1))
-    assert eval_exit_code(path, tmp_path, capsys) == 3
+    rewrite_meta(path, lambda meta: meta["encoder"].update(num_heads=4))
+    assert cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
+                     str(tmp_path / "manifest.txt")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: could not load checkpoint {path}")
+    assert "does not build a model" in err[0] and "'num_heads'" in err[0]
 
 
 def test_eval_rejects_checkpoint_arrays_unlike_its_config(tmp_path, capsys):

@@ -5,11 +5,13 @@ import pytest
 
 from mfcontrast import cli
 from mfcontrast.config import (ConfigError, ExperimentConfig, TrialSpec, config_from_dict,
-                               desk_config, full_scale_config, load_config, save_config)
+                               desk_config, full_scale_config, load_config)
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.synthdata import SynthSpec
 from mfcontrast.trainer import TrainConfig
+
+from writers import save_config
 
 
 @pytest.mark.parametrize("preset", [desk_config, full_scale_config])
@@ -29,10 +31,10 @@ def test_each_section_default_is_the_desk_preset(section, cls):
     assert cls() == getattr(desk_config(), section)
 
 
-LOSS = {"margin": 0.2, "scale": 30.0, "temperature": 0.07, "lam1": 0.01, "lam2": 0.0}
-TRIALS = {"n_target": 250, "n_nontarget": 250, "seed": 100}
+LOSS = {"lam1": 0.01, "lam2": 0.0}
+TRIALS = {"n_target": 250, "n_nontarget": 250}
 DESK = {
-    "encoder": {"num_blocks": 2, "model_dim": 64, "num_heads": 4, "ff_expansion": 2,
+    "encoder": {"num_blocks": 2, "model_dim": 64, "ff_expansion": 2,
                 "conv_kernel": 7, "dropout": 0.0, "input_dim": 80},
     "head": {"embed_dim": 64, "attention_hidden": 32},
     "train": {"batch_size": 50, "lr": 1.5e-3, "epochs": 30, "seed": 0, "eval_every": 0,
@@ -42,7 +44,7 @@ DESK = {
     "trials": TRIALS,
 }
 FULL = {
-    "encoder": {"num_blocks": 6, "model_dim": 256, "num_heads": 4, "ff_expansion": 4,
+    "encoder": {"num_blocks": 6, "model_dim": 256, "ff_expansion": 4,
                 "conv_kernel": 15, "dropout": 0.1, "input_dim": 80},
     "head": {"embed_dim": 192, "attention_hidden": 128},
     "train": {"batch_size": 100, "lr": 1e-3, "epochs": 30, "seed": 0, "eval_every": 0,
@@ -69,8 +71,8 @@ def merged(base, data):
 # every section and field a file leaves out keeps its desk value
 @pytest.mark.parametrize("data", [
     {},
-    {"train": {"loss": {"temperature": 0.1}}},
-    {"encoder": {"num_blocks": 3}, "trials": {"seed": 7}},
+    {"train": {"loss": {"lam1": 0.5}}},
+    {"encoder": {"num_blocks": 3}, "trials": {"n_target": 7}},
     {"train": {"objective": "combined", "loss": {"lam2": 0.1}}, "synth": {"duration": 2.0}},
 ])
 def test_a_partial_file_changes_only_the_fields_it_names(data):
@@ -82,12 +84,14 @@ def test_a_partial_file_changes_only_the_fields_it_names(data):
 # fixed in features, the learning rate halves every trainer.LR_HALVE_EVERY
 # epochs, SupCon is the only contrastive loss, and mfcon reads its
 # weight from loss.lam1; the margin is on the cosine and SupCon sums over
-# anchors. A dotted key such as loss.triplet_margin lies in that subsection of
-# train; every config saved before the contrastive kinds were removed holds
-# both loss keys, every one saved before lam1 became mfcon's weight holds
-# loss.lam, and every one saved before the margin style and the SupCon
-# reduction were fixed holds loss.margin_style and
-# loss.supcon_mean_over_anchors.
+# anchors; the margin, scale and temperature are constants of losses. A
+# dotted key such as loss.triplet_margin lies in that subsection of train;
+# every config saved before the contrastive kinds were removed holds both
+# loss keys, every one saved before lam1 became mfcon's weight holds
+# loss.lam, every one saved before the margin style and the SupCon reduction
+# were fixed holds loss.margin_style and loss.supcon_mean_over_anchors, and
+# every one saved before the margin, scale and temperature became constants
+# holds all three.
 @pytest.mark.parametrize("key, value", [("n_mels", 80), ("frame_len", 0.025),
                                         ("frame_shift", 0.01), ("snr_range", [0.0, 15.0]),
                                         ("noise_prob", 0.5),
@@ -95,21 +99,31 @@ def test_a_partial_file_changes_only_the_fields_it_names(data):
                                         ("loss.triplet_margin", 0.2),
                                         ("loss.lam", 0.01), ("lr_halve_every", 5),
                                         ("loss.margin_style", "cosine_additive"),
-                                        ("loss.supcon_mean_over_anchors", False)])
+                                        ("loss.supcon_mean_over_anchors", False),
+                                        ("loss.margin", 0.2), ("loss.scale", 30.0),
+                                        ("loss.temperature", 0.07)])
 def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value):
     check_removed_key(tmp_path, capsys, f"train.{key}", value)
 
 
-# every block has its own head; configs saved before the head-sharing flags
-# were removed hold both, false
-@pytest.mark.parametrize("key", ["share_pooling", "share_projection"])
-def test_removed_head_keys_are_named_config_errors(tmp_path, capsys, key):
-    check_removed_key(tmp_path, capsys, f"head.{key}", False)
+# keys of the other sections that no config has any more: every block has
+# its own head, so configs saved before the head-sharing flags were removed
+# hold both, false; every attention module has encoder.NUM_HEADS heads, and
+# the trials are drawn with config.TRIAL_SEED, so configs saved before those
+# became constants hold encoder.num_heads and trials.seed
+@pytest.mark.parametrize("key, value", [("head.share_pooling", False),
+                                        ("head.share_projection", False),
+                                        ("encoder.num_heads", 4), ("trials.seed", 100)],
+                         ids=["head.share_pooling", "head.share_projection",
+                              "encoder.num_heads", "trials.seed"])
+def test_removed_section_keys_are_named_config_errors(tmp_path, capsys, key, value):
+    check_removed_key(tmp_path, capsys, key, value)
 
 
 def check_removed_key(tmp_path, capsys, key, value):
     """A file whose dotted ``key`` holds ``value`` fails to load, naming the
-    key and its section, and ``train`` exits 2 before any run directory."""
+    key and its section, and ``train`` exits 2 with one ``error:`` line that
+    names the key, before any run directory."""
     *where, name = key.split(".")
     data = {name: value}
     for section in reversed(where):
@@ -122,7 +136,9 @@ def check_removed_key(tmp_path, capsys, key, value):
         load_config(path)
     assert cli.main(["train", "--synthetic", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 2
-    assert name in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and f"'{name}'" in errors[0]
     assert not (tmp_path / "run").exists()
 
 
@@ -133,7 +149,7 @@ def check_removed_key(tmp_path, capsys, key, value):
 # whole run before scoring, and a negative interval would silently never
 # evaluate
 @pytest.mark.parametrize("key, value", [
-    ("trials.n_target", 0), ("trials.n_nontarget", 0), ("trials.seed", -1),
+    ("trials.n_target", 0), ("trials.n_nontarget", 0),
     ("trials.n_target", 2.5), ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
     ("train.seed", True), ("train.batch_size", 12.5), ("train.lr", "0.001"),
     ("train.loss.lam1", True), ("train.objective", 1), ("encoder.dropout", None),

@@ -11,7 +11,7 @@ from mfcontrast.nn import ShapeError
 
 from oracles import rel_error
 
-TOY = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
+TOY = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
                     conv_kernel=7, dropout=0.0, input_dim=8)
 
 
@@ -89,7 +89,7 @@ class TestConformerBlock:
 
     def test_gradient_matches_finite_differences(self):
         # scalar readout of one block on a 4 x 8 toy map, input gradient
-        cfg = EncoderConfig(num_blocks=1, model_dim=8, num_heads=2,
+        cfg = EncoderConfig(num_blocks=1, model_dim=8,
                             ff_expansion=2, conv_kernel=3, dropout=0.0,
                             input_dim=4)
         rng = np.random.default_rng(3)
@@ -124,7 +124,7 @@ class TestConformerBlock:
 
 class TestEncodeWithTaps:
     def test_tap_count_matches_blocks(self):
-        cfg = EncoderConfig(num_blocks=6, model_dim=16, num_heads=2,
+        cfg = EncoderConfig(num_blocks=6, model_dim=16,
                             ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(1)
         params, state = init_encoder_params(cfg, rng)
@@ -133,7 +133,7 @@ class TestEncodeWithTaps:
         assert all(m.shape == (10, 16) for m in taps)
 
     def test_single_block_equals_block_of_frontend(self):
-        cfg = EncoderConfig(num_blocks=1, model_dim=16, num_heads=2,
+        cfg = EncoderConfig(num_blocks=1, model_dim=16,
                             ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(2)
         params, state = init_encoder_params(cfg, rng)
@@ -163,7 +163,7 @@ class TestEncodeWithTaps:
             _mfa_fwd([np.zeros((1, 3, 16)), np.zeros((1, 4, 16))], params, state, "eval")
 
     def test_train_mode_dropout_is_seeded(self):
-        cfg = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2,
+        cfg = EncoderConfig(num_blocks=2, model_dim=16,
                             ff_expansion=2, conv_kernel=7, dropout=0.2, input_dim=8)
         rng = np.random.default_rng(4)
         params, state = init_encoder_params(cfg, rng)

@@ -5,10 +5,10 @@ from scipy.signal import fftconvolve
 from mfcontrast import features
 from mfcontrast.features import (AugmentSampler, DegenerateInputError, LengthError,
                                  Waveform, add_noise, add_reverb, extract_fbank, load_wav,
-                                 mel_filterbank, random_crop, save_wav,
-                                 synthetic_impulse_response)
+                                 mel_filterbank, random_crop, synthetic_impulse_response)
 
 from oracles import dft_mel_energies, direct_convolution, mel_band_edges
+from writers import save_wav
 
 
 def sine(freq, duration=1.0, sr=16000, amp=0.3):

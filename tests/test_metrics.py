@@ -109,13 +109,6 @@ class TestComputeMindcf:
             mindcf, _ = compute_mindcf(s)
             assert mindcf <= 1.0 + 1e-12
 
-    def test_cost_parameters_respected(self):
-        s = scoreset([0.8, 0.2], [0.6, 0.1])
-        a, _ = compute_mindcf(s, p_target=0.5, c_miss=1.0, c_fa=1.0)
-        oracle = brute_force_mindcf(list(s.scores), list(s.is_target),
-                                    p_target=0.5)
-        assert abs(a - oracle) < 1e-12
-
 
 class TestScoreTrials:
     def test_empty_list(self):

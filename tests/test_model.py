@@ -16,7 +16,7 @@ from mfcontrast.trainer import TrainConfig
 
 from oracles import fd_gradient, rel_error
 
-TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
+TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
                          conv_kernel=7, dropout=0.0, input_dim=8)
 TINY_HEAD = HeadConfig(embed_dim=6, attention_hidden=5)
 STEP = 1e-6
@@ -26,7 +26,7 @@ def as_float64(m: SpeakerModel) -> SpeakerModel:
     """Run the model's own code in float64: its parameter and gradient
     vectors rebuilt from float64 parameters, and its state cast."""
     m.param_vector, m.params, m.grad_vector, m.grads = model._flat_layout(
-        {k: v.astype(np.float64) for k, v in m.params.items()})
+        m.params, np.float64)
     m.state = {k: v.astype(np.float64) for k, v in m.state.items()}
     return m
 
@@ -168,10 +168,10 @@ class TestCompositeObjectiveGradients:
         assert rel_error(d_w, fd_gradient(f, self.w)) < tol
 
     def test_mfcon(self):
-        self.check("mfcon", LossConfig(lam1=0.5, temperature=0.2))
+        self.check("mfcon", LossConfig(lam1=0.5))
 
     def test_combined(self):
-        self.check("combined", LossConfig(lam1=0.3, lam2=0.2, temperature=0.2))
+        self.check("combined", LossConfig(lam1=0.3, lam2=0.2))
 
 
 def desk_batch():
@@ -207,7 +207,7 @@ class TestComputeDtypePolicy:
             assert rel_error(g32[name], g) < 1e-4, name
 
     def test_one_train_step_stays_float32(self, monkeypatch):
-        enc = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
+        enc = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
                             conv_kernel=7, dropout=0.1, input_dim=8)
         m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
         opt = trainer.adam_init(m.param_vector)

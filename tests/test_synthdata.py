@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mfcontrast.features import Waveform, extract_fbank
-from mfcontrast.synthdata import (SynthSpec, export_corpus, generate_corpus,
-                                  generate_trials, load_manifest)
+from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials, load_manifest
 from oracles import direct_synth_utterance, loop_trials
+from writers import export_corpus
 
 SMALL = SynthSpec(n_speakers=4, utts_per_speaker=3, duration=0.5,
                   sample_rate=8000, seed=7)

@@ -19,7 +19,7 @@ from oracles import per_array_adam_step
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
-ENC = EncoderConfig(num_blocks=2, model_dim=16, num_heads=2, ff_expansion=2,
+ENC = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
                     conv_kernel=7, dropout=0.1, input_dim=16)
 HEAD = HeadConfig(embed_dim=8, attention_hidden=6)
 
@@ -28,7 +28,7 @@ def tiny(objective):
     """Three epochs of two 12-row steps, with every weight nonzero."""
     return TrainConfig(batch_size=6, lr=3e-3, epochs=3, seed=4, objective=objective,
                        crop_duration=0.3,
-                       loss=LossConfig(lam1=0.2, lam2=0.1, temperature=0.2))
+                       loss=LossConfig(lam1=0.2, lam2=0.1))
 
 
 @pytest.fixture(scope="module")
