@@ -190,9 +190,10 @@ class SpeakerModel:
         """Model from a ``save`` archive. Raises ValueError naming ``path``
         when the file is not a readable (empty, truncated or corrupted)
         checkpoint archive, when its stored configuration (sample rate
-        included) does not build a model, or when its arrays differ in name
-        or shape from those of a model of that configuration. The arrays are
-        copied into the new model's own ``params`` and ``state`` arrays."""
+        included) does not build a model, when its arrays differ in name
+        or shape from those of a model of that configuration, or when any
+        of them holds a NaN or an infinity. The arrays are copied into the
+        new model's own ``params`` and ``state`` arrays."""
         try:
             # np.load leaves a file it opened open when the zip will not parse
             with open(path, "rb") as f, np.load(f) as archive:
@@ -219,6 +220,9 @@ class SpeakerModel:
             if wrong:
                 raise ValueError(f"{path}: {kind} arrays differ in name or shape "
                                  f"from those of its configuration: {wrong}")
+            unfinite = sorted(k for k, v in stored.items() if not np.isfinite(v).all())
+            if unfinite:
+                raise ValueError(f"{path}: {kind} arrays hold non-finite values: {unfinite}")
             for k, v in stored.items():
                 fresh[k][...] = v
         return model

@@ -4,8 +4,9 @@ in-training evaluation.
 Batches hold 2B rows: B original crops followed by their augmented
 counterparts in matching order, so every anchor has at least one positive
 for the SupCon terms. All randomness is derived from the config seed,
-and a fixed seed reproduces the loss curve bit-for-bit in single-threaded
-mode.
+and a fixed seed reproduces the loss curve bit-for-bit at a fixed BLAS
+thread count (the CLI pins one). ``evaluate`` embeds on every usable CPU;
+its scores do not depend on how many there are.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 import resource
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -275,9 +278,9 @@ def trial_utterances(trials, store) -> list:
 # filterbank frames per batch of utterances that evaluate() embeds at once:
 # a batch holds max(1, EVAL_FRAME_BUDGET // T) utterances of T frames, 5 of
 # 4 s (T = 398). Timed by alternating budgets on the desk encoder's 20-utterance
-# evaluate() calls at 4 s, 8 kHz (2 CPUs, 1 BLAS thread): 62.6 ms per call
-# at 2048, 65.8 at 1024, 64.5 at 4096, 72.5 at 8192, and 71.7 one utterance
-# at a time.
+# evaluate() calls at 4 s, 8 kHz, with the batches spread over both CPUs
+# (2 CPUs, 1 BLAS thread): 58 ms per call at 2048, 64-66 at 1024, 62-65 at
+# 4096, and 124-129 at 8192, which makes one batch and so uses one CPU.
 EVAL_FRAME_BUDGET = 2048
 
 
@@ -286,8 +289,11 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     augmentation), score the trials, and compute EER / minDCF.
 
     Utterances are grouped by sample count and sample rate, and each group
-    is embedded in batches of ``EVAL_FRAME_BUDGET`` filterbank frames: one
-    ``extract_fbank`` and one ``embed_utterance`` call per batch. Both are
+    is cut into batches of ``EVAL_FRAME_BUDGET`` filterbank frames: one
+    ``extract_fbank`` and one ``embed_utterance`` call per batch. Of w =
+    min(batches, usable CPUs) shares, the calling thread embeds batches 0,
+    w, 2w, ... and each other share runs on a thread this call starts and
+    joins. Eval mode only reads the model, and both calls are
     batch-invariant, so every embedding, and with it every score, equals
     that of the utterance embedded alone, bit for bit."""
     needed = trial_utterances(trials, store)
@@ -295,14 +301,23 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     for utt in needed:
         w = store[utt]
         groups.setdefault((w.samples.size, w.sample_rate), []).append(utt)
-    embeddings = {}
+    batches = []
     for (size, rate), utts in groups.items():
         step = max(1, EVAL_FRAME_BUDGET // max(1, frame_count(size, rate)))
-        for i in range(0, len(utts), step):
-            batch = utts[i:i + step]
-            feats = extract_fbank([store[u] for u in batch], model.enc_cfg.input_dim).values
-            embeddings.update(zip(batch, model.embed_utterance(feats)))
-    scores = score_trials(trials, embeddings)
+        batches += [utts[i:i + step] for i in range(0, len(utts), step)]
+
+    def embed(share):  # -> [(utterance id, embedding)]
+        return [pair for batch in share for pair in zip(batch, model.embed_utterance(
+            extract_fbank([store[u] for u in batch], model.enc_cfg.input_dim).values))]
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(batches), cpus or 1)
+    shares = [batches[k::workers] for k in range(workers)]
+    # the pool starts a thread only for a share submitted to it
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(embed, share) for share in shares[1:]]
+        embedded = [embed(share) for share in shares[:1]] + [f.result() for f in futures]
+    scores = score_trials(trials, dict(pair for share in embedded for pair in share))
     eer, _ = compute_eer(scores)
     mindcf, _ = compute_mindcf(scores)
     return EvalResult(eer, mindcf, scores)
@@ -312,10 +327,11 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
 # training loop
 
 # glibc mallopt parameters (malloc.h) and the values train() gives them.
-# Setting both turns off glibc's dynamic thresholds; setting either alone
-# still left a desk step re-faulting its buffers.
+# Setting both thresholds turns off glibc's dynamic thresholds; setting
+# either alone still left a desk step re-faulting its buffers.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 256 << 20
 
@@ -329,8 +345,10 @@ def _keep_freed_heap():
     (about 16k minor faults per step). With blocks under 4 MiB taken from a
     heap that is trimmed only above 256 MiB of free top space, each step
     reuses the pages of the one before. Larger arrays keep their own
-    mappings, where numpy asks for huge pages. Does nothing where the C
-    library has no ``mallopt``.
+    mappings, where numpy asks for huge pages. One arena serves every
+    thread, so the threads of ``evaluate`` allocate from that kept heap
+    rather than growing heaps of their own beside it. Does nothing where
+    the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -340,6 +358,7 @@ def _keep_freed_heap():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 @dataclass
@@ -367,9 +386,10 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
 
     Allocator policy: before it builds the model, ``train`` sets glibc's
     mmap threshold to 4 MiB and its trim threshold to 256 MiB, so buffers a
-    step frees stay mapped for the next step. The setting applies to the
-    whole process and stays in force after ``train`` returns. It changes no
-    result; where the C library has no ``mallopt`` it is skipped.
+    step frees stay mapped for the next step, and keeps one arena for all
+    threads. The setting applies to the whole process and stays in force
+    after ``train`` returns. It changes no result; where the C library has
+    no ``mallopt`` it is skipped.
     """
     if not corpus:
         raise ValueError("training corpus is empty")

@@ -39,6 +39,22 @@ def test_version_matches_pyproject():
     assert f'\nversion = "{__version__}"\n' in pyproject.read_text()
 
 
+# the CLI pins BLAS to one thread before numpy loads: at 1 and 2 threads a
+# training run's bits differ, so an unpinned run would depend on the host
+@pytest.mark.parametrize("given, pinned", [(None, "1"), ("3", "3")],
+                         ids=["unset", "set-to-3"])
+def test_importing_the_cli_pins_blas_threads_unless_the_environment_sets_them(given,
+                                                                              pinned):
+    code = "import mfcontrast.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**env, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == pinned
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, mfcontrast.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -438,6 +454,27 @@ def test_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, how):
     saved_checkpoint(path)
     damage(path, how)
     assert eval_exit_code(path, tmp_path, capsys) == 3
+
+
+@pytest.mark.parametrize("key, value", [("param/encoder.block0.ffn1.w1", np.nan),
+                                        ("state/mfa.bn.running_var", np.inf)],
+                         ids=["nan-parameter", "infinite-running-var"])
+def test_eval_rejects_a_checkpoint_with_a_non_finite_array(tmp_path, capsys, key, value):
+    manifest, corpus = small_manifest(tmp_path)
+    path = tmp_path / "checkpoint.npz"
+    arrays = saved_checkpoint(path)
+    arrays[key].flat[0] = value
+    np.savez(path, **arrays)
+    trials = tmp_path / "trials.txt"
+    save_trials(trials, [Trial(corpus[0].utterance_id, corpus[1].utterance_id, True),
+                         Trial(corpus[0].utterance_id, corpus[2].utterance_id, False)])
+    scores = tmp_path / "scores.txt"
+    assert cli.main(["eval", str(path), str(trials), str(manifest),
+                     "--scores-out", str(scores)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: could not load checkpoint {path}")
+    assert "non-finite" in err[0] and repr(key.split("/", 1)[1]) in err[0]
+    assert not scores.exists()
 
 
 def small_manifest(tmp_path):

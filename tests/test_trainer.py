@@ -1,5 +1,6 @@
 import ctypes
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -89,33 +90,81 @@ def test_eval_every_logs_interim_evaluations_and_final_scores_match_evaluate(tmp
     assert evals[-1]["eer"] == fresh.eer
 
 
-def test_batched_evaluate_equals_one_utterance_at_a_time(monkeypatch):
-    # 7 utterances of 0.5 s and 5 cut to 0.3 s, interleaved; the budget makes
-    # batches of 2 long or 3 short ones, so both groups split unevenly
-    store = {w.utterance_id: w if k % 12 in (0, 2, 5, 7, 8, 10, 11)
-             else Waveform(w.samples[:2400], w.sample_rate, w.speaker_id, w.utterance_id)
-             for k, w in enumerate(CORPUS)}
-    long_t, short_t = frame_count(4000, 8000), frame_count(2400, 8000)
-    monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET", 2 * long_t + 1)
-    assert (trainer.EVAL_FRAME_BUDGET // short_t) == 3
+def mixed_length_store():
+    """CORPUS with 5 of its 12 utterances cut from 0.5 s to 0.3 s."""
+    return {w.utterance_id: w if k % 12 in (0, 2, 5, 7, 8, 10, 11)
+            else Waveform(w.samples[:2400], w.sample_rate, w.speaker_id, w.utterance_id)
+            for k, w in enumerate(CORPUS)}
+
+
+def batches_by_thread(monkeypatch, fail_off=None):
+    """Patch trainer.extract_fbank to record (thread, utterance count) for
+    each call, and to raise ``fail_off`` on any thread but this one."""
+    caller, calls = threading.current_thread(), []
+
+    def recorded(waves, n_mels):
+        calls.append((threading.current_thread(), len(waves)))
+        if fail_off is not None and calls[-1][0] is not caller:
+            raise fail_off("a worker's batch failed")
+        return extract_fbank(waves, n_mels)
+
+    monkeypatch.setattr(trainer, "extract_fbank", recorded)
+    return caller, calls
+
+
+def check_batched_evaluate(monkeypatch, cpus, long_per_batch, sizes):
+    """evaluate() on ``cpus`` usable CPUs, at a budget of ``long_per_batch``
+    0.5 s utterances, makes batches of ``sizes`` utterances, embeds
+    ceil(batches / cpus) of them on the calling thread, and scores every
+    trial as the utterances embedded one at a time do, bit for bit."""
+    store = mixed_length_store()
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET",
+                        long_per_batch * frame_count(4000, 8000) + 1)
     trials = generate_trials(CORPUS, 18, 48, seed=3)  # every pair
     model = SpeakerModel(ENC, HEAD, 3, seed=2)
     rng = np.random.default_rng(5)
     model.forward(rng.standard_normal((4, 20, 16)), mode="train", rng=rng)  # move the BN state
-
-    calls = []
-
-    def counted(waves, n_mels):
-        calls.append(len(waves))
-        return extract_fbank(waves, n_mels)
-
-    monkeypatch.setattr(trainer, "extract_fbank", counted)
+    caller, calls = batches_by_thread(monkeypatch)
     got = trainer.evaluate(model, trials, store)
-    assert sorted(calls) == [1, 2, 2, 2, 2, 3]
+    assert sorted(n for _, n in calls) == sizes
+    assert [t for t, _ in calls].count(caller) == -(-len(sizes) // len(cpus))
     alone = {u: model.embed_utterance(extract_fbank(w, 16).values) for u, w in store.items()}
     expected = [cosine_score(alone[t.enroll_utt], alone[t.test_utt]) for t in trials]
     assert np.array_equal(got.scores.scores, expected)
     np.testing.assert_array_equal(got.scores.is_target, [t.is_target for t in trials])
+
+
+def test_batched_evaluate_equals_one_utterance_at_a_time(monkeypatch):
+    # 7 utterances of 0.5 s and 5 cut to 0.3 s, interleaved; the budget makes
+    # batches of 2 long or 3 short ones, so both groups split unevenly. On one
+    # CPU no thread starts.
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("evaluate started a thread"))
+    check_batched_evaluate(monkeypatch, {0}, 2, [1, 2, 2, 2, 2, 3])
+
+
+def test_evaluate_on_two_cpus_equals_one_utterance_at_a_time(monkeypatch):
+    # an odd count of batches over two utterance lengths: 4 + 3 long ones and
+    # 5 short; the calling thread embeds batches 0 and 2, a pool thread batch 1
+    check_batched_evaluate(monkeypatch, {0, 1}, 4, [3, 4, 5])
+
+
+class WorkerBatchError(RuntimeError):
+    pass
+
+
+def test_a_worker_thread_error_reaches_the_caller_and_no_thread_outlives_evaluate(
+        monkeypatch):
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET", 1)  # one utterance per batch
+    before = set(threading.enumerate())
+    caller, calls = batches_by_thread(monkeypatch, WorkerBatchError)
+    with pytest.raises(WorkerBatchError):
+        trainer.evaluate(SpeakerModel(ENC, HEAD, 3, seed=2),
+                         generate_trials(CORPUS, 6, 6, seed=2), trainer.utterance_store(CORPUS))
+    assert any(t is not caller for t, _ in calls)
+    assert set(threading.enumerate()) == before
 
 
 def assert_same_bits(a, b):
