@@ -45,14 +45,19 @@ def _now():
 
 
 def _write_manifest_start(out_dir: Path, cfg: ExperimentConfig, argv):
-    """RunManifest first record, written atomically."""
+    """RunManifest first record, written to a temporary file in ``out_dir``
+    and renamed over ``manifest.jsonl``; a failed write removes it."""
     record = {"event": "start", "time": _now(), "version": __version__,
               "seed": cfg.train.seed, "out_dir": str(out_dir),
               "argv": list(argv), "config": asdict(cfg)}
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".manifest-")
-    with os.fdopen(fd, "w") as f:
-        f.write(json.dumps(record) + "\n")
-    os.replace(tmp, out_dir / "manifest.jsonl")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(record) + "\n")
+        os.replace(tmp, out_dir / "manifest.jsonl")
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _append_manifest_end(out_dir: Path, **extra):
@@ -158,15 +163,16 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
     return corpus, trials, store
 
 
-def _run(args, argv, cfg: ExperimentConfig, out_dir: Path):
-    """Train ``cfg`` into ``out_dir`` and return its held-out EvalResult.
+def _run(argv, cfg: ExperimentConfig, dataset, out_dir: Path):
+    """Train ``cfg`` on ``dataset``, a ``_resolve_dataset`` result, into
+    ``out_dir`` and return its held-out EvalResult.
 
-    Resolves the dataset, writes the manifest's start record, trains and
-    evaluates, saves the trial list, and ends the manifest with the run's
-    status: ``ok`` with the EER and minDCF, or ``numerical-failure`` before
-    the NonFiniteLossError propagates.
+    Writes the manifest's start record, trains and evaluates, saves the
+    trial list, and ends the manifest with the run's status: ``ok`` with
+    the EER and minDCF, or ``numerical-failure`` before the
+    NonFiniteLossError propagates.
     """
-    corpus, trials, store = _resolve_dataset(args, cfg)
+    corpus, trials, store = dataset
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest_start(out_dir, cfg, argv)
     try:
@@ -184,7 +190,9 @@ def _run(args, argv, cfg: ExperimentConfig, out_dir: Path):
 def cmd_train(args, argv) -> int:
     out_dir = _run_dir(Path(args.out))
     cfg = _load_experiment(args)
-    ev = _run(args, argv, cfg if args.loss is None else _objective_row(cfg, args.loss), out_dir)
+    if args.loss is not None:
+        cfg = _objective_row(cfg, args.loss)
+    ev = _run(argv, cfg, _resolve_dataset(args, cfg), out_dir)
     print(f"EER {100 * ev.eer:.2f}%  minDCF(p=0.01) {ev.mindcf:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.npz'}")
     return 0
@@ -232,10 +240,12 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError(f"rows name the same run more than once: {repeated}")
     out_dir = Path(args.out)
     run_dirs = [_run_dir(out_dir / tag.replace(":", "_")) for tag in tags]
+    # the rows differ only in their objective, so they share one dataset
+    dataset = _resolve_dataset(args, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["row\teer\tmindcf\n"]
     for tag, variant, run_dir in zip(tags, variants, run_dirs):
-        ev = _run(args, argv, variant, run_dir)
+        ev = _run(argv, variant, dataset, run_dir)
         lines.append(f"{tag}\t{ev.eer:.6f}\t{ev.mindcf:.6f}\n")
         print(f"{tag}\tEER {100 * ev.eer:.2f}%\tminDCF {ev.mindcf:.4f}")
     table = out_dir / "results.tsv"

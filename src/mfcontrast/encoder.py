@@ -275,7 +275,7 @@ def _block_fwd(x, params, pre, cfg, state, mode, rng):
 # whole encoder
 
 
-def _encoder_fwd(feats, params, state, cfg, mode="eval", rng=None):
+def _encoder_fwd(feats, params, state, cfg, mode, rng=None):
     """feats (B, T, F) -> list of per-block maps and the tapes of the
     frontend and of each block. A train-mode call updates the batch-norm
     running statistics in ``state`` in place."""

@@ -1,5 +1,6 @@
 """Waveform handling: log-mel filterbank extraction, fixed-length training
-crops, and additive-noise / reverberation augmentation.
+crops, and their augmentation by ``AugmentSampler``: additive noise or
+reverberation.
 
 The filterbank frames are ``FRAME_LEN`` (25 ms) long every ``FRAME_SHIFT``
 (10 ms), the MFA-Conformer front-end; the number of mel bins is the
@@ -24,10 +25,6 @@ import numpy as np
 
 class LengthError(ValueError):
     """Waveform is too short for the requested operation."""
-
-
-class DegenerateInputError(ValueError):
-    """Signal carries no usable energy (silent input, all-zero impulse response)."""
 
 
 @dataclass
@@ -116,7 +113,7 @@ def frame_count(n_samples: int, sample_rate: int) -> int:
     return max(0, (n_samples - flen) // fshift + 1)
 
 
-def extract_fbank(w, n_mels: int = 80) -> FeatureMatrix:
+def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     """Log mel-filterbank features of one ``Waveform``, or of a sequence of
     waveforms that share their sample count and sample rate.
 
@@ -190,24 +187,6 @@ def _tile_to_length(x: np.ndarray, n: int) -> np.ndarray:
     return np.tile(x, reps)[:n]
 
 
-def add_noise(w: Waveform, noise: Waveform, snr_db: float) -> Waveform:
-    """Mix noise into the signal at a requested signal-to-noise ratio.
-
-    The noise is tiled or cropped to the signal length, then scaled by g so
-    that 10*log10(P_signal / P_scaled_noise) = snr_db, with P the mean
-    squared amplitude.
-    """
-    p_sig = np.mean(w.samples ** 2)
-    if p_sig == 0.0:
-        raise DegenerateInputError("cannot set an SNR against a silent signal")
-    n = _tile_to_length(noise.samples, w.samples.size)
-    p_noise = np.mean(n ** 2)
-    if p_noise == 0.0:
-        raise DegenerateInputError("noise signal is silent")
-    gain = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return Waveform(w.samples + gain * n, w.sample_rate, w.speaker_id, w.utterance_id)
-
-
 def _fast_real_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: a length numpy's real FFT runs fast, and
     the one ``scipy.fft.next_fast_len(n, real=True)`` picks."""
@@ -225,28 +204,6 @@ def _fast_real_length(n: int) -> int:
     return best
 
 
-def add_reverb(w: Waveform, ir: np.ndarray) -> Waveform:
-    """Convolve with an impulse response, truncate to the input length, and
-    renormalize to the input peak amplitude.
-
-    The convolution runs through a real FFT of ``_fast_real_length`` points,
-    the same arithmetic as ``scipy.signal.fftconvolve``; a one-tap response
-    is an exact multiply."""
-    ir = np.asarray(ir, dtype=np.float64)
-    if ir.size == 0 or not np.any(ir):
-        raise DegenerateInputError("impulse response is empty or all-zero")
-    x = w.samples
-    if min(x.size, ir.size) == 1:
-        out = (x * ir)[:x.size]
-    else:
-        nfft = _fast_real_length(x.size + ir.size - 1)
-        out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(ir, nfft), nfft)[:x.size]
-    peak = np.max(np.abs(out))
-    if peak > 0.0:
-        out = out * (np.max(np.abs(x)) / peak)
-    return Waveform(out, w.sample_rate, w.speaker_id, w.utterance_id)
-
-
 # augmentation: the SNR range of added noise, in dB, the chance of noise
 # rather than reverb, and the length and the tail's time constant of the
 # reverb's synthetic impulse response, in seconds
@@ -256,38 +213,46 @@ IR_DURATION = 0.25
 IR_DECAY = 0.05
 
 
-def synthetic_impulse_response(rng: np.random.Generator, sample_rate: int) -> np.ndarray:
-    """Exponentially decaying random impulse response ``IR_DURATION`` long:
-    a unit direct path followed by a noise tail decaying by ``IR_DECAY``."""
-    n = max(2, int(round(IR_DURATION * sample_rate)))
-    t = np.arange(n) / sample_rate
-    ir = 0.3 * rng.standard_normal(n) * np.exp(-t / IR_DECAY)
-    ir[0] = 1.0
-    return ir
-
-
 class AugmentSampler:
     """Draws per-utterance augmentations: white Gaussian noise at an SNR
     uniform over ``SNR_RANGE`` with probability ``NOISE_PROB``, otherwise
-    reverb through a ``synthetic_impulse_response``.
+    reverb through a synthetic impulse response.
 
     It holds no settings; it stays a class because the benchmark's
     ``features.augment`` span wraps ``AugmentSampler.apply``.
     """
 
     def apply(self, w: Waveform, rng: np.random.Generator) -> Waveform:
-        """Augment a copy of ``w`` using draws from ``rng``. An SNR against a
-        silent crop is undefined, so the noise branch copies it unchanged,
-        after the same draws."""
+        """Augment a copy of ``w`` with draws from ``rng``: the branch, then
+        the SNR and a seed for the noise, or the impulse response's tail.
+
+        Noise is the seed's standard normal samples scaled so that
+        10 log10(P_signal / P_noise) is the SNR, P the mean square; for a
+        silent crop the scale is 0, so it stays silent.
+
+        The impulse response has max(2, ``IR_DURATION`` * rate) taps: 1, then
+        a Gaussian tail of scale 0.3 decaying with time constant
+        ``IR_DECAY``. The convolution runs through a real FFT of
+        ``_fast_real_length`` points, the arithmetic of
+        ``scipy.signal.fftconvolve``; it is cut to the crop's length and
+        rescaled to the crop's peak."""
+        x = w.samples
         if rng.random() < NOISE_PROB:
-            snr = rng.uniform(*SNR_RANGE)
-            noise_seed = int(rng.integers(0, 2 ** 31 - 1))
-            if not w.samples.any():
-                return replace(w, samples=w.samples.copy())
-            noise_rng = np.random.default_rng(noise_seed)
-            noise = Waveform(noise_rng.standard_normal(w.samples.size), w.sample_rate)
-            return add_noise(w, noise, snr)
-        return add_reverb(w, synthetic_impulse_response(rng, w.sample_rate))
+            snr_db = rng.uniform(*SNR_RANGE)
+            noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
+            noise = noise_rng.standard_normal(x.size)
+            gain = np.sqrt(np.mean(x ** 2) / (np.mean(noise ** 2) * 10.0 ** (snr_db / 10.0)))
+            return replace(w, samples=x + gain * noise)
+        n = max(2, int(round(IR_DURATION * w.sample_rate)))
+        t = np.arange(n) / w.sample_rate
+        ir = 0.3 * rng.standard_normal(n) * np.exp(-t / IR_DECAY)
+        ir[0] = 1.0
+        nfft = _fast_real_length(x.size + n - 1)
+        out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(ir, nfft), nfft)[:x.size]
+        peak = np.max(np.abs(out))
+        if peak > 0.0:
+            out = out * (np.max(np.abs(x)) / peak)
+        return replace(w, samples=out)
 
 
 def load_wav(path) -> Waveform:

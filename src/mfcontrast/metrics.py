@@ -46,22 +46,10 @@ class TrialScoreSet:
         return self.scores.size
 
 
-def cosine_score(e1, e2) -> float:
-    """Inner product of the unit-normalized vectors, in [-1, 1]."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("cannot cosine-score a zero vector")
-    return float(np.dot(e1, e2) / (n1 * n2))
-
-
 def _operating_points(scores, is_target):
-    """Miss and false-acceptance rates at every candidate threshold.
-
-    Thresholds ascend; miss rates are nondecreasing, false-acceptance rates
-    nonincreasing. Returns (thresholds, p_miss, p_fa).
+    """Miss and false-acceptance rates at every candidate threshold, in
+    ascending threshold order: miss rates are nondecreasing, false-acceptance
+    rates nonincreasing. Returns (p_miss, p_fa).
     """
     target_scores = np.sort(scores[is_target])
     nontarget_scores = np.sort(scores[~is_target])
@@ -73,46 +61,41 @@ def _operating_points(scores, is_target):
     p_miss = np.searchsorted(target_scores, thresholds, side="left") / target_scores.size
     p_fa = (nontarget_scores.size
             - np.searchsorted(nontarget_scores, thresholds, side="left")) / nontarget_scores.size
-    return thresholds, p_miss, p_fa
+    return p_miss, p_fa
 
 
-def compute_eer(s: TrialScoreSet):
-    """Equal error rate and the threshold where it occurs.
+def compute_eer(s: TrialScoreSet) -> float:
+    """Equal error rate.
 
     Sweeps all distinct score thresholds; where no threshold makes the miss
     and false-acceptance rates exactly equal, the crossing is found by
     linear interpolation between the two adjacent operating points.
-    Returns (eer, threshold).
     """
-    thresholds, p_miss, p_fa = _operating_points(s.scores, s.is_target)
+    p_miss, p_fa = _operating_points(s.scores, s.is_target)
     diff = p_miss - p_fa
     k = int(np.searchsorted(diff >= 0.0, True))  # first nonnegative; diff is nondecreasing
     if diff[k] == 0.0:
-        return float(p_miss[k]), float(thresholds[k])
+        return float(p_miss[k])
     # segment from point k-1 (diff < 0) to point k (diff > 0)
     x1, y1 = p_fa[k - 1], p_miss[k - 1]
     x2, y2 = p_fa[k], p_miss[k]
     frac = (x1 - y1) / ((y2 - y1) - (x2 - x1))
-    eer = x1 + frac * (x2 - x1)
-    threshold = thresholds[k - 1] + frac * (thresholds[k] - thresholds[k - 1])
-    return float(eer), float(threshold)
+    return float(x1 + frac * (x2 - x1))
 
 
 # prior of a target trial in the detection cost
 MINDCF_P_TARGET = 0.01
 
 
-def compute_mindcf(s: TrialScoreSet):
+def compute_mindcf(s: TrialScoreSet) -> float:
     """Minimum normalized detection cost over all thresholds, with unit miss
     and false-acceptance costs and p = ``MINDCF_P_TARGET``: DCF(t) =
     p * P_miss(t) + (1 - p) * P_fa(t), normalized by min(p, 1 - p).
-    Returns (min_dcf, threshold).
     """
-    thresholds, p_miss, p_fa = _operating_points(s.scores, s.is_target)
+    p_miss, p_fa = _operating_points(s.scores, s.is_target)
     dcf = MINDCF_P_TARGET * p_miss + (1.0 - MINDCF_P_TARGET) * p_fa
-    best = int(np.argmin(dcf))
     norm = min(MINDCF_P_TARGET, 1.0 - MINDCF_P_TARGET)
-    return float(dcf[best] / norm), float(thresholds[best])
+    return float(dcf[int(np.argmin(dcf))] / norm)
 
 
 # each stacked product of score_trials gathers about this many bytes of
@@ -132,8 +115,9 @@ def score_trials(trials, store) -> TrialScoreSet:
     Order is preserved. All missing utterance ids are collected and
     reported together. Each utterance's norm is taken once, and the trials'
     dot products as stacked products over chunks of trials of about
-    ``_SCORE_CHUNK_BYTES`` of embeddings; every score equals
-    ``cosine_score`` of its pair, bit for bit.
+    ``_SCORE_CHUNK_BYTES`` of embeddings; every score equals its pair's
+    cosine computed alone, ``np.dot(e1, e2) / (norm(e1) * norm(e2))`` with
+    ``np.linalg.norm``, bit for bit.
     """
     missing = sorted({u for t in trials for u in (t.enroll_utt, t.test_utt)
                       if u not in store})

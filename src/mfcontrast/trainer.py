@@ -134,20 +134,16 @@ def speaker_label_map(utterances) -> dict:
 
 
 def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
-                label_map=None):
+                label_map: dict):
     """Doubled training batch from B sampled utterances.
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
     counterparts in matching order. One ``extract_fbank`` call turns them
     into features, so the utterances must share a sample rate (a
     ``load_manifest`` corpus does). Returns (features
-    (2B, T, n_mels) as float32, labels (2B,)). Deterministic under
-    rng_seed. ``label_map`` defaults to ``speaker_label_map(utterances)``.
+    (2B, T, n_mels) as float32, labels (2B,) from ``label_map``, a
+    ``speaker_label_map`` of the corpus). Deterministic under rng_seed.
     """
-    if not utterances:
-        raise ValueError("cannot build a batch from an empty dataset")
-    if label_map is None:
-        label_map = speaker_label_map(utterances)
     rng = np.random.default_rng([rng_seed, 0xBA7C4])
     crops = [random_crop(w, cfg.crop_duration, int(rng.integers(2 ** 31 - 1)))
              for w in utterances]
@@ -318,9 +314,7 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
         futures = [pool.submit(embed, share) for share in shares[1:]]
         embedded = [embed(share) for share in shares[:1]] + [f.result() for f in futures]
     scores = score_trials(trials, dict(pair for share in embedded for pair in share))
-    eer, _ = compute_eer(scores)
-    mindcf, _ = compute_mindcf(scores)
-    return EvalResult(eer, mindcf, scores)
+    return EvalResult(compute_eer(scores), compute_mindcf(scores), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +359,6 @@ def _keep_freed_heap():
 class TrainResult:
     model: SpeakerModel
     history: list
-    label_map: dict
     eval_result: EvalResult | None = None
 
 
@@ -420,7 +413,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                 t0 = time.perf_counter()
                 feats, labels = build_batch(
                     picked, cfg, enc_cfg.input_dim, _derive_seed(cfg.seed, 1, epoch, s),
-                    label_map=label_map)
+                    label_map)
                 data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
                 faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -452,4 +445,4 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
         eval_result = evaluate(model, trials, store)
     if out_dir is not None:
         model.save(Path(out_dir) / "checkpoint.npz")
-    return TrainResult(model, history, label_map, eval_result)
+    return TrainResult(model, history, eval_result)

@@ -6,7 +6,9 @@ verifies.
 """
 
 import numpy as np
+from scipy.signal import fftconvolve
 
+from mfcontrast.features import IR_DECAY, IR_DURATION, NOISE_PROB, SNR_RANGE
 from mfcontrast.metrics import Trial
 from mfcontrast.synthdata import F0_RANGE, RESONANCE_BANDS
 
@@ -58,6 +60,32 @@ def direct_convolution(x, k):
         for j in range(m):
             out[i + j] += x[i] * k[j]
     return out
+
+
+def fft_reverb(x, ir):
+    """``x`` convolved with ``ir`` by ``scipy.signal.fftconvolve``, cut to
+    the length of ``x`` and rescaled to its peak amplitude."""
+    full = fftconvolve(x, ir)[:len(x)]
+    return full * (np.max(np.abs(x)) / np.max(np.abs(full)))
+
+
+def drawn_augmentation(x, sample_rate, seed):
+    """What ``AugmentSampler.apply`` makes of a voiced crop ``x`` under
+    ``np.random.default_rng(seed)``, rebuilt from the same draws in the
+    same order. Returns ("noise", the drawn SNR in dB, output) or
+    ("reverb", the drawn impulse response, output)."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < NOISE_PROB:
+        snr_db = rng.uniform(*SNR_RANGE)
+        noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
+        noise = noise_rng.standard_normal(len(x))
+        gain = np.sqrt(np.mean(x ** 2) / (np.mean(noise ** 2) * 10.0 ** (snr_db / 10.0)))
+        return "noise", snr_db, x + gain * noise
+    taps = max(2, int(round(IR_DURATION * sample_rate)))
+    t = np.arange(taps) / sample_rate
+    ir = 0.3 * rng.standard_normal(taps) * np.exp(-t / IR_DECAY)
+    ir[0] = 1.0
+    return "reverb", ir, fft_reverb(x, ir)
 
 
 def direct_depthwise_conv1d(x, w, dy):
@@ -132,6 +160,18 @@ def dft_mel_energies(frame, n_fft, sample_rate, n_mels):
                 w = 0.0
             energies[m] += w * power[k]
     return energies
+
+
+def cosine_score(e1, e2) -> float:
+    """Inner product of the unit-normalized vectors, in [-1, 1]: the
+    reference for ``metrics.score_trials``."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    n1 = np.linalg.norm(e1)
+    n2 = np.linalg.norm(e2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ValueError("cannot cosine-score a zero vector")
+    return float(np.dot(e1, e2) / (n1 * n2))
 
 
 def sweep_error_rates(scores, labels):

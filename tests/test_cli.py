@@ -224,6 +224,46 @@ def test_sweep_trains_one_run_per_row_and_tabulates_the_canonical_tags(tmp_path,
     assert "mfcon:lam1=0.1\tEER 12.50%" in capsys.readouterr().out
 
 
+# the rows of a sweep differ only in their objective: the corpus, trials and
+# store are built once for all of them
+def test_a_sweep_resolves_its_dataset_once(tmp_path, monkeypatch):
+    runs = captured_runs(monkeypatch)
+    specs, generate = [], cli.generate_corpus
+    monkeypatch.setattr(cli, "generate_corpus", lambda spec: specs.append(spec) or generate(spec))
+    assert cli.main(["sweep", "am_softmax", "mfcon:lam1=0.1", "--synthetic", "--config",
+                     str(small_config(tmp_path / "cfg.json")),
+                     "--out", str(tmp_path / "sweep")]) == 0
+    assert len(runs) == 2 and len(specs) == 1
+
+
+def test_a_sweep_over_an_unreadable_manifest_fails_before_its_directory_exists(tmp_path,
+                                                                              capsys):
+    manifest, corpus = small_manifest(tmp_path)
+    bad = manifest.parent / corpus[1].speaker_id / f"{corpus[1].utterance_id}.wav"
+    bad.write_bytes(b"")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "am_softmax", "mfcon", "--data", str(manifest),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not out.exists()
+
+
+# a start record that cannot be written leaves no temporary file beside the
+# manifest: a record json cannot encode, or a rename that fails
+@pytest.mark.parametrize("failure", ["encode", "rename"])
+def test_a_failed_manifest_write_leaves_no_temporary_file(tmp_path, monkeypatch, failure):
+    argv = ["train"]
+    if failure == "encode":
+        argv.append(object())
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises((TypeError, OSError)):
+        cli._write_manifest_start(tmp_path, desk_config(), argv)
+    assert list(tmp_path.iterdir()) == []
+
+
 # a synthetic utterance shorter than the 55 ms that scoring needs is named as
 # a config value before anything is generated or any run directory exists;
 # at 55 ms the held-out utterances score
@@ -283,13 +323,13 @@ def test_non_finite_loss_exits_4_and_ends_the_manifest(tmp_path, capsys, monkeyp
 
 
 def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):
-    runs, cli_train = [], cli.train
+    corpora, cli_train = [], cli.train
 
-    def keep_result(*args, **kwargs):
-        runs.append(cli_train(*args, **kwargs))
-        return runs[-1]
+    def keep_corpus(corpus, *args, **kwargs):
+        corpora.append(corpus)
+        return cli_train(corpus, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "train", keep_result)
+    monkeypatch.setattr(cli, "train", keep_corpus)
     out = tmp_path / "run"
     argv = ["train", "--synthetic", "--config", str(small_config(tmp_path / "cfg.json")),
             "--out", str(out)]
@@ -297,7 +337,7 @@ def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):
     assert (out / "checkpoint.npz").is_file()
     assert "EER" in capsys.readouterr().out
     # the configured 4 speakers train; the trials use 4 others
-    trained = set(runs[0].label_map)
+    trained = {w.speaker_id for w in corpora[0]}
     scored = {utt.split("_utt")[0] for t in load_trials(out / "trials.txt")
               for utt in (t.enroll_utt, t.test_utt)}
     assert len(trained) == 4 and len(scored) == 4

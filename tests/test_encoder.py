@@ -33,7 +33,7 @@ def block(h, params, state, i=0, cfg=TOY):
 
 def encode(x, params, state, cfg=TOY):
     """Every block's eval-mode map for one (T, F) matrix."""
-    taps, _ = _encoder_fwd(x[None], params, state, cfg)
+    taps, _ = _encoder_fwd(x[None], params, state, cfg, "eval")
     return [t[0] for t in taps]
 
 
@@ -59,12 +59,12 @@ class TestSubsampleFrontend:
     def test_too_short_raises(self):
         params, state, rng = toy_setup()
         with pytest.raises(LengthError):
-            _encoder_fwd(rng.standard_normal((1, 3, 8)), params, state, TOY)
+            _encoder_fwd(rng.standard_normal((1, 3, 8)), params, state, TOY, "eval")
 
     def test_wrong_width_raises(self):
         params, state, rng = toy_setup()
         with pytest.raises(ShapeError):
-            _encoder_fwd(rng.standard_normal((1, 10, 9)), params, state, TOY)
+            _encoder_fwd(rng.standard_normal((1, 10, 9)), params, state, TOY, "eval")
 
 
 class TestConformerBlock:
@@ -99,7 +99,7 @@ class TestConformerBlock:
         pre = "encoder.block0"
 
         out, tape = _block_fwd(h, params, pre, cfg, state, "train", None)
-        grads = {}
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         dh = tape.backward(r.copy(), grads)
 
         def f():
@@ -226,7 +226,7 @@ class TestFullNetworkGradient:
         readouts = [rng.standard_normal((2, 6, 16)) for _ in range(2)]
 
         taps, cache = _encoder_fwd(x, params, state, TOY, "train", None)
-        grads = {}
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         _encoder_bwd([r.copy() for r in readouts], cache, grads)
 
         def scalar():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
 
 from mfcontrast import features
-from mfcontrast.features import (AugmentSampler, DegenerateInputError, LengthError,
-                                 Waveform, add_noise, add_reverb, extract_fbank, load_wav,
-                                 mel_filterbank, random_crop, synthetic_impulse_response)
+from mfcontrast.features import (AugmentSampler, LengthError, Waveform, extract_fbank,
+                                 load_wav, mel_filterbank, random_crop)
 
-from oracles import dft_mel_energies, direct_convolution, mel_band_edges
+from oracles import (dft_mel_energies, direct_convolution, drawn_augmentation, fft_reverb,
+                     mel_band_edges)
 from writers import save_wav
 
 
@@ -60,7 +59,7 @@ class TestExtractFbank:
 
     def test_too_short_raises(self):
         with pytest.raises(LengthError):
-            extract_fbank(Waveform(np.ones(100), 16000))
+            extract_fbank(Waveform(np.ones(100), 16000), 80)
 
     def test_cached_frame_weights_match_fresh_ones_and_reject_writes(self):
         features._frame_weights.cache_clear()
@@ -138,11 +137,11 @@ class TestExtractFbank:
                                        Waveform(np.ones(4000), 16000)])
     def test_a_batch_of_mixed_lengths_or_rates_is_rejected(self, other):
         with pytest.raises(ValueError, match="share their sample count and rate"):
-            extract_fbank([Waveform(np.ones(4000), 8000), other])
+            extract_fbank([Waveform(np.ones(4000), 8000), other], 40)
 
     def test_an_empty_batch_is_rejected(self):
         with pytest.raises(ValueError, match="no waveforms"):
-            extract_fbank([])
+            extract_fbank([], 40)
 
 
 class TestRandomCrop:
@@ -169,100 +168,110 @@ class TestRandomCrop:
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
-class TestAddNoise:
-    def test_zero_db_equalizes_powers(self):
-        rng = np.random.default_rng(2)
-        w = Waveform(rng.standard_normal(8000), 16000)
-        noise = Waveform(rng.standard_normal(8000), 16000)
-        out = add_noise(w, noise, snr_db=0.0)
-        mixed_noise = out.samples - w.samples
-        p_sig = np.mean(w.samples ** 2)
-        p_noise = np.mean(mixed_noise ** 2)
-        assert abs(p_noise - p_sig) / p_sig < 1e-6
+def seeds_on(branch, count):
+    """The first ``count`` seeds whose generator sends
+    ``AugmentSampler.apply`` down ``branch``, "noise" or "reverb"."""
+    seeds = (s for s in range(1000)
+             if (np.random.default_rng(s).random() < features.NOISE_PROB) == (branch == "noise"))
+    return [next(seeds) for _ in range(count)]
 
-    def test_high_snr_barely_changes_signal(self):
-        rng = np.random.default_rng(3)
-        w = Waveform(rng.standard_normal(8000), 16000)
-        noise = Waveform(rng.standard_normal(8000), 16000)
-        out = add_noise(w, noise, snr_db=100.0)
-        rel = np.sqrt(np.mean((out.samples - w.samples) ** 2)
-                      / np.mean(w.samples ** 2))
+
+def augmented(x, sample_rate, seed):
+    return AugmentSampler().apply(Waveform(x, sample_rate), np.random.default_rng(seed)).samples
+
+
+class TestAddNoise:
+    """The noise branch of ``AugmentSampler.apply``; a test that needs one
+    SNR makes it the whole of ``SNR_RANGE`` and takes the branch always."""
+
+    @pytest.fixture
+    def snr_db(self, monkeypatch):
+        monkeypatch.setattr(features, "NOISE_PROB", 1.0)
+
+        def fix(value):
+            monkeypatch.setattr(features, "SNR_RANGE", (value, value))
+        return fix
+
+    def test_zero_db_equalizes_powers(self, snr_db):
+        snr_db(0.0)
+        x = np.random.default_rng(2).standard_normal(8000)
+        added = augmented(x, 16000, 3) - x
+        p_sig = np.mean(x ** 2)
+        assert abs(np.mean(added ** 2) - p_sig) / p_sig < 1e-6
+
+    def test_high_snr_barely_changes_signal(self, snr_db):
+        snr_db(100.0)
+        x = np.random.default_rng(3).standard_normal(8000)
+        rel = np.sqrt(np.mean((augmented(x, 16000, 4) - x) ** 2) / np.mean(x ** 2))
         assert rel < 1e-4
 
-    def test_twenty_db_gain_is_tenth(self):
-        # unit-power signal and noise: 20 = -20*log10(g) so g = 0.1
-        n = 10000
-        w = Waveform(np.full(n, 1.0), 16000)
-        noise = Waveform(np.full(n, -1.0), 16000)
-        out = add_noise(w, noise, snr_db=20.0)
-        gain = (w.samples - out.samples)[0]
-        assert abs(gain - 0.1) < 1e-12
+    def test_twenty_db_gain_is_tenth(self, snr_db):
+        # a unit-power signal: 20 = -20*log10(g) for noise scaled to unit
+        # power, so the added noise is the seed's draws times 0.1 / rms
+        snr_db(20.0)
+        x = np.ones(10000)
+        rng = np.random.default_rng(5)
+        rng.random(), rng.uniform()  # apply's branch and SNR draws
+        noise_seed = int(rng.integers(0, 2 ** 31 - 1))
+        noise = np.random.default_rng(noise_seed).standard_normal(x.size)
+        gain = (augmented(x, 16000, 5) - x) / noise
+        np.testing.assert_allclose(gain, 0.1 / np.sqrt(np.mean(noise ** 2)), rtol=1e-9)
 
     def test_requested_snr_achieved(self):
-        rng = np.random.default_rng(4)
-        for snr in (-5.0, 0.0, 7.5, 15.0):
-            w = Waveform(rng.standard_normal(4000) * 0.3, 16000)
-            noise = Waveform(rng.standard_normal(4000), 16000)
-            out = add_noise(w, noise, snr)
-            scaled = out.samples - w.samples
-            measured = 10 * np.log10(np.mean(w.samples ** 2) / np.mean(scaled ** 2))
-            assert abs(measured - snr) < 1e-3
-
-    def test_noise_tiled_to_signal_length(self):
-        w = sine(100.0, duration=1.0)
-        noise = Waveform(np.ones(100), 16000)
-        out = add_noise(w, noise, 10.0)
-        assert out.samples.size == w.samples.size
-
-    def test_silent_signal_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            add_noise(Waveform(np.zeros(100), 16000), sine(100.0), 10.0)
+        # the SNR apply draws, rebuilt from the same draws, is the SNR of
+        # its output, which equals the rebuilt one bit for bit
+        for seed in seeds_on("noise", 4):
+            x = 0.3 * np.random.default_rng(100 + seed).standard_normal(4000)
+            branch, snr, expected = drawn_augmentation(x, 16000, seed)
+            out = augmented(x, 16000, seed)
+            assert branch == "noise" and np.array_equal(out, expected)
+            measured = 10 * np.log10(np.mean(x ** 2) / np.mean((out - x) ** 2))
+            assert abs(measured - snr) < 1e-6
 
 
 class TestAddReverb:
+    """The reverb branch of ``AugmentSampler.apply``, checked against
+    ``fft_reverb`` on the impulse response rebuilt from its draws, and
+    ``fft_reverb`` itself on known responses."""
+
     def test_unit_impulse_is_identity(self):
-        rng = np.random.default_rng(5)
-        w = Waveform(rng.standard_normal(2000), 16000)
-        out = add_reverb(w, np.array([1.0]))
-        np.testing.assert_array_equal(out.samples, w.samples)
+        x = np.random.default_rng(5).standard_normal(2000)
+        np.testing.assert_array_equal(fft_reverb(x, np.array([1.0])), x)
 
     def test_delay_impulse_shifts(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(2000)
+        x = np.random.default_rng(6).standard_normal(2000)
         x[1000] = 5.0  # interior peak survives truncation
-        w = Waveform(x, 16000)
-        out = add_reverb(w, np.array([0.0, 1.0]))
-        assert out.samples[0] == 0.0
-        np.testing.assert_allclose(out.samples[1:], w.samples[:-1], rtol=1e-12)
+        out = fft_reverb(x, np.array([0.0, 1.0]))
+        assert abs(out[0]) < 1e-12
+        np.testing.assert_allclose(out[1:], x[:-1], rtol=1e-12, atol=1e-12)
 
     def test_matches_direct_convolution_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(500)
-        ir = rng.standard_normal(64)
-        out = add_reverb(Waveform(x, 16000), ir)
+        # 64 taps at 256 Hz
+        x = np.random.default_rng(7).standard_normal(500)
+        seed = seeds_on("reverb", 1)[0]
+        branch, ir, _ = drawn_augmentation(x, 256, seed)
+        assert branch == "reverb" and ir.size == 64
         full = direct_convolution(x, ir)[:500]
         expected = full * (np.max(np.abs(x)) / np.max(np.abs(full)))
-        np.testing.assert_allclose(out.samples, expected, atol=1e-6 * np.max(np.abs(expected)))
+        np.testing.assert_allclose(augmented(x, 256, seed), expected,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
-    @pytest.mark.parametrize("n, m", [(2, 2), (2000, 1), (1, 9), (500, 64), (4001, 4000),
-                                      (12_837, 2000), (48_000, 4000)])
+    # n samples at the rate whose impulse response has m taps
+    @pytest.mark.parametrize("n, m", [(2, 2), (500, 64), (4001, 4000), (12_837, 2000),
+                                      (48_000, 4000)])
     def test_equals_scipy_fftconvolve_bit_for_bit(self, n, m):
-        rng = np.random.default_rng(n + m)
-        x, ir = rng.standard_normal(n), rng.standard_normal(m)
-        full = fftconvolve(x, ir)[:n]
-        expected = full * (np.max(np.abs(x)) / np.max(np.abs(full)))
-        np.testing.assert_array_equal(add_reverb(Waveform(x, 16000), ir).samples, expected)
+        sample_rate = 4 * m
+        for seed in seeds_on("reverb", 3):
+            x = np.random.default_rng(n + m + seed).standard_normal(n)
+            branch, ir, expected = drawn_augmentation(x, sample_rate, seed)
+            assert branch == "reverb" and ir.size == m
+            np.testing.assert_array_equal(augmented(x, sample_rate, seed), expected)
 
     def test_peak_renormalized(self):
-        rng = np.random.default_rng(8)
-        w = Waveform(rng.standard_normal(3000), 16000)
-        ir = synthetic_impulse_response(rng, 16000)
-        out = add_reverb(w, ir)
-        assert abs(np.max(np.abs(out.samples)) - np.max(np.abs(w.samples))) < 1e-12
-
-    def test_zero_ir_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            add_reverb(sine(100.0), np.zeros(16))
+        x = np.random.default_rng(8).standard_normal(3000)
+        for seed in seeds_on("reverb", 3):
+            out = augmented(x, 16000, seed)
+            assert abs(np.max(np.abs(out)) - np.max(np.abs(x))) < 1e-12
 
 
 class TestAugment:
@@ -283,8 +292,8 @@ class TestAugment:
         assert len({round(float(np.sum(o.samples ** 2)), 6) for o in outs}) > 1
 
     def test_a_silent_crop_stays_silent_after_the_same_draws(self):
-        # an SNR against a silent crop is undefined (add_noise rejects it);
-        # the sampler copies the crop and leaves rng where a voiced crop does
+        # a silent crop's noise is scaled by 0: the crop stays silent, in a
+        # new array, and rng is left where a voiced crop leaves it
         seeds = range(8)
         assert {np.random.default_rng(s).random() < features.NOISE_PROB
                 for s in seeds} == {True, False}

@@ -120,7 +120,7 @@ class TestHeadForward:
         r = rng.standard_normal((2, 5))
 
         emb, tape = _head_fwd(tap, params, state, 0, "train")
-        grads = {}
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         dtap = tape.backward(r.copy(), grads)
 
         def f():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from mfcontrast.metrics import (MissingUtteranceError, Trial, TrialScoreSet,
-                                compute_eer, compute_mindcf, cosine_score,
-                                load_trials, save_scores,
+                                compute_eer, compute_mindcf, load_trials, save_scores,
                                 save_trials, score_trials)
 
-from oracles import brute_force_eer, brute_force_mindcf
+from oracles import brute_force_eer, brute_force_mindcf, cosine_score
 
 
 def scoreset(targets, nontargets):
@@ -16,6 +15,8 @@ def scoreset(targets, nontargets):
 
 
 class TestCosineScore:
+    """The oracle ``score_trials`` is checked against."""
+
     def test_identical_vectors(self):
         v = np.array([0.3, -0.2, 0.9])
         assert cosine_score(v, 2.5 * v) == pytest.approx(1.0)
@@ -34,13 +35,11 @@ class TestCosineScore:
 
 class TestComputeEer:
     def test_perfect_separation(self):
-        eer, thr = compute_eer(scoreset([0.9, 0.8], [0.2, 0.1]))
-        assert eer == 0.0
+        assert compute_eer(scoreset([0.9, 0.8], [0.2, 0.1])) == 0.0
 
     def test_hand_derived_one_third(self):
-        eer, thr = compute_eer(scoreset([0.8, 0.6, 0.4], [0.5, 0.3, 0.1]))
+        eer = compute_eer(scoreset([0.8, 0.6, 0.4], [0.5, 0.3, 0.1]))
         assert abs(eer - 1.0 / 3.0) < 1e-12
-        assert 0.4 < thr <= 0.5
 
     def test_label_swap_symmetry(self):
         rng = np.random.default_rng(0)
@@ -48,16 +47,16 @@ class TestComputeEer:
         labels = rng.random(40) < 0.5
         if labels.all() or not labels.any():
             labels[0] = ~labels[0]
-        eer, _ = compute_eer(TrialScoreSet(scores, labels))
-        flipped, _ = compute_eer(TrialScoreSet(-scores, ~labels))
+        eer = compute_eer(TrialScoreSet(scores, labels))
+        flipped = compute_eer(TrialScoreSet(-scores, ~labels))
         assert abs(eer - flipped) < 1e-9
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         scores = rng.standard_normal(60)
         labels = np.concatenate([np.ones(30, bool), np.zeros(30, bool)])
-        base, _ = compute_eer(TrialScoreSet(scores, labels))
-        warped, _ = compute_eer(TrialScoreSet(np.exp(scores) + 3.0, labels))
+        base = compute_eer(TrialScoreSet(scores, labels))
+        warped = compute_eer(TrialScoreSet(np.exp(scores) + 3.0, labels))
         assert abs(base - warped) < 1e-12
 
     def test_matches_brute_force_oracle(self):
@@ -67,13 +66,13 @@ class TestComputeEer:
             n_n = int(rng.integers(1, 40))
             s = scoreset(rng.standard_normal(n_t) + rng.uniform(0, 1.5),
                          rng.standard_normal(n_n))
-            eer, _ = compute_eer(s)
+            eer = compute_eer(s)
             oracle = brute_force_eer(list(s.scores), list(s.is_target))
             assert abs(eer - oracle) < 1e-9
 
     def test_duplicate_scores_are_stable(self):
         s = scoreset([0.5, 0.5, 0.4], [0.5, 0.2, 0.2])
-        eer, _ = compute_eer(s)
+        eer = compute_eer(s)
         oracle = brute_force_eer(list(s.scores), list(s.is_target))
         assert abs(eer - oracle) < 1e-12
 
@@ -84,13 +83,11 @@ class TestComputeEer:
 
 class TestComputeMindcf:
     def test_perfect_separation(self):
-        mindcf, _ = compute_mindcf(scoreset([0.9, 0.8], [0.2, 0.1]))
-        assert mindcf == 0.0
+        assert compute_mindcf(scoreset([0.9, 0.8], [0.2, 0.1])) == 0.0
 
     def test_all_scores_identical_cost_one(self):
         # reject-all: normalized cost 1; accept-all: 99 with p_target 0.01
-        mindcf, _ = compute_mindcf(scoreset([0.5, 0.5], [0.5, 0.5, 0.5]))
-        assert mindcf == pytest.approx(1.0)
+        assert compute_mindcf(scoreset([0.5, 0.5], [0.5, 0.5, 0.5])) == pytest.approx(1.0)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
@@ -98,7 +95,7 @@ class TestComputeMindcf:
             n_t = int(rng.integers(1, 30))
             n_n = int(rng.integers(1, 30))
             s = scoreset(rng.standard_normal(n_t) + 1.0, rng.standard_normal(n_n))
-            mindcf, _ = compute_mindcf(s)
+            mindcf = compute_mindcf(s)
             oracle = brute_force_mindcf(list(s.scores), list(s.is_target))
             assert abs(mindcf - oracle) < 1e-12
 
@@ -106,8 +103,7 @@ class TestComputeMindcf:
         rng = np.random.default_rng(4)
         for _ in range(50):
             s = scoreset(rng.standard_normal(10) - 2.0, rng.standard_normal(10) + 2.0)
-            mindcf, _ = compute_mindcf(s)
-            assert mindcf <= 1.0 + 1e-12
+            assert compute_mindcf(s) <= 1.0 + 1e-12
 
 
 class TestScoreTrials:

@@ -180,7 +180,8 @@ def desk_batch():
     corpus = generate_corpus(SynthSpec(n_speakers=10, utts_per_speaker=5, duration=1.6,
                                        sample_rate=8000, seed=4))
     feats, labels = trainer.build_batch(corpus, desk.train, desk.encoder.input_dim,
-                                        rng_seed=5)
+                                        rng_seed=5,
+                                        label_map=trainer.speaker_label_map(corpus))
     m = SpeakerModel(desk.encoder, desk.head, num_speakers=10, seed=6)
     return m, desk.train, feats, labels
 

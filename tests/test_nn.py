@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from mfcontrast import nn
-from mfcontrast.encoder import EncoderConfig
+from mfcontrast.encoder import FRONTEND_STRIDE, EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.model import SpeakerModel
 
@@ -74,8 +74,8 @@ def case_strided_conv1d(normal):
     # w and b only: the op returns no input gradient, since its one caller,
     # the frontend, takes the features as input
     x, w, b = normal((2, 11, 6)), normal((3, 6, 5)), normal(5)
-    f, r = readout(lambda: nn.strided_conv1d_fwd(x, w, b), (2, 6, 5), normal)
-    dx, dw, db = nn.strided_conv1d_bwd(r, nn.strided_conv1d_fwd(x, w, b)[1])
+    f, r = readout(lambda: nn.strided_conv1d_fwd(x, w, b, FRONTEND_STRIDE), (2, 6, 5), normal)
+    dx, dw, db = nn.strided_conv1d_bwd(r, nn.strided_conv1d_fwd(x, w, b, FRONTEND_STRIDE)[1])
     assert dx is None
     return f, [w, b], [dw, db]
 
@@ -249,7 +249,7 @@ def test_tape_replays_a_chain_as_the_hand_chained_backward():
     h = tape.op(nn.silu_fwd, nn.silu_bwd, h)
     y = tape.op(nn.dropout_fwd, nn.dropout_bwd, h, rate=0.3, mode="train",
                 rng=np.random.default_rng(6))
-    grads = {}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     dx = tape.backward(dy, grads)
 
     h, c_ln = nn.layer_norm_fwd(x, params["ln.g"], params["ln.b"])
@@ -274,7 +274,7 @@ def test_tape_adds_the_gradients_of_a_name_recorded_twice():
     tape = nn.Tape(params, "train")
     h = tape.op(nn.linear_fwd, nn.linear_bwd, x, "w", "b")
     tape.op(nn.linear_fwd, nn.linear_bwd, h, "w", "b")
-    grads = {}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     tape.backward(dy, grads)
     d1, dw1, db1 = nn.linear_bwd(dy, (h, params["w"]))
     _, dw0, db0 = nn.linear_bwd(d1, (x, params["w"]))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mfcontrast"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mfcontrast"
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +34,38 @@ def test_the_scan_finds_an_import_only_a_docstring_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_import_is_read(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_definitions(package: dict, readers: dict) -> list:
+    """Top-level functions and classes of the ``package`` sources (file name
+    -> text) whose name no other top-level statement of ``package`` or
+    ``readers`` reads, as a name or an attribute. A definition's reads of
+    its own name (recursion) do not count."""
+    reads, defined = [], []
+    for origin, sources in (("package", package), ("reader", readers)):
+        for name, source in sources.items():
+            for stmt in ast.parse(source).body:
+                read = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                read |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+                reads.append((stmt, read))
+                if origin == "package" and isinstance(
+                        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((name, stmt))
+    return sorted(f"{name}:{stmt.name}" for name, stmt in defined
+                  if not any(stmt.name in read for other, read in reads if other is not stmt))
+
+
+def test_the_scan_finds_a_definition_only_itself_reads():
+    package = {"a.py": "def used():\n    return 1\n\n"
+                       "def orphan(n):\n    return orphan(n - 1) if n else used()\n",
+               "b.py": "class Kept:\n    pass\n"}
+    readers = {"bench.py": "from a import Kept\nKept()\n"}
+    assert unread_definitions(package, readers) == ["a.py:orphan"]
+
+
+def test_every_definition_is_read_by_the_library_or_the_benchmark():
+    # a function or class only tests reach belongs in the tests
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {p.name: p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")}
+    assert unread_definitions(package, readers) == []

@@ -11,12 +11,11 @@ from mfcontrast.encoder import EncoderConfig
 from mfcontrast.features import FeatureMatrix, Waveform, extract_fbank, frame_count
 from mfcontrast.heads import HeadConfig
 from mfcontrast.losses import LossConfig
-from mfcontrast.metrics import cosine_score
 from mfcontrast.model import SpeakerModel
 from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
 
-from oracles import per_array_adam_step
+from oracles import cosine_score, per_array_adam_step
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
@@ -189,8 +188,7 @@ def test_train_step_matches_a_per_array_adam_bit_for_bit(monkeypatch):
     cfg = tiny("combined")
     label_map = trainer.speaker_label_map(CORPUS)
     for t in range(1, 5):
-        feats, labels = trainer.build_batch(CORPUS[t::2], cfg, ENC.input_dim, t,
-                                            label_map=label_map)
+        feats, labels = trainer.build_batch(CORPUS[t::2], cfg, ENC.input_dim, t, label_map)
         trainer.train_step(model, opt, feats, labels, cfg, cfg.lr, np.random.default_rng(t))
         per_array_adam_step(ref, seen[-1], ref_m, ref_v, t, cfg.lr)
         assert opt.t == t
@@ -258,11 +256,12 @@ def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
         return FeatureMatrix(np.stack([extract_fbank(w, n_mels).values for w in waves]))
 
     cfg = replace(tiny("mfcon"), crop_duration=crop_duration)
+    label_map = trainer.speaker_label_map(utterances)
     for seed in (1, 2, 3):
         monkeypatch.setattr(trainer, "extract_fbank", counted)
-        feats, labels = trainer.build_batch(utterances, cfg, 16, seed)
+        feats, labels = trainer.build_batch(utterances, cfg, 16, seed, label_map)
         monkeypatch.setattr(trainer, "extract_fbank", per_crop)
-        loop_feats, loop_labels = trainer.build_batch(utterances, cfg, 16, seed)
+        loop_feats, loop_labels = trainer.build_batch(utterances, cfg, 16, seed, label_map)
         assert feats.dtype == np.float32 and np.array_equal(feats, loop_feats)
         assert np.array_equal(labels, loop_labels)
         # row b and row B+b share a label, so every anchor has a positive and
