@@ -20,12 +20,6 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-# One BLAS thread, set before the first import that loads numpy: evaluate()
-# already spreads its batches over the CPUs, and a run's bits then do not
-# depend on the host's core count. A value the environment sets wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 from . import __version__
 from .config import PRESETS, TRIAL_SEED, ConfigError, ExperimentConfig, load_config
 from .features import LengthError

@@ -49,8 +49,9 @@ class EncoderConfig:
     input_dim: int = 80
 
     def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
+        for name in ("num_blocks", "model_dim", "ff_expansion", "conv_kernel", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model_dim % NUM_HEADS != 0:
             raise ValueError(f"model_dim must be divisible by {NUM_HEADS} (NUM_HEADS)")
         if self.model_dim % 2 != 0:

@@ -9,10 +9,12 @@ every parameter lies, in ``params`` order, in one flat ``param_vector``, and
 ``grad_vector``, which ``backward`` overwrites. Adam and ``load`` write
 through these arrays and never rebind an entry. Batch-norm running
 statistics live in ``state``: a train-mode forward updates its arrays in
-place, which makes training single-writer; an eval-mode forward only reads
-them and is safe to run concurrently. A train-mode forward returns the
-tapes (``nn.Tape``) that ``backward`` replays; an eval-mode forward records
-none, and ``backward`` rejects its output.
+place, and of the row shards of one batch (``nn.row_shard``) only shard 0
+writes them; an eval-mode forward only reads them and is safe to run
+concurrently. A train-mode forward returns the tapes (``nn.Tape``) that
+``backward`` replays; an eval-mode forward records none, and ``backward``
+rejects its output. Each row shard's ``backward`` writes its own gradient
+vector.
 
 Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
 (float32), and so are every activation, cached array and parameter
@@ -57,11 +59,15 @@ def _flat_layout(params: dict, dtype):
     # np.zeros maps pages that stay untouched until written, so a model that
     # never runs backward never makes its gradient pages resident
     grad_vector = np.zeros(param_vector.size, dtype)
-    ends = np.cumsum([v.size for v in params.values()])
-    views = [{k: vector[end - v.size:end].reshape(v.shape)
-              for (k, v), end in zip(params.items(), ends)}
-             for vector in (param_vector, grad_vector)]
-    return param_vector, views[0], grad_vector, views[1]
+    return param_vector, _views(param_vector, params), grad_vector, _views(grad_vector, params)
+
+
+def _views(vector, like: dict) -> dict:
+    """name -> the view of ``vector`` shaped as each array of ``like``,
+    the arrays laid end to end in ``like`` order."""
+    ends = np.cumsum([v.size for v in like.values()])
+    return {k: vector[end - v.size:end].reshape(v.shape)
+            for (k, v), end in zip(like.items(), ends)}
 
 
 @dataclass
@@ -124,14 +130,19 @@ class SpeakerModel:
                            spk_emb.astype(np.float64),
                            {"encoder": enc_tapes, "heads": head_tapes, "mfa": mfa_tape})
 
-    def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding):
+    def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding,
+                 grad_vector=None):
         """Gradients of a scalar objective w.r.t. every parameter, given its
-        gradients w.r.t. the raw tap embeddings and speaker embedding:
-        ``grads``, whose arrays (views of ``grad_vector``) the next
-        ``backward`` overwrites. Raises ValueError when ``out`` came from an
-        eval-mode forward."""
-        grads = self.grads
-        self.grad_vector.fill(0.0)
+        gradients w.r.t. the raw tap embeddings and speaker embedding,
+        written over ``grad_vector``, a vector laid out as the model's own
+        (the default). Returns the name -> view dict over it: ``grads`` by
+        default, whose arrays the next such ``backward`` overwrites. Raises
+        ValueError when ``out`` came from an eval-mode forward."""
+        if grad_vector is None:
+            grad_vector, grads = self.grad_vector, self.grads
+        else:
+            grads = _views(grad_vector, self.params)
+        grad_vector.fill(0.0)
         d_taps = _heads_bwd([np.asarray(d, dtype=self.dtype) for d in d_tap_embeddings],
                             out.cache["heads"], grads)
         d_taps_mfa = _mfa_bwd(np.asarray(d_speaker_embedding, dtype=self.dtype),

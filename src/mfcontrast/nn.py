@@ -11,7 +11,8 @@ scalars so they never promote it. Batch axes lead, channels are last.
 cache on a tape, and its backward replays the tape. An eval-mode tape
 records nothing, so an eval forward keeps no caches.
 
-The kernels run single-threaded and follow five rules on their hot paths.
+Each kernel runs on its calling thread and follows five rules on its hot
+paths.
 No einsum: its unoptimised loops are slower than the equivalent
 matmuls. Weight products in the backward passes, and every sum over all
 leading axes (the batch-norm and bias-gradient sums), run as one 2-D GEMM
@@ -38,6 +39,17 @@ backward of a desk or deep training step no slower (2 CPUs, 1 BLAS
 thread), and training loss curves that differ at round-off from those
 summed over the flattened rows.
 
+Row shards: train-mode batch norm is the one op whose rows meet, through
+its batch statistics; every other op treats each row on its own in the
+backward pass too. So a training batch can run as row shards, one thread
+each (``trainer.train_step``), that meet only in batch norm. A thread
+inside ``row_shard(group, index)`` takes the mean and variance, and in the
+backward the dγ and dβ that the input gradient reads, over every row of
+the group, each as the sum of the shards' partial sums added in shard
+order (``ShardGroup``). Each shard returns only its own rows' dγ and dβ as
+parameter gradients, which sum across shards to the batch's, and only
+shard 0 moves the running statistics.
+
 The depthwise convolution is a banded GEMM rather than one multiply-add
 pass per tap. It moves the map to (C, B, T), cuts time into equal tiles
 of at most ``_DEPTHWISE_TILE`` frames, and multiplies each channel's
@@ -50,13 +62,71 @@ features, so nothing upstream needs one.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Array shape does not match the layer configuration."""
+
+
+class ShardGroup:
+    """``count`` row shards of one ``rows``-row batch, each on its own
+    thread, that meet in train-mode batch norm.
+
+    A meeting is one ``sum`` call by every shard: each hands in a partial
+    sum and gets back the total over all shards, added in shard order, so
+    every shard reads the same bits. ``abort`` breaks the group's barrier:
+    a shard waiting in ``sum``, or arriving there later, then raises
+    ``threading.BrokenBarrierError`` instead of waiting for ever on a shard
+    that failed.
+    """
+
+    def __init__(self, count, rows):
+        self.count = count
+        self.rows = rows
+        self._parts = [None] * count
+        self._total = None
+        # the last shard to arrive adds the parts before any shard leaves,
+        # and no shard can start the next meeting's sum before every shard
+        # has read this one's total
+        self._barrier = threading.Barrier(count, action=self._add)
+
+    def _add(self):
+        self._total = functools.reduce(np.add, self._parts)
+
+    def sum(self, index, part):
+        self._parts[index] = part
+        self._barrier.wait()
+        return self._total
+
+    def abort(self):
+        self._barrier.abort()
+
+
+_shard = threading.local()
+
+
+@contextlib.contextmanager
+def row_shard(group, index):
+    """Run the block on this thread as shard ``index`` of the ShardGroup
+    ``group``: a train-mode batch norm forward in it meets the group's other
+    shards, and so does the backward of its tape, wherever that runs. The
+    one shard of a group of one runs batch norm as outside any group."""
+    _shard.current = (group, index) if group.count > 1 else None
+    try:
+        yield
+    finally:
+        _shard.current = None
+
+
+def _shard_sum(shard, part):
+    """``part`` summed over the shards of ``shard``, a (group, index) pair,
+    or ``part`` itself outside a group."""
+    return part if shard is None else shard[0].sum(shard[1], part)
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +202,23 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
     Train mode uses batch statistics (biased variance, the mean of the
     centred squares) and moves the running statistics toward them in
     place, by BATCH_NORM_MOMENTUM; eval mode normalizes with, and only
-    reads, the running statistics.
+    reads, the running statistics. Inside ``row_shard`` the batch is every
+    row of the shard group.
     """
     m = x.size // x.shape[-1]
+    shard = getattr(_shard, "current", None) if mode == "train" else None
+    # positions the statistics average over: this call's, or the group's
+    n = m if shard is None else m // x.shape[0] * shard[0].rows
     if mode == "train":
-        mean_weights = np.full(m, 1.0 / m, dtype=x.dtype)
-        mu = mean_weights @ x.reshape(m, -1)
+        mean_weights = np.full(m, 1.0 / n, dtype=x.dtype)
+        mu = _shard_sum(shard, mean_weights @ x.reshape(m, -1))
         xhat = x - mu
         sq = xhat * xhat
-        var = mean_weights @ sq.reshape(m, -1)
-        for running, batch in ((running_mean, mu), (running_var, var)):
-            running *= 1.0 - BATCH_NORM_MOMENTUM
-            running += BATCH_NORM_MOMENTUM * batch
+        var = _shard_sum(shard, mean_weights @ sq.reshape(m, -1))
+        if shard is None or shard[1] == 0:
+            for running, batch in ((running_mean, mu), (running_var, var)):
+                running *= 1.0 - BATCH_NORM_MOMENTUM
+                running += BATCH_NORM_MOMENTUM * batch
     else:
         mu, var = running_mean, running_var
         xhat = x - mu
@@ -151,22 +226,25 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
     xhat *= inv
     y = xhat * gamma
     y += beta
-    return y, (xhat, inv, gamma, mode, m)
+    return y, (xhat, inv, gamma, mode, n, shard)
 
 
 def batch_norm_bwd(dy, cache):
-    xhat, inv, gamma, mode, m = cache
+    xhat, inv, gamma, mode, n, shard = cache
     g = dy * xhat
     dgamma = _position_sum(g)
     dbeta = _position_sum(dy)
     if mode != "train":
         np.multiply(dy, gamma * inv, out=g)
         return g, dgamma, dbeta
-    # dx = inv / m * (m dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)) with
-    # dxhat = gamma dy, whose position sums are gamma dbeta and gamma dgamma
-    np.multiply(xhat, dgamma / m, out=g)
+    # dx = inv / n * (n dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)) with
+    # dxhat = gamma dy, whose position sums over the group's n positions
+    # are gamma dbeta and gamma dgamma summed over its shards
+    sum_dgamma, sum_dbeta = ((dgamma, dbeta) if shard is None else
+                             np.split(_shard_sum(shard, np.concatenate([dgamma, dbeta])), 2))
+    np.multiply(xhat, sum_dgamma / n, out=g)
     np.subtract(dy, g, out=g)
-    g -= dbeta / m
+    g -= sum_dbeta / n
     g *= gamma * inv
     return g, dgamma, dbeta
 

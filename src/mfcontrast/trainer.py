@@ -4,18 +4,24 @@ in-training evaluation.
 Batches hold 2B rows: B original crops followed by their augmented
 counterparts in matching order, so every anchor has at least one positive
 for the SupCon terms. All randomness is derived from the config seed,
-and a fixed seed reproduces the loss curve bit-for-bit at a fixed BLAS
-thread count (the CLI pins one). ``evaluate`` embeds on every usable CPU;
-its scores do not depend on how many there are.
+and a fixed seed reproduces the loss curve bit-for-bit at any BLAS thread
+count the caller has set, because ``train`` and ``evaluate`` run numpy's
+bundled OpenBLAS on one thread for the length of the call (with another
+BLAS, the thread count stays the caller's). ``train_step`` runs a large
+enough batch as two row shards on two threads, and ``evaluate`` embeds on
+every usable CPU; neither result depends on how many CPUs there are.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import json
 import math
 import os
 import resource
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses
+from . import losses, nn
 from .encoder import MIN_FRAMES, EncoderConfig
 from .features import (FRAME_LEN, FRAME_SHIFT, AugmentSampler, LengthError,
                        extract_fbank, frame_count, random_crop)
@@ -31,7 +37,7 @@ from .heads import HeadConfig
 from .losses import LossConfig
 from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
                       compute_mindcf, score_trials)
-from .model import SpeakerModel
+from .model import ModelOutput, SpeakerModel
 
 # Named presets of losses.objective: name -> the LossConfig weights it reads,
 # lam1 as lam_tap and lam2 as lam_spk. A weight a preset does not read is 0.
@@ -218,26 +224,143 @@ def compute_objective(out, labels, weights, cfg: TrainConfig):
                             weights, lam_tap, lam_spk)
 
 
+# fewest filterbank frames (rows x frames) in each of the two row shards
+# that train_step splits a batch into; a smaller batch runs as one shard.
+# Chosen from paired step times at 1 s crops (2 CPUs, 1 BLAS thread; see
+# CHANGES.md): with 6 blocks, two shards of 1,176 frames were slower than
+# one (0.95x) and two of 1,372 faster (1.15x); with 2 blocks, two were
+# faster from 980 frames up.
+SHARD_MIN_FRAMES = 1300
+
+
+def _row_shards(feats, enc_cfg: EncoderConfig) -> list:
+    """Row slices of the shards train_step runs the (rows, frames, mels)
+    batch ``feats`` in: two halves when dropout is off and the smaller
+    half holds at least SHARD_MIN_FRAMES frames, otherwise the whole
+    batch. Dropout stays on one shard because its masks are drawn from
+    one generator in row order."""
+    rows, frames = feats.shape[:2]
+    if enc_cfg.dropout > 0.0 or rows < 2 or rows // 2 * frames < SHARD_MIN_FRAMES:
+        return [slice(0, rows)]
+    half = rows - rows // 2
+    return [slice(0, half), slice(half, rows)]
+
+
+def _on_shards(pool: ThreadPoolExecutor, group: nn.ShardGroup, work) -> list:
+    """``work(k)`` for every shard k of ``group``, shard 0 on this thread
+    and the others on ``pool``; their results, in shard order. A shard
+    that raises aborts the group, so the others end rather than wait for
+    it, and its own exception is the one raised."""
+    def run(k):
+        try:
+            return work(k)
+        except BaseException:
+            group.abort()
+            raise
+
+    futures = [pool.submit(run, k) for k in range(1, group.count)]
+    try:
+        first = [run(0)]
+    except threading.BrokenBarrierError:
+        first = []  # a pool shard failed, and reading its result raises its error
+    return first + [f.result() for f in futures]
+
+
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
                cfg: TrainConfig, lr: float, rng: np.random.Generator):
-    """One forward/backward/update. Returns the loss breakdown and the wall
-    time of each stage: ``forward_s``, ``loss_s``, ``backward_s`` and
-    ``adam_s``."""
-    t0 = time.perf_counter()
-    out = model.forward(feats, mode="train", rng=rng)
-    t1 = time.perf_counter()
-    total, breakdown, d_taps, d_spk, d_w = compute_objective(
-        out, labels, model.classifier_weights, cfg)
-    if not np.isfinite(total):
-        raise NonFiniteLossError(breakdown)
-    t2 = time.perf_counter()
-    grads = model.backward(out, d_taps, d_spk)
-    grads["classifier.w"] += d_w  # rounds the float64 loss gradient to the model's dtype
+    """One forward/backward/update on the (2B, T, F) batch ``feats``.
+    Returns the loss breakdown and the wall time of each stage:
+    ``forward_s``, ``loss_s``, ``backward_s`` and ``adam_s``.
+
+    The batch runs as one row shard or two (``_row_shards``): never as a
+    function of the CPU count, so a run's bits depend only on its config
+    and seed. With two, this thread runs the first half of the rows and
+    a thread of a pool that this call starts and joins runs the second;
+    they meet only in batch norm (``nn.row_shard``). The loss runs once,
+    on this thread, over both shards' embeddings in row order. Each
+    shard's backward writes its own gradient vector, shard 0 into
+    ``model.grad_vector``, and the others are added to it in shard order
+    before Adam. One shard gives the bits of the whole batch on one
+    thread; two differ from them at round-off."""
+    shards = _row_shards(feats, model.enc_cfg)
+    group = nn.ShardGroup(len(shards), len(feats))
+    # shard 0's backward writes model.grad_vector, each other one its own
+    vectors = [None] + [np.empty_like(model.grad_vector) for _ in shards[1:]]
+
+    def forward(k):
+        with nn.row_shard(group, k):
+            return model.forward(feats[shards[k]], mode="train", rng=rng)
+
+    def backward(k):
+        rows = shards[k]
+        return model.backward(outs[k], [d[rows] for d in d_taps], d_spk[rows], vectors[k])
+
+    # the pool starts a thread only for a shard submitted to it
+    with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
+        t0 = time.perf_counter()
+        outs = _on_shards(pool, group, forward)
+        out = outs[0] if len(outs) == 1 else ModelOutput(
+            [np.concatenate(taps) for taps in zip(*(o.tap_embeddings for o in outs))],
+            np.concatenate([o.speaker_embedding for o in outs]), [o.cache for o in outs])
+        t1 = time.perf_counter()
+        total, breakdown, d_taps, d_spk, d_w = compute_objective(
+            out, labels, model.classifier_weights, cfg)
+        if not np.isfinite(total):
+            raise NonFiniteLossError(breakdown)
+        t2 = time.perf_counter()
+        _on_shards(pool, group, backward)
+    for vector in vectors[1:]:
+        model.grad_vector += vector
+    # rounds the float64 loss gradient to the model's dtype
+    model.grads["classifier.w"] += d_w
     t3 = time.perf_counter()
     adam_step(model.param_vector, model.grad_vector, opt, lr)
     t4 = time.perf_counter()
     return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1,
                        "backward_s": t3 - t2, "adam_s": t4 - t3}
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def _openblas_threads():
+    """The get and set thread-count functions of the OpenBLAS that numpy
+    bundles (``numpy.libs/libscipy_openblas64_*.so``), or None where numpy
+    bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, and give
+    the caller's thread count back after it. Each shard or evaluation
+    thread then runs its BLAS calls on its own, and the results do not
+    depend on the caller's count. Does nothing where numpy bundles no
+    OpenBLAS."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +403,7 @@ def trial_utterances(trials, store) -> list:
 EVAL_FRAME_BUDGET = 2048
 
 
+@_one_blas_thread()
 def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     """Embed every referenced utterance once (full length, eval mode, no
     augmentation), score the trials, and compute EER / minDCF.
@@ -291,7 +415,8 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     w, 2w, ... and each other share runs on a thread this call starts and
     joins. Eval mode only reads the model, and both calls are
     batch-invariant, so every embedding, and with it every score, equals
-    that of the utterance embedded alone, bit for bit."""
+    that of the utterance embedded alone, bit for bit. Each thread's BLAS
+    calls run on that thread alone (``_one_blas_thread``)."""
     needed = trial_utterances(trials, store)
     groups = {}
     for utt in needed:
@@ -340,9 +465,9 @@ def _keep_freed_heap():
     heap that is trimmed only above 256 MiB of free top space, each step
     reuses the pages of the one before. Larger arrays keep their own
     mappings, where numpy asks for huge pages. One arena serves every
-    thread, so the threads of ``evaluate`` allocate from that kept heap
-    rather than growing heaps of their own beside it. Does nothing where
-    the C library has no ``mallopt``.
+    thread, so the threads of ``train_step`` and ``evaluate`` allocate from
+    that kept heap rather than growing heaps of their own beside it. Does
+    nothing where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -362,6 +487,7 @@ class TrainResult:
     eval_result: EvalResult | None = None
 
 
+@_one_blas_thread()
 def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
           cfg: TrainConfig, out_dir=None, trials=None, store=None) -> TrainResult:
     """Full training run over a labeled corpus.
@@ -376,6 +502,10 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     its stages (``forward_s``, ``loss_s``, ``backward_s``, ``adam_s``; see
     ``train_step``), and the minor page faults the process took during the
     step, ``minor_faults``.
+
+    BLAS: for the length of the call, numpy's bundled OpenBLAS runs on one
+    thread (see ``_one_blas_thread``), so the run's bits do not depend on
+    the caller's BLAS thread count.
 
     Allocator policy: before it builds the model, ``train`` sets glibc's
     mmap threshold to 4 MiB and its trim threshold to 256 MiB, so buffers a

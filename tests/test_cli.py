@@ -39,22 +39,6 @@ def test_version_matches_pyproject():
     assert f'\nversion = "{__version__}"\n' in pyproject.read_text()
 
 
-# the CLI pins BLAS to one thread before numpy loads: at 1 and 2 threads a
-# training run's bits differ, so an unpinned run would depend on the host
-@pytest.mark.parametrize("given, pinned", [(None, "1"), ("3", "3")],
-                         ids=["unset", "set-to-3"])
-def test_importing_the_cli_pins_blas_threads_unless_the_environment_sets_them(given,
-                                                                              pinned):
-    code = "import mfcontrast.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if given is not None:
-        env["OPENBLAS_NUM_THREADS"] = given
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**env, "PYTHONPATH": str(src)}, timeout=60)
-    assert out.stdout.strip() == pinned
-
-
 def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, mfcontrast.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

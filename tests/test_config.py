@@ -142,18 +142,19 @@ def check_removed_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
-# a value of the wrong JSON type, or a trial count, seed or evaluation
-# interval out of range, fails on load and names its key before any run
-# directory exists: an int field takes only an integer (a bool is not one)
-# and a float field an int or a float; a zero trial count would train the
-# whole run before scoring, and a negative interval would silently never
-# evaluate
+# a value of the wrong JSON type, or a trial count, seed, evaluation
+# interval or encoder size out of range, fails on load and names its key
+# before any run directory exists: an int field takes only an integer (a
+# bool is not one) and a float field an int or a float; a zero trial count
+# would train the whole run before scoring, a negative interval would
+# silently never evaluate, and an encoder size below 1 builds no model
 @pytest.mark.parametrize("key, value", [
     ("trials.n_target", 0), ("trials.n_nontarget", 0),
     ("trials.n_target", 2.5), ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
     ("train.seed", True), ("train.batch_size", 12.5), ("train.lr", "0.001"),
     ("train.loss.lam1", True), ("train.objective", 1), ("encoder.dropout", None),
-    ("train.eval_every", -1),
+    ("train.eval_every", -1), ("encoder.input_dim", 0), ("encoder.model_dim", 0),
+    ("encoder.model_dim", -4), ("encoder.ff_expansion", 0), ("encoder.conv_kernel", -1),
 ])
 def test_a_value_of_the_wrong_type_or_range_is_a_named_config_error(tmp_path, capsys,
                                                                      key, value):
@@ -169,7 +170,8 @@ def test_a_value_of_the_wrong_type_or_range_is_a_named_config_error(tmp_path, ca
     assert str(err.value).startswith(named)
     assert cli.main(["train", "--synthetic", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith(tuple(f"error: {n}" for n in named))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(tuple(f"error: {n}" for n in named))
     assert not (tmp_path / "run").exists()
 
 

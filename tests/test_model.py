@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -208,35 +209,86 @@ class TestComputeDtypePolicy:
             assert rel_error(g32[name], g) < 1e-4, name
 
     def test_one_train_step_stays_float32(self, monkeypatch):
-        enc = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
-                            conv_kernel=7, dropout=0.1, input_dim=8)
-        m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
-        opt = trainer.adam_init(m.param_vector)
-        cfg = TrainConfig(batch_size=3, objective="mfcon", loss=LossConfig(lam1=0.1))
-        seen = {}
-        compute_objective = trainer.compute_objective
+        # with dropout, one shard whose caches hold the dropout masks; without
+        # it and with no frame floor, two shards, whose caches are both checked
+        monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+        for dropout, shards in ((0.1, 1), (0.0, 2)):
+            enc = replace(TINY_ENC, dropout=dropout)
+            m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
+            opt = trainer.adam_init(m.param_vector)
+            cfg = TrainConfig(batch_size=3, objective="mfcon", loss=LossConfig(lam1=0.1))
+            seen = {}
+            compute_objective = trainer.compute_objective
 
-        def spy_objective(out, *args):
-            seen["out"] = out
-            return compute_objective(out, *args)
+            def spy_objective(out, *args):
+                seen["out"] = out
+                return compute_objective(out, *args)
 
-        monkeypatch.setattr(trainer, "compute_objective", spy_objective)
-        rng = np.random.default_rng(8)
-        trainer.train_step(m, opt, rng.standard_normal((6, 12, 8)),
-                           np.array([0, 1, 2, 0, 1, 2]), cfg, 1e-3,
-                           np.random.default_rng(9))
+            monkeypatch.setattr(trainer, "compute_objective", spy_objective)
+            rng = np.random.default_rng(8)
+            trainer.train_step(m, opt, rng.standard_normal((6, 12, 8)),
+                               np.array([0, 1, 2, 0, 1, 2]), cfg, 1e-3,
+                               np.random.default_rng(9))
+            monkeypatch.setattr(trainer, "compute_objective", compute_objective)
 
-        out = seen["out"]
-        groups = {"params": [m.param_vector, *m.params.values()], "state": m.state.values(),
-                  "adam.m": [opt.m], "adam.v": [opt.v],
-                  "grads": [m.grad_vector, *m.grads.values()], "cache": arrays_in(out.cache)}
-        for group, arrays in groups.items():
-            dtypes = {a.dtype for a in arrays}
-            assert dtypes == {np.dtype(COMPUTE_DTYPE)}, (group, dtypes)
-        # dropout is on, so its masks are among the cached arrays checked above
-        assert any(set(np.unique(a)) == {0.0, np.float32(1 / 0.9)} for a in arrays_in(out.cache))
-        assert out.speaker_embedding.dtype == np.float64
-        assert {e.dtype for e in out.tap_embeddings} == {np.dtype(np.float64)}
+            out = seen["out"]
+            caches = out.cache if shards > 1 else [out.cache]
+            assert len(caches) == shards and all(set(c) == {"encoder", "heads", "mfa"}
+                                                 for c in caches)
+            groups = {"params": [m.param_vector, *m.params.values()],
+                      "state": m.state.values(), "adam.m": [opt.m], "adam.v": [opt.v],
+                      "grads": [m.grad_vector, *m.grads.values()]}
+            groups.update({f"cache{k}": arrays_in(c) for k, c in enumerate(caches)})
+            for group, arrays in groups.items():
+                dtypes = {a.dtype for a in arrays}
+                assert dtypes == {np.dtype(COMPUTE_DTYPE)}, (group, dtypes)
+            if dropout:
+                # its masks are among the cached arrays checked above
+                assert any(set(np.unique(a)) == {0.0, np.float32(1 / 0.9)}
+                           for a in arrays_in(out.cache))
+            assert out.speaker_embedding.dtype == np.float64
+            assert out.speaker_embedding.shape == (6, TINY_HEAD.embed_dim)
+            assert {e.dtype for e in out.tap_embeddings} == {np.dtype(np.float64)}
+
+
+def float64_step(floor, monkeypatch):
+    """The gradient Adam receives and the batch-norm state after one float64
+    train_step of a dropout-free tiny model on 8 rows, run as one shard or
+    as two when ``floor`` is 0."""
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", floor)
+    m = as_float64(SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=2))
+    seen = []
+    adam_step = trainer.adam_step
+
+    def spy(params, grad, opt, lr):
+        seen.append(grad.copy())
+        adam_step(params, grad, opt, lr)
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    rng = np.random.default_rng(17)
+    cfg = TrainConfig(batch_size=4, objective="combined", loss=LossConfig(lam1=0.2, lam2=0.1))
+    trainer.train_step(m, trainer.adam_init(m.param_vector), rng.standard_normal((8, 12, 8)),
+                       np.array([0, 1, 2, 0, 0, 1, 2, 0]), cfg, 1e-3, None)
+    return seen[0], m.state
+
+
+def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch):
+    threads = set()
+    batch_norm_fwd = nn.batch_norm_fwd
+
+    def spy(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return batch_norm_fwd(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "batch_norm_fwd", spy)
+    one, one_state = float64_step(10 ** 9, monkeypatch)
+    assert len(threads) == 1
+    two, two_state = float64_step(0, monkeypatch)
+    assert len(threads) == 2
+    assert rel_error(two, one) < 1e-12
+    assert one_state.keys() == two_state.keys()
+    for k, v in one_state.items():
+        assert rel_error(two_state[k], v) < 1e-12, k
 
 
 def rewrite_meta(path, edit):

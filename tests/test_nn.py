@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -202,6 +204,52 @@ def test_train_batch_norm_moves_the_running_statistics_in_place(dtype):
     np.testing.assert_allclose(rm, want_mean, rtol=tol, atol=tol)
     np.testing.assert_allclose(rv, want_var, rtol=tol, atol=tol)
     assert rm.dtype == rv.dtype == dtype
+
+
+def test_every_shard_reads_each_meetings_own_total_under_fast_thread_switches():
+    # more shards than cores and a switch interval near zero: a shard that
+    # read the total of a later meeting, or an overwritten part, would see a
+    # wrong sum
+    shards, meetings = 4, 300
+    group = nn.ShardGroup(shards, rows=shards)
+    seen = [[] for _ in range(shards)]
+
+    def shard(k):
+        for i in range(meetings):
+            seen[k].append(float(group.sum(k, np.array([1000.0 * i + k]))[0]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=shard, args=(k,)) for k in range(shards)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = [shards * 1000.0 * i + sum(range(shards)) for i in range(meetings)]
+    assert seen == [want] * shards
+
+
+def test_an_aborted_group_releases_a_waiting_shard():
+    group = nn.ShardGroup(2, rows=2)
+    raised = []
+
+    def waiting():
+        try:
+            group.sum(0, np.ones(3))
+        except threading.BrokenBarrierError as err:
+            raised.append(err)
+
+    t = threading.Thread(target=waiting)
+    t.start()
+    group.abort()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(raised) == 1
+    with pytest.raises(threading.BrokenBarrierError):
+        group.sum(1, np.ones(3))
 
 
 def test_eval_batch_norm_only_reads_the_running_statistics():

@@ -1,12 +1,16 @@
 import ctypes
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfcontrast import config, trainer
+from mfcontrast import config, nn, trainer
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.features import FeatureMatrix, Waveform, extract_fbank, frame_count
 from mfcontrast.heads import HeadConfig
@@ -295,3 +299,108 @@ def test_desk_steps_after_the_first_epoch_reuse_freed_memory():
     later = [h["minor_faults"] for h in history if h["epoch"] > 0]
     assert len(later) == 2
     assert max(later) < 1000, later
+
+
+# a run on the desk encoder whose BLAS calls are large enough for OpenBLAS
+# to split across threads: without the pin, 1 and 2 threads train other bits
+BLAS_RUN = """
+import hashlib, json
+from dataclasses import replace
+import numpy as np
+from mfcontrast import config, trainer
+from mfcontrast.synthdata import SynthSpec, generate_corpus
+desk = config.desk_config()
+corpus = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=1.0,
+                                   sample_rate=8000, seed=1))
+get_threads = trainer._openblas_threads()[0]
+before = get_threads()
+result = trainer.train(corpus, desk.encoder, desk.head,
+                       replace(desk.train, batch_size=6, epochs=2, seed=4))
+print(json.dumps({"threads": [before, get_threads()],
+                  "loss": [h["total"] for h in result.history],
+                  "params": hashlib.sha256(result.model.param_vector.tobytes()).hexdigest()}))
+"""
+
+
+@pytest.mark.skipif(trainer._openblas_threads() is None,
+                    reason="numpy bundles no OpenBLAS")
+def test_train_gives_the_same_bits_at_any_caller_blas_thread_count():
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = {}
+    for threads in (1, 2):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+        out = subprocess.run([sys.executable, "-c", BLAS_RUN], capture_output=True,
+                             text=True, check=True, env=env, timeout=120)
+        runs[threads] = json.loads(out.stdout)
+        # train() gives the caller its own count back
+        assert runs[threads].pop("threads") == [threads, threads]
+    assert runs[1] == runs[2]
+
+
+DRY = replace(ENC, dropout=0.0)
+
+
+def threads_running_batch_norm(monkeypatch):
+    """The threads that run nn.batch_norm_fwd from now on."""
+    seen = set()
+    batch_norm_fwd = nn.batch_norm_fwd
+
+    def spy(*args, **kwargs):
+        seen.add(threading.current_thread())
+        return batch_norm_fwd(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "batch_norm_fwd", spy)
+    return seen
+
+
+def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch):
+    # with no frame floor every step of a dropout-free run takes two shards,
+    # whatever the CPU count says
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    before = set(threading.enumerate())
+    seen = threads_running_batch_norm(monkeypatch)
+    runs = []
+    for cpus in ({0}, {0, 1}, {0, 1}):
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus)
+        runs.append(trainer.train(CORPUS, DRY, HEAD, tiny("combined")))
+        assert set(threading.enumerate()) == before
+    # the caller, and the pool thread that each step starts
+    assert len(seen) == 1 + sum(len(run.history) for run in runs)
+    for run in runs[1:]:
+        assert_same_bits(totals(run.history), totals(runs[0].history))
+        assert_same_bits(run.model.param_vector, runs[0].model.param_vector)
+
+
+class ShardError(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("op, failing", [("silu_fwd", "worker"), ("silu_fwd", "caller"),
+                                         ("silu_bwd", "worker")])
+def test_a_failing_shard_raises_its_error_and_leaves_no_thread(monkeypatch, op, failing):
+    # the other shard waits for it in batch norm; the aborted meeting ends it
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    raised = []
+
+    def run():
+        try:
+            trainer.train(CORPUS, DRY, HEAD, tiny("mfcon"))
+        except ShardError as err:
+            raised.append(err)
+
+    # train() runs on its own thread, so a hang fails the join below
+    runner = threading.Thread(target=run)
+    original = getattr(nn, op)
+
+    def fails_on_one_shard(*args, **kwargs):
+        if (threading.current_thread() is runner) == (failing == "caller"):
+            raise ShardError(f"{op} failed on the {failing}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, op, fails_on_one_shard)
+    before = set(threading.enumerate())
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "a shard waits for ever"
+    assert [str(err) for err in raised] == [f"{op} failed on the {failing}"]
+    assert set(threading.enumerate()) == before
