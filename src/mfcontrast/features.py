@@ -61,12 +61,6 @@ class FeatureMatrix:
 
     values: np.ndarray
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim not in (2, 3) or self.values.shape[-2] < 1:
-            raise ValueError("values must be a T x F matrix or a B x T x F stack "
-                             "with T >= 1")
-
 
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangle-shaped mel filters with unit peak from 0 Hz to Nyquist, shape
@@ -134,8 +128,6 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     of the stack: one (B, T, n_fft) buffer would leave the cache at a few
     waves of a few seconds and ran slower per wave.
     """
-    if n_mels < 1:
-        raise ValueError("n_mels must be >= 1")
     waves = [w] if isinstance(w, Waveform) else list(w)
     if not waves:
         raise ValueError("no waveforms to extract features from")
@@ -170,8 +162,6 @@ def random_crop(w: Waveform, duration: float, rng_seed: int) -> Waveform:
     utterance can produce a crop. The same seed always yields the same
     offset.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
     target = int(round(duration * w.sample_rate))
     x = w.samples
     if x.size > target:

@@ -128,8 +128,6 @@ def supcon(z, labels):
     """
     z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     n = z.shape[0]
-    if n < 2:
-        raise ValueError("supcon needs at least two rows")
     s = (z @ z.T) / SUPCON_TEMPERATURE
     eye = np.eye(n, dtype=bool)
     positives = (labels[:, None] == labels[None, :]) & ~eye
@@ -164,8 +162,6 @@ def objective(tap_embeddings, speaker_emb, labels, weights, lam_tap, lam_spk):
     term. Returns (total, breakdown, d_tap_embeddings, d_speaker_emb,
     d_weights); the breakdown has the same keys whatever the weights.
     """
-    if not tap_embeddings:
-        raise ValueError("need at least one tap embedding batch")
     ams, d_spk, d_w = am_softmax(speaker_emb, labels, weights)
     num_blocks = len(tap_embeddings)
     per_block = [0.0] * num_blocks

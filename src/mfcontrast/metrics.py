@@ -15,7 +15,7 @@ import numpy as np
 
 
 class MissingUtteranceError(KeyError):
-    """A trial references utterance ids absent from the embedding store."""
+    """A trial names utterance ids absent from the utterance store."""
 
     def __init__(self, missing_ids):
         self.missing_ids = list(missing_ids)
@@ -112,17 +112,13 @@ def _row_dots(a, b):
 def score_trials(trials, store) -> TrialScoreSet:
     """Cosine-score a trial list against an id -> embedding store.
 
-    Order is preserved. All missing utterance ids are collected and
-    reported together. Each utterance's norm is taken once, and the trials'
-    dot products as stacked products over chunks of trials of about
-    ``_SCORE_CHUNK_BYTES`` of embeddings; every score equals its pair's
-    cosine computed alone, ``np.dot(e1, e2) / (norm(e1) * norm(e2))`` with
-    ``np.linalg.norm``, bit for bit.
+    Order is preserved; every id the trials name must be in the store
+    (``trainer.trial_utterances`` checks first). Each utterance's norm is
+    taken once, and the trials' dot products as stacked products over
+    chunks of trials of about ``_SCORE_CHUNK_BYTES`` of embeddings; every
+    score equals its pair's cosine computed alone, ``np.dot(e1, e2) /
+    (norm(e1) * norm(e2))`` with ``np.linalg.norm``, bit for bit.
     """
-    missing = sorted({u for t in trials for u in (t.enroll_utt, t.test_utt)
-                      if u not in store})
-    if missing:
-        raise MissingUtteranceError(missing)
     labels = np.array([t.is_target for t in trials], dtype=bool)
     if not trials:
         return TrialScoreSet(np.empty(0), labels)

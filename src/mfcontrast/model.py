@@ -135,9 +135,9 @@ class SpeakerModel:
         """Gradients of a scalar objective w.r.t. every parameter, given its
         gradients w.r.t. the raw tap embeddings and speaker embedding,
         written over ``grad_vector``, a vector laid out as the model's own
-        (the default). Returns the name -> view dict over it: ``grads`` by
-        default, whose arrays the next such ``backward`` overwrites. Raises
-        ValueError when ``out`` came from an eval-mode forward."""
+        (by default ``self.grad_vector``, which ``self.grads`` views, so
+        that the next such ``backward`` overwrites them). Returns nothing.
+        Raises ValueError when ``out`` came from an eval-mode forward."""
         if grad_vector is None:
             grad_vector, grads = self.grad_vector, self.grads
         else:
@@ -149,25 +149,20 @@ class SpeakerModel:
                               out.cache["mfa"], grads)
         d_taps = [a + b for a, b in zip(d_taps, d_taps_mfa)]
         _encoder_bwd(d_taps, out.cache["encoder"], grads)
-        return grads
 
     def embed_utterance(self, feats) -> np.ndarray:
-        """Eval-mode speaker embedding of one (T, F) feature matrix, shaped
-        (D,), or of a (B, T, F) stack of same-length utterances, shaped
-        (B, D).
+        """Eval-mode speaker embeddings of a (B, T, F) stack of same-length
+        utterances, shaped (B, D).
 
         Runs only the encoder and the aggregation path: the per-tap heads do
         not feed the speaker embedding, and eval mode leaves the state as it
-        is, so this equals ``forward(mode="eval").speaker_embedding[0]``.
-        The kernels are batch-invariant (see ``nn``), so row b of a stack's
-        embeddings equals the embedding of ``feats[b]`` alone, bit for
-        bit."""
-        feats = np.asarray(feats, dtype=self.dtype)
-        taps, _ = _encoder_fwd(feats if feats.ndim == 3 else feats[None],
-                               self.params, self.state, self.enc_cfg, mode="eval")
+        is, so this equals ``forward(mode="eval").speaker_embedding``.
+        The kernels are batch-invariant (see ``nn``), so row b equals the
+        embedding of ``feats[b:b + 1]`` alone, bit for bit."""
+        taps, _ = _encoder_fwd(np.asarray(feats, dtype=self.dtype), self.params,
+                               self.state, self.enc_cfg, mode="eval")
         emb, _ = _mfa_fwd(taps, self.params, self.state, "eval")
-        emb = emb.astype(np.float64)
-        return emb if feats.ndim == 3 else emb[0]
+        return emb.astype(np.float64)
 
     # -- checkpointing -----------------------------------------------------
 

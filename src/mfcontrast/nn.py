@@ -155,8 +155,6 @@ def linear_fwd(x, w, b):
     """x @ w + b, or x @ w when b is None. A 2-D x is projected row by row,
     one GEMV each, so that a row's output does not depend on the others.
     The bias is added in place, into the product's own array."""
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
     y = (x[:, None, :] @ w)[:, 0] if x.ndim == 2 else x @ w
     if b is not None:
         y += b
@@ -226,17 +224,15 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
     xhat *= inv
     y = xhat * gamma
     y += beta
-    return y, (xhat, inv, gamma, mode, n, shard)
+    return y, (xhat, inv, gamma, n, shard)
 
 
 def batch_norm_bwd(dy, cache):
-    xhat, inv, gamma, mode, n, shard = cache
+    """Backward of a train-mode ``batch_norm_fwd``: no tape records eval."""
+    xhat, inv, gamma, n, shard = cache
     g = dy * xhat
     dgamma = _position_sum(g)
     dbeta = _position_sum(dy)
-    if mode != "train":
-        np.multiply(dy, gamma * inv, out=g)
-        return g, dgamma, dbeta
     # dx = inv / n * (n dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)) with
     # dxhat = gamma dy, whose position sums over the group's n positions
     # are gamma dbeta and gamma dgamma summed over its shards
@@ -296,8 +292,6 @@ def silu_bwd(dy, cache):
 def glu_fwd(x):
     # gated linear unit over the last axis: y = a * sigmoid(b)
     c = x.shape[-1]
-    if c % 2 != 0:
-        raise ShapeError("glu needs an even channel count")
     a, b = x[..., :c // 2], x[..., c // 2:]
     s = sigmoid(b)
     return a * s, (a, s)
@@ -389,10 +383,7 @@ def depthwise_conv1d_fwd(x, w):
     It has no bias: every caller follows it with a batch norm, which
     removes one. Each channel's time tiles are multiplied by its band
     matrix, one batched GEMM over channels (see ``_time_tiles``)."""
-    k, c = w.shape
-    if x.shape[-1] != c:
-        raise ShapeError(f"depthwise conv: {x.shape[-1]} channels vs kernel {c}")
-    tiles, length = _time_tiles(x, k)
+    tiles, length = _time_tiles(x, w.shape[0])
     y = _untile(tiles @ _band(w, length), x.shape[0], x.shape[1])
     return y, (tiles, w)
 
@@ -414,9 +405,7 @@ def depthwise_conv1d_bwd(dy, cache):
 def strided_conv1d_fwd(x, w, b, stride):
     """Full convolution along time, mapping (B, T, F) to (B, T', D) with
     T' = (T + 2p - K) // stride + 1 for p = (K - 1) // 2. w is (K, F, D)."""
-    k, f, d = w.shape
-    if x.shape[-1] != f:
-        raise ShapeError(f"strided conv: input width {x.shape[-1]} != kernel width {f}")
+    k, _, d = w.shape
     p = (k - 1) // 2
     t = x.shape[1]
     t_out = (t + 2 * p - k) // stride + 1
@@ -508,11 +497,9 @@ def l2_normalize_bwd(dy, cache):
 
 @functools.lru_cache(maxsize=32)
 def sinusoidal_positions(t, d, dtype):
-    """Fixed absolute positional encoding, shape (t, d). d must be even.
+    """Fixed absolute positional encoding, shape (t, d), for an even d.
     Angles are computed in float64 and stored as ``dtype``. Built once per
     ``(t, d, dtype)`` and read-only, since every caller shares it."""
-    if d % 2 != 0:
-        raise ShapeError("positional encoding needs an even model dimension")
     pos = np.arange(t, dtype=np.float64)[:, None]
     i = np.arange(d // 2, dtype=np.float64)[None, :]
     angle = pos / (10000.0 ** (2.0 * i / d))

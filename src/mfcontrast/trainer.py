@@ -23,7 +23,6 @@ import os
 import resource
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -229,7 +228,9 @@ def compute_objective(out, labels, weights, cfg: TrainConfig):
 # Chosen from paired step times at 1 s crops (2 CPUs, 1 BLAS thread; see
 # CHANGES.md): with 6 blocks, two shards of 1,176 frames were slower than
 # one (0.95x) and two of 1,372 faster (1.15x); with 2 blocks, two were
-# faster from 980 frames up.
+# faster from 980 frames up. A miss no benchmark workload hits: two 6-block
+# shards of 0.5 s crops were 5-9% slower than one up to 1,536 frames per
+# half, so such a config trains slower at batch 28 (1,344) to at least 32.
 SHARD_MIN_FRAMES = 1300
 
 
@@ -246,24 +247,31 @@ def _row_shards(feats, enc_cfg: EncoderConfig) -> list:
     return [slice(0, half), slice(half, rows)]
 
 
-def _on_shards(pool: ThreadPoolExecutor, group: nn.ShardGroup, work) -> list:
-    """``work(k)`` for every shard k of ``group``, shard 0 on this thread
-    and the others on ``pool``; their results, in shard order. A shard
-    that raises aborts the group, so the others end rather than wait for
-    it, and its own exception is the one raised."""
+def _on_threads(count, work, abort=None) -> list:
+    """``work(k)`` for k in range(count), k = 0 on this thread and each
+    other k on a thread that this call starts and joins; the results, in k
+    order. A k that raises calls ``abort``, when given, so that the others
+    end rather than wait for it, and after the joins the first error raised
+    is raised again: the one that aborted, never the abort's own."""
+    results, errors = [None] * count, []
+
     def run(k):
         try:
-            return work(k)
-        except BaseException:
-            group.abort()
-            raise
+            results[k] = work(k)
+        except BaseException as err:
+            errors.append(err)  # before the abort that ends the others
+            if abort is not None:
+                abort()
 
-    futures = [pool.submit(run, k) for k in range(1, group.count)]
-    try:
-        first = [run(0)]
-    except threading.BrokenBarrierError:
-        first = []  # a pool shard failed, and reading its result raises its error
-    return first + [f.result() for f in futures]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
@@ -274,14 +282,14 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
 
     The batch runs as one row shard or two (``_row_shards``): never as a
     function of the CPU count, so a run's bits depend only on its config
-    and seed. With two, this thread runs the first half of the rows and
-    a thread of a pool that this call starts and joins runs the second;
-    they meet only in batch norm (``nn.row_shard``). The loss runs once,
-    on this thread, over both shards' embeddings in row order. Each
-    shard's backward writes its own gradient vector, shard 0 into
-    ``model.grad_vector``, and the others are added to it in shard order
-    before Adam. One shard gives the bits of the whole batch on one
-    thread; two differ from them at round-off."""
+    and seed. With two, this thread runs the first half of the rows, and
+    a thread that the forward starts and joins, then one that the backward
+    does, runs the second (``_on_threads``); they meet only in batch norm
+    (``nn.row_shard``). The loss runs once, on this thread, over both
+    shards' embeddings in row order. Each shard's backward writes its own
+    gradient vector, shard 0 into ``model.grad_vector``, and the others are
+    added to it in shard order before Adam. One shard gives the bits of
+    the whole batch on one thread; two differ from them at round-off."""
     shards = _row_shards(feats, model.enc_cfg)
     group = nn.ShardGroup(len(shards), len(feats))
     # shard 0's backward writes model.grad_vector, each other one its own
@@ -293,22 +301,20 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
 
     def backward(k):
         rows = shards[k]
-        return model.backward(outs[k], [d[rows] for d in d_taps], d_spk[rows], vectors[k])
+        model.backward(outs[k], [d[rows] for d in d_taps], d_spk[rows], vectors[k])
 
-    # the pool starts a thread only for a shard submitted to it
-    with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
-        t0 = time.perf_counter()
-        outs = _on_shards(pool, group, forward)
-        out = outs[0] if len(outs) == 1 else ModelOutput(
-            [np.concatenate(taps) for taps in zip(*(o.tap_embeddings for o in outs))],
-            np.concatenate([o.speaker_embedding for o in outs]), [o.cache for o in outs])
-        t1 = time.perf_counter()
-        total, breakdown, d_taps, d_spk, d_w = compute_objective(
-            out, labels, model.classifier_weights, cfg)
-        if not np.isfinite(total):
-            raise NonFiniteLossError(breakdown)
-        t2 = time.perf_counter()
-        _on_shards(pool, group, backward)
+    t0 = time.perf_counter()
+    outs = _on_threads(len(shards), forward, group.abort)
+    out = outs[0] if len(outs) == 1 else ModelOutput(
+        [np.concatenate(taps) for taps in zip(*(o.tap_embeddings for o in outs))],
+        np.concatenate([o.speaker_embedding for o in outs]), [o.cache for o in outs])
+    t1 = time.perf_counter()
+    total, breakdown, d_taps, d_spk, d_w = compute_objective(
+        out, labels, model.classifier_weights, cfg)
+    if not np.isfinite(total):
+        raise NonFiniteLossError(breakdown)
+    t2 = time.perf_counter()
+    _on_threads(len(shards), backward, group.abort)
     for vector in vectors[1:]:
         model.grad_vector += vector
     # rounds the float64 loss gradient to the model's dtype
@@ -411,12 +417,13 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     Utterances are grouped by sample count and sample rate, and each group
     is cut into batches of ``EVAL_FRAME_BUDGET`` filterbank frames: one
     ``extract_fbank`` and one ``embed_utterance`` call per batch. Of w =
-    min(batches, usable CPUs) shares, the calling thread embeds batches 0,
-    w, 2w, ... and each other share runs on a thread this call starts and
-    joins. Eval mode only reads the model, and both calls are
-    batch-invariant, so every embedding, and with it every score, equals
-    that of the utterance embedded alone, bit for bit. Each thread's BLAS
-    calls run on that thread alone (``_one_blas_thread``)."""
+    min(batches, usable CPUs) shares (at least 1), the calling thread
+    embeds batches 0, w, 2w, ... and each other share runs on a thread this
+    call starts and joins (``_on_threads``). Eval mode only reads the
+    model, and both calls are batch-invariant, so every embedding, and
+    with it every score, equals that of the utterance embedded alone, bit
+    for bit. Each thread's BLAS calls run on that thread alone
+    (``_one_blas_thread``)."""
     needed = trial_utterances(trials, store)
     groups = {}
     for utt in needed:
@@ -427,17 +434,16 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
         step = max(1, EVAL_FRAME_BUDGET // max(1, frame_count(size, rate)))
         batches += [utts[i:i + step] for i in range(0, len(utts), step)]
 
-    def embed(share):  # -> [(utterance id, embedding)]
-        return [pair for batch in share for pair in zip(batch, model.embed_utterance(
-            extract_fbank([store[u] for u in batch], model.enc_cfg.input_dim).values))]
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(batches), cpus or 1)
-    shares = [batches[k::workers] for k in range(workers)]
-    # the pool starts a thread only for a share submitted to it
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        futures = [pool.submit(embed, share) for share in shares[1:]]
-        embedded = [embed(share) for share in shares[:1]] + [f.result() for f in futures]
+    # with no batches, one empty share still reaches compute_eer's error
+    workers = max(1, min(len(batches), cpus or 1))
+
+    def embed(k):  # -> [(utterance id, embedding)] of share k
+        return [pair for batch in batches[k::workers] for pair in zip(
+            batch, model.embed_utterance(extract_fbank(
+                [store[u] for u in batch], model.enc_cfg.input_dim).values))]
+
+    embedded = _on_threads(workers, embed)
     scores = score_trials(trials, dict(pair for share in embedded for pair in share))
     return EvalResult(compute_eer(scores), compute_mindcf(scores), scores)
 

@@ -5,13 +5,18 @@ metric unmeasured (None) instead of failing the benchmark; this catches it.
 The traced evaluation also counts its iterations from the spans: a new one
 starts at each ``features.fbank`` span. ``trainer.evaluate`` keeps that
 count meaningful only while every batch it embeds makes exactly one
-filterbank call and one ``embed_utterance`` call."""
+filterbank call and one ``embed_utterance`` call.
+
+The untraced desk run is also checked over two row shards, which the smoke
+batch reaches only with no frame floor (``trainer.SHARD_MIN_FRAMES``)."""
 
 import functools
+import threading
 
 import numpy as np
 import pytest
 
+from mfcontrast import nn, trainer
 from perfbench import spans, workloads
 from perfbench.test_perfbench import measure
 
@@ -38,3 +43,21 @@ def test_every_traced_eval_iteration_pairs_one_fbank_with_one_embed():
         assert per_iteration.min() >= 0, f"a {name} span precedes the first iteration"
         assert np.array_equal(np.bincount(per_iteration, minlength=count),
                               np.ones(count, dtype=int)), name
+
+
+def test_the_untraced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch):
+    # the smoke batch of 4 holds 392 frames per half
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    threads = set()
+    batch_norm_fwd = nn.batch_norm_fwd
+
+    def spy(*args, mode, **kwargs):
+        if mode == "train":
+            threads.add(threading.current_thread())
+        return batch_norm_fwd(*args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(nn, "batch_norm_fwd", spy)
+    result = measure("train_desk", trace=False)["result"]
+    assert result["correct"] and result["failed"] == 0
+    # the caller and, in each step, the second shard's thread
+    assert threading.current_thread() in threads and len(threads) >= 2

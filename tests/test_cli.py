@@ -672,6 +672,25 @@ def test_an_utterance_too_short_to_score_is_a_data_error(tmp_path, capsys, monke
     assert not (tmp_path / "run").exists()
 
 
+def test_eval_names_every_utterance_the_manifest_lacks_in_one_data_error(
+        tmp_path, capsys, monkeypatch):
+    manifest, corpus = small_manifest(tmp_path)
+    saved_checkpoint(tmp_path / "checkpoint.npz")
+    trials = tmp_path / "trials.txt"
+    save_trials(trials, [Trial(corpus[0].utterance_id, "absent-a", True),
+                         Trial("absent-b", corpus[2].utterance_id, False)])
+    embedded = []
+    monkeypatch.setattr(SpeakerModel, "embed_utterance",
+                        lambda self, feats: embedded.append(feats))
+    scores = tmp_path / "scores.txt"
+    assert cli.main(["eval", str(tmp_path / "checkpoint.npz"), str(trials), str(manifest),
+                     "--scores-out", str(scores)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert "absent-a" in err[0] and "absent-b" in err[0]
+    assert not embedded and not scores.exists()
+
+
 def test_train_on_a_manifest_with_a_silent_utterance(tmp_path, capsys):
     # the all-zero utterance's augmented crop draws the noise branch, where
     # an SNR against it is undefined

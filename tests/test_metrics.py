@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mfcontrast.metrics import (MissingUtteranceError, Trial, TrialScoreSet,
-                                compute_eer, compute_mindcf, load_trials, save_scores,
-                                save_trials, score_trials)
+from mfcontrast.metrics import (Trial, TrialScoreSet, compute_eer, compute_mindcf,
+                                load_trials, save_scores, save_trials, score_trials)
 
 from oracles import brute_force_eer, brute_force_mindcf, cosine_score
 
@@ -144,12 +143,6 @@ class TestScoreTrials:
         store = {"a": np.ones(2), "z": np.zeros(2)}
         with pytest.raises(ValueError, match="zero vector"):
             score_trials([Trial("a", "z", False)], store)
-
-    def test_missing_ids_all_reported(self):
-        store = {"a": np.ones(2)}
-        with pytest.raises(MissingUtteranceError) as err:
-            score_trials([Trial("a", "x", True), Trial("y", "a", False)], store)
-        assert err.value.missing_ids == ["x", "y"]
 
 
 class TestFileFormats:

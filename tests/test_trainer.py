@@ -15,6 +15,7 @@ from mfcontrast.encoder import EncoderConfig
 from mfcontrast.features import FeatureMatrix, Waveform, extract_fbank, frame_count
 from mfcontrast.heads import HeadConfig
 from mfcontrast.losses import LossConfig
+from mfcontrast.metrics import MissingUtteranceError, Trial
 from mfcontrast.model import SpeakerModel
 from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
@@ -132,7 +133,8 @@ def check_batched_evaluate(monkeypatch, cpus, long_per_batch, sizes):
     got = trainer.evaluate(model, trials, store)
     assert sorted(n for _, n in calls) == sizes
     assert [t for t, _ in calls].count(caller) == -(-len(sizes) // len(cpus))
-    alone = {u: model.embed_utterance(extract_fbank(w, 16).values) for u, w in store.items()}
+    alone = {u: model.embed_utterance(extract_fbank([w], 16).values)[0]
+             for u, w in store.items()}
     expected = [cosine_score(alone[t.enroll_utt], alone[t.test_utt]) for t in trials]
     assert np.array_equal(got.scores.scores, expected)
     np.testing.assert_array_equal(got.scores.is_target, [t.is_target for t in trials])
@@ -168,6 +170,14 @@ def test_a_worker_thread_error_reaches_the_caller_and_no_thread_outlives_evaluat
                          generate_trials(CORPUS, 6, 6, seed=2), trainer.utterance_store(CORPUS))
     assert any(t is not caller for t, _ in calls)
     assert set(threading.enumerate()) == before
+
+
+def test_trial_utterances_reports_every_missing_id_once_in_first_use_order():
+    a = CORPUS[0].utterance_id
+    trials = [Trial(a, "y", True), Trial("x", a, False), Trial("x", "y", False)]
+    with pytest.raises(MissingUtteranceError) as err:
+        trainer.trial_utterances(trials, trainer.utterance_store(CORPUS[:1]))
+    assert err.value.missing_ids == ["y", "x"]
 
 
 def assert_same_bits(a, b):
@@ -364,7 +374,7 @@ def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch)
         monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus)
         runs.append(trainer.train(CORPUS, DRY, HEAD, tiny("combined")))
         assert set(threading.enumerate()) == before
-    # the caller, and the pool thread that each step starts
+    # the caller, and the thread that each step's forward starts
     assert len(seen) == 1 + sum(len(run.history) for run in runs)
     for run in runs[1:]:
         assert_same_bits(totals(run.history), totals(runs[0].history))
