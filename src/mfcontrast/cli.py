@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import PRESETS, TRIAL_SEED, ConfigError, ExperimentConfig, load_config
+from .config import TRIAL_SEED, ConfigError, ExperimentConfig, desk_config, load_config
 from .features import LengthError
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
@@ -61,11 +61,11 @@ def _append_manifest_end(out_dir: Path, **extra):
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    """The ``--config`` file or ``--preset`` (default desk), given ``--seed``/``--epochs``;
+    """The ``--config`` file, or else the desk preset, given ``--seed``/``--epochs``;
     with ``--synthetic``, its utterances must be long enough to score. The
     synthetic corpus is drawn from the train seed: ``synth.seed`` must be 0 or
     the file's own ``train.seed``, and is returned as the resolved train seed."""
-    cfg = load_config(args.config) if args.config else PRESETS[args.preset or "desk"]()
+    cfg = load_config(args.config) if args.config else desk_config()
     if cfg.synth.seed not in (0, cfg.train.seed):
         raise ConfigError(f"synth.seed must be 0 or train.seed ({cfg.train.seed}), "
                           f"the seed the synthetic corpus is drawn from; got {cfg.synth.seed}")
@@ -256,11 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        start = p.add_mutually_exclusive_group()
-        start.add_argument("--config", help="experiment config JSON; what it leaves "
-                                            "out is the desk preset's")
-        start.add_argument("--preset", choices=tuple(PRESETS), default=None,
-                           help="start from a named preset (default: desk)")
+        p.add_argument("--config", help="experiment config JSON; every field it "
+                                        "leaves out keeps its default")
         p.add_argument("--synthetic", action="store_true",
                        help="use the built-in synthetic corpus")
         p.add_argument("--data", help="corpus manifest file or directory")

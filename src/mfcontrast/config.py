@@ -1,11 +1,9 @@
 """Experiment configuration: a JSON file with one section per config
-dataclass (encoder, head, train, synth, trials), plus ready-made presets.
+dataclass (encoder, head, train, synth, trials).
 
-Each preset is defined once. The desk preset is the section dataclasses' own
-defaults (``EncoderConfig``, ``HeadConfig``, ``TrainConfig``, ``SynthSpec``,
-``TrialSpec``), so ``ExperimentConfig()`` is the desk preset; the full preset
-(``full_scale_config``) names only the fields where it differs from desk.
-``PRESETS`` maps each preset's name to its builder.
+The desk preset is the section dataclasses' own defaults (``EncoderConfig``,
+``HeadConfig``, ``TrainConfig``, ``SynthSpec``, ``TrialSpec``), so
+``ExperimentConfig()`` is the desk preset, and every experiment starts from it.
 
 A file changes the desk preset: every section and field it leaves out keeps
 the desk value. Unknown sections or keys are rejected so typos fail loudly
@@ -62,23 +60,6 @@ def desk_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def full_scale_config() -> ExperimentConfig:
-    """Six-block preset with the published training hyperparameters: the
-    desk preset with the fields named here changed, every other one the
-    section's default; like desk, it has ``encoder.NUM_HEADS`` heads and
-    the ``losses`` constants. Sized for real corpora; untested at that
-    scale."""
-    return ExperimentConfig(
-        encoder=EncoderConfig(num_blocks=6, model_dim=256, ff_expansion=4,
-                              conv_kernel=15, dropout=0.1),
-        head=HeadConfig(embed_dim=192, attention_hidden=128),
-        train=TrainConfig(batch_size=100, lr=1e-3, crop_duration=3.0),
-        synth=SynthSpec(duration=3.0, sample_rate=16000),
-    )
-
-
-PRESETS = {"desk": desk_config, "full": full_scale_config}
-
 # the JSON values a field of each annotated type takes; a bool is not a number
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -114,10 +95,8 @@ def config_from_dict(data) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON ({err})") from err
+    except (OSError, ValueError) as err:  # missing, a directory, not UTF-8, not JSON
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
     return config_from_dict(data)

@@ -39,7 +39,8 @@ NUM_HEADS = 4
 
 @dataclass
 class EncoderConfig:
-    """The desk preset's encoder; ``model_dim`` must divide by ``NUM_HEADS``."""
+    """The desk preset's encoder; ``model_dim`` must divide by ``NUM_HEADS``,
+    which also makes it even, as the sinusoidal positions need."""
 
     num_blocks: int = 2
     model_dim: int = 64
@@ -54,8 +55,6 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model_dim % NUM_HEADS != 0:
             raise ValueError(f"model_dim must be divisible by {NUM_HEADS} (NUM_HEADS)")
-        if self.model_dim % 2 != 0:
-            raise ValueError("model_dim must be even (positional encoding)")
         if self.conv_kernel % 2 != 1:
             raise ValueError("conv_kernel must be odd")
         if not 0.0 <= self.dropout < 1.0:

@@ -129,8 +129,6 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     waves of a few seconds and ran slower per wave.
     """
     waves = [w] if isinstance(w, Waveform) else list(w)
-    if not waves:
-        raise ValueError("no waveforms to extract features from")
     sr, size = waves[0].sample_rate, waves[0].samples.size
     if any(x.sample_rate != sr or x.samples.size != size for x in waves):
         raise ValueError("batched waveforms must share their sample count and rate")

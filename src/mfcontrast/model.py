@@ -204,7 +204,7 @@ class SpeakerModel:
             # np.load leaves a file it opened open when the zip will not parse
             with open(path, "rb") as f, np.load(f) as archive:
                 meta = json.loads(bytes(archive["meta"])) if "meta" in archive.files else {}
-                if meta.get("format") != CHECKPOINT_FORMAT:
+                if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
                     raise ValueError(f"{path} is not a recognized checkpoint")
                 params = {k[len("param/"):]: archive[k] for k in archive.files
                           if k.startswith("param/")}

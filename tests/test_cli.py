@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mfcontrast import __version__, cli
-from mfcontrast.config import PRESETS, TrialSpec, config_from_dict, desk_config, load_config
+from mfcontrast.config import TrialSpec, config_from_dict, desk_config, load_config
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.features import Waveform
 from mfcontrast.heads import HeadConfig
@@ -61,14 +61,14 @@ def synthetic_run(tmp_path, argv):
 
 # flags the parser does not offer, among them the removed contrastive-kind
 # choice (SupCon is the only contrastive loss), the removed weight flags and
-# sweep axes (an objective row names its weights), and flags it does not take
-# together: a config file and a preset each name the whole starting point
+# sweep axes (an objective row names its weights), and the removed preset
+# choice (a run starts from the desk preset or a config file)
 @pytest.mark.parametrize("argv, name", [
     (["train", "--no-such-flag"], "--no-such-flag"),
     (["train", "--contrastive-kind", "npair"], "--contrastive-kind"),
     (["sweep", "--axis", "contrastive_kind", "--values", "supcon"], "--axis"),
     (["train", "--lambda", "0.1"], "--lambda"),
-    (["train", "--preset", "full", "--config", "cfg.json"], "--config"),
+    (["train", "--preset", "desk"], "--preset"),
     (["sweep", "--axis", "sharing", "--values", "none"], "--axis"),
     (["train", "--lambda1", "0.5"], "--lambda1"),
     (["train", "--loss", "combined", "--lambda2", "0.5"], "--lambda2"),
@@ -76,7 +76,7 @@ def synthetic_run(tmp_path, argv):
     (["sweep", "mfcon", "--values", "0.1"], "--values"),
     (["sweep"], "ROW"),
 ], ids=["unknown-flag", "contrastive-kind-flag", "contrastive_kind-axis", "lambda-flag",
-        "config-with-preset", "sharing-axis", "lambda1-flag", "lambda2-flag", "axis-flag",
+        "preset-flag", "sharing-axis", "lambda1-flag", "lambda2-flag", "axis-flag",
         "values-flag", "sweep-without-rows"])
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     assert synthetic_run(tmp_path, argv) == 2
@@ -380,6 +380,23 @@ def test_the_manifest_records_the_seed_the_corpus_is_drawn_from(tmp_path, monkey
     assert cli._load_experiment(args) == recorded
 
 
+# a --config path that cannot be read as JSON is a config error naming it
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"train": {"objective": "\xff"}}'),
+    lambda path: path.write_text('{"train": '),
+], ids=["missing", "directory", "not-utf-8", "invalid-json"])
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, make):
+    path = tmp_path / "cfg.json"
+    make(path)
+    assert cli.main(["train", "--synthetic", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_oversize_trial_spec_is_a_config_error(tmp_path, capsys):
     cfg = desk_config()
     cfg = replace(cfg, synth=replace(cfg.synth, n_speakers=3, utts_per_speaker=3))
@@ -412,8 +429,8 @@ def rewrite_meta(path, edit):
 def eval_exit_code(path, tmp_path, capsys):
     code = cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
                      str(tmp_path / "manifest.txt")])
-    err = capsys.readouterr().err
-    assert "data error" in err and str(path) in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(path) in err[0]
     return code
 
 
@@ -457,7 +474,13 @@ def test_eval_rejects_a_checkpoint_with_a_removed_array(tmp_path, capsys):
 
 def damage(path, how):
     """Overwrite the archive at ``path`` with an empty, a truncated, or a
-    CRC-corrupted copy: one byte of the first member's data is flipped."""
+    CRC-corrupted copy (one byte of the first member's data is flipped), or
+    with a copy whose meta is JSON but not an object."""
+    if how == "meta-not-an-object":
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays["meta"] = np.frombuffer(b'["not", "an", "object"]', dtype=np.uint8)
+        return np.savez(path, **arrays)
     data = bytearray(path.read_bytes())
     if how == "zero-byte":
         data = bytearray()
@@ -472,7 +495,7 @@ def damage(path, how):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("how", ["zero-byte", "truncated", "crc"])
+@pytest.mark.parametrize("how", ["zero-byte", "truncated", "crc", "meta-not-an-object"])
 def test_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, how):
     path = tmp_path / "checkpoint.npz"
     saved_checkpoint(path)
@@ -561,25 +584,6 @@ def test_eval_scores_out_that_cannot_be_written_is_a_config_error(tmp_path, caps
                      "--scores-out", str(scores)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(scores) in err[0]
-
-
-def test_preset_full_resolves_without_training(tmp_path):
-    args = cli.build_parser().parse_args(
-        ["train", "--preset", "full", "--synthetic", "--out", str(tmp_path)])
-    cfg = cli._load_experiment(args)
-    assert (cfg.encoder.num_blocks, cfg.encoder.model_dim) == (6, 256)
-
-
-def test_preset_choices_are_the_presets_table(tmp_path):
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    for command in ("train", "sweep"):
-        preset = next(a for a in commands[command]._actions if a.dest == "preset")
-        assert preset.choices == tuple(PRESETS)
-    for name, build in PRESETS.items():
-        args = parser.parse_args(["train", "--preset", name, "--synthetic",
-                                  "--out", str(tmp_path)])
-        assert cli._load_experiment(args) == build()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
