@@ -18,6 +18,10 @@ the two differ only at round-off: within 1e-10 of the utterance's peak
 only about 2e-11 of the peak, because its phase 2 pi k f0 t reaches about
 1e5 rad over a few seconds.
 
+Utterances are built on every usable CPU (``parallel.on_threads``). Each
+draws from a generator seeded by the spec's seed, its speaker and its
+index, so the corpus is the same, byte for byte, at any CPU count.
+
 Trial pools are index arrays over the upper-triangle pairs of the corpus,
 in the order a pair-by-pair loop would list them, so a seed picks the same
 trials as that loop does.
@@ -30,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .features import Waveform, load_wav
 from .metrics import Trial
 
@@ -70,26 +75,28 @@ def _speaker_latent(spec: SynthSpec, speaker: int):
     return f0, resonances
 
 
-def _harmonic_sum(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_k |c_k| sin(k theta + arg c_k) for k = 1..K, as Im(sum_k c_k z^k)
-    with z = e^{i theta}, evaluated by Horner's rule: K complex
-    multiply-adds over the samples instead of K sines."""
+def _harmonic_sum(coeffs: np.ndarray, theta: np.ndarray, out: np.ndarray):
+    """sum_k |c_k| sin(k theta + arg c_k) for k = 1..K into ``out``, as
+    Im(sum_k c_k z^k) with z = e^{i theta}, evaluated by Horner's rule: K
+    complex multiply-adds over the samples instead of K sines."""
     z = np.exp(1j * theta)
     acc = np.full(theta.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc *= z
         acc += c
     acc *= z
-    return acc.imag.copy()
+    np.copyto(out, acc.imag)
 
 
-def _synth_utterance(spec: SynthSpec, speaker: int, utt: int) -> np.ndarray:
+def _synth_utterance(spec: SynthSpec, latent, speaker: int, utt: int, sig: np.ndarray):
+    """Utterance ``utt`` of ``speaker``, whose ``_speaker_latent`` is
+    ``latent``, written into ``sig`` (one float64 per sample)."""
     rng = np.random.default_rng([spec.seed, 1000 + speaker, utt])
-    f0, resonances = _speaker_latent(spec, speaker)
+    f0, resonances = latent
     f0 = f0 * (1.0 + rng.uniform(-0.03, 0.03))
     resonances = resonances * (1.0 + rng.uniform(-0.04, 0.04, size=3))
     sr = spec.sample_rate
-    n = int(round(spec.duration * sr))
+    n = sig.size
     t = np.arange(n) / sr
 
     f_max = min(4000.0, 0.45 * sr)
@@ -112,31 +119,48 @@ def _synth_utterance(spec: SynthSpec, speaker: int, utt: int) -> np.ndarray:
     amps = amps * np.maximum(eq, 0.02)
 
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_harmonics)
-    sig = _harmonic_sum(amps * np.exp(1j * phases), 2.0 * np.pi * f0 * t)
+    _harmonic_sum(amps * np.exp(1j * phases), 2.0 * np.pi * f0 * t, sig)
 
     # slow amplitude modulation gives the pooling layers non-flat frames
     mod_rate = rng.uniform(1.0, 4.0)
     mod_phase = rng.uniform(0.0, 2.0 * np.pi)
     sig *= 1.0 + 0.4 * np.sin(2.0 * np.pi * mod_rate * t + mod_phase)
 
-    sig = 0.15 * sig / np.sqrt(np.mean(sig ** 2))
+    rms = np.sqrt(np.mean(sig ** 2))
+    sig *= 0.15  # before the division, as 0.15 * sig / rms rounds
+    sig /= rms
     sig *= 10.0 ** (rng.uniform(-8.0, 8.0) / 20.0)
     sig += rng.uniform(0.01, 0.09) * rng.standard_normal(n)
     peak = np.max(np.abs(sig))
     if peak > 0.95:
         sig *= 0.95 / peak
-    return sig
 
 
 def generate_corpus(spec: SynthSpec) -> list:
-    """All utterances for the spec, labeled and deterministic under seed."""
-    corpus = []
-    for s in range(spec.n_speakers):
-        sid = f"spk{s:03d}"
-        for u in range(spec.utts_per_speaker):
-            corpus.append(Waveform(_synth_utterance(spec, s, u), spec.sample_rate,
-                                   speaker_id=sid, utterance_id=f"{sid}_utt{u:03d}"))
-    return corpus
+    """All utterances for the spec, labeled and deterministic under seed.
+
+    The utterances are dealt round-robin into w = min(usable CPUs,
+    utterances) shares; this thread builds share 0 and each other share
+    runs on a thread that ``parallel.on_threads`` starts and joins. Every
+    utterance has its own seeded generator, and each speaker's latent is
+    drawn once, here, so the corpus does not depend on the CPU count. The
+    sample arrays are allocated here and only filled on the threads (see
+    ``parallel.on_threads`` for why)."""
+    latents = [_speaker_latent(spec, s) for s in range(spec.n_speakers)]
+    keys = [(s, u) for s in range(spec.n_speakers) for u in range(spec.utts_per_speaker)]
+    n = int(round(spec.duration * spec.sample_rate))
+    samples = [np.empty(n) for _ in keys]
+    workers = min(parallel.usable_cpus(), len(keys))
+
+    def synthesize(k):
+        for i in range(k, len(keys), workers):
+            s, u = keys[i]
+            _synth_utterance(spec, latents[s], s, u, samples[i])
+
+    parallel.on_threads(workers, synthesize)
+    return [Waveform(x, spec.sample_rate, speaker_id=f"spk{s:03d}",
+                     utterance_id=f"spk{s:03d}_utt{u:03d}")
+            for x, (s, u) in zip(samples, keys)]
 
 
 def _cross_speaker_pairs(speaker: np.ndarray, picks: np.ndarray):

@@ -19,16 +19,14 @@ import ctypes
 import functools
 import json
 import math
-import os
 import resource
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import losses, nn
+from . import losses, nn, parallel
 from .encoder import MIN_FRAMES, EncoderConfig
 from .features import (FRAME_LEN, FRAME_SHIFT, AugmentSampler, LengthError,
                        extract_fbank, frame_count, random_crop)
@@ -247,33 +245,6 @@ def _row_shards(feats, enc_cfg: EncoderConfig) -> list:
     return [slice(0, half), slice(half, rows)]
 
 
-def _on_threads(count, work, abort=None) -> list:
-    """``work(k)`` for k in range(count), k = 0 on this thread and each
-    other k on a thread that this call starts and joins; the results, in k
-    order. A k that raises calls ``abort``, when given, so that the others
-    end rather than wait for it, and after the joins the first error raised
-    is raised again: the one that aborted, never the abort's own."""
-    results, errors = [None] * count, []
-
-    def run(k):
-        try:
-            results[k] = work(k)
-        except BaseException as err:
-            errors.append(err)  # before the abort that ends the others
-            if abort is not None:
-                abort()
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, count)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
                cfg: TrainConfig, lr: float, rng: np.random.Generator):
     """One forward/backward/update on the (2B, T, F) batch ``feats``.
@@ -284,11 +255,11 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
     function of the CPU count, so a run's bits depend only on its config
     and seed. With two, this thread runs the first half of the rows, and
     a thread that the forward starts and joins, then one that the backward
-    does, runs the second (``_on_threads``); they meet only in batch norm
-    (``nn.row_shard``). The loss runs once, on this thread, over both
-    shards' embeddings in row order. Each shard's backward writes its own
-    gradient vector, shard 0 into ``model.grad_vector``, and the others are
-    added to it in shard order before Adam. One shard gives the bits of
+    does, runs the second (``parallel.on_threads``); they meet only in
+    batch norm (``nn.row_shard``). The loss runs once, on this thread, over
+    both shards' embeddings in row order. Each shard's backward writes its
+    own gradient vector, shard 0 into ``model.grad_vector``, and the others
+    are added to it in shard order before Adam. One shard gives the bits of
     the whole batch on one thread; two differ from them at round-off."""
     shards = _row_shards(feats, model.enc_cfg)
     group = nn.ShardGroup(len(shards), len(feats))
@@ -304,7 +275,7 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
         model.backward(outs[k], [d[rows] for d in d_taps], d_spk[rows], vectors[k])
 
     t0 = time.perf_counter()
-    outs = _on_threads(len(shards), forward, group.abort)
+    outs = parallel.on_threads(len(shards), forward, group.abort)
     out = outs[0] if len(outs) == 1 else ModelOutput(
         [np.concatenate(taps) for taps in zip(*(o.tap_embeddings for o in outs))],
         np.concatenate([o.speaker_embedding for o in outs]), [o.cache for o in outs])
@@ -314,7 +285,7 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
     if not np.isfinite(total):
         raise NonFiniteLossError(breakdown)
     t2 = time.perf_counter()
-    _on_threads(len(shards), backward, group.abort)
+    parallel.on_threads(len(shards), backward, group.abort)
     for vector in vectors[1:]:
         model.grad_vector += vector
     # rounds the float64 loss gradient to the model's dtype
@@ -417,13 +388,13 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     Utterances are grouped by sample count and sample rate, and each group
     is cut into batches of ``EVAL_FRAME_BUDGET`` filterbank frames: one
     ``extract_fbank`` and one ``embed_utterance`` call per batch. Of w =
-    min(batches, usable CPUs) shares (at least 1), the calling thread
-    embeds batches 0, w, 2w, ... and each other share runs on a thread this
-    call starts and joins (``_on_threads``). Eval mode only reads the
-    model, and both calls are batch-invariant, so every embedding, and
-    with it every score, equals that of the utterance embedded alone, bit
-    for bit. Each thread's BLAS calls run on that thread alone
-    (``_one_blas_thread``)."""
+    min(batches, usable CPUs) shares (at least 1; ``parallel.usable_cpus``),
+    the calling thread embeds batches 0, w, 2w, ... and each other share
+    runs on a thread that the shared helper ``parallel.on_threads`` starts
+    and joins. Eval mode only reads the model, and both calls are
+    batch-invariant, so every embedding, and with it every score, equals
+    that of the utterance embedded alone, bit for bit. Each thread's BLAS
+    calls run on that thread alone (``_one_blas_thread``)."""
     needed = trial_utterances(trials, store)
     groups = {}
     for utt in needed:
@@ -434,16 +405,15 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
         step = max(1, EVAL_FRAME_BUDGET // max(1, frame_count(size, rate)))
         batches += [utts[i:i + step] for i in range(0, len(utts), step)]
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # with no batches, one empty share still reaches compute_eer's error
-    workers = max(1, min(len(batches), cpus or 1))
+    workers = max(1, min(len(batches), parallel.usable_cpus()))
 
     def embed(k):  # -> [(utterance id, embedding)] of share k
         return [pair for batch in batches[k::workers] for pair in zip(
             batch, model.embed_utterance(extract_fbank(
                 [store[u] for u in batch], model.enc_cfg.input_dim).values))]
 
-    embedded = _on_threads(workers, embed)
+    embedded = parallel.on_threads(workers, embed)
     scores = score_trials(trials, dict(pair for share in embedded for pair in share))
     return EvalResult(compute_eer(scores), compute_mindcf(scores), scores)
 

@@ -10,17 +10,20 @@ filterbank call and one ``embed_utterance`` call.
 The desk run is also checked over two row shards, untraced and traced, which
 the smoke batch reaches only with no frame floor (``trainer.SHARD_MIN_FRAMES``).
 The traced run does not check self times: the tracer's one span stack for all
-threads makes some of them negative over two shards."""
+threads makes some of them negative over two shards. For the same reason the
+threads that synthesize the corpus call nothing the tracer wraps; the traced
+``embed_long`` run at two usable CPUs checks that its result stays whole."""
 
 import functools
 import json
 import math
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from mfcontrast import nn, trainer
+from mfcontrast import nn, synthdata, trainer
 from perfbench import spans, workloads
 from perfbench.test_perfbench import measure
 
@@ -79,3 +82,29 @@ def test_the_traced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch):
     metrics = desk_over_two_row_shards(monkeypatch, trace=True)["metrics"]
     assert {k: m["value"] for k, m in metrics.items()
             if m["value"] is None or not math.isfinite(m["value"])} == {}
+
+
+def test_the_traced_embed_smoke_run_is_whole_with_synthesis_on_two_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = set()
+    synth = synthdata._synth_utterance
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        return synth(*args)
+
+    monkeypatch.setattr(synthdata, "_synth_utterance", spy)
+    before = set(threading.enumerate())
+    report = measure("embed_long", trace=True)
+    assert set(threading.enumerate()) == before
+    assert threading.current_thread() in threads and len(threads) >= 2
+    # a wrapped call on any synthesis thread would open a span under the corpus's
+    tracer = report["tracer"]
+    corpus = {i for i, name in enumerate(tracer.names) if name == "synthdata.corpus"}
+    assert corpus and [tracer.names[i] for i, parent in enumerate(tracer.parent)
+                       if parent in corpus] == []
+    result = report["result"]
+    assert result["correct"] and result["failed"] == 0
+    metrics = {k: m["value"] for k, m in result["metrics"].items()}
+    assert {k: v for k, v in metrics.items() if v is None or not math.isfinite(v)} == {}
+    assert metrics["synthdata.corpus_s"] > 0

@@ -1,6 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from mfcontrast import synthdata
 from mfcontrast.features import Waveform, extract_fbank
 from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials, load_manifest
 from oracles import direct_synth_utterance, loop_trials
@@ -74,6 +78,50 @@ class TestGenerateCorpus:
             assert np.max(np.abs(w.samples - want)) <= 1e-10 * np.max(np.abs(want))
         assert (min(harmonics), max(harmonics)) == ((14, 38) if sample_rate == 8000
                                                     else (16, 42))
+
+
+class WorkerSynthError(RuntimeError):
+    pass
+
+
+def corpus_on(monkeypatch, cpus, spec=SMALL):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    return generate_corpus(spec)
+
+
+class TestThreadedSynthesis:
+    def test_one_and_two_cpus_give_the_same_corpus(self, monkeypatch):
+        # 15 utterances: the caller's share holds one more than the thread's
+        spec = SynthSpec(n_speakers=5, utts_per_speaker=3, duration=0.3,
+                         sample_rate=8000, seed=5)
+        one, two = corpus_on(monkeypatch, {0}, spec), corpus_on(monkeypatch, {0, 1}, spec)
+        assert ([(w.speaker_id, w.utterance_id) for w in two]
+                == [(w.speaker_id, w.utterance_id) for w in one])
+        for x, y in zip(one, two):
+            assert x.samples.tobytes() == y.samples.tobytes()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("generate_corpus started a thread"))
+        assert len(corpus_on(monkeypatch, {0})) == 12
+
+    def test_a_worker_error_reaches_the_caller_and_no_thread_outlives_the_call(
+            self, monkeypatch):
+        caller, seen = threading.current_thread(), []
+        synth = synthdata._synth_utterance
+
+        def fails_off_the_caller(*args):
+            seen.append(threading.current_thread())
+            if seen[-1] is not caller:
+                raise WorkerSynthError("an utterance failed on the worker")
+            return synth(*args)
+
+        monkeypatch.setattr(synthdata, "_synth_utterance", fails_off_the_caller)
+        before = set(threading.enumerate())
+        with pytest.raises(WorkerSynthError):
+            corpus_on(monkeypatch, {0, 1})
+        assert caller in seen and any(t is not caller for t in seen)
+        assert set(threading.enumerate()) == before
 
 
 class TestGenerateTrials:

@@ -122,7 +122,7 @@ def check_batched_evaluate(monkeypatch, cpus, long_per_batch, sizes):
     ceil(batches / cpus) of them on the calling thread, and scores every
     trial as the utterances embedded one at a time do, bit for bit."""
     store = mixed_length_store()
-    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET",
                         long_per_batch * frame_count(4000, 8000) + 1)
     trials = generate_trials(CORPUS, 18, 48, seed=3)  # every pair
@@ -161,7 +161,7 @@ class WorkerBatchError(RuntimeError):
 
 def test_a_worker_thread_error_reaches_the_caller_and_no_thread_outlives_evaluate(
         monkeypatch):
-    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET", 1)  # one utterance per batch
     before = set(threading.enumerate())
     caller, calls = batches_by_thread(monkeypatch, WorkerBatchError)
@@ -298,10 +298,14 @@ def libc_has_mallopt():
 
 
 @pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
-def test_desk_steps_after_the_first_epoch_reuse_freed_memory():
+def test_desk_steps_after_the_first_epoch_reuse_freed_memory(monkeypatch):
     # a desk step frees about 64 MiB of 1-4 MiB buffers; under glibc's default
-    # thresholds each later step faulted about 16k pages back in
+    # thresholds each later step faulted about 16k pages back in. The corpus
+    # is synthesized on two threads on any host: samples allocated on the
+    # second one left a glibc arena that the two-shard step's thread reused,
+    # and each later step faulted about 3.8k pages
     desk = config.desk_config()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     corpus = generate_corpus(replace(desk.synth, n_speakers=10, utts_per_speaker=10))
     cfg = replace(desk.train, epochs=2)
     assert (cfg.batch_size, cfg.crop_duration) == (50, 1.0)
@@ -371,7 +375,7 @@ def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch)
     seen = threads_running_batch_norm(monkeypatch)
     runs = []
     for cpus in ({0}, {0, 1}, {0, 1}):
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         runs.append(trainer.train(CORPUS, DRY, HEAD, tiny("combined")))
         assert set(threading.enumerate()) == before
     # the caller, and the thread that each step's forward starts
