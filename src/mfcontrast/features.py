@@ -11,6 +11,14 @@ checkpoint always scores the features it was trained on.
 Everything here is a pure function of its inputs plus explicit seeds, so the
 whole module is safe to call concurrently. Spectra and convolutions use
 numpy's FFT only.
+
+A batch is worked on every usable CPU (``parallel.on_threads``):
+``extract_fbank`` transforms stacked chunks of up to ``FBANK_CHUNK_FRAMES``
+frames, and ``AugmentSampler.apply`` makes every draw on the calling thread,
+crop by crop as one crop at a time would, then renders shares of the crops.
+Each wave's result equals that of the wave alone, so nothing depends on the
+CPU count. Called from inside another ``on_threads`` work item, as
+``trainer.evaluate`` does, they run inline.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from . import parallel
 
 
 class LengthError(ValueError):
@@ -86,15 +96,26 @@ def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
     return window, fb
 
 
-def _log_mel(frames: np.ndarray, fb: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+def _log_mel(frames: np.ndarray, fb: np.ndarray, out: np.ndarray | None = None,
+             waves: int = 1) -> np.ndarray:
     """``LOG_FLOOR``-floored log mel energies of windowed, zero-padded
-    (T, n_fft) frames under the filterbank ``fb``, written into ``out`` when
-    given. The rfft's interleaved real and imaginary parts are squared in
-    place and added pairwise into |X|^2, with no complex abs."""
+    (rows, n_fft) frames under the filterbank ``fb``, written into ``out``
+    when given. The rfft's interleaved real and imaginary parts are squared
+    in place and added pairwise into |X|^2, with no complex abs.
+
+    The frames hold ``waves`` equal blocks of rows, one per wave, and the
+    mel GEMM runs block by block: every other step treats each row alone,
+    but BLAS picks its kernel by the product's size (gemv for one row, and
+    OpenBLAS a small-matrix kernel below about 1,200 output entries), and
+    kernels round differently. So a wave's rows get the bits of the wave
+    alone, whatever the stack."""
     sq = np.fft.rfft(frames, axis=1).view(np.float64)
     np.square(sq, out=sq)
-    energy = np.matmul(sq[:, 0::2] + sq[:, 1::2], fb.T, out=out)
+    power = sq[:, 0::2] + sq[:, 1::2]
+    energy = np.empty((frames.shape[0], fb.shape[0])) if out is None else out
+    step = frames.shape[0] // waves
+    for lo in range(0, frames.shape[0], step):
+        np.matmul(power[lo:lo + step], fb.T, out=energy[lo:lo + step])
     np.maximum(energy, LOG_FLOOR, out=energy)
     return np.log(energy, out=energy)
 
@@ -105,6 +126,42 @@ def frame_count(n_samples: int, sample_rate: int) -> int:
     flen = int(round(FRAME_LEN * sample_rate))
     fshift = int(round(FRAME_SHIFT * sample_rate))
     return max(0, (n_samples - flen) // fshift + 1)
+
+
+# filterbank frames in each stacked chunk of waves that extract_fbank
+# transforms at once: a chunk holds max(1, FBANK_CHUNK_FRAMES // T) waves of
+# T frames, 4 of the desk's 1 s crops (T = 98) and 1 wave of 4 s (T = 398).
+# Timed on 100 desk waves (1 s at 8 kHz, 80 mels; 2 CPUs, 1 BLAS thread;
+# medians of 27 alternating calls, three sessions): on two threads, chunks
+# of 1 wave took 18.0-19.4 ms, of 4 waves 15.1-18.0 and of 8 or 16 waves
+# about the same, but of 50 waves 22.0-26.6, since such a chunk leaves the
+# cache; on one thread, 1 to 16 waves took 17-24 ms alike and 50 waves
+# 25-33. At 4 s, chunks of 1 or 2 waves ran alike and of 5 slower.
+FBANK_CHUNK_FRAMES = 400
+
+
+def _shared_shape(waves) -> tuple:
+    """The (sample rate, sample count) that ``waves`` share; ValueError when
+    they mix lengths or rates."""
+    sr, size = waves[0].sample_rate, waves[0].samples.size
+    if any(x.sample_rate != sr or x.samples.size != size for x in waves):
+        raise ValueError("batched waveforms must share their sample count and rate")
+    return sr, size
+
+
+def _fbank_chunk(waves, window, fb, fshift: int, buf: np.ndarray, out: np.ndarray):
+    """Log mel energies of the equal-length ``waves`` into ``out``, their
+    frames stacked in wave order (rows, n_mels). Each wave's frames are a
+    strided view of its samples, multiplied by ``window`` straight into its
+    rows of ``buf`` (rows, n_fft), whose columns past the window stay zero;
+    then one ``_log_mel`` call transforms the whole stack."""
+    flen, frames = window.size, out.shape[0] // len(waves)
+    for j, wave in enumerate(waves):
+        x = wave.samples
+        view = np.lib.stride_tricks.as_strided(
+            x, (frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
+        np.multiply(view, window, out=buf[j * frames:(j + 1) * frames, :flen])
+    _log_mel(buf, fb, out=out, waves=len(waves))
 
 
 def extract_fbank(w, n_mels: int) -> FeatureMatrix:
@@ -120,18 +177,26 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     alone, bit for bit. A sequence that mixes lengths or rates raises
     ValueError.
 
-    The frames are one strided view of a waveform's samples, multiplied by
-    the window straight into a zeroed (T, n_fft) buffer, n_fft being the
-    smallest power of two that holds a frame; the real FFT then runs on
-    that buffer as it is, with no padding copy of its own. A batch reuses
-    the buffer wave by wave and writes each wave's features into its item
-    of the stack: one (B, T, n_fft) buffer would leave the cache at a few
-    waves of a few seconds and ran slower per wave.
+    The waves are cut into chunks of consecutive waves, each of at most
+    ``FBANK_CHUNK_FRAMES`` frames (at least one wave), and each chunk is
+    one stack of frames: one real FFT, one square and one log per chunk
+    rather than per wave, and the mel GEMM wave by wave (``_log_mel``
+    says why). The FFT runs on a zeroed (frames, n_fft) buffer, n_fft
+    being the smallest power of two that holds a frame, with no padding
+    copy of its own. So a chunk's size changes no bit; a larger chunk
+    leaves the cache and runs slower per wave.
+
+    The chunks are dealt round-robin to w = min(chunks, usable CPUs)
+    shares (``parallel.usable_cpus``); this thread takes share 0 and each
+    other share runs on a thread that ``parallel.on_threads`` starts and
+    joins. The features are allocated here and only filled on the threads;
+    each share zeroes one chunk's buffer of its own, a temporary. The
+    result does not depend on the CPU count. Called from inside another
+    ``on_threads`` work item (``trainer.evaluate``), every chunk runs on
+    the calling thread.
     """
     waves = [w] if isinstance(w, Waveform) else list(w)
-    sr, size = waves[0].sample_rate, waves[0].samples.size
-    if any(x.sample_rate != sr or x.samples.size != size for x in waves):
-        raise ValueError("batched waveforms must share their sample count and rate")
+    sr, size = _shared_shape(waves)
     flen = int(round(FRAME_LEN * sr))
     fshift = int(round(FRAME_SHIFT * sr))
     num_frames = frame_count(size, sr)
@@ -142,14 +207,20 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     while n_fft < flen:
         n_fft *= 2
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
-    buf = np.zeros((num_frames, n_fft))
+    per_chunk = max(1, FBANK_CHUNK_FRAMES // num_frames)
+    starts = range(0, len(waves), per_chunk)
+    workers = min(len(starts), parallel.usable_cpus())
     values = np.empty((len(waves), num_frames, n_mels))
-    for out, wave in zip(values, waves):
-        x = wave.samples
-        frames = np.lib.stride_tricks.as_strided(
-            x, (num_frames, flen), (fshift * x.strides[0], x.strides[0]), writeable=False)
-        np.multiply(frames, window, out=buf[:, :flen])
-        _log_mel(buf, fb, out=out)
+    rows = values.reshape(-1, n_mels)
+
+    def transform(k):
+        buf = np.zeros((per_chunk * num_frames, n_fft))
+        for start in starts[k::workers]:
+            chunk = waves[start:start + per_chunk]
+            lo, hi = start * num_frames, (start + len(chunk)) * num_frames
+            _fbank_chunk(chunk, window, fb, fshift, buf[:hi - lo], rows[lo:hi])
+
+    parallel.on_threads(workers, transform)
     return FeatureMatrix(values[0] if isinstance(w, Waveform) else values)
 
 
@@ -210,9 +281,13 @@ class AugmentSampler:
     ``features.augment`` span wraps ``AugmentSampler.apply``.
     """
 
-    def apply(self, w: Waveform, rng: np.random.Generator) -> Waveform:
-        """Augment a copy of ``w`` with draws from ``rng``: the branch, then
-        the SNR and a seed for the noise, or the impulse response's tail.
+    def apply(self, crops, rng: np.random.Generator) -> list:
+        """Augmented copies of ``crops``, waveforms that share their sample
+        count and rate (ValueError otherwise), in the same order.
+
+        Every draw from ``rng`` is made here, crop by crop in order, as
+        the crops one at a time would make them: the branch, then the SNR
+        and a seed for the noise, or the impulse response's tail.
 
         Noise is the seed's standard normal samples scaled so that
         10 log10(P_signal / P_noise) is the SNR, P the mean square; for a
@@ -220,27 +295,65 @@ class AugmentSampler:
 
         The impulse response has max(2, ``IR_DURATION`` * rate) taps: 1, then
         a Gaussian tail of scale 0.3 decaying with time constant
-        ``IR_DECAY``. The convolution runs through a real FFT of
-        ``_fast_real_length`` points, the arithmetic of
-        ``scipy.signal.fftconvolve``; it is cut to the crop's length and
-        rescaled to the crop's peak."""
-        x = w.samples
-        if rng.random() < NOISE_PROB:
-            snr_db = rng.uniform(*SNR_RANGE)
-            noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
-            noise = noise_rng.standard_normal(x.size)
-            gain = np.sqrt(np.mean(x ** 2) / (np.mean(noise ** 2) * 10.0 ** (snr_db / 10.0)))
-            return replace(w, samples=x + gain * noise)
-        n = max(2, int(round(IR_DURATION * w.sample_rate)))
-        t = np.arange(n) / w.sample_rate
-        ir = 0.3 * rng.standard_normal(n) * np.exp(-t / IR_DECAY)
-        ir[0] = 1.0
-        nfft = _fast_real_length(x.size + n - 1)
-        out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(ir, nfft), nfft)[:x.size]
-        peak = np.max(np.abs(out))
-        if peak > 0.0:
-            out = out * (np.max(np.abs(x)) / peak)
-        return replace(w, samples=out)
+        ``IR_DECAY``, whose envelope is computed once per call. The
+        convolution runs through a real FFT of ``_fast_real_length``
+        points, the arithmetic of ``scipy.signal.fftconvolve``; it is cut to
+        the crop's length and rescaled to the crop's peak.
+
+        The crops are then dealt round-robin to w = min(crops, usable CPUs)
+        shares, rendered as ``extract_fbank``'s chunks are: share 0 on this
+        thread and each other one on a thread of ``parallel.on_threads``.
+        A share renders its noise crops one by one and its reverb crops
+        with one stacked FFT. The output rows are allocated here and only
+        filled on the threads, and each equals that of its crop alone,
+        whatever the CPU count."""
+        sr, size = _shared_shape(crops)
+        taps = max(2, int(round(IR_DURATION * sr)))
+        noise, tails = {}, {}
+        for i in range(len(crops)):
+            if rng.random() < NOISE_PROB:
+                noise[i] = (rng.uniform(*SNR_RANGE), int(rng.integers(0, 2 ** 31 - 1)))
+            else:
+                tails[i] = rng.standard_normal(taps)
+        envelope = np.exp(-(np.arange(taps) / sr) / IR_DECAY)
+        nfft = _fast_real_length(size + taps - 1)
+        out = np.empty((len(crops), size))
+        workers = min(len(crops), parallel.usable_cpus())
+
+        def render(k):
+            share = range(k, len(crops), workers)
+            for i in (i for i in share if i in noise):
+                _add_noise(crops[i].samples, *noise[i], out[i])
+            wet = [i for i in share if i in tails]
+            if wet:
+                _add_reverb(np.stack([crops[i].samples for i in wet]),
+                            np.stack([tails[i] for i in wet]), envelope, nfft, out, wet)
+
+        parallel.on_threads(workers, render)
+        return [replace(c, samples=x) for c, x in zip(crops, out)]
+
+
+def _add_noise(x: np.ndarray, snr_db: float, seed: int, out: np.ndarray):
+    """``x`` plus the standard normal samples of ``seed``, scaled to
+    ``snr_db`` below the power of ``x``, into ``out``."""
+    noise = np.random.default_rng(seed).standard_normal(x.size)
+    gain = np.sqrt(np.mean(x ** 2) / (np.mean(noise ** 2) * 10.0 ** (snr_db / 10.0)))
+    np.multiply(noise, gain, out=out)
+    out += x
+
+
+def _add_reverb(xs: np.ndarray, tails: np.ndarray, envelope: np.ndarray, nfft: int,
+                out: np.ndarray, rows: list):
+    """The (r, n) crops ``xs`` convolved with the impulse responses of the
+    (r, taps) Gaussian ``tails``, cut to n samples and rescaled to each
+    crop's peak (a silent result stays as it is), into ``out[rows]``."""
+    irs = 0.3 * tails * envelope
+    irs[:, 0] = 1.0
+    wet = np.fft.irfft(np.fft.rfft(xs, nfft) * np.fft.rfft(irs, nfft), nfft)[:, :xs.shape[1]]
+    peak = np.max(np.abs(wet), axis=1)
+    scale = np.divide(np.max(np.abs(xs), axis=1), peak, out=np.ones_like(peak),
+                      where=peak > 0.0)
+    out[rows] = wet * scale[:, None]
 
 
 def load_wav(path) -> Waveform:

@@ -7,9 +7,10 @@ for the SupCon terms. All randomness is derived from the config seed,
 and a fixed seed reproduces the loss curve bit-for-bit at any BLAS thread
 count the caller has set, because ``train`` and ``evaluate`` run numpy's
 bundled OpenBLAS on one thread for the length of the call (with another
-BLAS, the thread count stays the caller's). ``train_step`` runs a large
-enough batch as two row shards on two threads, and ``evaluate`` embeds on
-every usable CPU; neither result depends on how many CPUs there are.
+BLAS, the thread count stays the caller's). ``build_batch`` augments the
+crops and takes their filterbanks on every usable CPU, ``train_step`` runs a
+large enough batch as two row shards on two threads, and ``evaluate`` embeds
+on every usable CPU; no result depends on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -141,17 +142,21 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
     """Doubled training batch from B sampled utterances.
 
     Rows 0..B-1 are fixed-duration crops, rows B..2B-1 their augmented
-    counterparts in matching order. One ``extract_fbank`` call turns them
-    into features, so the utterances must share a sample rate (a
-    ``load_manifest`` corpus does). Returns (features
+    counterparts in matching order. One generator draws every crop's
+    offset seed, in utterance order, then every augmentation draw, crop by
+    crop (``AugmentSampler.apply``). One ``apply`` call augments the
+    crops and one ``extract_fbank`` call turns all 2B waves into features,
+    so the utterances must share a sample rate (a ``load_manifest`` corpus
+    does). Both calls spread their work over the usable CPUs, the
+    filterbank in chunks of ``features.FBANK_CHUNK_FRAMES`` frames, and
+    neither result depends on how many CPUs there are. Returns (features
     (2B, T, n_mels) as float32, labels (2B,) from ``label_map``, a
     ``speaker_label_map`` of the corpus). Deterministic under rng_seed.
     """
     rng = np.random.default_rng([rng_seed, 0xBA7C4])
     crops = [random_crop(w, cfg.crop_duration, int(rng.integers(2 ** 31 - 1)))
              for w in utterances]
-    sampler = AugmentSampler()
-    waves = crops + [sampler.apply(c, rng) for c in crops]
+    waves = crops + AugmentSampler().apply(crops, rng)
     feats = extract_fbank(waves, n_mels).values.astype(np.float32)
     labels = np.array([label_map[w.speaker_id] for w in waves], dtype=int)
     return feats, labels
@@ -391,7 +396,9 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     min(batches, usable CPUs) shares (at least 1; ``parallel.usable_cpus``),
     the calling thread embeds batches 0, w, 2w, ... and each other share
     runs on a thread that the shared helper ``parallel.on_threads`` starts
-    and joins. Eval mode only reads the model, and both calls are
+    and joins; each ``extract_fbank`` call then runs inline on its share's
+    thread, so no more threads run than CPUs. Eval mode only reads the
+    model, and both calls are
     batch-invariant, so every embedding, and with it every score, equals
     that of the utterance embedded alone, bit for bit. Each thread's BLAS
     calls run on that thread alone (``_one_blas_thread``)."""

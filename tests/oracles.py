@@ -6,9 +6,10 @@ verifies.
 """
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from mfcontrast.features import IR_DECAY, IR_DURATION, NOISE_PROB, SNR_RANGE
+from mfcontrast.features import IR_DECAY, IR_DURATION, NOISE_PROB, SNR_RANGE, Waveform
 from mfcontrast.metrics import Trial
 from mfcontrast.synthdata import F0_RANGE, RESONANCE_BANDS
 
@@ -86,6 +87,30 @@ def drawn_augmentation(x, sample_rate, seed):
     ir = 0.3 * rng.standard_normal(taps) * np.exp(-t / IR_DECAY)
     ir[0] = 1.0
     return "reverb", ir, fft_reverb(x, ir)
+
+
+def per_crop_augmentation(w, rng):
+    """What ``AugmentSampler.apply`` makes of the one crop ``w`` with draws
+    from ``rng``, as it was written before it took a batch: noise or reverb
+    rendered on their own, the reverb through one real FFT of the crop and
+    one of its impulse response, with the envelope rebuilt for the crop."""
+    x = w.samples
+    if rng.random() < NOISE_PROB:
+        snr_db = rng.uniform(*SNR_RANGE)
+        noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31 - 1)))
+        noise = noise_rng.standard_normal(x.size)
+        gain = np.sqrt(np.mean(x ** 2) / (np.mean(noise ** 2) * 10.0 ** (snr_db / 10.0)))
+        return Waveform(x + gain * noise, w.sample_rate, w.speaker_id, w.utterance_id)
+    n = max(2, int(round(IR_DURATION * w.sample_rate)))
+    t = np.arange(n) / w.sample_rate
+    ir = 0.3 * rng.standard_normal(n) * np.exp(-t / IR_DECAY)
+    ir[0] = 1.0
+    nfft = next_fast_len(x.size + n - 1, real=True)
+    out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(ir, nfft), nfft)[:x.size]
+    peak = np.max(np.abs(out))
+    if peak > 0.0:
+        out = out * (np.max(np.abs(x)) / peak)
+    return Waveform(out, w.sample_rate, w.speaker_id, w.utterance_id)
 
 
 def direct_depthwise_conv1d(x, w, dy):

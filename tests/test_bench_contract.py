@@ -12,7 +12,9 @@ the smoke batch reaches only with no frame floor (``trainer.SHARD_MIN_FRAMES``).
 The traced run does not check self times: the tracer's one span stack for all
 threads makes some of them negative over two shards. For the same reason the
 threads that synthesize the corpus call nothing the tracer wraps; the traced
-``embed_long`` run at two usable CPUs checks that its result stays whole."""
+``embed_long`` run at two usable CPUs checks that its result stays whole,
+and the traced ``train_desk`` run there checks that the filterbank and
+augmentation threads of each batch call nothing the tracer wraps either."""
 
 import functools
 import json
@@ -23,7 +25,7 @@ import threading
 import numpy as np
 import pytest
 
-from mfcontrast import nn, synthdata, trainer
+from mfcontrast import features, nn, synthdata, trainer
 from perfbench import spans, workloads
 from perfbench.test_perfbench import measure
 
@@ -108,3 +110,32 @@ def test_the_traced_embed_smoke_run_is_whole_with_synthesis_on_two_threads(monke
     metrics = {k: m["value"] for k, m in result["metrics"].items()}
     assert {k: v for k, v in metrics.items() if v is None or not math.isfinite(v)} == {}
     assert metrics["synthdata.corpus_s"] > 0
+
+
+def test_the_traced_desk_smoke_run_is_whole_with_each_batch_on_two_threads(monkeypatch):
+    # the smoke batch of 4 makes 8 waves of 98 frames: two filterbank chunks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = set()
+    chunk = features._fbank_chunk
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        return chunk(*args)
+
+    monkeypatch.setattr(features, "_fbank_chunk", spy)
+    before = set(threading.enumerate())
+    report = measure("train_desk", trace=True)
+    assert set(threading.enumerate()) == before
+    assert threading.current_thread() in threads and len(threads) >= 2
+    # a wrapped call on a worker thread would open a span under the batch's
+    tracer = report["tracer"]
+    batch = {i for i, name in enumerate(tracer.names)
+             if name in ("features.fbank", "features.augment")}
+    assert batch and [tracer.names[i] for i, parent in enumerate(tracer.parent)
+                      if parent in batch] == []
+    result = report["result"]
+    assert result["correct"] and result["failed"] == 0
+    json.dumps(result, allow_nan=False)
+    metrics = {k: m["value"] for k, m in result["metrics"].items()}
+    assert metrics["features.fbank_calls"] == 1
+    assert metrics["features.fbank_s"] > 0 and metrics["features.augment_s"] > 0

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from mfcontrast.features import (AugmentSampler, LengthError, Waveform, extract_
                                  load_wav, mel_filterbank, random_crop)
 
 from oracles import (dft_mel_energies, direct_convolution, drawn_augmentation, fft_reverb,
-                     mel_band_edges)
+                     mel_band_edges, per_crop_augmentation)
 from writers import save_wav
 
 
@@ -140,6 +143,101 @@ class TestExtractFbank:
             extract_fbank([Waveform(np.ones(4000), 8000), other], 40)
 
 
+def on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def spy_threads(monkeypatch, *names):
+    """Patch the named ``features`` kernels to record, per call, the thread
+    and the call's first argument."""
+    calls = []
+    for name in names:
+        def spy(*args, kernel=getattr(features, name)):
+            calls.append((threading.current_thread(), args[0]))
+            return kernel(*args)
+        monkeypatch.setattr(features, name, spy)
+    return calls
+
+
+class TestStackedFbank:
+    """``extract_fbank`` in chunks of ``FBANK_CHUNK_FRAMES`` frames spread
+    over the usable CPUs gives each wave the bits of the wave alone."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("seconds", [1.0, 4.0])
+    @pytest.mark.parametrize("sr", [8000, 16000])
+    def test_one_below_and_one_above_a_chunk_equal_the_waves_alone(
+            self, monkeypatch, cpus, seconds, sr):
+        n = int(seconds * sr)
+        per_chunk = max(1, features.FBANK_CHUNK_FRAMES // features.frame_count(n, sr))
+        rng = np.random.default_rng(sr + n)
+        waves = [Waveform(0.3 * rng.standard_normal(n), sr) for _ in range(per_chunk + 1)]
+        alone = [extract_fbank(w, n_mels=40).values for w in waves]
+        on_cpus(monkeypatch, cpus)
+        calls = spy_threads(monkeypatch, "_fbank_chunk")
+        for count in sorted({1, max(1, per_chunk - 1), per_chunk + 1}):
+            calls.clear()
+            got = extract_fbank(waves[:count], n_mels=40).values
+            assert got.shape == (count,) + alone[0].shape
+            for row, want in zip(got, alone):
+                assert np.array_equal(row, want)
+            chunks = -(-count // per_chunk)
+            assert sorted(len(chunk) for _, chunk in calls) == sorted(
+                [per_chunk] * (chunks - 1) + [count - per_chunk * (chunks - 1)])
+            assert len({thread for thread, _ in calls}) == min(chunks, cpus)
+
+    @pytest.mark.parametrize("frames", [1, 4, 15])
+    @pytest.mark.parametrize("n_mels", [16, 80])
+    def test_a_stack_of_short_waves_keeps_each_waves_bits(self, frames, n_mels):
+        # a stacked mel GEMM crosses BLAS's small-product kernel at these sizes
+        sr = 8000
+        n = 200 + 80 * (frames - 1)
+        rng = np.random.default_rng(frames)
+        waves = [Waveform(0.3 * rng.standard_normal(n), sr) for _ in range(120)]
+        got = extract_fbank(waves, n_mels).values
+        assert got.shape == (120, frames, n_mels)
+        for row, w in zip(got, waves):
+            assert np.array_equal(row, extract_fbank(w, n_mels).values)
+
+
+class TestBatchedAugment:
+    """``AugmentSampler.apply`` on a batch against the crops augmented one
+    at a time by the per-crop reference."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_batch_equals_the_crops_one_by_one_bit_for_bit(self, monkeypatch, cpus):
+        on_cpus(monkeypatch, cpus)
+        calls = spy_threads(monkeypatch, "_add_noise", "_add_reverb")
+        silent_branches = set()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            crops = [Waveform(0.3 * rng.standard_normal(4000), 8000, f"spk{k}", f"utt{k}")
+                     for k in range(9)]
+            crops[4] = Waveform(np.zeros(4000), 8000, "spk4", "utt4")
+            batch_rng, crop_rng = (np.random.default_rng([seed, 7]) for _ in range(2))
+            calls.clear()
+            got = AugmentSampler().apply(crops, batch_rng)
+            want = [per_crop_augmentation(c, crop_rng) for c in crops]
+            assert batch_rng.bit_generator.state == crop_rng.bit_generator.state
+            assert len(got) == len(crops)
+            for out, ref, crop in zip(got, want, crops):
+                assert out.samples.tobytes() == ref.samples.tobytes()
+                assert ((out.sample_rate, out.speaker_id, out.utterance_id)
+                        == (crop.sample_rate, crop.speaker_id, crop.utterance_id))
+            # a noise crop's first argument is its samples, a reverb share's a stack
+            noisy = [x for _, x in calls if x.ndim == 1]
+            assert noisy and len(noisy) < len(crops)
+            silent_branches.add(any(x is crops[4].samples for x in noisy))
+            assert not got[4].samples.any()
+            assert len({thread for thread, _ in calls}) == cpus
+        assert silent_branches == {True, False}
+
+    def test_crops_of_mixed_lengths_are_rejected(self):
+        crops = [Waveform(np.ones(4000), 8000), Waveform(np.ones(4001), 8000)]
+        with pytest.raises(ValueError, match="share their sample count and rate"):
+            AugmentSampler().apply(crops, np.random.default_rng(0))
+
+
 class TestRandomCrop:
     def test_ten_second_input_gives_requested_length(self):
         w = sine(100.0, duration=10.0)
@@ -173,7 +271,8 @@ def seeds_on(branch, count):
 
 
 def augmented(x, sample_rate, seed):
-    return AugmentSampler().apply(Waveform(x, sample_rate), np.random.default_rng(seed)).samples
+    crop = Waveform(x, sample_rate)
+    return AugmentSampler().apply([crop], np.random.default_rng(seed))[0].samples
 
 
 class TestAddNoise:
@@ -274,15 +373,14 @@ class TestAugment:
     def test_sampler_deterministic_under_seed(self):
         w = sine(150.0)
         sampler = AugmentSampler()
-        a = sampler.apply(w, np.random.default_rng(31))
-        b = sampler.apply(w, np.random.default_rng(31))
+        a, = sampler.apply([w], np.random.default_rng(31))
+        b, = sampler.apply([w], np.random.default_rng(31))
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_sampler_produces_both_kinds(self):
         w = sine(150.0)
         sampler = AugmentSampler()
-        rng = np.random.default_rng(1)
-        outs = [sampler.apply(w, rng) for _ in range(12)]
+        outs = sampler.apply([w] * 12, np.random.default_rng(1))
         lengths_match = all(o.samples.size == w.samples.size for o in outs)
         assert lengths_match
         assert len({round(float(np.sum(o.samples ** 2)), 6) for o in outs}) > 1
@@ -296,8 +394,8 @@ class TestAugment:
         silent = Waveform(np.zeros(16000), 16000, "spk", "utt")
         for seed in seeds:
             rng, voiced_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = AugmentSampler().apply(silent, rng)
-            AugmentSampler().apply(sine(150.0), voiced_rng)
+            out, = AugmentSampler().apply([silent], rng)
+            AugmentSampler().apply([sine(150.0)], voiced_rng)
             assert out.samples.shape == silent.samples.shape and not out.samples.any()
             assert out.samples is not silent.samples
             assert rng.bit_generator.state == voiced_rng.bit_generator.state

@@ -289,6 +289,29 @@ def test_a_batch_takes_one_filterbank_call_per_rate_equal_to_one_per_crop(
     assert np.all(np.isfinite(out.speaker_embedding))
 
 
+def test_a_batch_has_the_same_bytes_at_one_and_two_cpus(monkeypatch):
+    # 0.3 s crops make 28 frames, so the 24 waves fill two filterbank chunks
+    cfg = tiny("mfcon")
+    label_map = trainer.speaker_label_map(CORPUS)
+    batches = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        batches[len(cpus)] = [trainer.build_batch(CORPUS, cfg, 16, seed, label_map)
+                              for seed in (1, 2)]
+    for (feats, labels), (two_feats, two_labels) in zip(batches[1], batches[2]):
+        assert feats.tobytes() == two_feats.tobytes()
+        assert labels.tobytes() == two_labels.tobytes()
+
+
+def test_a_batch_at_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("build_batch started a thread"))
+    feats, _ = trainer.build_batch(CORPUS, tiny("mfcon"), 16, 1,
+                                   trainer.speaker_label_map(CORPUS))
+    assert feats.shape == (24, 28, 16)
+
+
 def libc_has_mallopt():
     try:
         ctypes.CDLL(None).mallopt
