@@ -142,17 +142,17 @@ def _ffn_fwd(x, params, pre, drop, mode, rng):
     return h, tape
 
 
-# attention scores are computed in blocks of batch rows holding about this
-# many bytes of scores, so a block's scores, probabilities and dropout mask
-# stay in a 2 MiB per-core L2 cache
+# attention scores are computed in blocks of batch rows holding at most this
+# many bytes of scores, so a block's scores, which the softmax normalises in
+# place, stay in a 2 MiB per-core L2 cache
 _SCORE_BLOCK_BYTES = 1 << 20
 
 
 def _score_blocks(rows, row_bytes):
-    """Slices that split ``rows`` batch rows into the fewest equal blocks
-    of at most about _SCORE_BLOCK_BYTES each."""
-    count = max(1, -(-rows * row_bytes // _SCORE_BLOCK_BYTES))
-    size = -(-rows // count)
+    """Slices that split ``rows`` batch rows, in order, into blocks of as
+    many rows as fit in _SCORE_BLOCK_BYTES, or of one row where a single row
+    holds more."""
+    size = max(1, _SCORE_BLOCK_BYTES // row_bytes)
     return [slice(i, i + size) for i in range(0, rows, size)]
 
 

@@ -20,24 +20,26 @@ or GEMV on the activation flattened to (positions, channels): numpy runs
 ``(B, T, N) @ w.T`` as one GEMM per batch row, and its reductions are
 several times slower than a GEMV. The sigmoid is ``0.5 + 0.5 * tanh(x /
 2)``, which has a SIMD float32 loop and cannot overflow. Attention scores
-are computed in blocks of batch rows holding about 1 MiB of scores
-(``encoder._SCORE_BLOCK_BYTES``), so a block's scores, probabilities and
-dropout mask stay in the reference host's 2 MiB per-core L2 cache.
+are computed in blocks of batch rows holding at most 1 MiB of scores
+(``encoder._SCORE_BLOCK_BYTES``), which the softmax normalises in place,
+so a block's scores stay in the reference host's 2 MiB per-core L2 cache.
 
 Batch invariance: in a forward pass, a row's output never depends on its
 batch-mates, so an utterance embeds to the same bits alone, in any batch
-and in any attention block (``trainer.evaluate`` batches on this). Two
-kernels needed it. OpenBLAS rounds one row of a GEMV differently
-depending on where the row sits in the matrix, so every sum over the
-channel axis (the layer-norm, attention-softmax and pooling-softmax sums)
-runs as one GEMV per leading-axis item, ``x.reshape(B, -1, C) @ u``,
-never as one GEMV over the flattened rows. And a 2-D input's projection
-``(B, K) @ w`` is a GEMM, which rounds differently from the GEMV that one
-row gets, so ``linear_fwd`` projects a 2-D input row by row. The cost is B
-small BLAS calls where one large one ran, which left the forward and
-backward of a desk or deep training step no slower (2 CPUs, 1 BLAS
-thread), and training loss curves that differ at round-off from those
-summed over the flattened rows.
+and in any attention block (``trainer.evaluate`` batches on this). The
+depthwise convolution has it by construction on any BLAS kernel: it is a
+sum over its taps with no BLAS call. Two other kernels needed care.
+OpenBLAS rounds one row of a GEMV differently depending on where the row
+sits in the matrix, so every sum over the channel axis (the layer-norm,
+attention-softmax and pooling-softmax sums) runs as one GEMV per
+leading-axis item, ``x.reshape(B, -1, C) @ u``, never as one GEMV over
+the flattened rows. And a 2-D input's projection ``(B, K) @ w`` is a
+GEMM, which rounds differently from the GEMV that one row gets, so
+``linear_fwd`` projects a 2-D input row by row. The cost is B small BLAS
+calls where one large one ran, which left the forward and backward of a
+desk or deep training step no slower (2 CPUs, 1 BLAS thread), and
+training loss curves that differ at round-off from those summed over the
+flattened rows.
 
 Row shards: train-mode batch norm is the one op whose rows meet, through
 its batch statistics; every other op treats each row on its own in the
@@ -50,14 +52,8 @@ order (``ShardGroup``). Each shard returns only its own rows' dγ and dβ as
 parameter gradients, which sum across shards to the batch's, and only
 shard 0 moves the running statistics.
 
-The depthwise convolution is a banded GEMM rather than one multiply-add
-pass per tap. It moves the map to (C, B, T), cuts time into equal tiles
-of at most ``_DEPTHWISE_TILE`` frames, and multiplies each channel's
-tiles by that channel's (L + K - 1, L) band matrix of kernel taps: one
-batched matmul over channels each for the forward, dx and dw, with dw read
-off the band gradient's K diagonals. The strided convolution returns no
-input gradient: its only caller is the frontend, whose input is the
-features, so nothing upstream needs one.
+The strided convolution returns no input gradient: its only caller is the
+frontend, whose input is the features, so nothing upstream needs one.
 """
 
 from __future__ import annotations
@@ -171,27 +167,32 @@ def linear_bwd(dy, cache):
 
 def layer_norm_fwd(x, gamma, beta):
     # normalizes over the channel (last) axis, per position; the variance is
-    # the mean of the centred squares, never E[x^2] - E[x]^2, which cancels
+    # the mean of the centred squares, never E[x^2] - E[x]^2, which cancels.
+    # y is written into the squares' array
     c = x.shape[-1]
     mean_weights = np.full(c, 1.0 / c, dtype=x.dtype)
     xc = x - _channel_dot(x, mean_weights)
-    inv = 1.0 / np.sqrt(_channel_dot(xc * xc, mean_weights) + NORM_EPS)
+    y = xc * xc
+    inv = 1.0 / np.sqrt(_channel_dot(y, mean_weights) + NORM_EPS)
     xc *= inv
-    y = xc * gamma
+    np.multiply(xc, gamma, out=y)
     y += beta
     return y, (xc, inv, gamma)
 
 
 def layer_norm_bwd(dy, cache):
+    # dγ is summed first, so that dy * xhat's array can take the xhat term
     xhat, inv, gamma = cache
     dyx = dy * xhat
+    dgamma = _position_sum(dyx)
     # per-position means of dxhat = dy * gamma and of dxhat * xhat
     g = gamma / xhat.shape[-1]
     dx = dy * gamma
     dx -= _channel_dot(dy, g)
-    dx -= xhat * _channel_dot(dyx, g)
+    np.multiply(xhat, _channel_dot(dyx, g), out=dyx)
+    dx -= dyx
     dx *= inv
-    return dx, _position_sum(dyx), _position_sum(dy)
+    return dx, dgamma, _position_sum(dy)
 
 
 def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
@@ -250,11 +251,12 @@ def batch_norm_bwd(dy, cache):
 
 
 def softmax_fwd(x):
-    """Softmax over the last axis; the cache is the output."""
-    p = x - x.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= _channel_dot(p, np.ones(p.shape[-1], dtype=p.dtype))
-    return p, p
+    """Softmax over the last axis, normalised in place in x, which every
+    caller passes as a temporary of its own; the cache is the output."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= _channel_dot(x, np.ones(x.shape[-1], dtype=x.dtype))
+    return x, x
 
 
 def softmax_bwd(dy, p):
@@ -326,80 +328,52 @@ def dropout_bwd(dy, cache):
 # convolutions (time axis is axis 1; x is (B, T, C))
 
 
-# the depthwise convolution splits time into equal tiles of at most this
-# many output frames
-_DEPTHWISE_TILE = 24
-
-
-@functools.lru_cache(maxsize=32)
-def _band_index(k, length):
-    """Flat indices of band[s, t] = w[s - t] in an (length + k - 1, length)
-    band matrix, shaped (k, length): row i holds diagonal i."""
-    return np.arange(k)[:, None] * length + np.arange(length) * (length + 1)
-
-
-def _band(w, length):
-    """Per-channel (length + k - 1, length) band matrices of the (k, C)
-    kernel w, stacked (C, length + k - 1, length), built by one indexed
-    assignment."""
-    k, c = w.shape
-    band = np.zeros((c, (length + k - 1) * length), dtype=w.dtype)
-    band[:, _band_index(k, length)] = w.T[:, :, None]
-    return band.reshape(c, length + k - 1, length)
-
-
-def _time_tiles(x, k):
-    """The (B, T, C) map x, zero-padded by (k - 1) // 2 frames on each side
-    and moved to (C, B, time), cut into n equal tiles of ``length`` output
-    frames and their k - 1 frames of overlap: (C, B * n, length + k - 1)
-    and ``length``. One tile is the padded map itself, with no copy."""
+def _pad_time(x, p):
+    """The (B, T, C) map x with p zero frames at each end of its time axis."""
     b, t, c = x.shape
-    p = (k - 1) // 2
-    n = -(-t // _DEPTHWISE_TILE)
-    length = -(-t // n)
-    width = length + k - 1
-    xt = np.empty((c, b, n * length + k - 1), dtype=x.dtype)
-    xt[:, :, :p] = 0.0
-    xt[:, :, p + t:] = 0.0
-    # two batch rows at a time: measured faster than one transposing copy
-    # of the whole map, in a training step and alone
-    for i in range(0, b, 2):
-        xt[:, i:i + 2, p:p + t] = x[i:i + 2].transpose(2, 0, 1)
-    if n == 1:
-        return xt, length
-    s = xt.strides
-    tiles = np.lib.stride_tricks.as_strided(
-        xt, (c, b, n, width), (s[0], s[1], length * s[2], s[2]))
-    return tiles.reshape(c, b * n, width), length
+    xp = np.empty((b, t + 2 * p, c), dtype=x.dtype)
+    xp[:, :p] = 0.0
+    xp[:, p + t:] = 0.0
+    xp[:, p:p + t] = x
+    return xp
 
 
-def _untile(y, b, t):
-    """(C, B * n, length) tiled output -> the (B, T, C) map."""
-    return np.ascontiguousarray(y.reshape(y.shape[0], b, -1)[:, :, :t].transpose(1, 2, 0))
+def _tap_sum(xp, w, t):
+    """sum_i xp[:, i:i + t] * w[i] over the K taps of w, added in tap order
+    into one output through one temporary. Each output row reads only its
+    own row of xp, and no BLAS runs. Each tap is repeated over the t frames
+    first, so that every multiply runs over whole (t, C) rows rather than
+    C channels at a time."""
+    wt = np.repeat(w[:, None], t, axis=1)
+    y = xp[:, :t] * wt[0]
+    tmp = np.empty_like(y)
+    for i in range(1, w.shape[0]):
+        np.multiply(xp[:, i:i + t], wt[i], out=tmp)
+        y += tmp
+    return y
 
 
 def depthwise_conv1d_fwd(x, w):
-    """Per-channel convolution along time with same padding. w is (K, C).
-    It has no bias: every caller follows it with a batch norm, which
-    removes one. Each channel's time tiles are multiplied by its band
-    matrix, one batched GEMM over channels (see ``_time_tiles``)."""
-    tiles, length = _time_tiles(x, w.shape[0])
-    y = _untile(tiles @ _band(w, length), x.shape[0], x.shape[1])
-    return y, (tiles, w)
+    """Per-channel convolution along time with same padding. w is (K, C)
+    for an odd K. It has no bias: every caller follows it with a batch
+    norm, which removes one. The map is zero-padded once, then summed over
+    the taps."""
+    xp = _pad_time(x, w.shape[0] // 2)
+    return _tap_sum(xp, w, x.shape[1]), (xp, w)
 
 
 def depthwise_conv1d_bwd(dy, cache):
-    # dx is the same-padded convolution of dy with the reversed kernel, and
-    # dw[i] sums diagonal i of the band gradient tiles^T @ (dy's tiles)
-    tiles, w = cache
-    k = w.shape[0]
-    p = (k - 1) // 2
-    dtiles, length = _time_tiles(dy, k)
-    dx = _untile(dtiles @ _band(w[::-1], length), dy.shape[0], dy.shape[1])
-    dband = tiles.transpose(0, 2, 1) @ dtiles[:, :, p:p + length]
-    diagonals = dband.reshape(w.shape[1], -1)[:, _band_index(k, length)]
-    dw = diagonals.reshape(-1, length) @ np.ones(length, dtype=dy.dtype)
-    return dx, np.ascontiguousarray(dw.reshape(-1, k).T)
+    # dx is the same sum over the padded dy with the taps reversed; dw[i]
+    # sums dy times tap i's window of the padded input
+    xp, w = cache
+    t = dy.shape[1]
+    dx = _tap_sum(_pad_time(dy, w.shape[0] // 2), w[::-1], t)
+    dw = np.empty_like(w)
+    tmp = np.empty_like(dy)
+    for i in range(w.shape[0]):
+        np.multiply(xp[:, i:i + t], dy, out=tmp)
+        dw[i] = _position_sum(tmp)
+    return dx, dw
 
 
 def strided_conv1d_fwd(x, w, b, stride):

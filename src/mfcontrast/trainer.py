@@ -401,7 +401,10 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     model, and both calls are
     batch-invariant, so every embedding, and with it every score, equals
     that of the utterance embedded alone, bit for bit. Each thread's BLAS
-    calls run on that thread alone (``_one_blas_thread``)."""
+    calls run on that thread alone (``_one_blas_thread``). Like ``train``,
+    it first makes glibc keep the memory it frees (``_keep_freed_heap``),
+    so a later call reuses the pages of the one before."""
+    _keep_freed_heap()
     needed = trial_utterances(trials, store)
     groups = {}
     for utt in needed:

@@ -197,6 +197,19 @@ def test_blocked_attention_equals_one_block(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
+def test_score_blocks_cover_the_rows_in_order_within_the_budget():
+    rng = np.random.default_rng(5)
+    budget = encoder._SCORE_BLOCK_BYTES
+    for _ in range(300):
+        rows = int(rng.integers(1, 200))
+        row_bytes = int(rng.integers(1, 3 * budget))
+        blocks = encoder._score_blocks(rows, row_bytes)
+        assert [i for s in blocks for i in range(rows)[s]] == list(range(rows))
+        for s in blocks:
+            count = len(range(rows)[s])
+            assert count * row_bytes <= budget or count == 1, (rows, row_bytes, count)
+
+
 def test_attention_bits_do_not_depend_on_the_score_blocks(monkeypatch):
     # the softmax sums run per batch row, so a row's scores do not depend
     # on which rows share its block: one row per block equals one block

@@ -48,8 +48,9 @@ def case_batch_norm_train(normal):
 
 def case_softmax(normal):
     x = normal((3, 4, 6))
-    f, r = readout(lambda: nn.softmax_fwd(x), x.shape, normal)
-    return f, [x], [nn.softmax_bwd(r, nn.softmax_fwd(x)[1])]
+    # softmax_fwd normalises its input in place
+    f, r = readout(lambda: nn.softmax_fwd(x.copy()), x.shape, normal)
+    return f, [x], [nn.softmax_bwd(r, nn.softmax_fwd(x.copy())[1])]
 
 
 def case_silu(normal):
@@ -150,7 +151,7 @@ def test_cached_positions_match_a_fresh_build_and_reject_writes():
 
 @pytest.mark.parametrize("b, t, c, k", [
     (3, 2, 8, 15),     # fewer frames than taps
-    (4, 49, 8, 7),     # 49 and 150 frames are no multiple of the time tile
+    (4, 49, 8, 7),     # an odd and an even frame count
     (2, 150, 5, 7),
     (1, 200, 64, 7),   # one long utterance, as in evaluation
     (1, 200, 64, 15),

@@ -338,6 +338,37 @@ def test_desk_steps_after_the_first_epoch_reuse_freed_memory(monkeypatch):
     assert max(later) < 1000, later
 
 
+# evaluate() in a process that never trains: without the heap policy, each
+# call over 20 utterances of 4 s faulted about 15k pages back in
+EVAL_FAULTS_RUN = """
+import json, resource
+from dataclasses import replace
+from mfcontrast import config, trainer
+from mfcontrast.model import SpeakerModel
+from mfcontrast.synthdata import generate_corpus, generate_trials
+desk = config.desk_config()
+corpus = generate_corpus(replace(desk.synth, n_speakers=4, utts_per_speaker=5, duration=4.0))
+trials = generate_trials(corpus, 20, 20, seed=1)
+store = trainer.utterance_store(corpus)
+model = SpeakerModel(desk.encoder, desk.head, 4, seed=1)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.evaluate(model, trials, store)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
+def test_a_second_evaluate_reuses_the_memory_the_first_freed():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", EVAL_FAULTS_RUN], capture_output=True,
+                         text=True, check=True, env=env, timeout=120)
+    faults = json.loads(out.stdout)
+    assert faults[1] < 1000, faults
+
+
 # a run on the desk encoder whose BLAS calls are large enough for OpenBLAS
 # to split across threads: without the pin, 1 and 2 threads train other bits
 BLAS_RUN = """
@@ -372,6 +403,54 @@ def test_train_gives_the_same_bits_at_any_caller_blas_thread_count():
         # train() gives the caller its own count back
         assert runs[threads].pop("threads") == [threads, threads]
     assert runs[1] == runs[2]
+
+
+NUMPY_OPENBLAS = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                        .glob("libscipy_openblas64_*.so"))
+
+
+def cpu_has_avx2():
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+# the kernel that numpy's OpenBLAS runs, read through the library numpy loaded
+CORENAME_RUN = """
+import ctypes, sys
+import numpy
+lib = ctypes.CDLL(sys.argv[1])
+lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+print(lib.scipy_openblas_get_corename64_().decode())
+"""
+
+# the tests that rest on batch invariance, run under the AVX2 (Haswell)
+# kernel that an AVX2-only x86 host gets, where a BLAS call that rounds a row
+# by its batch's shape breaks them. One BLAS thread, because perfbench's
+# cross-check runs its reference forward at the process's own thread count,
+# and on that kernel the forward's bits move with the count
+BATCH_INVARIANCE_TESTS = [
+    "tests/test_model.py::TestEmbedUtterance::test_a_stack_embeds_as_its_utterances_one_at_a_time",
+    "tests/test_trainer.py::test_batched_evaluate_equals_one_utterance_at_a_time",
+    "tests/test_trainer.py::test_evaluate_on_two_cpus_equals_one_utterance_at_a_time",
+    "perfbench/test_perfbench.py::test_check_rejects_scores_that_disagree_with_the_forward_pass",
+]
+
+
+@pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy bundles no scipy-openblas")
+@pytest.mark.skipif(not cpu_has_avx2(), reason="the CPU has no AVX2")
+def test_batch_invariance_holds_on_the_avx2_openblas_kernel():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+    core = subprocess.run([sys.executable, "-c", CORENAME_RUN, str(NUMPY_OPENBLAS[0])],
+                          capture_output=True, text=True, check=True, env=env, timeout=60)
+    assert core.stdout.strip() == "Haswell"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          *BATCH_INVARIANCE_TESTS], cwd=root, capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:]
 
 
 DRY = replace(ENC, dropout=0.0)
