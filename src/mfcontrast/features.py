@@ -12,13 +12,12 @@ Everything here is a pure function of its inputs plus explicit seeds, so the
 whole module is safe to call concurrently. Spectra and convolutions use
 numpy's FFT only.
 
-A batch is worked on every usable CPU (``parallel.on_threads``):
+A batch is worked on every usable CPU (``parallel.deal``):
 ``extract_fbank`` transforms stacked chunks of up to ``FBANK_CHUNK_FRAMES``
 frames, and ``AugmentSampler.apply`` makes every draw on the calling thread,
 crop by crop as one crop at a time would, then renders shares of the crops.
 Each wave's result equals that of the wave alone, so nothing depends on the
-CPU count. Called from inside another ``on_threads`` work item, as
-``trainer.evaluate`` does, they run inline.
+CPU count.
 """
 
 from __future__ import annotations
@@ -96,12 +95,12 @@ def _frame_weights(n_mels: int, n_fft: int, sample_rate: int, flen: int):
     return window, fb
 
 
-def _log_mel(frames: np.ndarray, fb: np.ndarray, out: np.ndarray | None = None,
-             waves: int = 1) -> np.ndarray:
+def _log_mel(frames: np.ndarray, fb: np.ndarray, out: np.ndarray,
+             waves: int) -> np.ndarray:
     """``LOG_FLOOR``-floored log mel energies of windowed, zero-padded
-    (rows, n_fft) frames under the filterbank ``fb``, written into ``out``
-    when given. The rfft's interleaved real and imaginary parts are squared
-    in place and added pairwise into |X|^2, with no complex abs.
+    (rows, n_fft) frames under the filterbank ``fb``, written into ``out``.
+    The rfft's interleaved real and imaginary parts are squared in place
+    and added pairwise into |X|^2, with no complex abs.
 
     The frames hold ``waves`` equal blocks of rows, one per wave, and the
     mel GEMM runs block by block: every other step treats each row alone,
@@ -112,12 +111,11 @@ def _log_mel(frames: np.ndarray, fb: np.ndarray, out: np.ndarray | None = None,
     sq = np.fft.rfft(frames, axis=1).view(np.float64)
     np.square(sq, out=sq)
     power = sq[:, 0::2] + sq[:, 1::2]
-    energy = np.empty((frames.shape[0], fb.shape[0])) if out is None else out
     step = frames.shape[0] // waves
     for lo in range(0, frames.shape[0], step):
-        np.matmul(power[lo:lo + step], fb.T, out=energy[lo:lo + step])
-    np.maximum(energy, LOG_FLOOR, out=energy)
-    return np.log(energy, out=energy)
+        np.matmul(power[lo:lo + step], fb.T, out=out[lo:lo + step])
+    np.maximum(out, LOG_FLOOR, out=out)
+    return np.log(out, out=out)
 
 
 def frame_count(n_samples: int, sample_rate: int) -> int:
@@ -186,14 +184,9 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     copy of its own. So a chunk's size changes no bit; a larger chunk
     leaves the cache and runs slower per wave.
 
-    The chunks are dealt round-robin to w = min(chunks, usable CPUs)
-    shares (``parallel.usable_cpus``); this thread takes share 0 and each
-    other share runs on a thread that ``parallel.on_threads`` starts and
-    joins. The features are allocated here and only filled on the threads;
-    each share zeroes one chunk's buffer of its own, a temporary. The
-    result does not depend on the CPU count. Called from inside another
-    ``on_threads`` work item (``trainer.evaluate``), every chunk runs on
-    the calling thread.
+    The chunks run in shares of ``parallel.deal``, into features
+    allocated here; each share zeroes one chunk's buffer of its own, a
+    temporary. The result does not depend on the CPU count.
     """
     waves = [w] if isinstance(w, Waveform) else list(w)
     sr, size = _shared_shape(waves)
@@ -209,18 +202,17 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     window, fb = _frame_weights(n_mels, n_fft, sr, flen)
     per_chunk = max(1, FBANK_CHUNK_FRAMES // num_frames)
     starts = range(0, len(waves), per_chunk)
-    workers = min(len(starts), parallel.usable_cpus())
     values = np.empty((len(waves), num_frames, n_mels))
     rows = values.reshape(-1, n_mels)
 
-    def transform(k):
+    def transform(share):
         buf = np.zeros((per_chunk * num_frames, n_fft))
-        for start in starts[k::workers]:
+        for start in share:
             chunk = waves[start:start + per_chunk]
             lo, hi = start * num_frames, (start + len(chunk)) * num_frames
             _fbank_chunk(chunk, window, fb, fshift, buf[:hi - lo], rows[lo:hi])
 
-    parallel.on_threads(workers, transform)
+    parallel.deal(starts, transform)
     return FeatureMatrix(values[0] if isinstance(w, Waveform) else values)
 
 
@@ -300,13 +292,10 @@ class AugmentSampler:
         points, the arithmetic of ``scipy.signal.fftconvolve``; it is cut to
         the crop's length and rescaled to the crop's peak.
 
-        The crops are then dealt round-robin to w = min(crops, usable CPUs)
-        shares, rendered as ``extract_fbank``'s chunks are: share 0 on this
-        thread and each other one on a thread of ``parallel.on_threads``.
-        A share renders its noise crops one by one and its reverb crops
-        with one stacked FFT. The output rows are allocated here and only
-        filled on the threads, and each equals that of its crop alone,
-        whatever the CPU count."""
+        The crops are then rendered in shares of ``parallel.deal``, into
+        output rows allocated here: a share renders its noise crops one by
+        one and its reverb crops with one stacked FFT. Each row equals that
+        of its crop alone, whatever the CPU count."""
         sr, size = _shared_shape(crops)
         taps = max(2, int(round(IR_DURATION * sr)))
         noise, tails = {}, {}
@@ -318,10 +307,8 @@ class AugmentSampler:
         envelope = np.exp(-(np.arange(taps) / sr) / IR_DECAY)
         nfft = _fast_real_length(size + taps - 1)
         out = np.empty((len(crops), size))
-        workers = min(len(crops), parallel.usable_cpus())
 
-        def render(k):
-            share = range(k, len(crops), workers)
+        def render(share):
             for i in (i for i in share if i in noise):
                 _add_noise(crops[i].samples, *noise[i], out[i])
             wet = [i for i in share if i in tails]
@@ -329,7 +316,7 @@ class AugmentSampler:
                 _add_reverb(np.stack([crops[i].samples for i in wet]),
                             np.stack([tails[i] for i in wet]), envelope, nfft, out, wet)
 
-        parallel.on_threads(workers, render)
+        parallel.deal(range(len(crops)), render)
         return [replace(c, samples=x) for c, x in zip(crops, out)]
 
 

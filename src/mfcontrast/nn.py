@@ -11,7 +11,7 @@ scalars so they never promote it. Batch axes lead, channels are last.
 cache on a tape, and its backward replays the tape. An eval-mode tape
 records nothing, so an eval forward keeps no caches.
 
-Each kernel runs on its calling thread and follows five rules on its hot
+Each kernel runs on its calling thread and follows four rules on its hot
 paths.
 No einsum: its unoptimised loops are slower than the equivalent
 matmuls. Weight products in the backward passes, and every sum over all
@@ -383,7 +383,7 @@ def strided_conv1d_fwd(x, w, b, stride):
     p = (k - 1) // 2
     t = x.shape[1]
     t_out = (t + 2 * p - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (p, p), (0, 0)))
+    xp = _pad_time(x, p)
     y = np.broadcast_to(b, x.shape[:1] + (t_out, d)).copy()
     for i in range(k):
         y += xp[:, i:i + stride * t_out:stride, :] @ w[i]

@@ -18,9 +18,9 @@ the two differ only at round-off: within 1e-10 of the utterance's peak
 only about 2e-11 of the peak, because its phase 2 pi k f0 t reaches about
 1e5 rad over a few seconds.
 
-Utterances are built on every usable CPU (``parallel.on_threads``). Each
-draws from a generator seeded by the spec's seed, its speaker and its
-index, so the corpus is the same, byte for byte, at any CPU count.
+Utterances are built on every usable CPU (``parallel.deal``). Each draws
+from a generator seeded by the spec's seed, its speaker and its index, so
+the corpus is the same, byte for byte, at any CPU count.
 
 Trial pools are index arrays over the upper-triangle pairs of the corpus,
 in the order a pair-by-pair loop would list them, so a seed picks the same
@@ -139,25 +139,21 @@ def _synth_utterance(spec: SynthSpec, latent, speaker: int, utt: int, sig: np.nd
 def generate_corpus(spec: SynthSpec) -> list:
     """All utterances for the spec, labeled and deterministic under seed.
 
-    The utterances are dealt round-robin into w = min(usable CPUs,
-    utterances) shares; this thread builds share 0 and each other share
-    runs on a thread that ``parallel.on_threads`` starts and joins. Every
-    utterance has its own seeded generator, and each speaker's latent is
-    drawn once, here, so the corpus does not depend on the CPU count. The
-    sample arrays are allocated here and only filled on the threads (see
-    ``parallel.on_threads`` for why)."""
+    The utterances are built in shares of ``parallel.deal``, into sample
+    arrays allocated here. Every utterance has its own seeded generator,
+    and each speaker's latent is drawn once, here, so the corpus does not
+    depend on the CPU count."""
     latents = [_speaker_latent(spec, s) for s in range(spec.n_speakers)]
     keys = [(s, u) for s in range(spec.n_speakers) for u in range(spec.utts_per_speaker)]
     n = int(round(spec.duration * spec.sample_rate))
     samples = [np.empty(n) for _ in keys]
-    workers = min(parallel.usable_cpus(), len(keys))
 
-    def synthesize(k):
-        for i in range(k, len(keys), workers):
+    def synthesize(share):
+        for i in share:
             s, u = keys[i]
             _synth_utterance(spec, latents[s], s, u, samples[i])
 
-    parallel.on_threads(workers, synthesize)
+    parallel.deal(range(len(keys)), synthesize)
     return [Waveform(x, spec.sample_rate, speaker_id=f"spk{s:03d}",
                      utterance_id=f"spk{s:03d}_utt{u:03d}")
             for x, (s, u) in zip(samples, keys)]

@@ -392,18 +392,14 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
 
     Utterances are grouped by sample count and sample rate, and each group
     is cut into batches of ``EVAL_FRAME_BUDGET`` filterbank frames: one
-    ``extract_fbank`` and one ``embed_utterance`` call per batch. Of w =
-    min(batches, usable CPUs) shares (at least 1; ``parallel.usable_cpus``),
-    the calling thread embeds batches 0, w, 2w, ... and each other share
-    runs on a thread that the shared helper ``parallel.on_threads`` starts
-    and joins; each ``extract_fbank`` call then runs inline on its share's
-    thread, so no more threads run than CPUs. Eval mode only reads the
-    model, and both calls are
-    batch-invariant, so every embedding, and with it every score, equals
-    that of the utterance embedded alone, bit for bit. Each thread's BLAS
-    calls run on that thread alone (``_one_blas_thread``). Like ``train``,
-    it first makes glibc keep the memory it frees (``_keep_freed_heap``),
-    so a later call reuses the pages of the one before."""
+    ``extract_fbank`` and one ``embed_utterance`` call per batch, the
+    batches in shares of ``parallel.deal``. Eval mode only reads the model,
+    and both calls are batch-invariant, so every embedding, and with it
+    every score, equals that of the utterance embedded alone, bit for bit.
+    Each thread's BLAS calls run on that thread alone (``_one_blas_thread``).
+    Like ``train``, it first makes glibc keep the memory it frees
+    (``_keep_freed_heap``), so a later call reuses the pages of the one
+    before."""
     _keep_freed_heap()
     needed = trial_utterances(trials, store)
     groups = {}
@@ -415,15 +411,12 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
         step = max(1, EVAL_FRAME_BUDGET // max(1, frame_count(size, rate)))
         batches += [utts[i:i + step] for i in range(0, len(utts), step)]
 
-    # with no batches, one empty share still reaches compute_eer's error
-    workers = max(1, min(len(batches), parallel.usable_cpus()))
-
-    def embed(k):  # -> [(utterance id, embedding)] of share k
-        return [pair for batch in batches[k::workers] for pair in zip(
+    def embed(share):  # -> [(utterance id, embedding)] of the share
+        return [pair for batch in share for pair in zip(
             batch, model.embed_utterance(extract_fbank(
                 [store[u] for u in batch], model.enc_cfg.input_dim).values))]
 
-    embedded = parallel.on_threads(workers, embed)
+    embedded = parallel.deal(batches, embed)
     scores = score_trials(trials, dict(pair for share in embedded for pair in share))
     return EvalResult(compute_eer(scores), compute_mindcf(scores), scores)
 

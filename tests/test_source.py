@@ -69,3 +69,30 @@ def test_every_definition_is_read_by_the_library_or_the_benchmark():
     readers = {p.name: p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))
                if not p.name.startswith("test_")}
     assert unread_definitions(package, readers) == []
+
+
+def readers_of(name: str, package: dict) -> list:
+    """Files of ``package`` (file name -> text) whose code reads ``name``,
+    as a name or an attribute; a definition or a docstring is no read."""
+    return sorted(file for file, source in package.items() if any(
+        isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        and (n.id if isinstance(n, ast.Name) else n.attr) == name
+        for n in ast.walk(ast.parse(source))))
+
+
+def test_the_scan_finds_reads_as_names_and_attributes():
+    package = {"a.py": '"""Calls ``f``."""\ndef f():\n    return 1\n',
+               "b.py": "from . import a\nx = a.f()\n",
+               "c.py": "from .a import f\ny = f\n",
+               "d.py": "f = 2\n"}
+    assert readers_of("f", package) == ["b.py", "c.py"]
+
+
+@pytest.mark.parametrize("name, readers", [
+    # how many threads a share of work gets is parallel.deal's decision alone
+    ("usable_cpus", ["parallel.py"]),
+    # a set number of threads at once is the two-shard training step's alone
+    ("on_threads", ["parallel.py", "trainer.py"])])
+def test_the_thread_helpers_are_read_only_where_they_belong(name, readers):
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert readers_of(name, package) == readers
