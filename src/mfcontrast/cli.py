@@ -16,12 +16,13 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import TRIAL_SEED, ConfigError, ExperimentConfig, desk_config, load_config
+from .config import ConfigError, ExperimentConfig, desk_config, load_config
 from .features import LengthError
 from .metrics import MissingUtteranceError, load_trials, save_scores, save_trials
 from .model import SpeakerModel
@@ -120,7 +121,8 @@ def _row_tag(cfg: ExperimentConfig) -> str:
 
 def _resolve_dataset(args, cfg: ExperimentConfig):
     """Training corpus, trials, and the store of the utterances the trials
-    name, either synthetic or from a manifest tree.
+    name, either synthetic or from a manifest tree. Every unordered pair of
+    scored utterances is a trial, so the EER carries no sampling noise.
 
     The synthetic corpus is ``cfg.synth`` (whose seed ``_load_experiment``
     sets to the train seed) with twice the configured speakers: the
@@ -147,11 +149,14 @@ def _resolve_dataset(args, cfg: ExperimentConfig):
         except (OSError, ValueError) as err:
             raise DataError(f"could not load {manifest}: {err}") from err
         scored = corpus
-    try:
-        trials = generate_trials(scored, cfg.trials.n_target, cfg.trials.n_nontarget,
-                                 TRIAL_SEED)
-    except ValueError as err:
-        raise ConfigError(f"trials: {err}") from err
+        if len({w.speaker_id for w in corpus}) in (0, 1, len(corpus)):
+            raise DataError(f"{manifest}: both kinds of trial need two speakers, one of "
+                            "them with two utterances")
+    # every pair of scored utterances is a trial; the seed only orders them
+    counts = Counter(w.speaker_id for w in scored)
+    n_target = sum(c * (c - 1) // 2 for c in counts.values())
+    n_pairs = len(scored) * (len(scored) - 1) // 2
+    trials = generate_trials(scored, n_target, n_pairs - n_target, cfg.train.seed)
     store = utterance_store(scored)
     trial_utterances(trials, store)  # a scored utterance too short fails before training
     return corpus, trials, store

@@ -1,8 +1,8 @@
 """Experiment configuration: a JSON file with one section per config
-dataclass (encoder, head, train, synth, trials).
+dataclass (encoder, head, train, synth).
 
 The desk preset is the section dataclasses' own defaults (``EncoderConfig``,
-``HeadConfig``, ``TrainConfig``, ``SynthSpec``, ``TrialSpec``), so
+``HeadConfig``, ``TrainConfig``, ``SynthSpec``), so
 ``ExperimentConfig()`` is the desk preset, and every experiment starts from it.
 
 A file changes the desk preset: every section and field it leaves out keeps
@@ -21,25 +21,8 @@ from .synthdata import SynthSpec
 from .trainer import TrainConfig
 
 
-# seed of the scored trial list that cli draws, whatever the train seed
-TRIAL_SEED = 100
-
-
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
-
-
-@dataclass
-class TrialSpec:
-    """Trial counts of the scored list, drawn with ``TRIAL_SEED``."""
-
-    n_target: int = 250
-    n_nontarget: int = 250
-
-    def __post_init__(self):
-        for name in ("n_target", "n_nontarget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1: an EER needs both kinds of trial")
 
 
 @dataclass
@@ -52,7 +35,6 @@ class ExperimentConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
-    trials: TrialSpec = field(default_factory=TrialSpec)
 
 
 def desk_config() -> ExperimentConfig:

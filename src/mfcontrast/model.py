@@ -195,11 +195,12 @@ class SpeakerModel:
     def load(cls, path) -> "SpeakerModel":
         """Model from a ``save`` archive. Raises ValueError naming ``path``
         when the file is not a readable (empty, truncated or corrupted)
-        checkpoint archive, when its stored configuration (sample rate
-        included) does not build a model, when its arrays differ in name
-        or shape from those of a model of that configuration, or when any
-        of them holds a NaN or an infinity. The arrays are copied into the
-        new model's own ``params`` and ``state`` arrays."""
+        checkpoint archive, when its stored configuration does not build a
+        model or its sample rate is neither None nor a positive integer,
+        when its arrays differ in name or shape from those of a model of
+        that configuration, or when any of them is not real floating point
+        or holds a NaN or an infinity. The arrays are copied into the new
+        model's own ``params`` and ``state`` arrays."""
         try:
             # np.load leaves a file it opened open when the zip will not parse
             with open(path, "rb") as f, np.load(f) as archive:
@@ -215,7 +216,9 @@ class SpeakerModel:
         try:
             model = cls(EncoderConfig(**meta["encoder"]), HeadConfig(**meta["head"]),
                         meta["num_speakers"])
-            model.sample_rate = meta["sample_rate"]
+            model.sample_rate = rate = meta["sample_rate"]
+            if rate is not None and (type(rate) is not int or rate < 1):  # a bool is no rate
+                raise ValueError(f"sample_rate must be None or a positive integer: {rate!r}")
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: stored configuration does not build a "
                              f"model: {err}") from err
@@ -226,6 +229,9 @@ class SpeakerModel:
             if wrong:
                 raise ValueError(f"{path}: {kind} arrays differ in name or shape "
                                  f"from those of its configuration: {wrong}")
+            unreal = sorted(k for k, v in stored.items() if v.dtype.kind != "f")
+            if unreal:
+                raise ValueError(f"{path}: {kind} arrays are not real floating point: {unreal}")
             unfinite = sorted(k for k, v in stored.items() if not np.isfinite(v).all())
             if unfinite:
                 raise ValueError(f"{path}: {kind} arrays hold non-finite values: {unfinite}")

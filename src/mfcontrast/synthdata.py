@@ -29,6 +29,7 @@ trials as that loop does.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,7 +234,8 @@ def load_manifest(manifest_path) -> list:
     each path a mono 16-bit WAV relative to the manifest's directory. A
     corpus holds one sample rate: mel bin k spans different bands at
     different rates, so a manifest whose WAVs mix rates raises ValueError
-    naming them."""
+    naming them. An utterance id names one utterance: a repeated one raises
+    ValueError naming it, since a trial would pair it with itself."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     corpus = []
@@ -248,6 +250,9 @@ def load_manifest(manifest_path) -> list:
             w = load_wav(root / rel)
             corpus.append(Waveform(w.samples, w.sample_rate,
                                    speaker_id=speaker_id, utterance_id=utt_id))
+    repeated = sorted(i for i, c in Counter(w.utterance_id for w in corpus).items() if c > 1)
+    if repeated:
+        raise ValueError(f"{manifest_path}: utterance ids listed more than once: {repeated}")
     rates = sorted({w.sample_rate for w in corpus})
     if len(rates) > 1:
         raise ValueError(f"{manifest_path}: WAVs mix sample rates {rates} Hz; "

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import struct
@@ -12,15 +13,17 @@ import numpy as np
 import pytest
 
 from mfcontrast import __version__, cli
-from mfcontrast.config import TrialSpec, config_from_dict, desk_config, load_config
+from mfcontrast.config import config_from_dict, desk_config, load_config
 from mfcontrast.encoder import EncoderConfig
-from mfcontrast.features import Waveform
+from mfcontrast.features import Waveform, extract_fbank
 from mfcontrast.heads import HeadConfig
-from mfcontrast.metrics import Trial, load_trials, save_trials
+from mfcontrast.metrics import (Trial, TrialScoreSet, compute_eer, compute_mindcf,
+                                load_trials, save_trials)
 from mfcontrast.model import SpeakerModel
 from mfcontrast.synthdata import SynthSpec, generate_corpus
 from mfcontrast.trainer import EvalResult, NonFiniteLossError
 
+from oracles import brute_force_eer, brute_force_mindcf, cosine_score
 from writers import export_corpus, save_config, save_wav
 
 
@@ -28,8 +31,7 @@ def small_config(path):
     """The desk preset on a 4-speaker corpus: one epoch takes about a second."""
     cfg = desk_config()
     cfg = replace(cfg, synth=replace(cfg.synth, n_speakers=4, utts_per_speaker=6),
-                  train=replace(cfg.train, batch_size=12, epochs=1),
-                  trials=TrialSpec(n_target=20, n_nontarget=20))
+                  train=replace(cfg.train, batch_size=12, epochs=1))
     save_config(cfg, path)
     return path
 
@@ -113,8 +115,7 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     ["train", "--config", {"train": {"loss": {"lam2": -0.5}}}],
     # crops shorter than the encoder's 4 filterbank frames
     ["train", "--config", {"train": {"crop_duration": 0.04, "epochs": 1},
-                           "synth": {"n_speakers": 3, "utts_per_speaker": 4},
-                           "trials": {"n_target": 5, "n_nontarget": 5}}],
+                           "synth": {"n_speakers": 3, "utts_per_speaker": 4}}],
     ["train", "--config", {"train": {"crop_duration": 0.05}}],
 ])
 def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
@@ -306,11 +307,12 @@ def test_non_finite_loss_exits_4_and_ends_the_manifest(tmp_path, capsys, monkeyp
     assert records[-1]["status"] == "numerical-failure"
 
 
-def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):
-    corpora, cli_train = [], cli.train
+def test_synthetic_train_scores_every_held_out_pair(tmp_path, capsys, monkeypatch):
+    corpora, stores, cli_train = [], [], cli.train
 
     def keep_corpus(corpus, *args, **kwargs):
         corpora.append(corpus)
+        stores.append(kwargs["store"])
         return cli_train(corpus, *args, **kwargs)
 
     monkeypatch.setattr(cli, "train", keep_corpus)
@@ -320,12 +322,31 @@ def test_synthetic_train_writes_checkpoint(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 0
     assert (out / "checkpoint.npz").is_file()
     assert "EER" in capsys.readouterr().out
-    # the configured 4 speakers train; the trials use 4 others
+    # the configured 4 speakers train; the trials use 4 others, 6 utterances each
     trained = {w.speaker_id for w in corpora[0]}
-    scored = {utt.split("_utt")[0] for t in load_trials(out / "trials.txt")
-              for utt in (t.enroll_utt, t.test_utt)}
-    assert len(trained) == 4 and len(scored) == 4
+    held_out = stores[0]
+    trials = load_trials(out / "trials.txt")
+    scored = {held_out[u].speaker_id for t in trials for u in (t.enroll_utt, t.test_utt)}
+    assert len(trained) == 4 and len(scored) == 4 and len(held_out) == 24
     assert not trained & scored
+    # every unordered pair of held-out utterances is a trial once, labelled
+    # by whether its speakers agree
+    pairs = [frozenset((t.enroll_utt, t.test_utt)) for t in trials]
+    assert len(pairs) == len(set(pairs)) == 24 * 23 // 2
+    assert set(pairs) == {frozenset(p) for p in itertools.combinations(held_out, 2)}
+    assert all(t.is_target == (held_out[t.enroll_utt].speaker_id
+                               == held_out[t.test_utt].speaker_id) for t in trials)
+    # the run's EER and minDCF are those of the saved model's cosine scores
+    model = SpeakerModel.load(out / "checkpoint.npz")
+    alone = {u: model.embed_utterance(extract_fbank([w], model.enc_cfg.input_dim).values)[0]
+             for u, w in held_out.items()}
+    scores = [cosine_score(alone[t.enroll_utt], alone[t.test_utt]) for t in trials]
+    labels = [t.is_target for t in trials]
+    oracle = TrialScoreSet(np.array(scores), np.array(labels))
+    end = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (end["eer"], end["mindcf"]) == (compute_eer(oracle), compute_mindcf(oracle))
+    assert end["eer"] == pytest.approx(brute_force_eer(scores, labels), abs=1e-12)
+    assert end["mindcf"] == pytest.approx(brute_force_mindcf(scores, labels), abs=1e-12)
 
 
 # the synthetic corpus is drawn from the train seed, so any other synth.seed
@@ -395,16 +416,6 @@ def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, make):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
     assert not (tmp_path / "run").exists()
-
-
-def test_oversize_trial_spec_is_a_config_error(tmp_path, capsys):
-    cfg = desk_config()
-    cfg = replace(cfg, synth=replace(cfg.synth, n_speakers=3, utts_per_speaker=3))
-    save_config(cfg, tmp_path / "cfg.json")
-    argv = ["train", "--synthetic", "--config", str(tmp_path / "cfg.json"),
-            "--out", str(tmp_path / "run")]
-    assert cli.main(argv) == 2
-    assert "trials" in capsys.readouterr().err
 
 
 def saved_checkpoint(path):
@@ -503,14 +514,31 @@ def test_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, how):
     assert eval_exit_code(path, tmp_path, capsys) == 3
 
 
-@pytest.mark.parametrize("key, value", [("param/encoder.block0.ffn1.w1", np.nan),
-                                        ("state/mfa.bn.running_var", np.inf)],
-                         ids=["nan-parameter", "infinite-running-var"])
-def test_eval_rejects_a_checkpoint_with_a_non_finite_array(tmp_path, capsys, key, value):
+def first_entry(value):
+    """An edit that sets an array's first entry to ``value``."""
+    def edit(a):
+        a.flat[0] = value
+        return a
+    return edit
+
+
+# an array that holds a NaN or an infinity, or is not real floating point
+# (a string array made np.isfinite raise, and a complex one lost its
+# imaginary part on load), is named before anything is scored
+@pytest.mark.parametrize("key, edit, why", [
+    ("param/encoder.block0.ffn1.w1", first_entry(np.nan), "non-finite"),
+    ("state/mfa.bn.running_var", first_entry(np.inf), "non-finite"),
+    ("param/classifier.w", lambda a: a.astype(str), "not real floating point"),
+    ("param/classifier.w", lambda a: a.astype(np.complex64) + 1j, "not real floating point"),
+    ("state/mfa.bn.running_var", lambda a: a.astype(np.int32), "not real floating point"),
+], ids=["nan-parameter", "infinite-running-var", "string-parameter", "complex-parameter",
+        "integer-running-var"])
+def test_eval_rejects_a_checkpoint_with_a_non_finite_or_non_real_array(tmp_path, capsys,
+                                                                       key, edit, why):
     manifest, corpus = small_manifest(tmp_path)
     path = tmp_path / "checkpoint.npz"
     arrays = saved_checkpoint(path)
-    arrays[key].flat[0] = value
+    arrays[key] = edit(arrays[key])
     np.savez(path, **arrays)
     trials = tmp_path / "trials.txt"
     save_trials(trials, [Trial(corpus[0].utterance_id, corpus[1].utterance_id, True),
@@ -520,7 +548,7 @@ def test_eval_rejects_a_checkpoint_with_a_non_finite_array(tmp_path, capsys, key
                      "--scores-out", str(scores)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"data error: could not load checkpoint {path}")
-    assert "non-finite" in err[0] and repr(key.split("/", 1)[1]) in err[0]
+    assert why in err[0] and repr(key.split("/", 1)[1]) in err[0]
     assert not scores.exists()
 
 
@@ -633,12 +661,57 @@ def test_a_manifest_entry_that_is_not_a_wav_is_a_data_error(tmp_path, capsys, co
     assert not (tmp_path / "run").exists()
 
 
-def data_config(path, **trials):
+# every pair of scored utterances is a trial, and an EER needs both kinds:
+# a manifest that lists no utterance, one speaker, or one utterance per
+# speaker is a data error naming it before any run directory exists
+@pytest.mark.parametrize("keep", [lambda w: False, lambda w: w.speaker_id == "spk000",
+                                  lambda w: w.utterance_id.endswith("_utt000")],
+                         ids=["empty", "one-speaker", "one-utterance-per-speaker"])
+@pytest.mark.parametrize("command", [["train"], ["sweep", "am_softmax", "mfcon"]],
+                         ids=["train", "sweep"])
+def test_a_manifest_without_both_kinds_of_pair_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                                               command, keep):
+    runs = captured_runs(monkeypatch)
+    corpus = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=2, duration=0.5,
+                                       sample_rate=8000, seed=1))
+    manifest = export_corpus([w for w in corpus if keep(w)], tmp_path / "data")
+    assert cli.main(command + ["--data", str(manifest), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(manifest) in err[0]
+    assert not runs and not (tmp_path / "run").exists()
+
+
+# an utterance id names one utterance: a manifest that lists one twice would
+# pair it with itself as a nontarget trial of cosine 1
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_that_repeats_an_utterance_id_is_a_data_error(tmp_path, capsys,
+                                                                 monkeypatch, command):
+    manifest, corpus = small_manifest(tmp_path)
+    with open(manifest, "a") as f:
+        f.write(manifest.read_text().splitlines()[0] + "\n")
+    runs = captured_runs(monkeypatch)
+    if command == "train":
+        argv = ["train", "--data", str(manifest), "--out", str(tmp_path / "run")]
+    else:
+        saved_checkpoint(tmp_path / "checkpoint.npz")
+        save_trials(tmp_path / "trials.txt", [Trial(corpus[0].utterance_id,
+                                                     corpus[1].utterance_id, True),
+                                               Trial(corpus[0].utterance_id,
+                                                     corpus[2].utterance_id, False)])
+        argv = ["eval", str(tmp_path / "checkpoint.npz"), str(tmp_path / "trials.txt"),
+                str(manifest), "--scores-out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(manifest) in err[0]
+    assert repr(corpus[0].utterance_id) in err[0]
+    assert not runs and not (tmp_path / "run").exists()
+
+
+def data_config(path):
     """The desk preset sized for a ``small_manifest`` corpus: two epochs of
-    0.5 s crops, all 6 utterances in one batch, and the given trial counts."""
+    0.5 s crops, all 6 utterances in one batch."""
     cfg = desk_config()
-    cfg = replace(cfg, train=replace(cfg.train, batch_size=6, epochs=2, crop_duration=0.5),
-                  trials=TrialSpec(**trials))
+    cfg = replace(cfg, train=replace(cfg.train, batch_size=6, epochs=2, crop_duration=0.5))
     save_config(cfg, path)
     return path
 
@@ -657,8 +730,7 @@ def test_an_utterance_too_short_to_score_is_a_data_error(tmp_path, capsys, monke
     monkeypatch.setattr(SpeakerModel, "embed_utterance",
                         lambda self, feats: embedded.append(feats))
     if command == "train":
-        # every pair of the 6 utterances is a trial
-        config = data_config(tmp_path / "cfg.json", n_target=3, n_nontarget=12)
+        config = data_config(tmp_path / "cfg.json")
         argv = ["train", "--data", str(manifest), "--config", str(config),
                 "--out", str(tmp_path / "run")]
     else:
@@ -702,7 +774,7 @@ def test_train_on_a_manifest_with_a_silent_utterance(tmp_path, capsys):
     silent = corpus[1]
     save_wav(Waveform(np.zeros(silent.samples.size), silent.sample_rate),
              manifest.parent / silent.speaker_id / f"{silent.utterance_id}.wav")
-    config = data_config(tmp_path / "cfg.json", n_target=3, n_nontarget=3)
+    config = data_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
     assert cli.main(["train", "--data", str(manifest), "--config", str(config),
                      "--out", str(out)]) == 0

@@ -4,8 +4,8 @@ from dataclasses import asdict
 import pytest
 
 from mfcontrast import cli
-from mfcontrast.config import (ConfigError, ExperimentConfig, TrialSpec, config_from_dict,
-                               desk_config, load_config)
+from mfcontrast.config import (ConfigError, ExperimentConfig, config_from_dict, desk_config,
+                               load_config)
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.synthdata import SynthSpec
@@ -19,14 +19,12 @@ def test_the_default_experiment_is_the_desk_preset():
 
 
 @pytest.mark.parametrize("section, cls", [("encoder", EncoderConfig), ("head", HeadConfig),
-                                          ("train", TrainConfig), ("synth", SynthSpec),
-                                          ("trials", TrialSpec)])
+                                          ("train", TrainConfig), ("synth", SynthSpec)])
 def test_each_section_default_is_the_desk_preset(section, cls):
     assert cls() == getattr(desk_config(), section)
 
 
 LOSS = {"lam1": 0.01, "lam2": 0.0}
-TRIALS = {"n_target": 250, "n_nontarget": 250}
 DESK = {
     "encoder": {"num_blocks": 2, "model_dim": 64, "ff_expansion": 2,
                 "conv_kernel": 7, "dropout": 0.0, "input_dim": 80},
@@ -35,7 +33,6 @@ DESK = {
               "objective": "mfcon", "loss": LOSS, "crop_duration": 1.0},
     "synth": {"n_speakers": 10, "utts_per_speaker": 20, "duration": 1.6,
               "sample_rate": 8000, "seed": 0},
-    "trials": TRIALS,
 }
 FULL = {
     "encoder": {"num_blocks": 6, "model_dim": 256, "ff_expansion": 4,
@@ -45,7 +42,6 @@ FULL = {
               "objective": "mfcon", "loss": LOSS, "crop_duration": 3.0},
     "synth": {"n_speakers": 10, "utts_per_speaker": 20, "duration": 3.0,
               "sample_rate": 16000, "seed": 0},
-    "trials": TRIALS,
 }
 
 
@@ -76,7 +72,7 @@ def merged(base, data):
 @pytest.mark.parametrize("data", [
     {},
     {"train": {"loss": {"lam1": 0.5}}},
-    {"encoder": {"num_blocks": 3}, "trials": {"n_target": 7}},
+    {"encoder": {"num_blocks": 3}, "head": {"embed_dim": 32}},
     {"train": {"objective": "combined", "loss": {"lam2": 0.1}}, "synth": {"duration": 2.0}},
 ])
 def test_a_partial_file_changes_only_the_fields_it_names(data):
@@ -110,16 +106,20 @@ def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value
     check_removed_key(tmp_path, capsys, f"train.{key}", value)
 
 
-# keys of the other sections that no config has any more: every block has
-# its own head, so configs saved before the head-sharing flags were removed
-# hold both, false; every attention module has encoder.NUM_HEADS heads, and
-# the trials are drawn with config.TRIAL_SEED, so configs saved before those
-# became constants hold encoder.num_heads and trials.seed
+# keys that no config has any more: every block has its own head, so configs
+# saved before the head-sharing flags were removed hold both, false; every
+# attention module has encoder.NUM_HEADS heads, so configs saved before that
+# became a constant hold encoder.num_heads; and every pair of scored
+# utterances is a trial, so configs saved before the trial counts went hold
+# a trials section, with a seed if saved before the trial seed was fixed
 @pytest.mark.parametrize("key, value", [("head.share_pooling", False),
                                         ("head.share_projection", False),
-                                        ("encoder.num_heads", 4), ("trials.seed", 100)],
+                                        ("encoder.num_heads", 4),
+                                        ("trials", {"n_target": 250, "n_nontarget": 250}),
+                                        ("trials", {"seed": 100, "n_target": 250,
+                                                    "n_nontarget": 250})],
                          ids=["head.share_pooling", "head.share_projection",
-                              "encoder.num_heads", "trials.seed"])
+                              "encoder.num_heads", "trials", "trials.seed"])
 def test_removed_section_keys_are_named_config_errors(tmp_path, capsys, key, value):
     check_removed_key(tmp_path, capsys, key, value)
 
@@ -136,7 +136,7 @@ def check_removed_key(tmp_path, capsys, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError,
-                       match=f"{'.'.join(where)}: unknown keys \\['{name}'\\]"):
+                       match=f"{'.'.join(where) or 'top level'}: unknown keys \\['{name}'\\]"):
         load_config(path)
     assert cli.main(["train", "--synthetic", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 2
@@ -146,15 +146,13 @@ def check_removed_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
-# a value of the wrong JSON type, or a trial count, seed, evaluation
-# interval or encoder size out of range, fails on load and names its key
-# before any run directory exists: an int field takes only an integer (a
-# bool is not one) and a float field an int or a float; a zero trial count
-# would train the whole run before scoring, a negative interval would
-# silently never evaluate, and an encoder size below 1 builds no model
+# a value of the wrong JSON type, or a seed, evaluation interval or encoder
+# size out of range, fails on load and names its key before any run
+# directory exists: an int field takes only an integer (a bool is not one)
+# and a float field an int or a float; a negative interval would silently
+# never evaluate, and an encoder size below 1 builds no model
 @pytest.mark.parametrize("key, value", [
-    ("trials.n_target", 0), ("trials.n_nontarget", 0),
-    ("trials.n_target", 2.5), ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
+    ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
     ("train.seed", True), ("train.batch_size", 12.5), ("train.lr", "0.001"),
     ("train.loss.lam1", True), ("train.objective", 1), ("encoder.dropout", None),
     ("train.eval_every", -1), ("encoder.input_dim", 0), ("encoder.model_dim", 0),

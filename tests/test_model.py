@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 from dataclasses import replace
 
@@ -417,6 +418,17 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.npz"
         m.save(path)
         assert SpeakerModel.load(path).sample_rate == 8000
+
+    # a rate is a positive integer of samples per second, or None when the
+    # model trained on no recorded audio; a bool is not one
+    @pytest.mark.parametrize("rate", ["abc", -8000, 0, 8000.5, True, [8000]])
+    def test_rejects_a_sample_rate_that_is_not_a_positive_integer(self, tmp_path, rate):
+        path = tmp_path / "checkpoint.npz"
+        SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=3).save(path)
+        rewrite_meta(path, lambda meta: meta.update(sample_rate=rate))
+        with pytest.raises(ValueError, match=f"does not build a model: sample_rate .*"
+                                             f"{re.escape(repr(rate))}"):
+            SpeakerModel.load(path)
 
     def test_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "checkpoint.npz"
