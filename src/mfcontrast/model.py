@@ -9,9 +9,9 @@ every parameter lies, in ``params`` order, in one flat ``param_vector``, and
 ``grad_vector``, which ``backward`` overwrites. Adam and ``load`` write
 through these arrays and never rebind an entry. Batch-norm running
 statistics live in ``state``: a train-mode forward updates its arrays in
-place, and of the row shards of one batch (``nn.row_shard``) only shard 0
-writes them; an eval-mode forward only reads them and is safe to run
-concurrently. A train-mode forward returns the tapes (``nn.Tape``) that
+place, and of the row shards of one batch (``nn.row_shard``) only shard 0,
+the caller's, writes them; an eval-mode forward only reads them and is safe
+to run concurrently. A train-mode forward returns the tapes (``nn.Tape``) that
 ``backward`` replays; an eval-mode forward records none, and ``backward``
 rejects its output. Each row shard's ``backward`` writes its own gradient
 vector.
@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .encoder import (EncoderConfig, _encoder_bwd, _encoder_fwd,
                       init_encoder_params)
 from .heads import (HeadConfig, _heads_bwd, _heads_fwd, _mfa_bwd, _mfa_fwd,
@@ -54,8 +55,12 @@ def _as_compute(arrays: dict) -> dict:
 def _flat_layout(params: dict, dtype):
     """``params`` cast to ``dtype`` as they are laid end to end in one vector
     (no cast copy per array), beside a zeroed gradient vector of the same
-    layout. Returns (param_vector, params, grad_vector, grads), dicts of views."""
-    param_vector = np.concatenate([np.ravel(v) for v in params.values()], dtype=dtype)
+    layout. Returns (param_vector, params, grad_vector, grads), dicts of views.
+    The parameter vector lies in a shared mapping, so the worker process of
+    a two-shard training step, forked after it, reads every update that
+    Adam makes in place."""
+    param_vector = parallel.shared_empty(sum(v.size for v in params.values()), dtype)
+    np.concatenate([np.ravel(v) for v in params.values()], out=param_vector)
     # np.zeros maps pages that stay untouched until written, so a model that
     # never runs backward never makes its gradient pages resident
     grad_vector = np.zeros(param_vector.size, dtype)

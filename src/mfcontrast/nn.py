@@ -43,14 +43,16 @@ flattened rows.
 
 Row shards: train-mode batch norm is the one op whose rows meet, through
 its batch statistics; every other op treats each row on its own in the
-backward pass too. So a training batch can run as row shards, one thread
-each (``trainer.train_step``), that meet only in batch norm. A thread
-inside ``row_shard(group, index)`` takes the mean and variance, and in the
-backward the dγ and dβ that the input gradient reads, over every row of
-the group, each as the sum of the shards' partial sums added in shard
-order (``ShardGroup``). Each shard returns only its own rows' dγ and dβ as
-parameter gradients, which sum across shards to the batch's, and only
-shard 0 moves the running statistics.
+backward pass too. So a training batch can run as two row shards, the
+second in a worker process (``trainer.train_step``), that meet only in
+batch norm. Code inside ``row_shard(group, index, rows)`` takes the mean
+and variance, and in the backward the dγ and dβ that the input gradient
+reads, over every row of the group, each as the sum of the two shards'
+partial sums added in shard order (``parallel.ShardWorker.sum``). Each
+shard returns only its own rows' dγ and dβ as parameter gradients, which
+sum across shards to the batch's, and only shard 0 moves the running
+statistics: the worker's copy of them goes stale, and a train-mode forward
+never reads it.
 
 The strided convolution returns no input gradient: its only caller is the
 frontend, whose input is the features, so nothing upstream needs one.
@@ -69,50 +71,17 @@ class ShapeError(ValueError):
     """Array shape does not match the layer configuration."""
 
 
-class ShardGroup:
-    """``count`` row shards of one ``rows``-row batch, each on its own
-    thread, that meet in train-mode batch norm.
-
-    A meeting is one ``sum`` call by every shard: each hands in a partial
-    sum and gets back the total over all shards, added in shard order, so
-    every shard reads the same bits. ``abort`` breaks the group's barrier:
-    a shard waiting in ``sum``, or arriving there later, then raises
-    ``threading.BrokenBarrierError`` instead of waiting for ever on a shard
-    that failed.
-    """
-
-    def __init__(self, count, rows):
-        self.count = count
-        self.rows = rows
-        self._parts = [None] * count
-        self._total = None
-        # the last shard to arrive adds the parts before any shard leaves,
-        # and no shard can start the next meeting's sum before every shard
-        # has read this one's total
-        self._barrier = threading.Barrier(count, action=self._add)
-
-    def _add(self):
-        self._total = functools.reduce(np.add, self._parts)
-
-    def sum(self, index, part):
-        self._parts[index] = part
-        self._barrier.wait()
-        return self._total
-
-    def abort(self):
-        self._barrier.abort()
-
-
 _shard = threading.local()
 
 
 @contextlib.contextmanager
-def row_shard(group, index):
-    """Run the block on this thread as shard ``index`` of the ShardGroup
-    ``group``: a train-mode batch norm forward in it meets the group's other
-    shards, and so does the backward of its tape, wherever that runs. The
-    one shard of a group of one runs batch norm as outside any group."""
-    _shard.current = (group, index) if group.count > 1 else None
+def row_shard(group, index, rows):
+    """Run the block on this thread as shard ``index`` of the two row shards
+    of a ``rows``-row batch that meet in ``group``, whose ``sum(index,
+    part)`` returns the shards' total (``parallel.ShardWorker``): a
+    train-mode batch norm forward in it meets the other shard, and so does
+    the backward of its tape, wherever that runs."""
+    _shard.current = (group, index, rows)
     try:
         yield
     finally:
@@ -120,8 +89,8 @@ def row_shard(group, index):
 
 
 def _shard_sum(shard, part):
-    """``part`` summed over the shards of ``shard``, a (group, index) pair,
-    or ``part`` itself outside a group."""
+    """``part`` summed over the shards of ``shard``, a (group, index, rows)
+    triple, or ``part`` itself outside a group."""
     return part if shard is None else shard[0].sum(shard[1], part)
 
 
@@ -207,7 +176,7 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
     m = x.size // x.shape[-1]
     shard = getattr(_shard, "current", None) if mode == "train" else None
     # positions the statistics average over: this call's, or the group's
-    n = m if shard is None else m // x.shape[0] * shard[0].rows
+    n = m if shard is None else m // x.shape[0] * shard[2]
     if mode == "train":
         mean_weights = np.full(m, 1.0 / n, dtype=x.dtype)
         mu = _shard_sum(shard, mean_weights @ x.reshape(m, -1))

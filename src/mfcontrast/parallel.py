@@ -1,5 +1,7 @@
-"""Work spread over the CPUs this process may run on, on threads that the
-call starts and joins. This module alone decides how many.
+"""Work spread over the CPUs this process may run on: ``deal`` on threads
+that the call starts and joins, and ``ShardWorker``, the one forked process
+that runs the second row shard of a training step. This module alone
+decides how many threads run, and it alone forks.
 
 ``deal`` spreads a list of independent items: corpus synthesis deals
 utterances, ``extract_fbank`` chunks of waves, ``AugmentSampler.apply``
@@ -16,26 +18,37 @@ every one of them.
 - Caller allocates: arrays that outlive the call should be allocated by the
   caller and only filled by the work. A thread's first allocation takes a
   glibc arena of its own, and until ``trainer.train`` caps the count at one
-  (``_keep_freed_heap``) that is a new arena. Long-lived arrays pin it, a
-  later thread of the two-shard step reuses it, and each desk step then
-  faults thousands of pages back in, where the kept heap takes under a
-  thousand. Copying the workers' arrays after the join instead holds them
-  twice at the peak, and capping the arenas before the threads start raised
-  peak RSS too.
+  (``_keep_freed_heap``) that is a new arena that long-lived arrays pin.
+  Copying the workers' arrays after the join instead holds them twice at
+  the peak, and capping the arenas before the threads start raised peak RSS
+  too.
 
 Each caller makes an item's result independent of its share, so nothing
-these callers compute depends on the CPU count. ``on_threads`` is for work
-whose items must run at once, the two-shard training step's, and always
-starts its threads.
+these callers compute depends on the CPU count.
+
+The training step's two row shards run at once whatever the CPU count, in
+two processes: the many small numpy calls of a step hold the GIL, so two
+threads cannot overlap them. One 6-block forward and backward on 20 rows of
+48 frames (``train_deep_short``'s half batch) took 45-47 ms alone, 67-71 ms
+on each of two threads of one process, and 47-51 ms in each of two
+processes (medians of 30, in two of three runs; the third read 58-60 ms),
+on 2 CPUs at 1 BLAS thread.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
 import os
 import threading
+from multiprocessing.connection import wait
+
+import numpy as np
 
 # whether this thread is running a share of deal
 _inside = threading.local()
+# seconds between the checks of a meeting's wait that the other side lives
+_POLL_S = 0.05
 
 
 def usable_cpus() -> int:
@@ -55,39 +68,142 @@ def deal(items, work) -> list:
     w = max(1, min(len(items), usable_cpus()))
     if getattr(_inside, "deal", False):
         return [work(items[k::w]) for k in range(w)]
+    results, errors = [None] * w, []
 
     def share(k):
         _inside.deal = True
         try:
-            return work(items[k::w])
+            results[k] = work(items[k::w])
+        except BaseException as err:
+            errors.append(err)
         finally:
             _inside.deal = False
 
-    return on_threads(w, share, lambda: None)
-
-
-def on_threads(count, work, abort) -> list:
-    """``work(k)`` for k in range(count), k = 0 on this thread and each
-    other k on a thread that this call starts and joins, wherever it is
-    called from; the results, in k order. A k that raises calls ``abort``,
-    so that the others end rather than wait for it, and after the joins the
-    first error raised is raised again: the one that aborted, never the
-    abort's own."""
-    results, errors = [None] * count, []
-
-    def run(k):
-        try:
-            results[k] = work(k)
-        except BaseException as err:
-            errors.append(err)  # before the abort that ends the others
-            abort()
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, count)]
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, w)]
     for thread in threads:
         thread.start()
-    run(0)
+    share(0)
     for thread in threads:
         thread.join()
     if errors:
         raise errors[0]
     return results
+
+
+def shared_empty(size: int, dtype) -> np.ndarray:
+    """An uninitialised 1-D array in an anonymous shared mapping: a process
+    forked after it is made reads and writes the same memory. Its pages,
+    like those of ``np.zeros``, stay untouched until written."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size)
+
+
+class WorkerExit(RuntimeError):
+    """The worker process ended while its caller waited for it."""
+
+
+class ShardWorker:
+    """A forked process that serves the caller, and the meeting point of
+    the two row shards that the caller (shard 0) and the worker (shard 1)
+    run at once.
+
+    The worker runs ``serve(self)`` on its own copy of this object, which
+    talks to the caller through ``send`` and ``recv``; ``serve`` returning
+    ends it, and so does the caller ending. An error that ``serve`` raises
+    is sent to the caller, whose next wait raises it, and the worker exits
+    with code 1. The worker is forked rather than spawned, so that it
+    starts with the caller's objects (a model, and the closures that use
+    it) and shares its anonymous mappings; ``trainer`` forks it before a
+    step's forward, when no thread of a ``deal`` runs.
+
+    A meeting is one ``sum(index, part)`` call by each side: shard ``index``
+    writes its partial sum, a 1-D array of at most ``part_bytes`` bytes, to
+    its slot of a shared mapping, and both read back slot 0 + slot 1, added
+    in shard order, so both sides get the same bits. One semaphore pair
+    marks a side's part as written, and the slots alternate between two
+    buffers, so a side that leaves a meeting first cannot overwrite a part
+    the other is still reading. Batch norm meets here (``nn.row_shard``).
+
+    Every wait of the caller's watches the worker: when the worker has
+    ended, the caller raises the error it sent, or else ``WorkerExit``
+    naming its exit code. The worker's waits end when the caller does.
+    ``close`` ends the worker and joins it.
+    """
+
+    def __init__(self, serve, part_bytes: int):
+        ctx = multiprocessing.get_context("fork")
+        part_bytes = -(-part_bytes // 64) * 64  # every slot 64-byte aligned
+        self._slots = shared_empty(2 * 2 * part_bytes, np.uint8).reshape(2, 2, part_bytes)
+        self._written = (ctx.Semaphore(0), ctx.Semaphore(0))
+        self._meetings = 0
+        self._caller = os.getpid()
+        self._conn, child = ctx.Pipe()
+        self._process = ctx.Process(target=self._run, args=(serve, child), daemon=True)
+        self._process.start()
+        child.close()
+
+    def _run(self, serve, conn):
+        self._conn.close()
+        self._conn = conn
+        try:
+            serve(self)
+        except EOFError:  # the caller has ended
+            pass
+        except BaseException as err:
+            conn.send((err, None))
+            raise SystemExit(1) from None
+
+    def send(self, value) -> None:
+        """Send ``value`` to the other side."""
+        try:
+            self._conn.send((None, value))
+        except OSError:  # the other side has ended
+            self._ended()
+
+    def recv(self):
+        """The next value the other side sent. In the worker, raises
+        EOFError once the caller has ended."""
+        if os.getpid() == self._caller:
+            wait([self._conn, self._process.sentinel])
+            if not self._conn.poll():
+                self._ended()
+        try:
+            error, value = self._conn.recv()
+        except EOFError:
+            self._ended()
+        if error is not None:
+            raise error
+        return value
+
+    def _ended(self):
+        """The other side has ended. In the worker, raise EOFError; in the
+        caller, the error that the worker sent, or else WorkerExit."""
+        if os.getpid() != self._caller:
+            raise EOFError("the caller ended")
+        self._process.join()
+        try:
+            while self._conn.poll():
+                error, _ = self._conn.recv()
+                if error is not None:
+                    raise error
+        except EOFError:
+            pass
+        raise WorkerExit(f"the shard worker (pid {self._process.pid}) exited with "
+                         f"code {self._process.exitcode} during a training step")
+
+    def sum(self, index: int, part: np.ndarray) -> np.ndarray:
+        buffer = self._slots[self._meetings % 2]
+        self._meetings += 1
+        size = part.nbytes
+        buffer[index, :size].view(part.dtype)[...] = part
+        self._written[index].release()
+        while not self._written[1 - index].acquire(timeout=_POLL_S):
+            if not (self._process.is_alive() if os.getpid() == self._caller
+                    else os.getppid() == self._caller):
+                self._ended()
+        return np.add(buffer[0, :size].view(part.dtype), buffer[1, :size].view(part.dtype))
+
+    def close(self) -> None:
+        """End the worker wherever it is, and join it."""
+        self._process.kill()
+        self._process.join()

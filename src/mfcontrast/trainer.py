@@ -9,8 +9,9 @@ count the caller has set, because ``train`` and ``evaluate`` run numpy's
 bundled OpenBLAS on one thread for the length of the call (with another
 BLAS, the thread count stays the caller's). ``build_batch`` augments the
 crops and takes their filterbanks on every usable CPU, ``train_step`` runs a
-large enough batch as two row shards on two threads, and ``evaluate`` embeds
-on every usable CPU; no result depends on how many CPUs there are.
+large enough batch as two row shards, the second in a worker process that
+``train`` forks, and ``evaluate`` embeds on every usable CPU; no result
+depends on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -228,13 +229,14 @@ def compute_objective(out, labels, weights, cfg: TrainConfig):
 
 # fewest filterbank frames (rows x frames) in each of the two row shards
 # that train_step splits a batch into; a smaller batch runs as one shard.
-# Chosen from paired step times at 1 s crops (2 CPUs, 1 BLAS thread; see
-# CHANGES.md): with 6 blocks, two shards of 1,176 frames were slower than
-# one (0.95x) and two of 1,372 faster (1.15x); with 2 blocks, two were
-# faster from 980 frames up. A miss no benchmark workload hits: two 6-block
-# shards of 0.5 s crops were 5-9% slower than one up to 1,536 frames per
-# half, so such a config trains slower at batch 28 (1,344) to at least 32.
-SHARD_MIN_FRAMES = 1300
+# Chosen from alternating paired step times, one shard against two, 26 pairs
+# each, at 2 and 6 blocks and 0.5 s and 1 s crops (2 CPUs, 1 BLAS thread;
+# see CHANGES.md). From 384 frames per half up, two shards were faster in
+# every setting, in 22-26 of 26 pairs: 1.18-1.23x at 384-392 frames,
+# 1.20-1.31x at 480-490 and 1.12-1.48x at 960-980 (6 blocks at 0.5 s, the
+# train_deep_short batch: 1.48x). At 240-336 frames they were level, at
+# 1.00-1.13x in 15-24 of 26 pairs.
+SHARD_MIN_FRAMES = 384
 
 
 def _row_shards(feats, enc_cfg: EncoderConfig) -> list:
@@ -250,56 +252,95 @@ def _row_shards(feats, enc_cfg: EncoderConfig) -> list:
     return [slice(0, half), slice(half, rows)]
 
 
+def _shard_worker(model: SpeakerModel):
+    """A worker process, forked now, that runs shard 1 of each two-shard
+    ``train_step`` on ``model``, and the shared vector its backward writes
+    that shard's gradient over. The worker starts with the caller's model
+    and sees every in-place update of its parameter vector, which lies in a
+    shared mapping (``model._flat_layout``); it reads batch-norm state only
+    in eval mode, which it never runs. Each step it sends back the minor
+    page faults it took. Returns (``parallel.ShardWorker``, gradient
+    vector)."""
+    vector = parallel.shared_empty(model.grad_vector.size, model.dtype)
+
+    def serve(worker):
+        while True:
+            feats, rows = worker.recv()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with nn.row_shard(worker, 1, rows):
+                out = model.forward(feats, mode="train")
+            worker.send((out.tap_embeddings, out.speaker_embedding))
+            d_taps, d_spk = worker.recv()
+            model.backward(out, d_taps, d_spk, vector)
+            del out
+            worker.send(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+
+    # the widest part a meeting adds: a batch norm's dγ and dβ together
+    part_bytes = 2 * max(v.nbytes for v in model.state.values())
+    return parallel.ShardWorker(serve, part_bytes), vector
+
+
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
-               cfg: TrainConfig, lr: float, rng: np.random.Generator):
+               cfg: TrainConfig, lr: float, rng: np.random.Generator, shard=None):
     """One forward/backward/update on the (2B, T, F) batch ``feats``.
-    Returns the loss breakdown and the wall time of each stage:
-    ``forward_s``, ``loss_s``, ``backward_s`` and ``adam_s``.
+    Returns the loss breakdown, and the wall time of each stage
+    (``forward_s``, ``loss_s``, ``backward_s`` and ``adam_s``) beside the
+    minor page faults that this process and the worker took during the
+    step (``minor_faults``).
 
     The batch runs as one row shard or two (``_row_shards``): never as a
     function of the CPU count, so a run's bits depend only on its config
-    and seed. With two, this thread runs the first half of the rows, and
-    a thread that the forward starts and joins, then one that the backward
-    does, runs the second (``parallel.on_threads``); they meet only in
-    batch norm (``nn.row_shard``). The loss runs once, on this thread, over
-    both shards' embeddings in row order. Each shard's backward writes its
-    own gradient vector, shard 0 into ``model.grad_vector``, and the others
-    are added to it in shard order before Adam. One shard gives the bits of
-    the whole batch on one thread; two differ from them at round-off."""
+    and seed. With two, this thread runs the first half of the rows and
+    the worker process ``shard`` (``_shard_worker``, which ``train`` keeps
+    for its run) runs the second; without one, the call forks its own and
+    ends it before it returns. The shards meet only in batch norm
+    (``nn.row_shard``). The worker sends its tap and speaker embeddings
+    back, the loss runs once, here, over both shards' embeddings in row
+    order, and the worker gets its rows of the loss gradients. Each shard's
+    backward writes its own gradient vector, shard 0 into
+    ``model.grad_vector``, and shard 1's is added to it before Adam. One
+    shard gives the bits of the whole batch in one process; two differ from
+    them at round-off."""
     shards = _row_shards(feats, model.enc_cfg)
-    group = nn.ShardGroup(len(shards), len(feats))
-    # shard 0's backward writes model.grad_vector, each other one its own
-    vectors = [None] + [np.empty_like(model.grad_vector) for _ in shards[1:]]
-
-    def forward(k):
-        with nn.row_shard(group, k):
-            return model.forward(feats[shards[k]], mode="train", rng=rng)
-
-    def backward(k):
-        rows = shards[k]
-        model.backward(outs[k], [d[rows] for d in d_taps], d_spk[rows], vectors[k])
-
-    t0 = time.perf_counter()
-    outs = parallel.on_threads(len(shards), forward, group.abort)
-    out = outs[0] if len(outs) == 1 else ModelOutput(
-        [np.concatenate(taps) for taps in zip(*(o.tap_embeddings for o in outs))],
-        np.concatenate([o.speaker_embedding for o in outs]), [o.cache for o in outs])
-    t1 = time.perf_counter()
-    total, breakdown, d_taps, d_spk, d_w = compute_objective(
-        out, labels, model.classifier_weights, cfg)
-    if not np.isfinite(total):
-        raise NonFiniteLossError(breakdown)
-    t2 = time.perf_counter()
-    parallel.on_threads(len(shards), backward, group.abort)
-    for vector in vectors[1:]:
-        model.grad_vector += vector
-    # rounds the float64 loss gradient to the model's dtype
-    model.grads["classifier.w"] += d_w
-    t3 = time.perf_counter()
-    adam_step(model.param_vector, model.grad_vector, opt, lr)
-    t4 = time.perf_counter()
-    return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1,
-                       "backward_s": t3 - t2, "adam_s": t4 - t3}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    worker_faults = 0
+    with contextlib.ExitStack() as own:
+        if len(shards) > 1 and shard is None:
+            shard = _shard_worker(model)
+            own.callback(shard[0].close)
+        t0 = time.perf_counter()
+        if len(shards) > 1:
+            (first, second), (worker, vector) = shards, shard
+            worker.send((feats[second], len(feats)))
+            with nn.row_shard(worker, 0, len(feats)):
+                out = model.forward(feats[first], mode="train", rng=rng)
+            taps, spk = worker.recv()
+            # shard 0's tapes, which this process's backward replays
+            out = ModelOutput([np.concatenate(pair) for pair in zip(out.tap_embeddings, taps)],
+                              np.concatenate([out.speaker_embedding, spk]), out.cache)
+        else:
+            out = model.forward(feats, mode="train", rng=rng)
+        t1 = time.perf_counter()
+        total, breakdown, d_taps, d_spk, d_w = compute_objective(
+            out, labels, model.classifier_weights, cfg)
+        if not np.isfinite(total):
+            raise NonFiniteLossError(breakdown)
+        t2 = time.perf_counter()
+        if len(shards) > 1:
+            worker.send(([d[second] for d in d_taps], d_spk[second]))
+            model.backward(out, [d[first] for d in d_taps], d_spk[first])
+            worker_faults = worker.recv()
+            model.grad_vector += vector
+        else:
+            model.backward(out, d_taps, d_spk)
+        # rounds the float64 loss gradient to the model's dtype
+        model.grads["classifier.w"] += d_w
+        t3 = time.perf_counter()
+        adam_step(model.param_vector, model.grad_vector, opt, lr)
+        t4 = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults + worker_faults
+    return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1, "backward_s": t3 - t2,
+                       "adam_s": t4 - t3, "minor_faults": faults}
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +369,10 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's bundled OpenBLAS on one thread, and give
-    the caller's thread count back after it. Each shard or evaluation
-    thread then runs its BLAS calls on its own, and the results do not
-    depend on the caller's count. Does nothing where numpy bundles no
-    OpenBLAS."""
+    the caller's thread count back after it. Each evaluation thread, and
+    the shard worker forked inside the block, then runs its BLAS calls on
+    its own, and the results do not depend on the caller's count. Does
+    nothing where numpy bundles no OpenBLAS."""
     blas = _openblas_threads()
     if blas is None:
         yield
@@ -444,8 +485,9 @@ def _keep_freed_heap():
     heap that is trimmed only above 256 MiB of free top space, each step
     reuses the pages of the one before. Larger arrays keep their own
     mappings, where numpy asks for huge pages. One arena serves every
-    thread, so the threads of ``train_step`` and ``evaluate`` allocate from
-    that kept heap rather than growing heaps of their own beside it. Does
+    thread, so the threads of ``build_batch`` and ``evaluate`` allocate from
+    that kept heap rather than growing heaps of their own beside it, and
+    the shard worker, forked after this call, keeps the same policy. Does
     nothing where the C library has no ``mallopt``.
     """
     try:
@@ -479,8 +521,14 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     record carries the loss breakdown, the wall time of the step's
     ``build_batch`` (``data_s``), of the step itself (``step_s``) and of
     its stages (``forward_s``, ``loss_s``, ``backward_s``, ``adam_s``; see
-    ``train_step``), and the minor page faults the process took during the
-    step, ``minor_faults``.
+    ``train_step``), and the minor page faults that the process and the
+    shard worker took during the step, ``minor_faults``.
+
+    Row shards: the first step whose batch splits (``_row_shards``) forks
+    the worker process that runs the second shard of every step
+    (``_shard_worker``), and ``train`` ends it on every exit path, errors
+    included, so no process outlives the call. A run whose batches never
+    split starts no process.
 
     BLAS: for the length of the call, numpy's bundled OpenBLAS runs on one
     thread (see ``_one_blas_thread``), so the run's bits do not depend on
@@ -513,6 +561,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     history = []
     eval_result = None
     step = 0
+    shard = None  # the worker of the two-shard steps, once one splits
     try:
         for epoch in range(cfg.epochs):
             lr = lr_schedule(epoch, cfg)
@@ -525,16 +574,15 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                     label_map)
                 data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
-                faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                if shard is None and len(_row_shards(feats, enc_cfg)) > 1:
+                    shard = _shard_worker(model)
                 t0 = time.perf_counter()
                 breakdown, stages = train_step(model, opt, feats, labels, cfg, lr,
-                                               step_rng)
+                                               step_rng, shard)
                 step_s = time.perf_counter() - t0
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
                 record = {"step": step, "epoch": epoch, "lr": lr,
                           "objective": cfg.objective, **breakdown,
-                          "data_s": data_s, **stages, "step_s": step_s,
-                          "minor_faults": faults}
+                          "data_s": data_s, **stages, "step_s": step_s}
                 history.append(record)
                 if log_file is not None:
                     log_file.write(json.dumps(record) + "\n")
@@ -547,6 +595,8 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                             {"step": step, "eer": interim.eer,
                              "mindcf": interim.mindcf}) + "\n")
     finally:
+        if shard is not None:
+            shard[0].close()
         if log_file is not None:
             log_file.close()
 

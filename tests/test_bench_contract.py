@@ -7,18 +7,23 @@ starts at each ``features.fbank`` span. ``trainer.evaluate`` keeps that
 count meaningful only while every batch it embeds makes exactly one
 filterbank call and one ``embed_utterance`` call.
 
-The desk run is also checked over two row shards, untraced and traced, which
-the smoke batch reaches only with no frame floor (``trainer.SHARD_MIN_FRAMES``).
-The traced run does not check self times: the tracer's one span stack for all
-threads makes some of them negative over two shards. For the same reason the
-threads that synthesize the corpus call nothing the tracer wraps; the traced
-``embed_long`` run at two usable CPUs checks that its result stays whole,
-and the traced ``train_desk`` run there checks that the filterbank and
-augmentation threads of each batch call nothing the tracer wraps either."""
+The desk run is also checked over two row shards, untraced and traced, with
+the frame floor (``trainer.SHARD_MIN_FRAMES``) at 0, so that the smoke batch
+splits whatever the floor.
+The second shard runs in a forked worker, whose spans stay in its own memory,
+so a two-shard run's per-layer metrics cover shard 0 only (``nn.linear_fwd``
+counts 23 calls per desk step where one shard counts 46), and every self time
+must be non-negative. The tracer keeps one span stack for all threads, so
+the threads that synthesize the corpus call nothing the tracer wraps; the
+traced ``embed_long`` run at two usable CPUs checks that its result stays
+whole, and the traced ``train_desk`` run there checks that the filterbank
+and augmentation threads of each batch call nothing the tracer wraps
+either."""
 
 import functools
 import json
 import math
+import multiprocessing
 import os
 import threading
 
@@ -28,6 +33,7 @@ import pytest
 from mfcontrast import features, nn, synthdata, trainer
 from perfbench import spans, workloads
 from perfbench.test_perfbench import measure
+from spies import spy_processes
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,35 +61,32 @@ def test_every_traced_eval_iteration_pairs_one_fbank_with_one_embed():
                               np.ones(count, dtype=int)), name
 
 
-def desk_over_two_row_shards(monkeypatch, trace):
+def desk_over_two_row_shards(monkeypatch, tmp_path, trace):
     """The desk smoke run's result at no frame floor, after checking that
-    batch norm ran on the caller's thread and, in each step, on the second
-    shard's."""
+    train-mode batch norm ran in this process and in the worker that
+    training forked, and that no process is left."""
     # the smoke batch of 4 holds 392 frames per half
     monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
-    threads = set()
-    batch_norm_fwd = nn.batch_norm_fwd
-
-    def spy(*args, mode, **kwargs):
-        if mode == "train":
-            threads.add(threading.current_thread())
-        return batch_norm_fwd(*args, mode=mode, **kwargs)
-
-    monkeypatch.setattr(nn, "batch_norm_fwd", spy)
+    calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / "batch_norm",
+                          lambda *args, mode, **kwargs: mode)
     result = measure("train_desk", trace=trace)["result"]
     assert result["correct"] and result["failed"] == 0
-    assert threading.current_thread() in threads and len(threads) >= 2
+    pids = {pid for pid, mode in calls() if mode == "train"}
+    assert os.getpid() in pids and len(pids) >= 2
+    assert multiprocessing.active_children() == []
     return result
 
 
-def test_the_untraced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch):
-    desk_over_two_row_shards(monkeypatch, trace=False)
+def test_the_untraced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch, tmp_path):
+    desk_over_two_row_shards(monkeypatch, tmp_path, trace=False)
 
 
-def test_the_traced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch):
-    metrics = desk_over_two_row_shards(monkeypatch, trace=True)["metrics"]
+def test_the_traced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch, tmp_path):
+    metrics = desk_over_two_row_shards(monkeypatch, tmp_path, trace=True)["metrics"]
     assert {k: m["value"] for k, m in metrics.items()
             if m["value"] is None or not math.isfinite(m["value"])} == {}
+    assert {k: m["value"] for k, m in metrics.items()
+            if k.startswith("nn.") and k.endswith(".self_s") and m["value"] < 0} == {}
 
 
 def test_the_traced_embed_smoke_run_is_whole_with_synthesis_on_two_threads(monkeypatch):

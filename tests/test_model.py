@@ -1,7 +1,7 @@
 import hashlib
 import json
+import os
 import re
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +17,7 @@ from mfcontrast.synthdata import SynthSpec, generate_corpus
 from mfcontrast.trainer import TrainConfig
 
 from oracles import fd_gradient, rel_error
+from spies import spy_processes
 
 TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
                          conv_kernel=7, dropout=0.0, input_dim=8)
@@ -210,10 +211,13 @@ class TestComputeDtypePolicy:
         for name, g in g64.items():
             assert rel_error(g32[name], g) < 1e-4, name
 
-    def test_one_train_step_stays_float32(self, monkeypatch):
+    def test_one_train_step_stays_float32(self, monkeypatch, tmp_path):
         # with dropout, one shard whose caches hold the dropout masks; without
-        # it and with no frame floor, two shards, whose caches are both checked
+        # it and with no frame floor, two shards: shard 0's caches are checked
+        # here, and shard 1's by a spy on the backward where it runs, the
+        # worker process, with the vector that backward writes
         monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+        backward = SpeakerModel.backward
         for dropout, shards in ((0.1, 1), (0.0, 2)):
             enc = replace(TINY_ENC, dropout=dropout)
             m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
@@ -227,20 +231,27 @@ class TestComputeDtypePolicy:
                 return compute_objective(out, *args)
 
             monkeypatch.setattr(trainer, "compute_objective", spy_objective)
+            backwards = spy_processes(
+                monkeypatch, SpeakerModel, "backward", tmp_path / f"backward{shards}",
+                lambda self, out, d_taps, d_spk, *vector: sorted(
+                    {str(a.dtype) for a in arrays_in([out.cache, *vector])}))
             rng = np.random.default_rng(8)
             trainer.train_step(m, opt, rng.standard_normal((6, 12, 8)),
                                np.array([0, 1, 2, 0, 1, 2]), cfg, 1e-3,
                                np.random.default_rng(9))
             monkeypatch.setattr(trainer, "compute_objective", compute_objective)
+            monkeypatch.setattr(SpeakerModel, "backward", backward)
 
             out = seen["out"]
-            caches = out.cache if shards > 1 else [out.cache]
-            assert len(caches) == shards and all(set(c) == {"encoder", "heads", "mfa"}
-                                                 for c in caches)
+            # this process's backward, then the worker's on two shards
+            calls = sorted(backwards(), key=lambda call: call[0] != os.getpid())
+            assert [pid == os.getpid() for pid, _ in calls] == [True] + [False] * (shards - 1)
+            assert [dtypes for _, dtypes in calls] == [[np.dtype(COMPUTE_DTYPE).name]] * shards
+            assert set(out.cache) == {"encoder", "heads", "mfa"}
             groups = {"params": [m.param_vector, *m.params.values()],
                       "state": m.state.values(), "adam.m": [opt.m], "adam.v": [opt.v],
-                      "grads": [m.grad_vector, *m.grads.values()]}
-            groups.update({f"cache{k}": arrays_in(c) for k, c in enumerate(caches)})
+                      "grads": [m.grad_vector, *m.grads.values()],
+                      "cache": arrays_in(out.cache)}
             for group, arrays in groups.items():
                 dtypes = {a.dtype for a in arrays}
                 assert dtypes == {np.dtype(COMPUTE_DTYPE)}, (group, dtypes)
@@ -274,19 +285,13 @@ def float64_step(floor, monkeypatch):
     return seen[0], m.state
 
 
-def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch):
-    threads = set()
-    batch_norm_fwd = nn.batch_norm_fwd
-
-    def spy(*args, **kwargs):
-        threads.add(threading.current_thread())
-        return batch_norm_fwd(*args, **kwargs)
-
-    monkeypatch.setattr(nn, "batch_norm_fwd", spy)
+def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch, tmp_path):
+    calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / "batch_norm")
     one, one_state = float64_step(10 ** 9, monkeypatch)
-    assert len(threads) == 1
+    assert {pid for pid, _ in calls()} == {os.getpid()}
     two, two_state = float64_step(0, monkeypatch)
-    assert len(threads) == 2
+    # this process and the worker that the call forked
+    assert len({pid for pid, _ in calls()}) == 2
     assert rel_error(two, one) < 1e-12
     assert one_state.keys() == two_state.keys()
     for k, v in one_state.items():

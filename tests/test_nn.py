@@ -1,4 +1,6 @@
-import sys
+import multiprocessing
+import os
+import signal
 import threading
 import warnings
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mfcontrast import nn
+from mfcontrast import nn, parallel
 from mfcontrast.encoder import FRONTEND_STRIDE, EncoderConfig
 from mfcontrast.heads import HeadConfig
 from mfcontrast.model import SpeakerModel
@@ -208,50 +210,53 @@ def test_train_batch_norm_moves_the_running_statistics_in_place(dtype):
     assert rm.dtype == rv.dtype == dtype
 
 
-def test_every_shard_reads_each_meetings_own_total_under_fast_thread_switches():
-    # more shards than cores and a switch interval near zero: a shard that
-    # read the total of a later meeting, or an overwritten part, would see a
-    # wrong sum
-    shards, meetings = 4, 300
-    group = nn.ShardGroup(shards, rows=shards)
-    seen = [[] for _ in range(shards)]
+def test_both_shards_read_each_meetings_own_total():
+    # the worker sums as fast as the caller: a side that read the total of a
+    # later meeting, or a part overwritten by the next one, would see a wrong
+    # sum; each meeting's part changes dtype and size, as batch norm's do
+    meetings = 300
 
-    def shard(k):
-        for i in range(meetings):
-            seen[k].append(float(group.sum(k, np.array([1000.0 * i + k]))[0]))
+    def part(i, k):
+        return np.arange(i % 5 + 1, dtype=(np.float32, np.float64)[i % 2]) + 1000.0 * i + k
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=shard, args=(k,)) for k in range(shards)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    want = [shards * 1000.0 * i + sum(range(shards)) for i in range(meetings)]
-    assert seen == [want] * shards
+    def serve(worker):
+        worker.send([worker.sum(1, part(i, 1)).tolist() for i in range(meetings)])
+
+    worker = parallel.ShardWorker(serve, part_bytes=5 * 8)
+    seen, theirs = [], []
+
+    def caller():
+        seen.extend(worker.sum(0, part(i, 0)) for i in range(meetings))
+        theirs.extend(worker.recv())
+
+    # on a thread of its own, so that a hang fails the join
+    runner = threading.Thread(target=caller)
+    runner.start()
+    runner.join(timeout=60)
+    worker.close()
+    assert not runner.is_alive(), "a meeting waits for ever"
+    want = [part(i, 0) + part(i, 1) for i in range(meetings)]
+    assert [a.dtype for a in seen] == [a.dtype for a in want]
+    assert [a.tolist() for a in seen] == [a.tolist() for a in want] == theirs
 
 
 def test_an_aborted_group_releases_a_waiting_shard():
-    group = nn.ShardGroup(2, rows=2)
-    raised = []
-
-    def waiting():
+    # a worker that ends before its meeting releases the caller waiting in
+    # it: the error the worker raised is raised here, or else the exit code
+    # is named; after it, the caller's next wait raises at once as well
+    for end, raised in [(lambda: os._exit(3), "exited with code 3"),
+                        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                         f"exited with code {-signal.SIGKILL}"),
+                        (lambda: 1 / 0, "division by zero")]:
+        worker = parallel.ShardWorker(lambda worker: end(), part_bytes=8)
         try:
-            group.sum(0, np.ones(3))
-        except threading.BrokenBarrierError as err:
-            raised.append(err)
-
-    t = threading.Thread(target=waiting)
-    t.start()
-    group.abort()
-    t.join(timeout=60)
-    assert not t.is_alive() and len(raised) == 1
-    with pytest.raises(threading.BrokenBarrierError):
-        group.sum(1, np.ones(3))
+            for _ in range(2):
+                with pytest.raises((parallel.WorkerExit, ZeroDivisionError), match=raised):
+                    worker.sum(0, np.ones(1))
+                raised = "exited with code"
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
 
 
 def test_eval_batch_norm_only_reads_the_running_statistics():

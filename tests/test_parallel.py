@@ -99,16 +99,3 @@ def test_a_deal_after_a_nested_one_starts_threads_again(monkeypatch):
     started = count_thread_starts(monkeypatch)
     assert parallel.deal([0, 1], lambda share: threading.current_thread())[1] in started
 
-
-def test_on_threads_inside_a_deal_still_starts_its_threads(monkeypatch):
-    # the two-shard step's shards must run at once, so never inline
-    on_cpus(monkeypatch, 2)
-    started = count_thread_starts(monkeypatch)
-
-    def share(items):
-        return parallel.on_threads(3, lambda k: threading.current_thread(), lambda: None)
-
-    results = parallel.deal([0, 1], share)
-    assert len(started) == 1 + 2 * 2  # the deal's second thread, then 2 per on_threads
-    for threads in results:
-        assert len(set(threads)) == 3 and all(t in started for t in threads[1:])

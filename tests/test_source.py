@@ -91,8 +91,35 @@ def test_the_scan_finds_reads_as_names_and_attributes():
 @pytest.mark.parametrize("name, readers", [
     # how many threads a share of work gets is parallel.deal's decision alone
     ("usable_cpus", ["parallel.py"]),
-    # a set number of threads at once is the two-shard training step's alone
-    ("on_threads", ["parallel.py", "trainer.py"])])
+    # a process beside this one is the two-shard training step's alone
+    ("ShardWorker", ["trainer.py"])])
 def test_the_thread_helpers_are_read_only_where_they_belong(name, readers):
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert readers_of(name, package) == readers
+
+
+def importers_of(module: str, package: dict) -> list:
+    """Files of ``package`` (file name -> text) that import ``module`` or a
+    submodule of it."""
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == module for a in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
+    return sorted(file for file, source in package.items()
+                  if any(imports(n) for n in ast.walk(ast.parse(source))))
+
+
+def test_the_scan_finds_imports_of_a_module_and_its_submodules():
+    package = {"a.py": "import multiprocessing as mp\n",
+               "b.py": "from multiprocessing.connection import wait\n",
+               "c.py": '"""Not multiprocessing."""\nimport os\n'}
+    assert importers_of("multiprocessing", package) == ["a.py", "b.py"]
+
+
+def test_only_the_module_that_owns_the_shard_worker_starts_a_process():
+    # parallel forks it through multiprocessing; nothing else starts one
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert importers_of("multiprocessing", package) == ["parallel.py"]
+    assert [m for m in ("subprocess", "concurrent") if importers_of(m, package)] == []
+    assert [name for name in ("fork", "forkpty", "posix_spawn", "spawnv", "system")
+            if readers_of(name, package)] == []

@@ -1,6 +1,10 @@
 import ctypes
 import json
+import math
+import mmap
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -10,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfcontrast import config, nn, trainer
+from mfcontrast import config, nn, parallel, trainer
 from mfcontrast.encoder import EncoderConfig
 from mfcontrast.features import FeatureMatrix, Waveform, extract_fbank, frame_count
 from mfcontrast.heads import HeadConfig
@@ -21,6 +25,7 @@ from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
 
 from oracles import cosine_score, per_array_adam_step
+from spies import spy_processes
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
@@ -325,8 +330,9 @@ def test_desk_steps_after_the_first_epoch_reuse_freed_memory(monkeypatch):
     # a desk step frees about 64 MiB of 1-4 MiB buffers; under glibc's default
     # thresholds each later step faulted about 16k pages back in. The corpus
     # is synthesized on two threads on any host: samples allocated on the
-    # second one left a glibc arena that the two-shard step's thread reused,
-    # and each later step faulted about 3.8k pages
+    # second one left a glibc arena that the second shard's thread reused,
+    # when it ran on one, and each later step faulted about 3.8k pages. The
+    # count holds the shard worker's faults too (see the test below)
     desk = config.desk_config()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     corpus = generate_corpus(replace(desk.synth, n_speakers=10, utts_per_speaker=10))
@@ -456,32 +462,21 @@ def test_batch_invariance_holds_on_the_avx2_openblas_kernel():
 DRY = replace(ENC, dropout=0.0)
 
 
-def threads_running_batch_norm(monkeypatch):
-    """The threads that run nn.batch_norm_fwd from now on."""
-    seen = set()
-    batch_norm_fwd = nn.batch_norm_fwd
-
-    def spy(*args, **kwargs):
-        seen.add(threading.current_thread())
-        return batch_norm_fwd(*args, **kwargs)
-
-    monkeypatch.setattr(nn, "batch_norm_fwd", spy)
-    return seen
-
-
-def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch):
+def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch, tmp_path):
     # with no frame floor every step of a dropout-free run takes two shards,
     # whatever the CPU count says
     monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
     before = set(threading.enumerate())
-    seen = threads_running_batch_norm(monkeypatch)
     runs = []
-    for cpus in ({0}, {0, 1}, {0, 1}):
+    for k, cpus in enumerate(({0}, {0, 1}, {0, 1})):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / f"run{k}",
+                              lambda *args, mode, **kwargs: mode)
         runs.append(trainer.train(CORPUS, DRY, HEAD, tiny("combined")))
-        assert set(threading.enumerate()) == before
-    # the caller, and the thread that each step's forward starts
-    assert len(seen) == 1 + sum(len(run.history) for run in runs)
+        assert set(threading.enumerate()) == before and multiprocessing.active_children() == []
+        # train-mode batch norm ran here and in the one worker the run forked
+        pids = {pid for pid, mode in calls() if mode == "train"}
+        assert os.getpid() in pids and len(pids) == 2
     for run in runs[1:]:
         assert_same_bits(totals(run.history), totals(runs[0].history))
         assert_same_bits(run.model.param_vector, runs[0].model.param_vector)
@@ -491,32 +486,118 @@ class ShardError(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("op, failing", [("silu_fwd", "worker"), ("silu_fwd", "caller"),
-                                         ("silu_bwd", "worker")])
-def test_a_failing_shard_raises_its_error_and_leaves_no_thread(monkeypatch, op, failing):
-    # the other shard waits for it in batch norm; the aborted meeting ends it
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+def train_on_a_thread(cfg, enc=DRY):
+    """Run train() on a thread of its own, so that a hang fails the join
+    instead of the test run; returns (the thread, the errors it raised)."""
     raised = []
 
     def run():
         try:
-            trainer.train(CORPUS, DRY, HEAD, tiny("mfcon"))
-        except ShardError as err:
+            trainer.train(CORPUS, enc, HEAD, cfg)
+        except Exception as err:
             raised.append(err)
 
-    # train() runs on its own thread, so a hang fails the join below
     runner = threading.Thread(target=run)
-    original = getattr(nn, op)
+    return runner, raised
+
+
+def assert_train_ended_alone(runner, before):
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "a shard waits for ever"
+    assert set(threading.enumerate()) == before
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("op, failing", [("silu_fwd", "worker"), ("silu_fwd", "caller"),
+                                         ("silu_bwd", "worker")])
+def test_a_failing_shard_raises_its_error_and_leaves_no_thread(monkeypatch, op, failing):
+    # the other shard waits for it in batch norm: the caller sees the worker
+    # end, and train() ends the worker when the caller fails; no thread and
+    # no process is left either way
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    runner, raised = train_on_a_thread(tiny("mfcon"))
+    original, caller = getattr(nn, op), os.getpid()
 
     def fails_on_one_shard(*args, **kwargs):
-        if (threading.current_thread() is runner) == (failing == "caller"):
+        if (os.getpid() == caller) == (failing == "caller"):
             raise ShardError(f"{op} failed on the {failing}")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nn, op, fails_on_one_shard)
     before = set(threading.enumerate())
     runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive(), "a shard waits for ever"
-    assert [str(err) for err in raised] == [f"{op} failed on the {failing}"]
-    assert set(threading.enumerate()) == before
+    assert_train_ended_alone(runner, before)
+    assert [(type(err), str(err)) for err in raised] == [
+        (ShardError, f"{op} failed on the {failing}")]
+
+
+@pytest.mark.parametrize("op", ["silu_fwd", "silu_bwd"])
+def test_a_worker_killed_mid_step_makes_train_raise_its_exit_code(monkeypatch, op):
+    # killed in the forward, the worker leaves the caller in a batch norm
+    # meeting; in the backward, in a meeting or on the pipe
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    runner, raised = train_on_a_thread(tiny("mfcon"))
+    original, caller = getattr(nn, op), os.getpid()
+
+    def killed_in_the_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, op, killed_in_the_worker)
+    before = set(threading.enumerate())
+    runner.start()
+    assert_train_ended_alone(runner, before)
+    assert [type(err) for err in raised] == [parallel.WorkerExit]
+    assert f"exited with code {-signal.SIGKILL}" in str(raised[0])
+
+
+def test_a_non_finite_loss_ends_the_worker(monkeypatch):
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    compute_objective = trainer.compute_objective
+
+    def non_finite(*args):
+        total, *rest = compute_objective(*args)
+        return math.nan, *rest
+
+    monkeypatch.setattr(trainer, "compute_objective", non_finite)
+    runner, raised = train_on_a_thread(tiny("mfcon"))
+    before = set(threading.enumerate())
+    runner.start()
+    assert_train_ended_alone(runner, before)
+    assert [type(err) for err in raised] == [trainer.NonFiniteLossError]
+
+
+@pytest.mark.parametrize("enc, floor", [(ENC, 0), (DRY, trainer.SHARD_MIN_FRAMES)],
+                         ids=["dropout", "below-the-floor"])
+def test_a_run_that_never_splits_a_batch_starts_no_process(monkeypatch, enc, floor):
+    # dropout keeps a batch on one shard at any floor; and the tiny batches
+    # hold 6 rows of 28 frames per half, under the default floor
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", floor)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: pytest.fail("train started a process"))
+    feats, _ = trainer.build_batch(CORPUS[:6], tiny("mfcon"), enc.input_dim, 0,
+                                   trainer.speaker_label_map(CORPUS))
+    assert len(trainer._row_shards(feats, enc)) == 1
+    history = trainer.train(CORPUS, enc, HEAD, tiny("mfcon")).history
+    assert np.isfinite(totals(history)).all()
+
+
+# pages the worker's forward touches each step, in a fresh shared mapping
+# (which takes no huge pages), over what a tiny step faults on its own
+WORKER_PAGES = 4096
+
+
+def test_each_steps_minor_faults_count_the_workers(monkeypatch):
+    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    forward, caller = SpeakerModel.forward, os.getpid()
+
+    def faulting_in_the_worker(self, *args, **kwargs):
+        if os.getpid() != caller:
+            pages = np.frombuffer(mmap.mmap(-1, WORKER_PAGES * mmap.PAGESIZE), np.uint8)
+            pages[::mmap.PAGESIZE] = 1
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpeakerModel, "forward", faulting_in_the_worker)
+    history = trainer.train(CORPUS, DRY, HEAD, tiny("mfcon")).history
+    assert min(h["minor_faults"] for h in history) >= WORKER_PAGES
