@@ -119,9 +119,12 @@ class SpeakerModel:
         """Compute dtype: that of the parameter arrays."""
         return self.params["classifier.w"].dtype
 
+    @parallel.one_blas_thread()
     def forward(self, feats, mode="eval", rng=None) -> ModelOutput:
         """feats: (B, T, F) or (T, F). Train mode updates the batch-norm
-        state arrays in place and draws dropout masks from ``rng``."""
+        state arrays in place and draws dropout masks from ``rng``. Runs
+        numpy's bundled OpenBLAS on one thread (``parallel.one_blas_thread``),
+        so its bits do not depend on the caller's BLAS thread count."""
         feats = np.asarray(feats, dtype=self.dtype)
         if feats.ndim == 2:
             feats = feats[None]

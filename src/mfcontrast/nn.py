@@ -43,14 +43,15 @@ flattened rows.
 
 Row shards: train-mode batch norm is the one op whose rows meet, through
 its batch statistics; every other op treats each row on its own in the
-backward pass too. So a training batch can run as two row shards, the
+backward pass too. So every training batch runs as two row shards, the
 second in a worker process (``trainer.train_step``), that meet only in
-batch norm. Code inside ``row_shard(group, index, rows)`` takes the mean
-and variance, and in the backward the dγ and dβ that the input gradient
-reads, over every row of the group, each as the sum of the two shards'
-partial sums added in shard order (``parallel.ShardWorker.sum``). Each
-shard returns only its own rows' dγ and dβ as parameter gradients, which
-sum across shards to the batch's, and only shard 0 moves the running
+batch norm, and dropout draws each shard's masks from a generator of its
+own. Code inside ``row_shard(group, index, rows)`` takes the mean and
+variance, and in the backward the dγ and dβ that the input gradient reads,
+over every row of the group, each as the sum of the two shards' partial
+sums added in shard order (``parallel.ShardWorker.sum``). Each shard
+returns only its own rows' dγ and dβ as parameter gradients, which sum
+across shards to the batch's, and only shard 0 moves the running
 statistics: the worker's copy of them goes stale, and a train-mode forward
 never reads it.
 

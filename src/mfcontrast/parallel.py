@@ -1,7 +1,8 @@
 """Work spread over the CPUs this process may run on: ``deal`` on threads
-that the call starts and joins, and ``ShardWorker``, the one forked process
-that runs the second row shard of a training step. This module alone
-decides how many threads run, and it alone forks.
+that the call starts and joins, ``ShardWorker``, the one forked process
+that runs the second row shard of every training step, and
+``one_blas_thread``, which runs numpy's bundled OpenBLAS on one thread. This
+module alone decides how many threads run, and it alone forks.
 
 ``deal`` spreads a list of independent items: corpus synthesis deals
 utterances, ``extract_fbank`` chunks of waves, ``AugmentSampler.apply``
@@ -26,22 +27,32 @@ every one of them.
 Each caller makes an item's result independent of its share, so nothing
 these callers compute depends on the CPU count.
 
-The training step's two row shards run at once whatever the CPU count, in
-two processes: the many small numpy calls of a step hold the GIL, so two
-threads cannot overlap them. One 6-block forward and backward on 20 rows of
-48 frames (``train_deep_short``'s half batch) took 45-47 ms alone, 67-71 ms
-on each of two threads of one process, and 47-51 ms in each of two
-processes (medians of 30, in two of three runs; the third read 58-60 ms),
-on 2 CPUs at 1 BLAS thread.
+Every training step runs as two row shards at once, whatever the CPU count
+and the batch size, in two processes: the many small numpy calls of a step
+hold the GIL, so two threads cannot overlap them. One 6-block forward and
+backward on 20 rows of 48 frames (``train_deep_short``'s half batch) took
+45-47 ms alone, 67-71 ms on each of two threads of one process, and 47-51
+ms in each of two processes (medians of 30, in two of three runs; the third
+read 58-60 ms), on 2 CPUs at 1 BLAS thread.
+
+BLAS threads: ``trainer.train``, ``trainer.evaluate`` and
+``model.SpeakerModel.forward`` run under ``one_blas_thread``. On some
+OpenBLAS kernels (AVX2's Haswell among them) a forward's bits move with the
+BLAS thread count, so this makes every result independent of the caller's
+count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import mmap
 import multiprocessing
 import os
 import threading
 from multiprocessing.connection import wait
+from pathlib import Path
 
 import numpy as np
 
@@ -90,6 +101,46 @@ def deal(items, work) -> list:
     return results
 
 
+@functools.cache
+def _openblas_threads():
+    """The get and set thread-count functions of the OpenBLAS that numpy
+    bundles (``numpy.libs/libscipy_openblas64_*.so``), or None where numpy
+    bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, and give
+    the caller's thread count back after it. Each ``deal`` thread, and the
+    shard worker forked inside the block, then runs its BLAS calls on its
+    own, and the results do not depend on the caller's count. The count is
+    the process's: blocks that overlap on two threads must both lie inside
+    an outer one. Does nothing where numpy bundles no OpenBLAS."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def shared_empty(size: int, dtype) -> np.ndarray:
     """An uninitialised 1-D array in an anonymous shared mapping: a process
     forked after it is made reads and writes the same memory. Its pages,
@@ -113,8 +164,9 @@ class ShardWorker:
     is sent to the caller, whose next wait raises it, and the worker exits
     with code 1. The worker is forked rather than spawned, so that it
     starts with the caller's objects (a model, and the closures that use
-    it) and shares its anonymous mappings; ``trainer`` forks it before a
-    step's forward, when no thread of a ``deal`` runs.
+    it) and shares its anonymous mappings; ``trainer.train`` forks it
+    before its first step, when no thread of a ``deal`` runs. When the
+    fork fails, the constructor closes the pipe it made and raises.
 
     A meeting is one ``sum(index, part)`` call by each side: shard ``index``
     writes its partial sum, a 1-D array of at most ``part_bytes`` bytes, to
@@ -139,8 +191,13 @@ class ShardWorker:
         self._caller = os.getpid()
         self._conn, child = ctx.Pipe()
         self._process = ctx.Process(target=self._run, args=(serve, child), daemon=True)
-        self._process.start()
-        child.close()
+        try:
+            self._process.start()
+        except BaseException:
+            self._conn.close()
+            raise
+        finally:
+            child.close()
 
     def _run(self, serve, conn):
         self._conn.close()

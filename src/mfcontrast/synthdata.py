@@ -160,46 +160,16 @@ def generate_corpus(spec: SynthSpec) -> list:
             for x, (s, u) in zip(samples, keys)]
 
 
-def _cross_speaker_pairs(speaker: np.ndarray, picks: np.ndarray):
-    """Pairs number ``picks`` of the corpus's upper-triangle pairs (a < b)
-    whose speakers differ, counted in row-major order, as (a, b) index
-    arrays; found from per-row counts, without listing the pairs.
-
-    Row a holds the n - 1 - a later utterances less those of its own
-    speaker, so ``searchsorted`` on the running row counts gives the row of
-    a pick and its offset q within the row. The partner is then the q-th
-    later utterance of another speaker: b = a + 1 + q + k, with k the count
-    of a's own speaker's later utterances that precede it."""
-    n = speaker.size
-    counts = np.bincount(speaker)
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(speaker, kind="stable")  # each speaker's utterances in turn
-    slot = np.empty(n, dtype=np.intp)
-    slot[order] = np.arange(n)
-    rank = slot - starts[speaker]  # position among its speaker's utterances
-    row = (n - 1 - np.arange(n)) - (counts[speaker] - 1 - rank)
-    ends = np.cumsum(row)
-    a = np.searchsorted(ends, picks, side="right")
-    q = picks - (ends[a] - row[a])
-    # a speaker's j-th utterance u_j has u_j - j other-speaker utterances
-    # before it; the count never falls along the speaker's utterances, and
-    # offsetting each speaker's run by speaker * n sorts the whole array
-    before = order - (np.arange(n) - starts[speaker[order]])
-    key = speaker[order] * n + before
-    own = speaker[a]
-    k = np.searchsorted(key, own * n + q + a - rank[a], side="right") - starts[own] - rank[a] - 1
-    return a, a + 1 + q + k
-
-
 def generate_trials(corpus, n_target: int, n_nontarget: int, seed: int) -> list:
     """Seeded target/nontarget trial pairs without duplicates.
 
     Target trials pair distinct utterances of one speaker, nontarget trials
     pair utterances of different speakers; unordered pairs never repeat and
-    no utterance is paired with itself. The nontarget pool is never listed:
-    its size is n(n - 1)/2 less each speaker's c(c - 1)/2, and each pick is
-    mapped to its pair (``_cross_speaker_pairs``), so memory grows with n,
-    not n^2.
+    no utterance is paired with itself. Both pools are listed as index
+    arrays and the picks index them, so even a small sample from n
+    utterances lists all n(n - 1)/2 pairs: about 260 MB of peak memory at
+    4,000 utterances. Every caller asks for all pairs, whose ``Trial`` list
+    is n^2 in size already.
     """
     codes: dict[str, int] = {}
     speaker = np.array([codes.setdefault(w.speaker_id, len(codes)) for w in corpus],
@@ -207,24 +177,27 @@ def generate_trials(corpus, n_target: int, n_nontarget: int, seed: int) -> list:
     # target pool: each speaker's upper-triangle pairs in row-major order,
     # speakers in order of first appearance, utterances in corpus order
     order = np.argsort(speaker, kind="stable")
-    counts = np.bincount(speaker)
-    groups = np.split(order, np.cumsum(counts)[:-1])
+    groups = np.split(order, np.cumsum(np.bincount(speaker))[:-1])
     target_a, target_b = np.concatenate(
         [g[np.stack(np.triu_indices(len(g), 1))] for g in groups], axis=1)
-    n = len(corpus)
-    n_cross = n * (n - 1) // 2 - int(np.sum(counts * (counts - 1) // 2))
+    # nontarget pool: the corpus's upper-triangle pairs in row-major order
+    # whose speakers differ
+    cross_a, cross_b = np.triu_indices(len(corpus), 1)
+    cross = speaker[cross_a] != speaker[cross_b]
+    cross_a, cross_b = cross_a[cross], cross_b[cross]
     if n_target > len(target_a):
         raise ValueError(f"requested {n_target} target trials, only "
                          f"{len(target_a)} distinct pairs exist")
-    if n_nontarget > n_cross:
+    if n_nontarget > len(cross_a):
         raise ValueError(f"requested {n_nontarget} nontarget trials, only "
-                         f"{n_cross} distinct pairs exist")
+                         f"{len(cross_a)} distinct pairs exist")
     rng = np.random.default_rng([seed, 77])
     ids = [w.utterance_id for w in corpus]
-    picks = rng.choice(len(target_a), size=n_target, replace=False)
-    pairs = [(target_a[picks], target_b[picks], True)]
-    picks = rng.choice(n_cross, size=n_nontarget, replace=False)
-    pairs.append((*_cross_speaker_pairs(speaker, picks), False))
+    pairs = []
+    for (pool_a, pool_b), size, flag in (((target_a, target_b), n_target, True),
+                                         ((cross_a, cross_b), n_nontarget, False)):
+        picks = rng.choice(len(pool_a), size=size, replace=False)
+        pairs.append((pool_a[picks], pool_b[picks], flag))
     return [Trial(ids[i], ids[j], flag) for pick_a, pick_b, flag in pairs
             for i, j in zip(pick_a.tolist(), pick_b.tolist())]
 

@@ -6,19 +6,19 @@ counterparts in matching order, so every anchor has at least one positive
 for the SupCon terms. All randomness is derived from the config seed,
 and a fixed seed reproduces the loss curve bit-for-bit at any BLAS thread
 count the caller has set, because ``train`` and ``evaluate`` run numpy's
-bundled OpenBLAS on one thread for the length of the call (with another
-BLAS, the thread count stays the caller's). ``build_batch`` augments the
-crops and takes their filterbanks on every usable CPU, ``train_step`` runs a
-large enough batch as two row shards, the second in a worker process that
-``train`` forks, and ``evaluate`` embeds on every usable CPU; no result
-depends on how many CPUs there are.
+bundled OpenBLAS on one thread for the length of the call
+(``parallel.one_blas_thread``; with another BLAS, the thread count stays the
+caller's). ``build_batch`` augments the crops and takes their filterbanks on
+every usable CPU, ``train_step`` runs every batch as two row shards, the
+second in the worker process that ``train`` forks before its first step,
+and ``evaluate`` embeds on every usable CPU; no result depends on how many
+CPUs there are.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import json
 import math
 import resource
@@ -227,48 +227,23 @@ def compute_objective(out, labels, weights, cfg: TrainConfig):
                             weights, lam_tap, lam_spk)
 
 
-# fewest filterbank frames (rows x frames) in each of the two row shards
-# that train_step splits a batch into; a smaller batch runs as one shard.
-# Chosen from alternating paired step times, one shard against two, 26 pairs
-# each, at 2 and 6 blocks and 0.5 s and 1 s crops (2 CPUs, 1 BLAS thread;
-# see CHANGES.md). From 384 frames per half up, two shards were faster in
-# every setting, in 22-26 of 26 pairs: 1.18-1.23x at 384-392 frames,
-# 1.20-1.31x at 480-490 and 1.12-1.48x at 960-980 (6 blocks at 0.5 s, the
-# train_deep_short batch: 1.48x). At 240-336 frames they were level, at
-# 1.00-1.13x in 15-24 of 26 pairs.
-SHARD_MIN_FRAMES = 384
-
-
-def _row_shards(feats, enc_cfg: EncoderConfig) -> list:
-    """Row slices of the shards train_step runs the (rows, frames, mels)
-    batch ``feats`` in: two halves when dropout is off and the smaller
-    half holds at least SHARD_MIN_FRAMES frames, otherwise the whole
-    batch. Dropout stays on one shard because its masks are drawn from
-    one generator in row order."""
-    rows, frames = feats.shape[:2]
-    if enc_cfg.dropout > 0.0 or rows < 2 or rows // 2 * frames < SHARD_MIN_FRAMES:
-        return [slice(0, rows)]
-    half = rows - rows // 2
-    return [slice(0, half), slice(half, rows)]
-
-
 def _shard_worker(model: SpeakerModel):
-    """A worker process, forked now, that runs shard 1 of each two-shard
+    """A worker process, forked now, that runs shard 1 of each
     ``train_step`` on ``model``, and the shared vector its backward writes
     that shard's gradient over. The worker starts with the caller's model
     and sees every in-place update of its parameter vector, which lies in a
     shared mapping (``model._flat_layout``); it reads batch-norm state only
     in eval mode, which it never runs. Each step it sends back the minor
     page faults it took. Returns (``parallel.ShardWorker``, gradient
-    vector)."""
+    vector); the caller closes the worker."""
     vector = parallel.shared_empty(model.grad_vector.size, model.dtype)
 
     def serve(worker):
         while True:
-            feats, rows = worker.recv()
+            feats, rows, rng = worker.recv()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             with nn.row_shard(worker, 1, rows):
-                out = model.forward(feats, mode="train")
+                out = model.forward(feats, mode="train", rng=rng)
             worker.send((out.tap_embeddings, out.speaker_embedding))
             d_taps, d_spk = worker.recv()
             model.backward(out, d_taps, d_spk, vector)
@@ -281,109 +256,58 @@ def _shard_worker(model: SpeakerModel):
 
 
 def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
-               cfg: TrainConfig, lr: float, rng: np.random.Generator, shard=None):
-    """One forward/backward/update on the (2B, T, F) batch ``feats``.
-    Returns the loss breakdown, and the wall time of each stage
-    (``forward_s``, ``loss_s``, ``backward_s`` and ``adam_s``) beside the
-    minor page faults that this process and the worker took during the
+               cfg: TrainConfig, lr: float, rng: np.random.Generator, shard):
+    """One forward/backward/update on the (2B, T, F) batch ``feats``, of at
+    least 2 rows. Returns the loss breakdown, and the wall time of each
+    stage (``forward_s``, ``loss_s``, ``backward_s`` and ``adam_s``) beside
+    the minor page faults that this process and the worker took during the
     step (``minor_faults``).
 
-    The batch runs as one row shard or two (``_row_shards``): never as a
-    function of the CPU count, so a run's bits depend only on its config
-    and seed. With two, this thread runs the first half of the rows and
-    the worker process ``shard`` (``_shard_worker``, which ``train`` keeps
-    for its run) runs the second; without one, the call forks its own and
-    ends it before it returns. The shards meet only in batch norm
-    (``nn.row_shard``). The worker sends its tap and speaker embeddings
-    back, the loss runs once, here, over both shards' embeddings in row
-    order, and the worker gets its rows of the loss gradients. Each shard's
-    backward writes its own gradient vector, shard 0 into
-    ``model.grad_vector``, and shard 1's is added to it before Adam. One
-    shard gives the bits of the whole batch in one process; two differ from
-    them at round-off."""
-    shards = _row_shards(feats, model.enc_cfg)
+    The batch runs as two row shards, whatever its size and the CPU count,
+    so a run's bits depend only on its config and seed: this thread runs
+    the first ``rows - rows // 2`` rows, and the worker process of
+    ``shard``, a ``_shard_worker`` of ``model``, runs the rest. The shards
+    meet only in batch norm (``nn.row_shard``). The worker sends its tap
+    and speaker embeddings back, the loss runs once, here, over both
+    shards' embeddings in row order, and the worker gets its rows of the
+    loss gradients. Each shard's backward writes its own gradient vector,
+    shard 0 into ``model.grad_vector``, and shard 1's is added to it before
+    Adam. The bits differ from those of the whole batch in one process at
+    round-off. Shard 0 draws its dropout masks from ``rng``, and the worker
+    from a child generator spawned from it and sent with its rows. A copy
+    of ``rng`` would give crop b (row b, in shard 0) and its augmented view
+    (row B + b, in shard 1) the same masks. A step that raises leaves the
+    worker out of step: close it."""
+    rows = len(feats)
+    half = rows - rows // 2
+    worker, vector = shard
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    worker_faults = 0
-    with contextlib.ExitStack() as own:
-        if len(shards) > 1 and shard is None:
-            shard = _shard_worker(model)
-            own.callback(shard[0].close)
-        t0 = time.perf_counter()
-        if len(shards) > 1:
-            (first, second), (worker, vector) = shards, shard
-            worker.send((feats[second], len(feats)))
-            with nn.row_shard(worker, 0, len(feats)):
-                out = model.forward(feats[first], mode="train", rng=rng)
-            taps, spk = worker.recv()
-            # shard 0's tapes, which this process's backward replays
-            out = ModelOutput([np.concatenate(pair) for pair in zip(out.tap_embeddings, taps)],
-                              np.concatenate([out.speaker_embedding, spk]), out.cache)
-        else:
-            out = model.forward(feats, mode="train", rng=rng)
-        t1 = time.perf_counter()
-        total, breakdown, d_taps, d_spk, d_w = compute_objective(
-            out, labels, model.classifier_weights, cfg)
-        if not np.isfinite(total):
-            raise NonFiniteLossError(breakdown)
-        t2 = time.perf_counter()
-        if len(shards) > 1:
-            worker.send(([d[second] for d in d_taps], d_spk[second]))
-            model.backward(out, [d[first] for d in d_taps], d_spk[first])
-            worker_faults = worker.recv()
-            model.grad_vector += vector
-        else:
-            model.backward(out, d_taps, d_spk)
-        # rounds the float64 loss gradient to the model's dtype
-        model.grads["classifier.w"] += d_w
-        t3 = time.perf_counter()
-        adam_step(model.param_vector, model.grad_vector, opt, lr)
-        t4 = time.perf_counter()
+    t0 = time.perf_counter()
+    worker.send((feats[half:], rows, rng.spawn(1)[0]))
+    with nn.row_shard(worker, 0, rows):
+        out = model.forward(feats[:half], mode="train", rng=rng)
+    taps, spk = worker.recv()
+    # shard 0's tapes, which this process's backward replays
+    out = ModelOutput([np.concatenate(pair) for pair in zip(out.tap_embeddings, taps)],
+                      np.concatenate([out.speaker_embedding, spk]), out.cache)
+    t1 = time.perf_counter()
+    total, breakdown, d_taps, d_spk, d_w = compute_objective(
+        out, labels, model.classifier_weights, cfg)
+    if not np.isfinite(total):
+        raise NonFiniteLossError(breakdown)
+    t2 = time.perf_counter()
+    worker.send(([d[half:] for d in d_taps], d_spk[half:]))
+    model.backward(out, [d[:half] for d in d_taps], d_spk[:half])
+    worker_faults = worker.recv()
+    model.grad_vector += vector
+    # rounds the float64 loss gradient to the model's dtype
+    model.grads["classifier.w"] += d_w
+    t3 = time.perf_counter()
+    adam_step(model.param_vector, model.grad_vector, opt, lr)
+    t4 = time.perf_counter()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults + worker_faults
     return breakdown, {"forward_s": t1 - t0, "loss_s": t2 - t1, "backward_s": t3 - t2,
                        "adam_s": t4 - t3, "minor_faults": faults}
-
-
-# ---------------------------------------------------------------------------
-# BLAS threads
-
-
-@functools.cache
-def _openblas_threads():
-    """The get and set thread-count functions of the OpenBLAS that numpy
-    bundles (``numpy.libs/libscipy_openblas64_*.so``), or None where numpy
-    bundles none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS on one thread, and give
-    the caller's thread count back after it. Each evaluation thread, and
-    the shard worker forked inside the block, then runs its BLAS calls on
-    its own, and the results do not depend on the caller's count. Does
-    nothing where numpy bundles no OpenBLAS."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +350,7 @@ def trial_utterances(trials, store) -> list:
 EVAL_FRAME_BUDGET = 2048
 
 
-@_one_blas_thread()
+@parallel.one_blas_thread()
 def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     """Embed every referenced utterance once (full length, eval mode, no
     augmentation), score the trials, and compute EER / minDCF.
@@ -437,7 +361,8 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
     batches in shares of ``parallel.deal``. Eval mode only reads the model,
     and both calls are batch-invariant, so every embedding, and with it
     every score, equals that of the utterance embedded alone, bit for bit.
-    Each thread's BLAS calls run on that thread alone (``_one_blas_thread``).
+    Each thread's BLAS calls run on that thread alone
+    (``parallel.one_blas_thread``).
     Like ``train``, it first makes glibc keep the memory it frees
     (``_keep_freed_heap``), so a later call reuses the pages of the one
     before."""
@@ -508,7 +433,7 @@ class TrainResult:
     eval_result: EvalResult | None = None
 
 
-@_one_blas_thread()
+@parallel.one_blas_thread()
 def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
           cfg: TrainConfig, out_dir=None, trials=None, store=None) -> TrainResult:
     """Full training run over a labeled corpus.
@@ -524,15 +449,14 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     ``train_step``), and the minor page faults that the process and the
     shard worker took during the step, ``minor_faults``.
 
-    Row shards: the first step whose batch splits (``_row_shards``) forks
-    the worker process that runs the second shard of every step
-    (``_shard_worker``), and ``train`` ends it on every exit path, errors
-    included, so no process outlives the call. A run whose batches never
-    split starts no process.
+    Row shards: before its first step, ``train`` forks the one worker
+    process that runs the second row shard of every step
+    (``_shard_worker``), before it opens the log, and it ends the worker
+    on every exit path, errors included, so no process outlives the call.
 
     BLAS: for the length of the call, numpy's bundled OpenBLAS runs on one
-    thread (see ``_one_blas_thread``), so the run's bits do not depend on
-    the caller's BLAS thread count.
+    thread (see ``parallel.one_blas_thread``), so the run's bits do not
+    depend on the caller's BLAS thread count.
 
     Allocator policy: before it builds the model, ``train`` sets glibc's
     mmap threshold to 4 MiB and its trim threshold to 256 MiB, so buffers a
@@ -548,12 +472,9 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
     model.sample_rate = corpus[0].sample_rate
     opt = adam_init(model.param_vector)
-
-    log_file = None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        log_file = open(out_dir / "train_log.jsonl", "w")
 
     batch = min(cfg.batch_size, len(corpus))
     steps_per_epoch = max(1, len(corpus) // batch)
@@ -561,8 +482,10 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     history = []
     eval_result = None
     step = 0
-    shard = None  # the worker of the two-shard steps, once one splits
-    try:
+    shard = _shard_worker(model)
+    with contextlib.closing(shard[0]), (
+            contextlib.nullcontext() if out_dir is None
+            else open(out_dir / "train_log.jsonl", "w")) as log_file:
         for epoch in range(cfg.epochs):
             lr = lr_schedule(epoch, cfg)
             perm = order_rng.permutation(len(corpus))
@@ -574,8 +497,6 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                     label_map)
                 data_s = time.perf_counter() - t0
                 step_rng = np.random.default_rng([cfg.seed, 2, epoch, s])
-                if shard is None and len(_row_shards(feats, enc_cfg)) > 1:
-                    shard = _shard_worker(model)
                 t0 = time.perf_counter()
                 breakdown, stages = train_step(model, opt, feats, labels, cfg, lr,
                                                step_rng, shard)
@@ -594,11 +515,6 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
                         log_file.write(json.dumps(
                             {"step": step, "eer": interim.eer,
                              "mindcf": interim.mindcf}) + "\n")
-    finally:
-        if shard is not None:
-            shard[0].close()
-        if log_file is not None:
-            log_file.close()
 
     if trials is not None:
         eval_result = evaluate(model, trials, store)

@@ -7,12 +7,11 @@ starts at each ``features.fbank`` span. ``trainer.evaluate`` keeps that
 count meaningful only while every batch it embeds makes exactly one
 filterbank call and one ``embed_utterance`` call.
 
-The desk run is also checked over two row shards, untraced and traced, with
-the frame floor (``trainer.SHARD_MIN_FRAMES``) at 0, so that the smoke batch
-splits whatever the floor.
-The second shard runs in a forked worker, whose spans stay in its own memory,
-so a two-shard run's per-layer metrics cover shard 0 only (``nn.linear_fwd``
-counts 23 calls per desk step where one shard counts 46), and every self time
+The desk run is also checked over its two row shards, untraced and traced:
+every training step runs as two. The second shard runs in a forked worker,
+whose spans stay in its own memory, so the per-layer metrics of a training
+run cover shard 0 only (``nn.linear_fwd`` counts 23 calls per desk step,
+where the whole batch in one process would count 46), and every self time
 must be non-negative. The tracer keeps one span stack for all threads, so
 the threads that synthesize the corpus call nothing the tracer wraps; the
 traced ``embed_long`` run at two usable CPUs checks that its result stays
@@ -30,7 +29,7 @@ import threading
 import numpy as np
 import pytest
 
-from mfcontrast import features, nn, synthdata, trainer
+from mfcontrast import features, nn, synthdata
 from perfbench import spans, workloads
 from perfbench.test_perfbench import measure
 from spies import spy_processes
@@ -61,12 +60,10 @@ def test_every_traced_eval_iteration_pairs_one_fbank_with_one_embed():
                               np.ones(count, dtype=int)), name
 
 
-def desk_over_two_row_shards(monkeypatch, tmp_path, trace):
-    """The desk smoke run's result at no frame floor, after checking that
-    train-mode batch norm ran in this process and in the worker that
-    training forked, and that no process is left."""
-    # the smoke batch of 4 holds 392 frames per half
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+def desk_over_two_shards(monkeypatch, tmp_path, trace):
+    """The desk smoke run's result, after checking that train-mode batch
+    norm ran in this process and in the worker that training forked, and
+    that no process is left."""
     calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / "batch_norm",
                           lambda *args, mode, **kwargs: mode)
     result = measure("train_desk", trace=trace)["result"]
@@ -77,12 +74,12 @@ def desk_over_two_row_shards(monkeypatch, tmp_path, trace):
     return result
 
 
-def test_the_untraced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch, tmp_path):
-    desk_over_two_row_shards(monkeypatch, tmp_path, trace=False)
+def test_the_untraced_desk_smoke_run_is_correct_over_two_shards(monkeypatch, tmp_path):
+    desk_over_two_shards(monkeypatch, tmp_path, trace=False)
 
 
-def test_the_traced_desk_smoke_run_is_correct_over_two_row_shards(monkeypatch, tmp_path):
-    metrics = desk_over_two_row_shards(monkeypatch, tmp_path, trace=True)["metrics"]
+def test_the_traced_desk_smoke_run_is_correct_over_two_shards(monkeypatch, tmp_path):
+    metrics = desk_over_two_shards(monkeypatch, tmp_path, trace=True)["metrics"]
     assert {k: m["value"] for k, m in metrics.items()
             if m["value"] is None or not math.isfinite(m["value"])} == {}
     assert {k: m["value"] for k, m in metrics.items()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -212,13 +213,16 @@ class TestComputeDtypePolicy:
             assert rel_error(g32[name], g) < 1e-4, name
 
     def test_one_train_step_stays_float32(self, monkeypatch, tmp_path):
-        # with dropout, one shard whose caches hold the dropout masks; without
-        # it and with no frame floor, two shards: shard 0's caches are checked
+        # two shards, with dropout and without: shard 0's caches are checked
         # here, and shard 1's by a spy on the backward where it runs, the
-        # worker process, with the vector that backward writes
-        monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+        # worker process, with the vector that backward writes; with
+        # dropout, each shard's caches hold its masks
         backward = SpeakerModel.backward
-        for dropout, shards in ((0.1, 1), (0.0, 2)):
+
+        def masks_in(arrays):
+            return any(set(np.unique(a)) == {0.0, np.float32(1 / 0.9)} for a in arrays)
+
+        for dropout in (0.1, 0.0):
             enc = replace(TINY_ENC, dropout=dropout)
             m = SpeakerModel(enc, TINY_HEAD, num_speakers=3, seed=2)
             opt = trainer.adam_init(m.param_vector)
@@ -232,21 +236,25 @@ class TestComputeDtypePolicy:
 
             monkeypatch.setattr(trainer, "compute_objective", spy_objective)
             backwards = spy_processes(
-                monkeypatch, SpeakerModel, "backward", tmp_path / f"backward{shards}",
-                lambda self, out, d_taps, d_spk, *vector: sorted(
-                    {str(a.dtype) for a in arrays_in([out.cache, *vector])}))
+                monkeypatch, SpeakerModel, "backward", tmp_path / f"backward{dropout}",
+                lambda self, out, d_taps, d_spk, *vector: [
+                    sorted({str(a.dtype) for a in arrays_in([out.cache, *vector])}),
+                    masks_in(arrays_in(out.cache))])
             rng = np.random.default_rng(8)
-            trainer.train_step(m, opt, rng.standard_normal((6, 12, 8)),
-                               np.array([0, 1, 2, 0, 1, 2]), cfg, 1e-3,
-                               np.random.default_rng(9))
+            shard = trainer._shard_worker(m)
+            with closing(shard[0]):
+                trainer.train_step(m, opt, rng.standard_normal((6, 12, 8)),
+                                   np.array([0, 1, 2, 0, 1, 2]), cfg, 1e-3,
+                                   np.random.default_rng(9), shard)
             monkeypatch.setattr(trainer, "compute_objective", compute_objective)
             monkeypatch.setattr(SpeakerModel, "backward", backward)
 
             out = seen["out"]
-            # this process's backward, then the worker's on two shards
+            # this process's backward, then the worker's
             calls = sorted(backwards(), key=lambda call: call[0] != os.getpid())
-            assert [pid == os.getpid() for pid, _ in calls] == [True] + [False] * (shards - 1)
-            assert [dtypes for _, dtypes in calls] == [[np.dtype(COMPUTE_DTYPE).name]] * shards
+            assert [pid == os.getpid() for pid, _ in calls] == [True, False]
+            assert [note for _, note in calls] == [[[np.dtype(COMPUTE_DTYPE).name],
+                                                    bool(dropout)]] * 2
             assert set(out.cache) == {"encoder", "heads", "mfa"}
             groups = {"params": [m.param_vector, *m.params.values()],
                       "state": m.state.values(), "adam.m": [opt.m], "adam.v": [opt.v],
@@ -255,20 +263,21 @@ class TestComputeDtypePolicy:
             for group, arrays in groups.items():
                 dtypes = {a.dtype for a in arrays}
                 assert dtypes == {np.dtype(COMPUTE_DTYPE)}, (group, dtypes)
-            if dropout:
-                # its masks are among the cached arrays checked above
-                assert any(set(np.unique(a)) == {0.0, np.float32(1 / 0.9)}
-                           for a in arrays_in(out.cache))
             assert out.speaker_embedding.dtype == np.float64
             assert out.speaker_embedding.shape == (6, TINY_HEAD.embed_dim)
             assert {e.dtype for e in out.tap_embeddings} == {np.dtype(np.float64)}
 
 
-def float64_step(floor, monkeypatch):
-    """The gradient Adam receives and the batch-norm state after one float64
-    train_step of a dropout-free tiny model on 8 rows, run as one shard or
-    as two when ``floor`` is 0."""
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", floor)
+def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch, tmp_path):
+    # the gradient Adam receives and the batch-norm state after one float64
+    # train_step of a dropout-free tiny model on 8 rows, against the step as
+    # one shard: a forward, loss and backward over the whole batch in one
+    # process
+    rng = np.random.default_rng(17)
+    feats, labels = rng.standard_normal((8, 12, 8)), np.array([0, 1, 2, 0, 0, 1, 2, 0])
+    cfg = TrainConfig(batch_size=4, objective="combined", loss=LossConfig(lam1=0.2, lam2=0.1))
+    whole = as_float64(SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=2))
+    loss_and_grads(whole, cfg, feats, labels)
     m = as_float64(SpeakerModel(TINY_ENC, TINY_HEAD, num_speakers=3, seed=2))
     seen = []
     adam_step = trainer.adam_step
@@ -278,24 +287,18 @@ def float64_step(floor, monkeypatch):
         adam_step(params, grad, opt, lr)
 
     monkeypatch.setattr(trainer, "adam_step", spy)
-    rng = np.random.default_rng(17)
-    cfg = TrainConfig(batch_size=4, objective="combined", loss=LossConfig(lam1=0.2, lam2=0.1))
-    trainer.train_step(m, trainer.adam_init(m.param_vector), rng.standard_normal((8, 12, 8)),
-                       np.array([0, 1, 2, 0, 0, 1, 2, 0]), cfg, 1e-3, None)
-    return seen[0], m.state
-
-
-def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch, tmp_path):
     calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / "batch_norm")
-    one, one_state = float64_step(10 ** 9, monkeypatch)
-    assert {pid for pid, _ in calls()} == {os.getpid()}
-    two, two_state = float64_step(0, monkeypatch)
-    # this process and the worker that the call forked
+    shard = trainer._shard_worker(m)
+    with closing(shard[0]):
+        trainer.train_step(m, trainer.adam_init(m.param_vector), feats, labels, cfg, 1e-3,
+                           np.random.default_rng(0), shard)
+    # batch norm ran in this process and in the worker
+    assert os.getpid() in {pid for pid, _ in calls()}
     assert len({pid for pid, _ in calls()}) == 2
-    assert rel_error(two, one) < 1e-12
-    assert one_state.keys() == two_state.keys()
-    for k, v in one_state.items():
-        assert rel_error(two_state[k], v) < 1e-12, k
+    assert rel_error(seen[0], whole.grad_vector) < 1e-12
+    assert m.state.keys() == whole.state.keys()
+    for k, v in whole.state.items():
+        assert rel_error(m.state[k], v) < 1e-12, k
 
 
 def rewrite_meta(path, edit):

@@ -1,4 +1,6 @@
+import copy
 import ctypes
+import hashlib
 import json
 import math
 import mmap
@@ -8,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -206,15 +209,18 @@ def test_train_step_matches_a_per_array_adam_bit_for_bit(monkeypatch):
     monkeypatch.setattr(trainer, "adam_step", spy)
     cfg = tiny("combined")
     label_map = trainer.speaker_label_map(CORPUS)
-    for t in range(1, 5):
-        feats, labels = trainer.build_batch(CORPUS[t::2], cfg, ENC.input_dim, t, label_map)
-        trainer.train_step(model, opt, feats, labels, cfg, cfg.lr, np.random.default_rng(t))
-        per_array_adam_step(ref, seen[-1], ref_m, ref_v, t, cfg.lr)
-        assert opt.t == t
-        for k, p in model.params.items():
-            assert_same_bits(p, ref[k])
-        for moment, ref_moment in ((opt.m, ref_m), (opt.v, ref_v)):
-            assert_same_bits(moment, np.concatenate([ref_moment[k].ravel() for k in ref]))
+    shard = trainer._shard_worker(model)
+    with closing(shard[0]):
+        for t in range(1, 5):
+            feats, labels = trainer.build_batch(CORPUS[t::2], cfg, ENC.input_dim, t, label_map)
+            trainer.train_step(model, opt, feats, labels, cfg, cfg.lr,
+                               np.random.default_rng(t), shard)
+            per_array_adam_step(ref, seen[-1], ref_m, ref_v, t, cfg.lr)
+            assert opt.t == t
+            for k, p in model.params.items():
+                assert_same_bits(p, ref[k])
+            for moment, ref_moment in ((opt.m, ref_m), (opt.v, ref_v)):
+                assert_same_bits(moment, np.concatenate([ref_moment[k].ravel() for k in ref]))
 
 
 def assert_views_of_the_vectors(model):
@@ -381,12 +387,12 @@ BLAS_RUN = """
 import hashlib, json
 from dataclasses import replace
 import numpy as np
-from mfcontrast import config, trainer
+from mfcontrast import config, parallel, trainer
 from mfcontrast.synthdata import SynthSpec, generate_corpus
 desk = config.desk_config()
 corpus = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=1.0,
                                    sample_rate=8000, seed=1))
-get_threads = trainer._openblas_threads()[0]
+get_threads = parallel._openblas_threads()[0]
 before = get_threads()
 result = trainer.train(corpus, desk.encoder, desk.head,
                        replace(desk.train, batch_size=6, epochs=2, seed=4))
@@ -396,7 +402,7 @@ print(json.dumps({"threads": [before, get_threads()],
 """
 
 
-@pytest.mark.skipif(trainer._openblas_threads() is None,
+@pytest.mark.skipif(parallel._openblas_threads() is None,
                     reason="numpy bundles no OpenBLAS")
 def test_train_gives_the_same_bits_at_any_caller_blas_thread_count():
     src = Path(__file__).resolve().parent.parent / "src"
@@ -433,14 +439,20 @@ print(lib.scipy_openblas_get_corename64_().decode())
 
 # the tests that rest on batch invariance, run under the AVX2 (Haswell)
 # kernel that an AVX2-only x86 host gets, where a BLAS call that rounds a row
-# by its batch's shape breaks them. One BLAS thread, because perfbench's
-# cross-check runs its reference forward at the process's own thread count,
-# and on that kernel the forward's bits move with the count
+# by its batch's shape breaks them
 BATCH_INVARIANCE_TESTS = [
     "tests/test_model.py::TestEmbedUtterance::test_a_stack_embeds_as_its_utterances_one_at_a_time",
     "tests/test_trainer.py::test_batched_evaluate_equals_one_utterance_at_a_time",
     "tests/test_trainer.py::test_evaluate_on_two_cpus_equals_one_utterance_at_a_time",
     "perfbench/test_perfbench.py::test_check_rejects_scores_that_disagree_with_the_forward_pass",
+]
+# and, at 2 BLAS threads, the deep smoke runs: on that kernel the 6-block
+# forward's bits move with the thread count, and the benchmark's cross-check
+# compares evaluate(), which runs at one thread, against a forward that the
+# smoke test's own process calls
+BLAS_THREAD_COUNT_TESTS = [
+    "perfbench/test_perfbench.py::test_untraced_run_emits_every_end_to_end_metric[train_deep_short]",
+    "perfbench/test_perfbench.py::test_traced_run_reports_every_per_layer_metric[train_deep_short]",
 ]
 
 
@@ -448,31 +460,28 @@ BATCH_INVARIANCE_TESTS = [
 @pytest.mark.skipif(not cpu_has_avx2(), reason="the CPU has no AVX2")
 def test_batch_invariance_holds_on_the_avx2_openblas_kernel():
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src"),
-           "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
-    core = subprocess.run([sys.executable, "-c", CORENAME_RUN, str(NUMPY_OPENBLAS[0])],
-                          capture_output=True, text=True, check=True, env=env, timeout=60)
-    assert core.stdout.strip() == "Haswell"
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          *BATCH_INVARIANCE_TESTS], cwd=root, capture_output=True,
-                         text=True, env=env, timeout=300)
-    assert run.returncode == 0, run.stdout[-3000:]
-
-
-DRY = replace(ENC, dropout=0.0)
+    for threads, tests in ((1, BATCH_INVARIANCE_TESTS),
+                           (2, BATCH_INVARIANCE_TESTS + BLAS_THREAD_COUNT_TESTS)):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"),
+               "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": str(threads)}
+        core = subprocess.run([sys.executable, "-c", CORENAME_RUN, str(NUMPY_OPENBLAS[0])],
+                              capture_output=True, text=True, check=True, env=env, timeout=60)
+        assert core.stdout.strip() == "Haswell"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              *tests], cwd=root, capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert run.returncode == 0, (threads, run.stdout[-3000:])
 
 
 def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch, tmp_path):
-    # with no frame floor every step of a dropout-free run takes two shards,
-    # whatever the CPU count says
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
+    # every step takes two shards, whatever the CPU count says
     before = set(threading.enumerate())
     runs = []
     for k, cpus in enumerate(({0}, {0, 1}, {0, 1})):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / f"run{k}",
                               lambda *args, mode, **kwargs: mode)
-        runs.append(trainer.train(CORPUS, DRY, HEAD, tiny("combined")))
+        runs.append(trainer.train(CORPUS, ENC, HEAD, tiny("combined")))
         assert set(threading.enumerate()) == before and multiprocessing.active_children() == []
         # train-mode batch norm ran here and in the one worker the run forked
         pids = {pid for pid, mode in calls() if mode == "train"}
@@ -486,14 +495,14 @@ class ShardError(RuntimeError):
     pass
 
 
-def train_on_a_thread(cfg, enc=DRY):
+def train_on_a_thread(cfg):
     """Run train() on a thread of its own, so that a hang fails the join
     instead of the test run; returns (the thread, the errors it raised)."""
     raised = []
 
     def run():
         try:
-            trainer.train(CORPUS, enc, HEAD, cfg)
+            trainer.train(CORPUS, ENC, HEAD, cfg)
         except Exception as err:
             raised.append(err)
 
@@ -514,7 +523,6 @@ def test_a_failing_shard_raises_its_error_and_leaves_no_thread(monkeypatch, op, 
     # the other shard waits for it in batch norm: the caller sees the worker
     # end, and train() ends the worker when the caller fails; no thread and
     # no process is left either way
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
     runner, raised = train_on_a_thread(tiny("mfcon"))
     original, caller = getattr(nn, op), os.getpid()
 
@@ -535,7 +543,6 @@ def test_a_failing_shard_raises_its_error_and_leaves_no_thread(monkeypatch, op, 
 def test_a_worker_killed_mid_step_makes_train_raise_its_exit_code(monkeypatch, op):
     # killed in the forward, the worker leaves the caller in a batch norm
     # meeting; in the backward, in a meeting or on the pipe
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
     runner, raised = train_on_a_thread(tiny("mfcon"))
     original, caller = getattr(nn, op), os.getpid()
 
@@ -553,7 +560,6 @@ def test_a_worker_killed_mid_step_makes_train_raise_its_exit_code(monkeypatch, o
 
 
 def test_a_non_finite_loss_ends_the_worker(monkeypatch):
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
     compute_objective = trainer.compute_objective
 
     def non_finite(*args):
@@ -568,19 +574,61 @@ def test_a_non_finite_loss_ends_the_worker(monkeypatch):
     assert [type(err) for err in raised] == [trainer.NonFiniteLossError]
 
 
-@pytest.mark.parametrize("enc, floor", [(ENC, 0), (DRY, trainer.SHARD_MIN_FRAMES)],
-                         ids=["dropout", "below-the-floor"])
-def test_a_run_that_never_splits_a_batch_starts_no_process(monkeypatch, enc, floor):
-    # dropout keeps a batch on one shard at any floor; and the tiny batches
-    # hold 6 rows of 28 frames per half, under the default floor
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", floor)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        lambda self: pytest.fail("train started a process"))
-    feats, _ = trainer.build_batch(CORPUS[:6], tiny("mfcon"), enc.input_dim, 0,
-                                   trainer.speaker_label_map(CORPUS))
-    assert len(trainer._row_shards(feats, enc)) == 1
-    history = trainer.train(CORPUS, enc, HEAD, tiny("mfcon")).history
-    assert np.isfinite(totals(history)).all()
+class ForkError(OSError):
+    pass
+
+
+def test_train_forks_one_worker_before_its_first_step(monkeypatch, tmp_path):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        started.append(len(calls()))
+        start(self)
+
+    calls = spy_processes(monkeypatch, trainer, "build_batch", tmp_path / "build_batch")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    history = trainer.train(CORPUS, ENC, HEAD, tiny("mfcon"), out_dir=tmp_path / "run").history
+    assert len(history) == 6 and started == [0]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_fork_raises_and_leaves_no_child_and_no_open_log(monkeypatch, tmp_path):
+    # an open log would warn from its finalizer, which the test run makes an error
+    def fails(self):
+        raise ForkError("no process could be started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", fails)
+    before = set(threading.enumerate())
+    with pytest.raises(ForkError, match="no process could be started"):
+        trainer.train(CORPUS, ENC, HEAD, tiny("mfcon"), out_dir=tmp_path)
+    assert not (tmp_path / "train_log.jsonl").exists()
+    assert set(threading.enumerate()) == before and multiprocessing.active_children() == []
+
+
+def test_each_shard_draws_its_own_dropout_masks(monkeypatch, tmp_path):
+    # a copy of the step's generator in the worker would give row b of each
+    # shard the masks of row b of the other: rows b and B + b, a crop and its
+    # augmented view
+    def mask(x, rate, mode, rng):  # the mask that the call draws
+        return [list(x.shape), hashlib.sha256(
+            (copy.deepcopy(rng).random(x.shape) >= rate).tobytes()).hexdigest()]
+
+    calls = spy_processes(monkeypatch, nn, "dropout_fwd", tmp_path / "dropout", mask)
+    model = SpeakerModel(ENC, HEAD, 3, seed=4)
+    cfg = tiny("mfcon")
+    feats, labels = trainer.build_batch(CORPUS[:6], cfg, ENC.input_dim, 1,
+                                        trainer.speaker_label_map(CORPUS))
+    shard = trainer._shard_worker(model)
+    with closing(shard[0]):
+        trainer.train_step(model, trainer.adam_init(model.param_vector), feats, labels,
+                           cfg, cfg.lr, np.random.default_rng(3), shard)
+    caller = [note for pid, note in calls() if pid == os.getpid()]
+    worker = [note for pid, note in calls() if pid != os.getpid()]
+    # both shards hold 6 rows, so their calls draw masks of the same shapes
+    assert len(caller) == len(worker) > 0
+    assert [shape for shape, _ in caller] == [shape for shape, _ in worker]
+    assert [a != b for (_, a), (_, b) in zip(caller, worker)] == [True] * len(caller)
 
 
 # pages the worker's forward touches each step, in a fresh shared mapping
@@ -589,7 +637,6 @@ WORKER_PAGES = 4096
 
 
 def test_each_steps_minor_faults_count_the_workers(monkeypatch):
-    monkeypatch.setattr(trainer, "SHARD_MIN_FRAMES", 0)
     forward, caller = SpeakerModel.forward, os.getpid()
 
     def faulting_in_the_worker(self, *args, **kwargs):
@@ -599,5 +646,5 @@ def test_each_steps_minor_faults_count_the_workers(monkeypatch):
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(SpeakerModel, "forward", faulting_in_the_worker)
-    history = trainer.train(CORPUS, DRY, HEAD, tiny("mfcon")).history
+    history = trainer.train(CORPUS, ENC, HEAD, tiny("mfcon")).history
     assert min(h["minor_faults"] for h in history) >= WORKER_PAGES
