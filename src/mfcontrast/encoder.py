@@ -35,6 +35,8 @@ FRONTEND_STRIDE = 2
 MIN_FRAMES = 4
 # attention heads per self-attention module
 NUM_HEADS = 4
+# hidden width of each feed-forward module, in multiples of model_dim
+FF_EXPANSION = 2
 
 
 @dataclass
@@ -44,13 +46,12 @@ class EncoderConfig:
 
     num_blocks: int = 2
     model_dim: int = 64
-    ff_expansion: int = 2
     conv_kernel: int = 7
     dropout: float = 0.0
     input_dim: int = 80
 
     def __post_init__(self):
-        for name in ("num_blocks", "model_dim", "ff_expansion", "conv_kernel", "input_dim"):
+        for name in ("num_blocks", "model_dim", "conv_kernel", "input_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model_dim % NUM_HEADS != 0:
@@ -81,7 +82,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator):
     depthwise bias, which the batch norm after it removes.
     """
     d = cfg.model_dim
-    dff = d * cfg.ff_expansion
+    dff = d * FF_EXPANSION
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
     params["encoder.frontend.w"] = nn.xavier_uniform(

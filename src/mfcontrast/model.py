@@ -13,8 +13,9 @@ place, and of the row shards of one batch (``nn.row_shard``) only shard 0,
 the caller's, writes them; an eval-mode forward only reads them and is safe
 to run concurrently. A train-mode forward returns the tapes (``nn.Tape``) that
 ``backward`` replays; an eval-mode forward records none, and ``backward``
-rejects its output. Each row shard's ``backward`` writes its own gradient
-vector.
+rejects its output. The two row shards of a training step run in two
+processes, and each process's ``backward`` writes its own model's
+``grad_vector``.
 
 Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
 (float32), and so are every activation, cached array and parameter
@@ -138,25 +139,19 @@ class SpeakerModel:
                            spk_emb.astype(np.float64),
                            {"encoder": enc_tapes, "heads": head_tapes, "mfa": mfa_tape})
 
-    def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding,
-                 grad_vector=None):
+    def backward(self, out: ModelOutput, d_tap_embeddings, d_speaker_embedding):
         """Gradients of a scalar objective w.r.t. every parameter, given its
         gradients w.r.t. the raw tap embeddings and speaker embedding,
-        written over ``grad_vector``, a vector laid out as the model's own
-        (by default ``self.grad_vector``, which ``self.grads`` views, so
-        that the next such ``backward`` overwrites them). Returns nothing.
+        written over ``self.grad_vector``, which ``self.grads`` views, so
+        that the next ``backward`` overwrites them. Returns nothing.
         Raises ValueError when ``out`` came from an eval-mode forward."""
-        if grad_vector is None:
-            grad_vector, grads = self.grad_vector, self.grads
-        else:
-            grads = _views(grad_vector, self.params)
-        grad_vector.fill(0.0)
+        self.grad_vector.fill(0.0)
         d_taps = _heads_bwd([np.asarray(d, dtype=self.dtype) for d in d_tap_embeddings],
-                            out.cache["heads"], grads)
+                            out.cache["heads"], self.grads)
         d_taps_mfa = _mfa_bwd(np.asarray(d_speaker_embedding, dtype=self.dtype),
-                              out.cache["mfa"], grads)
+                              out.cache["mfa"], self.grads)
         d_taps = [a + b for a, b in zip(d_taps, d_taps_mfa)]
-        _encoder_bwd(d_taps, out.cache["encoder"], grads)
+        _encoder_bwd(d_taps, out.cache["encoder"], self.grads)
 
     def embed_utterance(self, feats) -> np.ndarray:
         """Eval-mode speaker embeddings of a (B, T, F) stack of same-length

@@ -51,7 +51,6 @@ import mmap
 import multiprocessing
 import os
 import threading
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +175,11 @@ class ShardWorker:
     buffers, so a side that leaves a meeting first cannot overwrite a part
     the other is still reading. Batch norm meets here (``nn.row_shard``).
 
-    Every wait of the caller's watches the worker: when the worker has
+    Every wait ends when the other side does: each side closes the other's
+    end of the pipe right after the fork, so the end of its pipe is the
+    other side's end, and a meeting polls liveness. When the worker has
     ended, the caller raises the error it sent, or else ``WorkerExit``
-    naming its exit code. The worker's waits end when the caller does.
+    naming its exit code; the worker raises EOFError when the caller has.
     ``close`` ends the worker and joins it.
     """
 
@@ -220,13 +221,9 @@ class ShardWorker:
     def recv(self):
         """The next value the other side sent. In the worker, raises
         EOFError once the caller has ended."""
-        if os.getpid() == self._caller:
-            wait([self._conn, self._process.sentinel])
-            if not self._conn.poll():
-                self._ended()
         try:
             error, value = self._conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # a reset: it ended with a message unread
             self._ended()
         if error is not None:
             raise error
@@ -243,7 +240,7 @@ class ShardWorker:
                 error, _ = self._conn.recv()
                 if error is not None:
                     raise error
-        except EOFError:
+        except (EOFError, ConnectionResetError):
             pass
         raise WorkerExit(f"the shard worker (pid {self._process.pid}) exited with "
                          f"code {self._process.exitcode} during a training step")

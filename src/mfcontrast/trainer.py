@@ -150,9 +150,10 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
     so the utterances must share a sample rate (a ``load_manifest`` corpus
     does). Both calls spread their work over the usable CPUs, the
     filterbank in chunks of ``features.FBANK_CHUNK_FRAMES`` frames, and
-    neither result depends on how many CPUs there are. Returns (features
-    (2B, T, n_mels) as float32, labels (2B,) from ``label_map``, a
-    ``speaker_label_map`` of the corpus). Deterministic under rng_seed.
+    neither result depends on how many CPUs there are. Returns (feats,
+    labels): features (2B, T, n_mels) as float32, and labels (2B,) from
+    ``label_map``, a ``speaker_label_map`` of the corpus. Deterministic
+    under rng_seed.
     """
     rng = np.random.default_rng([rng_seed, 0xBA7C4])
     crops = [random_crop(w, cfg.crop_duration, int(rng.integers(2 ** 31 - 1)))
@@ -229,12 +230,12 @@ def compute_objective(out, labels, weights, cfg: TrainConfig):
 
 def _shard_worker(model: SpeakerModel):
     """A worker process, forked now, that runs shard 1 of each
-    ``train_step`` on ``model``, and the shared vector its backward writes
-    that shard's gradient over. The worker starts with the caller's model
-    and sees every in-place update of its parameter vector, which lies in a
-    shared mapping (``model._flat_layout``); it reads batch-norm state only
-    in eval mode, which it never runs. Each step it sends back the minor
-    page faults it took. Returns (``parallel.ShardWorker``, gradient
+    ``train_step`` on its copy of ``model``, and the shared vector it
+    copies that copy's gradient into after each backward. The copy sees
+    every in-place update of the parameter vector, which lies in a shared
+    mapping (``model._flat_layout``); it reads batch-norm state only in
+    eval mode, which it never runs. Each step the worker sends back the
+    minor page faults it took. Returns (``parallel.ShardWorker``, gradient
     vector); the caller closes the worker."""
     vector = parallel.shared_empty(model.grad_vector.size, model.dtype)
 
@@ -246,7 +247,8 @@ def _shard_worker(model: SpeakerModel):
                 out = model.forward(feats, mode="train", rng=rng)
             worker.send((out.tap_embeddings, out.speaker_embedding))
             d_taps, d_spk = worker.recv()
-            model.backward(out, d_taps, d_spk, vector)
+            model.backward(out, d_taps, d_spk)
+            np.copyto(vector, model.grad_vector)
             del out
             worker.send(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 
@@ -264,20 +266,20 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
     step (``minor_faults``).
 
     The batch runs as two row shards, whatever its size and the CPU count,
-    so a run's bits depend only on its config and seed: this thread runs
-    the first ``rows - rows // 2`` rows, and the worker process of
-    ``shard``, a ``_shard_worker`` of ``model``, runs the rest. The shards
-    meet only in batch norm (``nn.row_shard``). The worker sends its tap
-    and speaker embeddings back, the loss runs once, here, over both
-    shards' embeddings in row order, and the worker gets its rows of the
-    loss gradients. Each shard's backward writes its own gradient vector,
-    shard 0 into ``model.grad_vector``, and shard 1's is added to it before
-    Adam. The bits differ from those of the whole batch in one process at
-    round-off. Shard 0 draws its dropout masks from ``rng``, and the worker
-    from a child generator spawned from it and sent with its rows. A copy
-    of ``rng`` would give crop b (row b, in shard 0) and its augmented view
-    (row B + b, in shard 1) the same masks. A step that raises leaves the
-    worker out of step: close it."""
+    so a run's bits depend only on its config and seed: this thread runs the
+    first ``rows - rows // 2`` rows, and the worker process of ``shard``, a
+    ``_shard_worker`` of ``model``, runs the rest. The shards meet only in
+    batch norm (``nn.row_shard``). The worker sends its tap and speaker
+    embeddings back, the loss runs once, here, over both shards' embeddings
+    in row order, and the worker gets its rows of the loss gradients. Each
+    process's backward writes its own model's ``grad_vector``; the worker
+    copies shard 1's into the shared vector of ``shard``, which is added to
+    shard 0's before Adam. The bits differ from those of the whole batch in
+    one process at round-off. Shard 0 draws its dropout masks from ``rng``,
+    and the worker from a child generator spawned from it and sent with its
+    rows. A copy of ``rng`` would give crop b (row b, in shard 0) and its
+    augmented view (row B + b, in shard 1) the same masks. A step that
+    raises leaves the worker out of step: close it."""
     rows = len(feats)
     half = rows - rows // 2
     worker, vector = shard

@@ -419,8 +419,7 @@ def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, make):
 
 
 def saved_checkpoint(path):
-    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8,
-                                       ff_expansion=2, conv_kernel=3, input_dim=8),
+    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8, conv_kernel=3, input_dim=8),
                          HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
     model.save(path)
     with np.load(path) as archive:

@@ -26,8 +26,8 @@ def test_each_section_default_is_the_desk_preset(section, cls):
 
 LOSS = {"lam1": 0.01, "lam2": 0.0}
 DESK = {
-    "encoder": {"num_blocks": 2, "model_dim": 64, "ff_expansion": 2,
-                "conv_kernel": 7, "dropout": 0.0, "input_dim": 80},
+    "encoder": {"num_blocks": 2, "model_dim": 64, "conv_kernel": 7, "dropout": 0.0,
+                "input_dim": 80},
     "head": {"embed_dim": 64, "attention_hidden": 32},
     "train": {"batch_size": 50, "lr": 1.5e-3, "epochs": 30, "seed": 0, "eval_every": 0,
               "objective": "mfcon", "loss": LOSS, "crop_duration": 1.0},
@@ -35,8 +35,8 @@ DESK = {
               "sample_rate": 8000, "seed": 0},
 }
 FULL = {
-    "encoder": {"num_blocks": 6, "model_dim": 256, "ff_expansion": 4,
-                "conv_kernel": 15, "dropout": 0.1, "input_dim": 80},
+    "encoder": {"num_blocks": 6, "model_dim": 256, "conv_kernel": 15, "dropout": 0.1,
+                "input_dim": 80},
     "head": {"embed_dim": 192, "attention_hidden": 128},
     "train": {"batch_size": 100, "lr": 1e-3, "epochs": 30, "seed": 0, "eval_every": 0,
               "objective": "mfcon", "loss": LOSS, "crop_duration": 3.0},
@@ -46,8 +46,8 @@ FULL = {
 
 
 # every value of the desk preset, written out; and a file that names every
-# field, FULL (the published six-block sizes, 16 kHz audio, 3 s crops), loads
-# to exactly what it names
+# field, FULL (the published six-block sizes, bar encoder.FF_EXPANSION's 2
+# for their 4, 16 kHz audio, 3 s crops), loads to exactly what it names
 @pytest.mark.parametrize("build, expected", [(desk_config, DESK),
                                              (lambda: config_from_dict(FULL), FULL)],
                          ids=["desk", "full"])
@@ -108,18 +108,22 @@ def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value
 
 # keys that no config has any more: every block has its own head, so configs
 # saved before the head-sharing flags were removed hold both, false; every
-# attention module has encoder.NUM_HEADS heads, so configs saved before that
-# became a constant hold encoder.num_heads; and every pair of scored
-# utterances is a trial, so configs saved before the trial counts went hold
-# a trials section, with a seed if saved before the trial seed was fixed
+# attention module has encoder.NUM_HEADS heads and every feed-forward module
+# encoder.FF_EXPANSION times model_dim hidden units, so configs saved before
+# those became constants hold encoder.num_heads or encoder.ff_expansion; and
+# every pair of scored utterances is a trial, so configs saved before the
+# trial counts went hold a trials section, with a seed if saved before the
+# trial seed was fixed
 @pytest.mark.parametrize("key, value", [("head.share_pooling", False),
                                         ("head.share_projection", False),
                                         ("encoder.num_heads", 4),
+                                        ("encoder.ff_expansion", 2),
                                         ("trials", {"n_target": 250, "n_nontarget": 250}),
                                         ("trials", {"seed": 100, "n_target": 250,
                                                     "n_nontarget": 250})],
                          ids=["head.share_pooling", "head.share_projection",
-                              "encoder.num_heads", "trials", "trials.seed"])
+                              "encoder.num_heads", "encoder.ff_expansion", "trials",
+                              "trials.seed"])
 def test_removed_section_keys_are_named_config_errors(tmp_path, capsys, key, value):
     check_removed_key(tmp_path, capsys, key, value)
 
@@ -156,7 +160,7 @@ def check_removed_key(tmp_path, capsys, key, value):
     ("train.seed", True), ("train.batch_size", 12.5), ("train.lr", "0.001"),
     ("train.loss.lam1", True), ("train.objective", 1), ("encoder.dropout", None),
     ("train.eval_every", -1), ("encoder.input_dim", 0), ("encoder.model_dim", 0),
-    ("encoder.model_dim", -4), ("encoder.ff_expansion", 0), ("encoder.conv_kernel", -1),
+    ("encoder.model_dim", -4), ("encoder.conv_kernel", -1),
 ])
 def test_a_value_of_the_wrong_type_or_range_is_a_named_config_error(tmp_path, capsys,
                                                                      key, value):

@@ -11,8 +11,7 @@ from mfcontrast.nn import ShapeError
 
 from oracles import rel_error
 
-TOY = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
-                    conv_kernel=7, dropout=0.0, input_dim=8)
+TOY = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.0, input_dim=8)
 
 
 def toy_setup(seed=0):
@@ -89,9 +88,7 @@ class TestConformerBlock:
 
     def test_gradient_matches_finite_differences(self):
         # scalar readout of one block on a 4 x 8 toy map, input gradient
-        cfg = EncoderConfig(num_blocks=1, model_dim=8,
-                            ff_expansion=2, conv_kernel=3, dropout=0.0,
-                            input_dim=4)
+        cfg = EncoderConfig(num_blocks=1, model_dim=8, conv_kernel=3, dropout=0.0, input_dim=4)
         rng = np.random.default_rng(3)
         params, state = init_encoder_params(cfg, rng)
         h = rng.standard_normal((1, 4, 8))
@@ -125,7 +122,7 @@ class TestConformerBlock:
 class TestEncodeWithTaps:
     def test_tap_count_matches_blocks(self):
         cfg = EncoderConfig(num_blocks=6, model_dim=16,
-                            ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
+                            conv_kernel=7, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(1)
         params, state = init_encoder_params(cfg, rng)
         taps = encode(rng.standard_normal((20, 8)), params, state, cfg)
@@ -134,7 +131,7 @@ class TestEncodeWithTaps:
 
     def test_single_block_equals_block_of_frontend(self):
         cfg = EncoderConfig(num_blocks=1, model_dim=16,
-                            ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
+                            conv_kernel=7, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(2)
         params, state = init_encoder_params(cfg, rng)
         x = rng.standard_normal((20, 8))
@@ -164,7 +161,7 @@ class TestEncodeWithTaps:
 
     def test_train_mode_dropout_is_seeded(self):
         cfg = EncoderConfig(num_blocks=2, model_dim=16,
-                            ff_expansion=2, conv_kernel=7, dropout=0.2, input_dim=8)
+                            conv_kernel=7, dropout=0.2, input_dim=8)
         rng = np.random.default_rng(4)
         params, state = init_encoder_params(cfg, rng)
         x = rng.standard_normal((2, 20, 8))

@@ -8,8 +8,7 @@ from mfcontrast.nn import attentive_stats_fwd, l2_normalize_fwd
 
 from oracles import fd_gradient, plain_temporal_stats, rel_error
 
-ENC = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
-                    conv_kernel=7, dropout=0.0, input_dim=8)
+ENC = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.0, input_dim=8)
 
 
 def pool(h, w, b, v):
@@ -111,8 +110,7 @@ class TestHeadForward:
     def test_gradient_matches_finite_differences(self):
         # head on a 6 x 8 toy tap (batch of 2 so train-mode batch norm is
         # well posed)
-        enc = EncoderConfig(num_blocks=1, model_dim=8,
-                            ff_expansion=2, conv_kernel=3, dropout=0.0, input_dim=4)
+        enc = EncoderConfig(num_blocks=1, model_dim=8, conv_kernel=3, dropout=0.0, input_dim=4)
         cfg = HeadConfig(embed_dim=5, attention_hidden=4)
         rng = np.random.default_rng(7)
         params, state = init_head_params(enc, cfg, rng)
@@ -165,7 +163,7 @@ class TestSpeakerEmbedding:
     def test_dimension_arithmetic(self):
         # 6 taps of T' x 64: concat width 384, pooled stats 768, projected 192
         enc = EncoderConfig(num_blocks=6, model_dim=64,
-                            ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
+                            conv_kernel=7, dropout=0.0, input_dim=8)
         cfg = HeadConfig(embed_dim=192, attention_hidden=16)
         rng = np.random.default_rng(1)
         params, state = init_head_params(enc, cfg, rng)
@@ -178,7 +176,7 @@ class TestSpeakerEmbedding:
 
     def test_single_block_equals_head_with_mfa_parameters(self):
         enc = EncoderConfig(num_blocks=1, model_dim=16,
-                            ff_expansion=2, conv_kernel=7, dropout=0.0, input_dim=8)
+                            conv_kernel=7, dropout=0.0, input_dim=8)
         cfg = HeadConfig(embed_dim=12, attention_hidden=6)
         rng = np.random.default_rng(2)
         params, state = init_head_params(enc, cfg, rng)

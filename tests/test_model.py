@@ -20,8 +20,7 @@ from mfcontrast.trainer import TrainConfig
 from oracles import fd_gradient, rel_error
 from spies import spy_processes
 
-TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
-                         conv_kernel=7, dropout=0.0, input_dim=8)
+TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.0, input_dim=8)
 TINY_HEAD = HeadConfig(embed_dim=6, attention_hidden=5)
 STEP = 1e-6
 
@@ -215,8 +214,8 @@ class TestComputeDtypePolicy:
     def test_one_train_step_stays_float32(self, monkeypatch, tmp_path):
         # two shards, with dropout and without: shard 0's caches are checked
         # here, and shard 1's by a spy on the backward where it runs, the
-        # worker process, with the vector that backward writes; with
-        # dropout, each shard's caches hold its masks
+        # worker process, with the gradient vector that backward writes, its
+        # own model's; with dropout, each shard's caches hold its masks
         backward = SpeakerModel.backward
 
         def masks_in(arrays):
@@ -237,8 +236,8 @@ class TestComputeDtypePolicy:
             monkeypatch.setattr(trainer, "compute_objective", spy_objective)
             backwards = spy_processes(
                 monkeypatch, SpeakerModel, "backward", tmp_path / f"backward{dropout}",
-                lambda self, out, d_taps, d_spk, *vector: [
-                    sorted({str(a.dtype) for a in arrays_in([out.cache, *vector])}),
+                lambda self, out, d_taps, d_spk: [
+                    sorted({str(a.dtype) for a in arrays_in([out.cache, self.grad_vector])}),
                     masks_in(arrays_in(out.cache))])
             rng = np.random.default_rng(8)
             shard = trainer._shard_worker(m)

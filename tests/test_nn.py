@@ -240,19 +240,42 @@ def test_both_shards_read_each_meetings_own_total():
     assert [a.tolist() for a in seen] == [a.tolist() for a in want] == theirs
 
 
+# the ways a shard worker ends, each with what the caller's first wait raises
+WORKER_ENDS = [(lambda: os._exit(3), "exited with code 3"),
+               (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                f"exited with code {-signal.SIGKILL}"),
+               (lambda: 1 / 0, "division by zero")]
+
+
 def test_an_aborted_group_releases_a_waiting_shard():
     # a worker that ends before its meeting releases the caller waiting in
     # it: the error the worker raised is raised here, or else the exit code
     # is named; after it, the caller's next wait raises at once as well
-    for end, raised in [(lambda: os._exit(3), "exited with code 3"),
-                        (lambda: os.kill(os.getpid(), signal.SIGKILL),
-                         f"exited with code {-signal.SIGKILL}"),
-                        (lambda: 1 / 0, "division by zero")]:
+    for end, raised in WORKER_ENDS:
         worker = parallel.ShardWorker(lambda worker: end(), part_bytes=8)
         try:
             for _ in range(2):
                 with pytest.raises((parallel.WorkerExit, ZeroDivisionError), match=raised):
                     worker.sum(0, np.ones(1))
+                raised = "exited with code"
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_ends_with_a_message_unread_raises_its_exit_or_error():
+    # a worker that ends while a value the caller sent sits unread resets the
+    # pipe; the caller's wait still raises the error the worker raised, or
+    # else names the exit code, and the next wait raises WorkerExit
+    for end, raised in WORKER_ENDS:
+        sent = multiprocessing.get_context("fork").Event()
+        worker = parallel.ShardWorker(lambda worker: (sent.wait(10), end()), part_bytes=8)
+        try:
+            worker.send("unread")
+            sent.set()
+            for _ in range(2):
+                with pytest.raises((parallel.WorkerExit, ZeroDivisionError), match=raised):
+                    worker.recv()
                 raised = "exited with code"
         finally:
             worker.close()
@@ -339,8 +362,7 @@ def test_tape_adds_the_gradients_of_a_name_recorded_twice():
 
 def test_model_ops_are_looked_up_at_call_time(monkeypatch):
     # a profiler patches nn's attributes; every op call must go through them
-    enc = EncoderConfig(num_blocks=2, model_dim=8, ff_expansion=2,
-                        conv_kernel=3, dropout=0.1, input_dim=4)
+    enc = EncoderConfig(num_blocks=2, model_dim=8, conv_kernel=3, dropout=0.1, input_dim=4)
     model = SpeakerModel(enc, HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
     calls = {"linear_fwd": 0, "linear_bwd": 0}
 

@@ -32,8 +32,7 @@ from spies import spy_processes
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
-ENC = EncoderConfig(num_blocks=2, model_dim=16, ff_expansion=2,
-                    conv_kernel=7, dropout=0.1, input_dim=16)
+ENC = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.1, input_dim=16)
 HEAD = HeadConfig(embed_dim=8, attention_hidden=6)
 
 
