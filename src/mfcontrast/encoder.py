@@ -37,27 +37,27 @@ MIN_FRAMES = 4
 NUM_HEADS = 4
 # hidden width of each feed-forward module, in multiples of model_dim
 FF_EXPANSION = 2
+# taps of each conv module's depthwise convolution (odd, so it keeps T')
+CONV_KERNEL = 7
 
 
 @dataclass
 class EncoderConfig:
-    """The desk preset's encoder; ``model_dim`` must divide by ``NUM_HEADS``,
-    which also makes it even, as the sinusoidal positions need."""
+    """The desk preset's encoder, with ``NUM_HEADS``, ``FF_EXPANSION`` and
+    ``CONV_KERNEL`` fixed; ``model_dim`` must divide by ``NUM_HEADS``, which
+    also makes it even, as the sinusoidal positions need."""
 
     num_blocks: int = 2
     model_dim: int = 64
-    conv_kernel: int = 7
     dropout: float = 0.0
     input_dim: int = 80
 
     def __post_init__(self):
-        for name in ("num_blocks", "model_dim", "conv_kernel", "input_dim"):
+        for name in ("num_blocks", "model_dim", "input_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model_dim % NUM_HEADS != 0:
             raise ValueError(f"model_dim must be divisible by {NUM_HEADS} (NUM_HEADS)")
-        if self.conv_kernel % 2 != 1:
-            raise ValueError("conv_kernel must be odd")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -78,6 +78,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator):
       encoder.block<i>.ffn2.{...}
       encoder.block<i>.ln_out.{gamma,beta}
     State: encoder.block<i>.conv.bn.{running_mean,running_var}
+    Widths: w1 is (model_dim, FF_EXPANSION * model_dim), dw.w (CONV_KERNEL, model_dim).
     There is no key bias, which the softmax over keys cancels, and no
     depthwise bias, which the batch norm after it removes.
     """
@@ -105,7 +106,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator):
         params[f"{pre}.conv.pw1.w"] = nn.xavier_uniform(rng, d, 2 * d)
         params[f"{pre}.conv.pw1.b"] = np.zeros(2 * d)
         params[f"{pre}.conv.dw.w"] = nn.xavier_uniform(
-            rng, cfg.conv_kernel, 1, (cfg.conv_kernel, d)) / np.sqrt(d)
+            rng, CONV_KERNEL, 1, (CONV_KERNEL, d)) / np.sqrt(d)
         params[f"{pre}.conv.bn.gamma"] = np.ones(d)
         params[f"{pre}.conv.bn.beta"] = np.zeros(d)
         params[f"{pre}.conv.pw2.w"] = nn.xavier_uniform(rng, d, d)

@@ -22,19 +22,19 @@ import numpy as np
 from . import nn
 from .encoder import EncoderConfig, _init_ln
 
+# hidden width of each attentive statistics pooling's attention
+ATTENTION_HIDDEN = 32
+
 
 @dataclass
 class HeadConfig:
-    """The defaults are the desk preset's heads."""
+    """The desk preset's heads; each pooling's attention is ``ATTENTION_HIDDEN`` wide."""
 
     embed_dim: int = 64
-    attention_hidden: int = 32
 
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
-        if self.attention_hidden < 1:
-            raise ValueError("attention_hidden must be >= 1")
 
 
 def init_head_params(enc_cfg: EncoderConfig, head_cfg: HeadConfig,
@@ -44,11 +44,12 @@ def init_head_params(enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     Naming: head.<i>.{ln.*, attn.{w,b,v}, bn.{gamma,beta}, proj.{w,b}} for
     block i's head, plus mfa.ln<i>.*, mfa.attn.*, mfa.bn.*, mfa.proj.* for
     the speaker-embedding path. State: <prefix>.bn.{running_mean,running_var}.
+    attn.w is (C, ATTENTION_HIDDEN) for the C channels it pools.
     Draw order: every block's attention, every block's projection, then
     the aggregation path's attention and projection.
     """
     c = enc_cfg.model_dim
-    a = head_cfg.attention_hidden
+    a = ATTENTION_HIDDEN
     d = head_cfg.embed_dim
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}

@@ -18,11 +18,11 @@ every one of them.
   take filterbanks, never runs more threads than there are CPUs.
 - Caller allocates: arrays that outlive the call should be allocated by the
   caller and only filled by the work. A thread's first allocation takes a
-  glibc arena of its own, and until ``trainer.train`` caps the count at one
-  (``_keep_freed_heap``) that is a new arena that long-lived arrays pin.
-  Copying the workers' arrays after the join instead holds them twice at
-  the peak, and capping the arenas before the threads start raised peak RSS
-  too.
+  glibc arena of its own, and until ``trainer.train`` or ``evaluate`` caps
+  the count at one (``_keep_freed_heap``) that is a new arena that
+  long-lived arrays pin. Copying the workers' arrays after the join instead
+  holds them twice at the peak, and capping the arenas before the threads
+  start raised peak RSS too.
 
 Each caller makes an item's result independent of its share, so nothing
 these callers compute depends on the CPU count.

@@ -36,7 +36,7 @@ from .heads import HeadConfig
 from .losses import LossConfig
 from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
                       compute_mindcf, score_trials)
-from .model import ModelOutput, SpeakerModel
+from .model import SpeakerModel
 
 # Named presets of losses.objective: name -> the LossConfig weights it reads,
 # lam1 as lam_tap and lam2 as lam_spk. A weight a preset does not read is 0.
@@ -47,7 +47,8 @@ OBJECTIVES = {
     "combined": ("lam1", "lam2"),
 }
 
-# epochs between halvings of the learning rate
+# Adam's learning rate in the first epochs, and the epochs between its halvings
+LR = 1.5e-3
 LR_HALVE_EVERY = 5
 # Adam's moment decay rates and the floor under its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -65,9 +66,9 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainConfig:
-    """Optimizer, schedule and batch settings, and the objective. The
-    defaults are the desk preset's; the learning rate halves every
-    ``LR_HALVE_EVERY`` epochs.
+    """Batch and run settings, and the objective. The defaults are the
+    desk preset's. The learning rate is not configured here: it starts at
+    ``LR`` and halves every ``LR_HALVE_EVERY`` epochs (``lr_schedule``).
 
     The features are not configured here: the mel-bin count is the
     encoder's ``input_dim``, the framing is ``features.FRAME_LEN`` /
@@ -86,13 +87,11 @@ class TrainConfig:
       ``loss.lam2`` times SupCon on the speaker embedding.
 
     A weight the objective reads must be positive: a zero one would train
-    a different row under this one's name. ``lr`` must be finite and
-    positive, and ``crop_duration`` finite and at least
-    ``MIN_CROP_DURATION`` (55 ms).
+    a different row under this one's name. ``crop_duration`` must be
+    finite and at least ``MIN_CROP_DURATION`` (55 ms).
     """
 
     batch_size: int = 50
-    lr: float = 1.5e-3
     epochs: int = 30
     seed: int = 0
     eval_every: int = 0  # steps between in-training evaluations; 0 disables
@@ -103,12 +102,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        for name in ("lr", "crop_duration"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.crop_duration < MIN_CROP_DURATION:
-            raise ValueError(f"crop_duration must be at least {MIN_CROP_DURATION:g} s "
+        if not (math.isfinite(self.crop_duration) and self.crop_duration >= MIN_CROP_DURATION):
+            raise ValueError(f"crop_duration must be finite and at least {MIN_CROP_DURATION:g} s "
                              f"({MIN_FRAMES} filterbank frames), got {self.crop_duration}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -124,9 +119,10 @@ class TrainConfig:
                                  "which must be positive, not 0")
 
 
-def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """Learning rate at a 0-indexed epoch: halved every LR_HALVE_EVERY."""
-    return cfg.lr * 0.5 ** (epoch // LR_HALVE_EVERY)
+def lr_schedule(epoch: int) -> float:
+    """Learning rate at a 0-indexed epoch: ``LR``, halved every
+    ``LR_HALVE_EVERY`` epochs."""
+    return LR * 0.5 ** (epoch // LR_HALVE_EVERY)
 
 
 def _derive_seed(*parts) -> int:
@@ -218,14 +214,14 @@ def adam_step(params: np.ndarray, grad: np.ndarray, opt: AdamState, lr):
 # objective
 
 
-def compute_objective(out, labels, weights, cfg: TrainConfig):
-    """Configured loss on a model forward. Returns
+def compute_objective(taps, spk, labels, weights, cfg: TrainConfig):
+    """Configured loss on the raw per-block tap embeddings ``taps`` and the
+    raw speaker embedding ``spk`` of a model forward. Returns
     (total, breakdown, d_tap_embeddings, d_speaker_embedding, d_weights)."""
     reads = OBJECTIVES[cfg.objective]
     lam_tap, lam_spk = (getattr(cfg.loss, name) if name in reads else 0.0
                         for name in ("lam1", "lam2"))
-    return losses.objective(out.tap_embeddings, out.speaker_embedding, labels,
-                            weights, lam_tap, lam_spk)
+    return losses.objective(taps, spk, labels, weights, lam_tap, lam_spk)
 
 
 def _shard_worker(model: SpeakerModel):
@@ -289,12 +285,11 @@ def train_step(model: SpeakerModel, opt: AdamState, feats, labels,
     with nn.row_shard(worker, 0, rows):
         out = model.forward(feats[:half], mode="train", rng=rng)
     taps, spk = worker.recv()
-    # shard 0's tapes, which this process's backward replays
-    out = ModelOutput([np.concatenate(pair) for pair in zip(out.tap_embeddings, taps)],
-                      np.concatenate([out.speaker_embedding, spk]), out.cache)
+    taps = [np.concatenate(pair) for pair in zip(out.tap_embeddings, taps)]
+    spk = np.concatenate([out.speaker_embedding, spk])
     t1 = time.perf_counter()
     total, breakdown, d_taps, d_spk, d_w = compute_objective(
-        out, labels, model.classifier_weights, cfg)
+        taps, spk, labels, model.classifier_weights, cfg)
     if not np.isfinite(total):
         raise NonFiniteLossError(breakdown)
     t2 = time.perf_counter()
@@ -489,7 +484,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
             contextlib.nullcontext() if out_dir is None
             else open(out_dir / "train_log.jsonl", "w")) as log_file:
         for epoch in range(cfg.epochs):
-            lr = lr_schedule(epoch, cfg)
+            lr = lr_schedule(epoch)
             perm = order_rng.permutation(len(corpus))
             for s in range(steps_per_epoch):
                 picked = [corpus[i] for i in perm[s * batch:(s + 1) * batch]]

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import wave
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -107,7 +108,7 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv, name):
     ["train", "--loss", "am_supcon:lam2=nan"],
     ["sweep", "mfcon:lam1=nan"],
     ["sweep", "combined:lam1=0.1,lam2=inf"],
-    ["train", "--config", {"train": {"lr": float("nan")}}],
+    ["train", "--config", {"train": {"crop_duration": float("nan")}}],
     ["train", "--config", {"train": {"crop_duration": 0}}],
     ["train", "--config", {"train": {"crop_duration": float("inf")}}],
     ["train", "--config", {"train": {"loss": {"lam1": float("nan")}}}],
@@ -219,6 +220,25 @@ def test_a_sweep_resolves_its_dataset_once(tmp_path, monkeypatch):
                      str(small_config(tmp_path / "cfg.json")),
                      "--out", str(tmp_path / "sweep")]) == 0
     assert len(runs) == 2 and len(specs) == 1
+
+
+# a run needs a corpus: neither --synthetic nor --data, or --data naming a
+# manifest that does not exist (a missing file, or a directory without a
+# manifest.txt), is a config error before any run directory exists
+@pytest.mark.parametrize("data, named", [
+    (lambda tmp_path: [], "either --synthetic or --data is required"),
+    (lambda tmp_path: ["--data", str(tmp_path / "absent.txt")], "absent.txt"),
+    (lambda tmp_path: ["--data", str(tmp_path)], "manifest.txt"),
+], ids=["no-corpus", "missing-manifest", "directory-without-manifest"])
+@pytest.mark.parametrize("command", [["train"], ["sweep", "am_softmax", "mfcon"]],
+                         ids=["train", "sweep"])
+def test_a_run_without_a_corpus_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                  data, named):
+    runs = captured_runs(monkeypatch)
+    assert cli.main(command + data(tmp_path) + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not runs and not (tmp_path / "run").exists()
 
 
 def test_a_sweep_over_an_unreadable_manifest_fails_before_its_directory_exists(tmp_path,
@@ -419,8 +439,8 @@ def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, make):
 
 
 def saved_checkpoint(path):
-    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8, conv_kernel=3, input_dim=8),
-                         HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
+    model = SpeakerModel(EncoderConfig(num_blocks=1, model_dim=8, input_dim=8),
+                         HeadConfig(embed_dim=4), num_speakers=2)
     model.save(path)
     with np.load(path) as archive:
         return {k: archive[k] for k in archive.files}
@@ -436,24 +456,46 @@ def rewrite_meta(path, edit):
     np.savez(path, **arrays)
 
 
-def eval_exit_code(path, tmp_path, capsys):
+def eval_exit_code(path, tmp_path, capsys, named=None):
+    """Exit code of ``eval`` of the checkpoint at ``path`` on the trial list
+    and manifest in ``tmp_path``, which must print one ``data error:`` line
+    naming ``named`` (by default ``path``)."""
     code = cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
                      str(tmp_path / "manifest.txt")])
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: ") and str(path) in err[0]
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(named or path) in err[0]
     return code
 
 
 def test_eval_rejects_checkpoint_whose_config_does_not_build(tmp_path, capsys):
-    # archives written before the head count became encoder.NUM_HEADS name it
+    # archives written before the head count, the depthwise kernel or the
+    # pooling attention's width became encoder.NUM_HEADS, encoder.CONV_KERNEL
+    # or heads.ATTENTION_HIDDEN name it
     path = tmp_path / "checkpoint.npz"
-    saved_checkpoint(path)
-    rewrite_meta(path, lambda meta: meta["encoder"].update(num_heads=4))
-    assert cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
-                     str(tmp_path / "manifest.txt")]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"data error: could not load checkpoint {path}")
-    assert "does not build a model" in err[0] and "'num_heads'" in err[0]
+    for section, key, value in (("encoder", "num_heads", 4), ("encoder", "conv_kernel", 7),
+                                ("head", "attention_hidden", 32)):
+        saved_checkpoint(path)
+        rewrite_meta(path, lambda meta: meta[section].update({key: value}))
+        assert cli.main(["eval", str(path), str(tmp_path / "trials.txt"),
+                         str(tmp_path / "manifest.txt")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"data error: could not load checkpoint {path}")
+        assert "does not build a model" in err[0] and f"'{key}'" in err[0], key
+
+
+# a trial list that does not exist, or whose first line's label is neither
+# 0 nor 1, is a data error naming it (and the line) before anything is scored
+@pytest.mark.parametrize("content, named", [(None, ""), ("2 a b\n", ":1: ")],
+                         ids=["missing", "bad-label"])
+def test_eval_rejects_a_trial_list_it_cannot_read(tmp_path, capsys, content, named):
+    saved_checkpoint(tmp_path / "checkpoint.npz")
+    trials = tmp_path / "trials.txt"
+    if content is not None:
+        trials.write_text(content)
+    assert eval_exit_code(tmp_path / "checkpoint.npz", tmp_path, capsys,
+                          f"{trials}{named}") == 3
+    assert not Path(f"{trials}.scores").exists()
 
 
 def test_eval_rejects_checkpoint_arrays_unlike_its_config(tmp_path, capsys):
@@ -658,6 +700,31 @@ def test_a_manifest_entry_that_is_not_a_wav_is_a_data_error(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(bad) in err
     assert not (tmp_path / "run").exists()
+
+
+# a manifest line without three fields, or a WAV that is not 16-bit PCM, is a
+# data error naming the line or the file before any run directory exists
+@pytest.mark.parametrize("fault", ["two-fields", "8-bit"])
+def test_a_manifest_the_loader_cannot_read_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                                           fault):
+    manifest, corpus = small_manifest(tmp_path)
+    if fault == "two-fields":
+        first, *rest = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text(" ".join(first.split()[:2]) + "\n" + "".join(rest))
+        named = f"{manifest}:1: expected '<utt> <spk> <path>'"
+    else:
+        bad = manifest.parent / corpus[1].speaker_id / f"{corpus[1].utterance_id}.wav"
+        with wave.open(str(bad), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(1)
+            f.setframerate(corpus[1].sample_rate)
+            f.writeframes(bytes(800))
+        named = f"{bad}: expected 16-bit PCM, got 8-bit"
+    runs = captured_runs(monkeypatch)
+    assert cli.main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and named in err[0]
+    assert not runs and not (tmp_path / "run").exists()
 
 
 # every pair of scored utterances is a trial, and an EER needs both kinds:

@@ -26,19 +26,17 @@ def test_each_section_default_is_the_desk_preset(section, cls):
 
 LOSS = {"lam1": 0.01, "lam2": 0.0}
 DESK = {
-    "encoder": {"num_blocks": 2, "model_dim": 64, "conv_kernel": 7, "dropout": 0.0,
-                "input_dim": 80},
-    "head": {"embed_dim": 64, "attention_hidden": 32},
-    "train": {"batch_size": 50, "lr": 1.5e-3, "epochs": 30, "seed": 0, "eval_every": 0,
+    "encoder": {"num_blocks": 2, "model_dim": 64, "dropout": 0.0, "input_dim": 80},
+    "head": {"embed_dim": 64},
+    "train": {"batch_size": 50, "epochs": 30, "seed": 0, "eval_every": 0,
               "objective": "mfcon", "loss": LOSS, "crop_duration": 1.0},
     "synth": {"n_speakers": 10, "utts_per_speaker": 20, "duration": 1.6,
               "sample_rate": 8000, "seed": 0},
 }
 FULL = {
-    "encoder": {"num_blocks": 6, "model_dim": 256, "conv_kernel": 15, "dropout": 0.1,
-                "input_dim": 80},
-    "head": {"embed_dim": 192, "attention_hidden": 128},
-    "train": {"batch_size": 100, "lr": 1e-3, "epochs": 30, "seed": 0, "eval_every": 0,
+    "encoder": {"num_blocks": 6, "model_dim": 256, "dropout": 0.1, "input_dim": 80},
+    "head": {"embed_dim": 192},
+    "train": {"batch_size": 100, "epochs": 30, "seed": 0, "eval_every": 0,
               "objective": "mfcon", "loss": LOSS, "crop_duration": 3.0},
     "synth": {"n_speakers": 10, "utts_per_speaker": 20, "duration": 3.0,
               "sample_rate": 16000, "seed": 0},
@@ -46,8 +44,11 @@ FULL = {
 
 
 # every value of the desk preset, written out; and a file that names every
-# field, FULL (the published six-block sizes, bar encoder.FF_EXPANSION's 2
-# for their 4, 16 kHz audio, 3 s crops), loads to exactly what it names
+# field, FULL (the published six-block sizes, 16 kHz audio, 3 s crops),
+# loads to exactly what it names. The published feed-forward expansion 4,
+# depthwise kernel 15, attention width 128 and learning rate 1e-3 are no
+# fields: they are the constants encoder.FF_EXPANSION = 2,
+# encoder.CONV_KERNEL = 7, heads.ATTENTION_HIDDEN = 32 and trainer.LR = 1.5e-3
 @pytest.mark.parametrize("build, expected", [(desk_config, DESK),
                                              (lambda: config_from_dict(FULL), FULL)],
                          ids=["desk", "full"])
@@ -108,9 +109,13 @@ def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value
 
 # keys that no config has any more: every block has its own head, so configs
 # saved before the head-sharing flags were removed hold both, false; every
-# attention module has encoder.NUM_HEADS heads and every feed-forward module
-# encoder.FF_EXPANSION times model_dim hidden units, so configs saved before
-# those became constants hold encoder.num_heads or encoder.ff_expansion; and
+# attention module has encoder.NUM_HEADS heads, every feed-forward module
+# encoder.FF_EXPANSION times model_dim hidden units, every depthwise
+# convolution encoder.CONV_KERNEL taps and every pooling attention
+# heads.ATTENTION_HIDDEN hidden units, and Adam starts at trainer.LR, so
+# configs saved before those became constants hold encoder.num_heads,
+# encoder.ff_expansion, encoder.conv_kernel, head.attention_hidden or
+# train.lr; and
 # every pair of scored utterances is a trial, so configs saved before the
 # trial counts went hold a trials section, with a seed if saved before the
 # trial seed was fixed
@@ -118,12 +123,16 @@ def test_removed_train_keys_are_named_config_errors(tmp_path, capsys, key, value
                                         ("head.share_projection", False),
                                         ("encoder.num_heads", 4),
                                         ("encoder.ff_expansion", 2),
+                                        ("encoder.conv_kernel", 7),
+                                        ("head.attention_hidden", 32),
+                                        ("train.lr", 1.5e-3),
                                         ("trials", {"n_target": 250, "n_nontarget": 250}),
                                         ("trials", {"seed": 100, "n_target": 250,
                                                     "n_nontarget": 250})],
                          ids=["head.share_pooling", "head.share_projection",
-                              "encoder.num_heads", "encoder.ff_expansion", "trials",
-                              "trials.seed"])
+                              "encoder.num_heads", "encoder.ff_expansion",
+                              "encoder.conv_kernel", "head.attention_hidden", "train.lr",
+                              "trials", "trials.seed"])
 def test_removed_section_keys_are_named_config_errors(tmp_path, capsys, key, value):
     check_removed_key(tmp_path, capsys, key, value)
 
@@ -152,15 +161,16 @@ def check_removed_key(tmp_path, capsys, key, value):
 
 # a value of the wrong JSON type, or a seed, evaluation interval or encoder
 # size out of range, fails on load and names its key before any run
-# directory exists: an int field takes only an integer (a bool is not one)
-# and a float field an int or a float; a negative interval would silently
-# never evaluate, and an encoder size below 1 builds no model
+# directory exists: a section takes only an object, an int field only an
+# integer (a bool is not one) and a float field an int or a float; a
+# negative interval would silently never evaluate, and an encoder size
+# below 1 builds no model
 @pytest.mark.parametrize("key, value", [
-    ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
-    ("train.seed", True), ("train.batch_size", 12.5), ("train.lr", "0.001"),
+    ("encoder", 3), ("encoder.num_blocks", 2.5), ("synth.n_speakers", 3.0),
+    ("train.seed", True), ("train.batch_size", 12.5), ("train.crop_duration", "1.0"),
     ("train.loss.lam1", True), ("train.objective", 1), ("encoder.dropout", None),
     ("train.eval_every", -1), ("encoder.input_dim", 0), ("encoder.model_dim", 0),
-    ("encoder.model_dim", -4), ("encoder.conv_kernel", -1),
+    ("encoder.model_dim", -4),
 ])
 def test_a_value_of_the_wrong_type_or_range_is_a_named_config_error(tmp_path, capsys,
                                                                      key, value):
@@ -183,5 +193,6 @@ def test_a_value_of_the_wrong_type_or_range_is_a_named_config_error(tmp_path, ca
 
 # a float field takes a JSON integer as the number it is
 def test_a_float_field_takes_an_integer():
-    cfg = config_from_dict({"train": {"lr": 1, "loss": {"lam1": 1}}, "encoder": {"dropout": 0}})
-    assert (cfg.train.lr, cfg.train.loss.lam1, cfg.encoder.dropout) == (1.0, 1.0, 0.0)
+    cfg = config_from_dict({"train": {"crop_duration": 2, "loss": {"lam1": 1}},
+                            "encoder": {"dropout": 0}})
+    assert (cfg.train.crop_duration, cfg.train.loss.lam1, cfg.encoder.dropout) == (2.0, 1.0, 0.0)

@@ -11,7 +11,7 @@ from mfcontrast.nn import ShapeError
 
 from oracles import rel_error
 
-TOY = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.0, input_dim=8)
+TOY = EncoderConfig(num_blocks=2, model_dim=16, dropout=0.0, input_dim=8)
 
 
 def toy_setup(seed=0):
@@ -88,7 +88,7 @@ class TestConformerBlock:
 
     def test_gradient_matches_finite_differences(self):
         # scalar readout of one block on a 4 x 8 toy map, input gradient
-        cfg = EncoderConfig(num_blocks=1, model_dim=8, conv_kernel=3, dropout=0.0, input_dim=4)
+        cfg = EncoderConfig(num_blocks=1, model_dim=8, dropout=0.0, input_dim=4)
         rng = np.random.default_rng(3)
         params, state = init_encoder_params(cfg, rng)
         h = rng.standard_normal((1, 4, 8))
@@ -121,8 +121,7 @@ class TestConformerBlock:
 
 class TestEncodeWithTaps:
     def test_tap_count_matches_blocks(self):
-        cfg = EncoderConfig(num_blocks=6, model_dim=16,
-                            conv_kernel=7, dropout=0.0, input_dim=8)
+        cfg = EncoderConfig(num_blocks=6, model_dim=16, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(1)
         params, state = init_encoder_params(cfg, rng)
         taps = encode(rng.standard_normal((20, 8)), params, state, cfg)
@@ -130,8 +129,7 @@ class TestEncodeWithTaps:
         assert all(m.shape == (10, 16) for m in taps)
 
     def test_single_block_equals_block_of_frontend(self):
-        cfg = EncoderConfig(num_blocks=1, model_dim=16,
-                            conv_kernel=7, dropout=0.0, input_dim=8)
+        cfg = EncoderConfig(num_blocks=1, model_dim=16, dropout=0.0, input_dim=8)
         rng = np.random.default_rng(2)
         params, state = init_encoder_params(cfg, rng)
         x = rng.standard_normal((20, 8))
@@ -154,14 +152,13 @@ class TestEncodeWithTaps:
 
     def test_tapset_rejects_mismatched_maps(self):
         # the aggregation path concatenates the taps, so they must share a shape
-        head = HeadConfig(embed_dim=4, attention_hidden=3)
+        head = HeadConfig(embed_dim=4)
         params, state = init_head_params(TOY, head, np.random.default_rng(0))
         with pytest.raises(ValueError):
             _mfa_fwd([np.zeros((1, 3, 16)), np.zeros((1, 4, 16))], params, state, "eval")
 
     def test_train_mode_dropout_is_seeded(self):
-        cfg = EncoderConfig(num_blocks=2, model_dim=16,
-                            conv_kernel=7, dropout=0.2, input_dim=8)
+        cfg = EncoderConfig(num_blocks=2, model_dim=16, dropout=0.2, input_dim=8)
         rng = np.random.default_rng(4)
         params, state = init_encoder_params(cfg, rng)
         x = rng.standard_normal((2, 20, 8))

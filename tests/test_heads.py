@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from mfcontrast.encoder import EncoderConfig
-from mfcontrast.heads import (HeadConfig, init_head_params, _head_fwd,
+from mfcontrast.heads import (ATTENTION_HIDDEN, HeadConfig, init_head_params, _head_fwd,
                               _heads_fwd, _mfa_fwd)
 from mfcontrast.nn import attentive_stats_fwd, l2_normalize_fwd
 
 from oracles import fd_gradient, plain_temporal_stats, rel_error
 
-ENC = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.0, input_dim=8)
+ENC = EncoderConfig(num_blocks=2, model_dim=16, dropout=0.0, input_dim=8)
 
 
 def pool(h, w, b, v):
@@ -32,7 +32,7 @@ def tap_embeddings(taps, params, state):
 
 
 def setup_heads(head_cfg=None, seed=0):
-    cfg = head_cfg or HeadConfig(embed_dim=12, attention_hidden=6)
+    cfg = head_cfg or HeadConfig(embed_dim=12)
     rng = np.random.default_rng(seed)
     params, state = init_head_params(ENC, cfg, rng)
     return cfg, params, state, rng
@@ -95,7 +95,7 @@ class TestAttentiveStatsPool:
 
 class TestHeadForward:
     def test_embed_dim_192(self):
-        cfg, params, state, rng = setup_heads(HeadConfig(embed_dim=192, attention_hidden=6))
+        cfg, params, state, rng = setup_heads(HeadConfig(embed_dim=192))
         tap = rng.standard_normal((10, 16))
         emb = head(tap, params, state, 0)
         assert emb.shape == (192,)
@@ -110,8 +110,8 @@ class TestHeadForward:
     def test_gradient_matches_finite_differences(self):
         # head on a 6 x 8 toy tap (batch of 2 so train-mode batch norm is
         # well posed)
-        enc = EncoderConfig(num_blocks=1, model_dim=8, conv_kernel=3, dropout=0.0, input_dim=4)
-        cfg = HeadConfig(embed_dim=5, attention_hidden=4)
+        enc = EncoderConfig(num_blocks=1, model_dim=8, dropout=0.0, input_dim=4)
+        cfg = HeadConfig(embed_dim=5)
         rng = np.random.default_rng(7)
         params, state = init_head_params(enc, cfg, rng)
         tap = rng.standard_normal((2, 6, 8))
@@ -162,12 +162,11 @@ class TestFeatureMapEmbeddings:
 class TestSpeakerEmbedding:
     def test_dimension_arithmetic(self):
         # 6 taps of T' x 64: concat width 384, pooled stats 768, projected 192
-        enc = EncoderConfig(num_blocks=6, model_dim=64,
-                            conv_kernel=7, dropout=0.0, input_dim=8)
-        cfg = HeadConfig(embed_dim=192, attention_hidden=16)
+        enc = EncoderConfig(num_blocks=6, model_dim=64, dropout=0.0, input_dim=8)
+        cfg = HeadConfig(embed_dim=192)
         rng = np.random.default_rng(1)
         params, state = init_head_params(enc, cfg, rng)
-        assert params["mfa.attn.w"].shape == (384, 16)
+        assert params["mfa.attn.w"].shape == (384, ATTENTION_HIDDEN)
         assert params["mfa.bn.gamma"].shape == (768,)
         assert params["mfa.proj.w"].shape == (768, 192)
         taps = [rng.standard_normal((9, 64)) for _ in range(6)]
@@ -175,9 +174,8 @@ class TestSpeakerEmbedding:
         assert emb.shape == (192,)
 
     def test_single_block_equals_head_with_mfa_parameters(self):
-        enc = EncoderConfig(num_blocks=1, model_dim=16,
-                            conv_kernel=7, dropout=0.0, input_dim=8)
-        cfg = HeadConfig(embed_dim=12, attention_hidden=6)
+        enc = EncoderConfig(num_blocks=1, model_dim=16, dropout=0.0, input_dim=8)
+        cfg = HeadConfig(embed_dim=12)
         rng = np.random.default_rng(2)
         params, state = init_head_params(enc, cfg, rng)
         # route the single tap through a head built from the mfa parameters

@@ -5,7 +5,6 @@ import pytest
 from mfcontrast import losses, trainer
 from mfcontrast.config import desk_config
 from mfcontrast.losses import LossConfig, am_softmax, objective, supcon
-from mfcontrast.model import ModelOutput
 from mfcontrast.trainer import TrainConfig
 
 from oracles import brute_force_supcon, fd_gradient, rel_error
@@ -147,8 +146,7 @@ class TestInvariances:
 
 def preset(name, taps, spk, labels, w, cfg):
     """The named preset of trainer.OBJECTIVES on raw embeddings."""
-    out = ModelOutput(taps, spk, cache=None)
-    return trainer.compute_objective(out, labels, w,
+    return trainer.compute_objective(taps, spk, labels, w,
                                      TrainConfig(objective=name, loss=cfg))
 
 

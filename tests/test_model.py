@@ -20,8 +20,8 @@ from mfcontrast.trainer import TrainConfig
 from oracles import fd_gradient, rel_error
 from spies import spy_processes
 
-TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.0, input_dim=8)
-TINY_HEAD = HeadConfig(embed_dim=6, attention_hidden=5)
+TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, dropout=0.0, input_dim=8)
+TINY_HEAD = HeadConfig(embed_dim=6)
 STEP = 1e-6
 
 
@@ -159,8 +159,7 @@ class TestCompositeObjectiveGradients:
         cfg = TrainConfig(objective=name, loss=loss_cfg)
 
         def objective():
-            out = model.ModelOutput(self.taps, self.spk, cache=None)
-            return trainer.compute_objective(out, self.labels, self.w, cfg)
+            return trainer.compute_objective(self.taps, self.spk, self.labels, self.w, cfg)
 
         def f():
             return objective()[0]
@@ -193,7 +192,7 @@ def desk_batch():
 def loss_and_grads(m, cfg, feats, labels):
     out = m.forward(feats, mode="train")
     total, _, d_taps, d_spk, d_w = trainer.compute_objective(
-        out, labels, m.classifier_weights, cfg)
+        out.tap_embeddings, out.speaker_embedding, labels, m.classifier_weights, cfg)
     m.backward(out, d_taps, d_spk)
     m.grads["classifier.w"] += d_w
     return total, m.grads
@@ -212,10 +211,11 @@ class TestComputeDtypePolicy:
             assert rel_error(g32[name], g) < 1e-4, name
 
     def test_one_train_step_stays_float32(self, monkeypatch, tmp_path):
-        # two shards, with dropout and without: shard 0's caches are checked
-        # here, and shard 1's by a spy on the backward where it runs, the
-        # worker process, with the gradient vector that backward writes, its
-        # own model's; with dropout, each shard's caches hold its masks
+        # two shards, with dropout and without: a spy on the backward checks
+        # each shard's caches where they are replayed, shard 0's in this
+        # process and shard 1's in the worker, with the gradient vector that
+        # backward writes, its own model's; with dropout, each shard's caches
+        # hold its masks
         backward = SpeakerModel.backward
 
         def masks_in(arrays):
@@ -229,16 +229,16 @@ class TestComputeDtypePolicy:
             seen = {}
             compute_objective = trainer.compute_objective
 
-            def spy_objective(out, *args):
-                seen["out"] = out
-                return compute_objective(out, *args)
+            def spy_objective(taps, spk, *args):
+                seen["embeddings"] = [*taps, spk]
+                return compute_objective(taps, spk, *args)
 
             monkeypatch.setattr(trainer, "compute_objective", spy_objective)
             backwards = spy_processes(
                 monkeypatch, SpeakerModel, "backward", tmp_path / f"backward{dropout}",
                 lambda self, out, d_taps, d_spk: [
-                    sorted({str(a.dtype) for a in arrays_in([out.cache, self.grad_vector])}),
-                    masks_in(arrays_in(out.cache))])
+                    sorted(out.cache), sorted({str(a.dtype) for a in arrays_in(out.cache)}),
+                    str(self.grad_vector.dtype), masks_in(arrays_in(out.cache))])
             rng = np.random.default_rng(8)
             shard = trainer._shard_worker(m)
             with closing(shard[0]):
@@ -248,23 +248,22 @@ class TestComputeDtypePolicy:
             monkeypatch.setattr(trainer, "compute_objective", compute_objective)
             monkeypatch.setattr(SpeakerModel, "backward", backward)
 
-            out = seen["out"]
             # this process's backward, then the worker's
             calls = sorted(backwards(), key=lambda call: call[0] != os.getpid())
             assert [pid == os.getpid() for pid, _ in calls] == [True, False]
-            assert [note for _, note in calls] == [[[np.dtype(COMPUTE_DTYPE).name],
-                                                    bool(dropout)]] * 2
-            assert set(out.cache) == {"encoder", "heads", "mfa"}
+            name = np.dtype(COMPUTE_DTYPE).name
+            assert [note for _, note in calls] == [[["encoder", "heads", "mfa"], [name],
+                                                    name, bool(dropout)]] * 2
             groups = {"params": [m.param_vector, *m.params.values()],
                       "state": m.state.values(), "adam.m": [opt.m], "adam.v": [opt.v],
-                      "grads": [m.grad_vector, *m.grads.values()],
-                      "cache": arrays_in(out.cache)}
+                      "grads": [m.grad_vector, *m.grads.values()]}
             for group, arrays in groups.items():
                 dtypes = {a.dtype for a in arrays}
                 assert dtypes == {np.dtype(COMPUTE_DTYPE)}, (group, dtypes)
-            assert out.speaker_embedding.dtype == np.float64
-            assert out.speaker_embedding.shape == (6, TINY_HEAD.embed_dim)
-            assert {e.dtype for e in out.tap_embeddings} == {np.dtype(np.float64)}
+            # the loss reads both shards' tap and speaker embeddings, in float64
+            assert len(seen["embeddings"]) == TINY_ENC.num_blocks + 1
+            assert {(e.dtype, e.shape) for e in seen["embeddings"]} == {
+                (np.dtype(np.float64), (6, TINY_HEAD.embed_dim))}
 
 
 def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch, tmp_path):

@@ -362,8 +362,8 @@ def test_tape_adds_the_gradients_of_a_name_recorded_twice():
 
 def test_model_ops_are_looked_up_at_call_time(monkeypatch):
     # a profiler patches nn's attributes; every op call must go through them
-    enc = EncoderConfig(num_blocks=2, model_dim=8, conv_kernel=3, dropout=0.1, input_dim=4)
-    model = SpeakerModel(enc, HeadConfig(embed_dim=4, attention_hidden=3), num_speakers=2)
+    enc = EncoderConfig(num_blocks=2, model_dim=8, dropout=0.1, input_dim=4)
+    model = SpeakerModel(enc, HeadConfig(embed_dim=4), num_speakers=2)
     calls = {"linear_fwd": 0, "linear_bwd": 0}
 
     def counting(name):

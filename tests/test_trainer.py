@@ -32,13 +32,13 @@ from spies import spy_processes
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
-ENC = EncoderConfig(num_blocks=2, model_dim=16, conv_kernel=7, dropout=0.1, input_dim=16)
-HEAD = HeadConfig(embed_dim=8, attention_hidden=6)
+ENC = EncoderConfig(num_blocks=2, model_dim=16, dropout=0.1, input_dim=16)
+HEAD = HeadConfig(embed_dim=8)
 
 
 def tiny(objective):
     """Three epochs of two 12-row steps, with every weight nonzero."""
-    return TrainConfig(batch_size=6, lr=3e-3, epochs=3, seed=4, objective=objective,
+    return TrainConfig(batch_size=6, epochs=3, seed=4, objective=objective,
                        crop_duration=0.3,
                        loss=LossConfig(lam1=0.2, lam2=0.1))
 
@@ -69,6 +69,16 @@ def test_last_epoch_mean_loss_is_below_the_first(histories, name):
     for h in history:
         by_epoch.setdefault(h["epoch"], []).append(h["total"])
     assert np.mean(by_epoch[max(by_epoch)]) < np.mean(by_epoch[0])
+
+
+# Adam starts at LR and halves every LR_HALVE_EVERY epochs; every record
+# carries the rate of its epoch
+def test_every_record_carries_the_scheduled_learning_rate(histories):
+    every = trainer.LR_HALVE_EVERY
+    assert [trainer.lr_schedule(e) for e in (0, every - 1, every, 2 * every)] == [
+        trainer.LR, trainer.LR, trainer.LR / 2, trainer.LR / 4]
+    assert all(h["lr"] == trainer.lr_schedule(h["epoch"])
+               for runs in histories.values() for h in runs[0])
 
 
 def test_every_record_has_the_same_breakdown_keys(histories):
@@ -212,9 +222,9 @@ def test_train_step_matches_a_per_array_adam_bit_for_bit(monkeypatch):
     with closing(shard[0]):
         for t in range(1, 5):
             feats, labels = trainer.build_batch(CORPUS[t::2], cfg, ENC.input_dim, t, label_map)
-            trainer.train_step(model, opt, feats, labels, cfg, cfg.lr,
+            trainer.train_step(model, opt, feats, labels, cfg, trainer.LR,
                                np.random.default_rng(t), shard)
-            per_array_adam_step(ref, seen[-1], ref_m, ref_v, t, cfg.lr)
+            per_array_adam_step(ref, seen[-1], ref_m, ref_v, t, trainer.LR)
             assert opt.t == t
             for k, p in model.params.items():
                 assert_same_bits(p, ref[k])
@@ -621,7 +631,7 @@ def test_each_shard_draws_its_own_dropout_masks(monkeypatch, tmp_path):
     shard = trainer._shard_worker(model)
     with closing(shard[0]):
         trainer.train_step(model, trainer.adam_init(model.param_vector), feats, labels,
-                           cfg, cfg.lr, np.random.default_rng(3), shard)
+                           cfg, trainer.LR, np.random.default_rng(3), shard)
     caller = [note for pid, note in calls() if pid == os.getpid()]
     worker = [note for pid, note in calls() if pid != os.getpid()]
     # both shards hold 6 rows, so their calls draw masks of the same shapes
