@@ -173,7 +173,8 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     rows and ``n_mels`` columns (``frame_count``); a sequence of B gives a
     (B, T, n_mels) stack whose item b equals the features of waveform b
     alone, bit for bit. A sequence that mixes lengths or rates raises
-    ValueError.
+    ValueError. Each waveform must hold at least one frame, which
+    ``trainer.trial_utterances`` and ``TrainConfig``'s crop floor ensure.
 
     The waves are cut into chunks of consecutive waves, each of at most
     ``FBANK_CHUNK_FRAMES`` frames (at least one wave), and each chunk is
@@ -193,9 +194,6 @@ def extract_fbank(w, n_mels: int) -> FeatureMatrix:
     flen = int(round(FRAME_LEN * sr))
     fshift = int(round(FRAME_SHIFT * sr))
     num_frames = frame_count(size, sr)
-    if num_frames < 1:
-        raise LengthError(
-            f"waveform has {size} samples, shorter than one {flen}-sample frame")
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2

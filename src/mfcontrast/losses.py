@@ -123,8 +123,9 @@ def supcon(z, labels):
 
     Sums over anchors i the mean over positives p (same label, different
     index) of -log(exp(z_i.z_p / tau) / sum_{a != i} exp(z_i.z_a / tau)),
-    tau = ``SUPCON_TEMPERATURE``. Anchors without positives are skipped.
-    Returns (loss, dz).
+    tau = ``SUPCON_TEMPERATURE``. Every anchor must have a positive, which
+    ``trainer.build_batch``'s doubled batch gives (rows b and B + b share a
+    label). Returns (loss, dz).
     """
     z, labels = np.asarray(z, dtype=np.float64), np.asarray(labels)
     n = z.shape[0]
@@ -132,18 +133,12 @@ def supcon(z, labels):
     eye = np.eye(n, dtype=bool)
     positives = (labels[:, None] == labels[None, :]) & ~eye
     pos_count = positives.sum(axis=1)
-    contributing = pos_count > 0
-    if not contributing.any():
-        return 0.0, np.zeros_like(z)
 
     softmax, logz = _masked_row_softmax(s)
-    safe_count = np.maximum(pos_count, 1)
-    mean_pos = (s * positives).sum(axis=1) / safe_count
-    per_anchor = np.where(contributing, logz - mean_pos, 0.0)
-    total = per_anchor.sum()
+    mean_pos = (s * positives).sum(axis=1) / pos_count
+    total = (logz - mean_pos).sum()
 
-    g = softmax - positives / safe_count[:, None]
-    g[~contributing] = 0.0
+    g = softmax - positives / pos_count[:, None]
     dz = (g + g.T) @ z / SUPCON_TEMPERATURE
     return total, dz
 

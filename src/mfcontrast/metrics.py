@@ -39,7 +39,7 @@ class TrialScoreSet:
         self.is_target = np.asarray(self.is_target, dtype=bool)
         if self.scores.shape != self.is_target.shape or self.scores.ndim != 1:
             raise ValueError("scores and is_target must be aligned 1-D arrays")
-        if self.scores.size and not np.all(np.isfinite(self.scores)):
+        if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
 
     def __len__(self):
@@ -49,12 +49,11 @@ class TrialScoreSet:
 def _operating_points(scores, is_target):
     """Miss and false-acceptance rates at every candidate threshold, in
     ascending threshold order: miss rates are nondecreasing, false-acceptance
-    rates nonincreasing. Returns (p_miss, p_fa).
+    rates nonincreasing. Returns (p_miss, p_fa). Both kinds of trial must
+    be present, as the CLI's dataset and trial-list checks ensure.
     """
     target_scores = np.sort(scores[is_target])
     nontarget_scores = np.sort(scores[~is_target])
-    if target_scores.size == 0 or nontarget_scores.size == 0:
-        raise ValueError("need at least one target and one nontarget trial")
     thresholds = np.unique(scores)
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)  # reject-all point
     # accept iff score >= t: misses are targets strictly below t
@@ -120,8 +119,6 @@ def score_trials(trials, store) -> TrialScoreSet:
     (norm(e1) * norm(e2))`` with ``np.linalg.norm``, bit for bit.
     """
     labels = np.array([t.is_target for t in trials], dtype=bool)
-    if not trials:
-        return TrialScoreSet(np.empty(0), labels)
     index: dict = {}
     enroll = np.array([index.setdefault(t.enroll_utt, len(index)) for t in trials])
     test = np.array([index.setdefault(t.test_utt, len(index)) for t in trials])

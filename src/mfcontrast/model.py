@@ -9,13 +9,13 @@ every parameter lies, in ``params`` order, in one flat ``param_vector``, and
 ``grad_vector``, which ``backward`` overwrites. Adam and ``load`` write
 through these arrays and never rebind an entry. Batch-norm running
 statistics live in ``state``: a train-mode forward updates its arrays in
-place, and of the row shards of one batch (``nn.row_shard``) only shard 0,
-the caller's, writes them; an eval-mode forward only reads them and is safe
-to run concurrently. A train-mode forward returns the tapes (``nn.Tape``) that
-``backward`` replays; an eval-mode forward records none, and ``backward``
-rejects its output. The two row shards of a training step run in two
-processes, and each process's ``backward`` writes its own model's
-``grad_vector``.
+place, in each process that runs a row shard of the batch
+(``nn.row_shard``), by the same group statistics; an eval-mode forward only
+reads them and is safe to run concurrently. A train-mode forward returns
+the tapes (``nn.Tape``) that ``backward`` replays; an eval-mode forward
+records none, and ``backward`` rejects its output. The two row shards of a
+training step run in two processes, and each process's ``backward`` writes
+its own model's ``grad_vector``.
 
 Compute dtype: parameters and state are stored as ``COMPUTE_DTYPE``
 (float32), and so are every activation, cached array and parameter
@@ -121,8 +121,9 @@ class SpeakerModel:
         return self.params["classifier.w"].dtype
 
     @parallel.one_blas_thread()
-    def forward(self, feats, mode="eval", rng=None) -> ModelOutput:
-        """feats: (B, T, F) or (T, F). Train mode updates the batch-norm
+    def forward(self, feats, mode, rng=None) -> ModelOutput:
+        """feats: (B, T, F) or (T, F); ``mode``, ``"train"`` or ``"eval"``,
+        is required. Train mode updates the batch-norm
         state arrays in place and draws dropout masks from ``rng``. Runs
         numpy's bundled OpenBLAS on one thread (``parallel.one_blas_thread``),
         so its bits do not depend on the caller's BLAS thread count."""

@@ -51,9 +51,9 @@ variance, and in the backward the dγ and dβ that the input gradient reads,
 over every row of the group, each as the sum of the two shards' partial
 sums added in shard order (``parallel.ShardWorker.sum``). Each shard
 returns only its own rows' dγ and dβ as parameter gradients, which sum
-across shards to the batch's, and only shard 0 moves the running
-statistics: the worker's copy of them goes stale, and a train-mode forward
-never reads it.
+across shards to the batch's. Each shard moves its own process's running
+statistics by the group's mean and variance, which both read alike, so
+the two copies stay equal bit for bit.
 
 The strided convolution returns no input gradient: its only caller is the
 frontend, whose input is the features, so nothing upstream needs one.
@@ -184,10 +184,9 @@ def batch_norm_fwd(x, gamma, beta, running_mean, running_var, mode):
         xhat = x - mu
         sq = xhat * xhat
         var = _shard_sum(shard, mean_weights @ sq.reshape(m, -1))
-        if shard is None or shard[1] == 0:
-            for running, batch in ((running_mean, mu), (running_var, var)):
-                running *= 1.0 - BATCH_NORM_MOMENTUM
-                running += BATCH_NORM_MOMENTUM * batch
+        for running, batch in ((running_mean, mu), (running_var, var)):
+            running *= 1.0 - BATCH_NORM_MOMENTUM
+            running += BATCH_NORM_MOMENTUM * batch
     else:
         mu, var = running_mean, running_var
         xhat = x - mu

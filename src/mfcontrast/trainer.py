@@ -36,7 +36,7 @@ from .heads import HeadConfig
 from .losses import LossConfig
 from .metrics import (MissingUtteranceError, TrialScoreSet, compute_eer,
                       compute_mindcf, score_trials)
-from .model import SpeakerModel
+from .model import COMPUTE_DTYPE, SpeakerModel
 
 # Named presets of losses.objective: name -> the LossConfig weights it reads,
 # lam1 as lam_tap and lam2 as lam_spk. A weight a preset does not read is 0.
@@ -155,7 +155,7 @@ def build_batch(utterances, cfg: TrainConfig, n_mels: int, rng_seed: int,
     crops = [random_crop(w, cfg.crop_duration, int(rng.integers(2 ** 31 - 1)))
              for w in utterances]
     waves = crops + AugmentSampler().apply(crops, rng)
-    feats = extract_fbank(waves, n_mels).values.astype(np.float32)
+    feats = extract_fbank(waves, n_mels).values.astype(COMPUTE_DTYPE)
     labels = np.array([label_map[w.speaker_id] for w in waves], dtype=int)
     return feats, labels
 
@@ -229,10 +229,11 @@ def _shard_worker(model: SpeakerModel):
     ``train_step`` on its copy of ``model``, and the shared vector it
     copies that copy's gradient into after each backward. The copy sees
     every in-place update of the parameter vector, which lies in a shared
-    mapping (``model._flat_layout``); it reads batch-norm state only in
-    eval mode, which it never runs. Each step the worker sends back the
-    minor page faults it took. Returns (``parallel.ShardWorker``, gradient
-    vector); the caller closes the worker."""
+    mapping (``model._flat_layout``), and its batch-norm state moves with
+    the caller's, by the same group statistics (``nn.row_shard``). Each
+    step the worker sends back the minor page faults it took. Returns
+    (``parallel.ShardWorker``, gradient vector); the caller closes the
+    worker."""
     vector = parallel.shared_empty(model.grad_vector.size, model.dtype)
 
     def serve(worker):
@@ -371,7 +372,7 @@ def evaluate(model: SpeakerModel, trials, store) -> EvalResult:
         groups.setdefault((w.samples.size, w.sample_rate), []).append(utt)
     batches = []
     for (size, rate), utts in groups.items():
-        step = max(1, EVAL_FRAME_BUDGET // max(1, frame_count(size, rate)))
+        step = max(1, EVAL_FRAME_BUDGET // frame_count(size, rate))
         batches += [utts[i:i + step] for i in range(0, len(utts), step)]
 
     def embed(share):  # -> [(utterance id, embedding)] of the share
@@ -462,8 +463,6 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
     after ``train`` returns. It changes no result; where the C library has
     no ``mallopt`` it is skipped.
     """
-    if not corpus:
-        raise ValueError("training corpus is empty")
     _keep_freed_heap()
     label_map = speaker_label_map(corpus)
     model = SpeakerModel(enc_cfg, head_cfg, len(label_map), seed=cfg.seed)
@@ -474,7 +473,7 @@ def train(corpus, enc_cfg: EncoderConfig, head_cfg: HeadConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
 
     batch = min(cfg.batch_size, len(corpus))
-    steps_per_epoch = max(1, len(corpus) // batch)
+    steps_per_epoch = len(corpus) // batch
     order_rng = np.random.default_rng([cfg.seed, 0x0D0E])
     history = []
     eval_result = None

@@ -1,6 +1,7 @@
-"""A spy that sees calls in every process. The second row shard of a
-training step runs in a forked worker (``parallel.ShardWorker``), whose
-memory is its own, so the spy appends each call to a file."""
+"""A spy that sees calls in every process, and a stand-in for the usable
+CPU count. The second row shard of a training step runs in a forked worker
+(``parallel.ShardWorker``), whose memory is its own, so the spy appends
+each call to a file."""
 
 import json
 import os
@@ -26,3 +27,8 @@ def spy_processes(monkeypatch, owner, name, path, note=lambda *args, **kwargs: N
         return [tuple(json.loads(line)) for line in lines]
 
     return calls
+
+
+def on_cpus(monkeypatch, count):
+    """Patch ``os.sched_getaffinity`` to report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))

@@ -32,7 +32,7 @@ import pytest
 from mfcontrast import features, nn, synthdata
 from perfbench import spans, workloads
 from perfbench.test_perfbench import measure
-from spies import spy_processes
+from spies import on_cpus, spy_processes
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +87,7 @@ def test_the_traced_desk_smoke_run_is_correct_over_two_shards(monkeypatch, tmp_p
 
 
 def test_the_traced_embed_smoke_run_is_whole_with_synthesis_on_two_threads(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    on_cpus(monkeypatch, 2)
     threads = set()
     synth = synthdata._synth_utterance
 
@@ -114,7 +114,7 @@ def test_the_traced_embed_smoke_run_is_whole_with_synthesis_on_two_threads(monke
 
 def test_the_traced_desk_smoke_run_is_whole_with_each_batch_on_two_threads(monkeypatch):
     # the smoke batch of 4 makes 8 waves of 98 frames: two filterbank chunks
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    on_cpus(monkeypatch, 2)
     threads = set()
     chunk = features._fbank_chunk
 

@@ -25,7 +25,7 @@ from mfcontrast.synthdata import SynthSpec, generate_corpus
 from mfcontrast.trainer import EvalResult, NonFiniteLossError
 
 from oracles import brute_force_eer, brute_force_mindcf, cosine_score
-from writers import export_corpus, save_config, save_wav
+from writers import export_corpus, rewrite_meta, save_config, save_wav
 
 
 def small_config(path):
@@ -444,16 +444,6 @@ def saved_checkpoint(path):
     model.save(path)
     with np.load(path) as archive:
         return {k: archive[k] for k in archive.files}
-
-
-def rewrite_meta(path, edit):
-    """Apply ``edit`` to the JSON meta of the checkpoint archive at ``path``."""
-    with np.load(path) as archive:
-        arrays = {k: archive[k] for k in archive.files}
-    meta = json.loads(bytes(arrays["meta"]))
-    edit(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
 
 
 def eval_exit_code(path, tmp_path, capsys, named=None):

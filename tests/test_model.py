@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import re
 from contextlib import closing
@@ -19,6 +18,7 @@ from mfcontrast.trainer import TrainConfig
 
 from oracles import fd_gradient, rel_error
 from spies import spy_processes
+from writers import rewrite_meta
 
 TINY_ENC = EncoderConfig(num_blocks=2, model_dim=16, dropout=0.0, input_dim=8)
 TINY_HEAD = HeadConfig(embed_dim=6)
@@ -297,16 +297,6 @@ def test_a_two_shard_step_matches_the_one_shard_step_in_float64(monkeypatch, tmp
     assert m.state.keys() == whole.state.keys()
     for k, v in whole.state.items():
         assert rel_error(m.state[k], v) < 1e-12, k
-
-
-def rewrite_meta(path, edit):
-    """Apply ``edit`` to the JSON meta of the checkpoint archive at ``path``."""
-    with np.load(path) as archive:
-        arrays = {k: archive[k] for k in archive.files}
-    meta = json.loads(bytes(arrays["meta"]))
-    edit(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
 
 
 def test_eval_forward_keeps_no_caches_and_cannot_be_backpropagated():

@@ -1,9 +1,10 @@
-import os
 import threading
 
 import pytest
 
 from mfcontrast import parallel
+
+from spies import on_cpus
 
 
 class InnerError(RuntimeError):
@@ -20,10 +21,6 @@ def count_thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     return started
-
-
-def on_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 @pytest.mark.parametrize("cpus, n", [(1, 7), (2, 7), (3, 7), (3, 2)])

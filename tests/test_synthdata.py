@@ -1,4 +1,3 @@
-import os
 import threading
 
 import numpy as np
@@ -8,6 +7,7 @@ from mfcontrast import synthdata
 from mfcontrast.features import Waveform, extract_fbank
 from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials, load_manifest
 from oracles import direct_synth_utterance, loop_trials
+from spies import on_cpus
 from writers import export_corpus
 
 SMALL = SynthSpec(n_speakers=4, utts_per_speaker=3, duration=0.5,
@@ -85,7 +85,7 @@ class WorkerSynthError(RuntimeError):
 
 
 def corpus_on(monkeypatch, cpus, spec=SMALL):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    on_cpus(monkeypatch, len(cpus))
     return generate_corpus(spec)
 
 

@@ -28,7 +28,7 @@ from mfcontrast.synthdata import SynthSpec, generate_corpus, generate_trials
 from mfcontrast.trainer import OBJECTIVES, TrainConfig
 
 from oracles import cosine_score, per_array_adam_step
-from spies import spy_processes
+from spies import on_cpus, spy_processes
 
 CORPUS = generate_corpus(SynthSpec(n_speakers=3, utts_per_speaker=4, duration=0.5,
                                    sample_rate=8000, seed=1))
@@ -139,7 +139,7 @@ def check_batched_evaluate(monkeypatch, cpus, long_per_batch, sizes):
     ceil(batches / cpus) of them on the calling thread, and scores every
     trial as the utterances embedded one at a time do, bit for bit."""
     store = mixed_length_store()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    on_cpus(monkeypatch, len(cpus))
     monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET",
                         long_per_batch * frame_count(4000, 8000) + 1)
     trials = generate_trials(CORPUS, 18, 48, seed=3)  # every pair
@@ -178,7 +178,7 @@ class WorkerBatchError(RuntimeError):
 
 def test_a_worker_thread_error_reaches_the_caller_and_no_thread_outlives_evaluate(
         monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    on_cpus(monkeypatch, 2)
     monkeypatch.setattr(trainer, "EVAL_FRAME_BUDGET", 1)  # one utterance per batch
     before = set(threading.enumerate())
     caller, calls = batches_by_thread(monkeypatch, WorkerBatchError)
@@ -315,7 +315,7 @@ def test_a_batch_has_the_same_bytes_at_one_and_two_cpus(monkeypatch):
     label_map = trainer.speaker_label_map(CORPUS)
     batches = {}
     for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        on_cpus(monkeypatch, len(cpus))
         batches[len(cpus)] = [trainer.build_batch(CORPUS, cfg, 16, seed, label_map)
                               for seed in (1, 2)]
     for (feats, labels), (two_feats, two_labels) in zip(batches[1], batches[2]):
@@ -324,7 +324,7 @@ def test_a_batch_has_the_same_bytes_at_one_and_two_cpus(monkeypatch):
 
 
 def test_a_batch_at_one_cpu_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    on_cpus(monkeypatch, 1)
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: pytest.fail("build_batch started a thread"))
     feats, _ = trainer.build_batch(CORPUS, tiny("mfcon"), 16, 1,
@@ -349,7 +349,7 @@ def test_desk_steps_after_the_first_epoch_reuse_freed_memory(monkeypatch):
     # when it ran on one, and each later step faulted about 3.8k pages. The
     # count holds the shard worker's faults too (see the test below)
     desk = config.desk_config()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    on_cpus(monkeypatch, 2)
     corpus = generate_corpus(replace(desk.synth, n_speakers=10, utts_per_speaker=10))
     cfg = replace(desk.train, epochs=2)
     assert (cfg.batch_size, cfg.crop_duration) == (50, 1.0)
@@ -487,7 +487,7 @@ def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch,
     before = set(threading.enumerate())
     runs = []
     for k, cpus in enumerate(({0}, {0, 1}, {0, 1})):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        on_cpus(monkeypatch, len(cpus))
         calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / f"run{k}",
                               lambda *args, mode, **kwargs: mode)
         runs.append(trainer.train(CORPUS, ENC, HEAD, tiny("combined")))
@@ -498,6 +498,21 @@ def test_two_shard_training_gives_the_same_bits_at_one_and_two_cpus(monkeypatch,
     for run in runs[1:]:
         assert_same_bits(totals(run.history), totals(runs[0].history))
         assert_same_bits(run.model.param_vector, runs[0].model.param_vector)
+
+
+def test_both_shards_move_the_same_running_statistics(tmp_path, monkeypatch):
+    def running(x, gamma, beta, running_mean, running_var, mode):
+        return [running_mean.tolist(), running_var.tolist()] if mode == "train" else None
+
+    calls = spy_processes(monkeypatch, nn, "batch_norm_fwd", tmp_path / "bn", running)
+    trainer.train(CORPUS, ENC, HEAD, replace(tiny("mfcon"), epochs=2))
+    seen = {}
+    for pid, stats in calls():
+        if stats is not None:
+            seen.setdefault(pid, []).append(stats)
+    caller = seen.pop(os.getpid())
+    (worker,) = seen.values()
+    assert len(caller) > 1 and caller == worker
 
 
 class ShardError(RuntimeError):

@@ -1,6 +1,7 @@
 """Writers for the files the library reads: mono 16-bit WAVs, corpus
-manifests (``synthdata.load_manifest``) and experiment config files
-(``config.load_config``). Only the tests write these."""
+manifests (``synthdata.load_manifest``), experiment config files
+(``config.load_config``) and edited checkpoint metadata. Only the tests
+write these."""
 
 import json
 import wave
@@ -43,3 +44,13 @@ def save_config(cfg, path) -> None:
     with open(path, "w") as f:
         json.dump(asdict(cfg), f, indent=2)
         f.write("\n")
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to the JSON meta of the checkpoint archive at ``path``."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
